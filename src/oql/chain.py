@@ -17,7 +17,7 @@ JSONL: first line {"meta": {...}}, then one record object per line.
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ DAYS_PER_YEAR = 365.0
 _TYPE_CODES = {"call": "C", "put": "P"}
 _CODE_TYPES = {"C": "call", "P": "put"}
 
-_GREEK_FIELDS = ("delta", "gamma", "vega", "theta")
+GREEK_FIELDS = ("delta", "gamma", "vega", "theta")
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,9 @@ class ChainSnapshot:
     rate: float
     records: tuple[ContractRecord, ...]
     excluded: tuple[ExcludedRecord, ...] = ()
+    # set by enrich() on the snapshot it returns; dataclasses.replace
+    # yields an un-enriched copy, so the flag never outlives its records
+    enriched: bool = field(default=False, init=False, compare=False, repr=False)
 
     def exclusion_summary(self) -> str:
         if not self.excluded:
@@ -169,8 +172,11 @@ def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
     are backfilled where missing (all four recomputed when recompute=True).
     Records that expire on as_of, price below the no-arbitrage floor, carry
     zero iv, or defeat the vol inversion are moved to snapshot.excluded with
-    a reason. Enrichment is idempotent: enrich(enrich(x)) == enrich(x).
+    a reason. Enrichment is idempotent: an already enriched snapshot is
+    returned as is unless recompute=True.
     """
+    if snapshot.enriched and not recompute:
+        return snapshot
     kept: list[ContractRecord] = []
     excluded = list(snapshot.excluded)
     for rec in snapshot.records:
@@ -196,7 +202,7 @@ def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
         if iv == 0.0:
             excluded.append(ExcludedRecord(rec, "zero iv; Greeks undefined"))
             continue
-        needs = recompute or any(getattr(rec, g) is None for g in _GREEK_FIELDS)
+        needs = recompute or any(getattr(rec, g) is None for g in GREEK_FIELDS)
         updates: dict = {}
         if iv != rec.iv:
             updates["iv"] = iv
@@ -204,11 +210,13 @@ def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
             vec = pricing.greeks(
                 pricing.MarketParams(snapshot.spot, snapshot.rate, iv, tau),
                 rec.strike, rec.option_type)
-            for g in _GREEK_FIELDS:
+            for g in GREEK_FIELDS:
                 if recompute or getattr(rec, g) is None:
                     updates[g] = getattr(vec, g)
         kept.append(replace(rec, **updates) if updates else rec)
-    return replace(snapshot, records=tuple(kept), excluded=tuple(excluded))
+    out = replace(snapshot, records=tuple(kept), excluded=tuple(excluded))
+    object.__setattr__(out, "enriched", True)
+    return out
 
 
 # ============================================================
@@ -229,20 +237,37 @@ def _parse_meta_pairs(text: str, row: int) -> dict:
     return meta
 
 
-def _opt_float(text: str, what: str, row: int) -> float | None:
-    if text == "":
-        return None
+def _finite(value, what: str, row: int) -> float:
+    """A number from CSV text or a JSON value; nan and inf are rejected."""
     try:
-        return float(text)
-    except ValueError:
-        raise FormatError(f"bad {what} {text!r}", row) from None
+        number = float(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"bad {what} {value!r}", row) from None
+    if not math.isfinite(number):
+        raise FormatError(f"{what} must be finite, got {value!r}", row)
+    return number
+
+
+def _opt_float(text: str, what: str, row: int) -> float | None:
+    return None if text == "" else _finite(text, what, row)
 
 
 def _req_float(text: str, what: str, row: int) -> float:
-    value = _opt_float(text, what, row)
-    if value is None:
+    if text == "":
         raise FormatError(f"missing {what}", row)
-    return value
+    return _finite(text, what, row)
+
+
+def _opt_json(obj: dict, key: str, row: int) -> float | None:
+    return None if obj[key] is None else _finite(obj[key], key, row)
+
+
+def _spot_rate(meta: dict) -> tuple[float, float]:
+    """Metadata spot (finite, > 0) and rate (finite), reported at row 1."""
+    spot = _req_float(meta["spot"], "spot", 1)
+    if not spot > 0.0:
+        raise FormatError(f"spot must be > 0, got {meta['spot']!r}", 1)
+    return spot, _req_float(meta["rate"], "rate", 1)
 
 
 def _req_date(text: str, what: str, row: int) -> _dt.date:
@@ -260,8 +285,7 @@ def _load_csv(lines: list[str]) -> ChainSnapshot:
         raise FormatError(f"second line must be the header {CSV_HEADER!r}", 2)
     underlying = meta["underlying"]
     as_of = _req_date(meta["as_of"], "as_of", 1)
-    spot = _req_float(meta["spot"], "spot", 1)
-    rate = _req_float(meta["rate"], "rate", 1)
+    spot, rate = _spot_rate(meta)
     records: list[ContractRecord] = []
     rows: list[int] = []
     for idx, line in enumerate(lines[2:], start=3):
@@ -323,8 +347,7 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
         raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
     underlying = str(meta["underlying"])
     as_of = _req_date(str(meta["as_of"]), "as_of", 1)
-    spot = float(meta["spot"])
-    rate = float(meta["rate"])
+    spot, rate = _spot_rate(meta)
     records: list[ContractRecord] = []
     rows: list[int] = []
     keys = ("ticker", "underlying", "as_of", "expiry", "strike", "type",
@@ -341,20 +364,24 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
             raise FormatError(f"missing keys: {', '.join(sorted(missing_keys))}", idx)
         if obj["type"] not in _CODE_TYPES:
             raise FormatError(f"bad type code {obj['type']!r}; want C or P", idx)
+        try:
+            volume = int(obj["volume"])
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"bad volume {obj['volume']!r}", idx) from None
         rec = ContractRecord(
             ticker=str(obj["ticker"]),
             underlying=str(obj["underlying"]),
             as_of=_req_date(str(obj["as_of"]), "as_of", idx),
             expiry=_req_date(str(obj["expiry"]), "expiry", idx),
-            strike=float(obj["strike"]),
+            strike=_finite(obj["strike"], "strike", idx),
             option_type=_CODE_TYPES[obj["type"]],
-            price=float(obj["price"]),
-            volume=int(obj["volume"]),
-            iv=None if obj["iv"] is None else float(obj["iv"]),
-            delta=None if obj["delta"] is None else float(obj["delta"]),
-            gamma=None if obj["gamma"] is None else float(obj["gamma"]),
-            vega=None if obj["vega"] is None else float(obj["vega"]),
-            theta=None if obj["theta"] is None else float(obj["theta"]),
+            price=_finite(obj["price"], "price", idx),
+            volume=volume,
+            iv=_opt_json(obj, "iv", idx),
+            delta=_opt_json(obj, "delta", idx),
+            gamma=_opt_json(obj, "gamma", idx),
+            vega=_opt_json(obj, "vega", idx),
+            theta=_opt_json(obj, "theta", idx),
         )
         _validate_record(rec, underlying, as_of, idx)
         records.append(rec)

@@ -1,29 +1,35 @@
 """Query execution: filter legs, assemble strategies, aggregate, rank.
 
 The pipeline is tokenize -> parse -> validate -> filter -> assemble ->
-aggregate -> having -> order/limit. Execution is fully deterministic:
+aggregate -> having -> order/limit. Between filter and order it runs on
+columns: assembly joins the per-role candidate lists into an (m, n_roles)
+index array, one batch kernel computes every aggregate of every row,
+HAVING is a boolean mask, and ORDER BY + LIMIT ranks a top-k before any
+StrategyInstance is built. Execution is fully deterministic:
 candidates are sorted by (expiry, strike, ticker) before assembly, results
 are canonically ordered with a final tie-break on concatenated leg tickers,
 and serialized output is byte-stable under permutation of input records.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import chain as chain_mod
 from . import pricing
 from .catalog import StrategySchema, ValidatedQuery, validate
-from .chain import ChainSnapshot, ContractRecord
+from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
-from .errors import CombinatorialBudgetExceeded, MultiExpiryUnsupported, UnderlyingMismatch
+from .errors import CombinatorialBudgetExceeded, UnderlyingMismatch
+from .fields import AGGREGATE_FIELDS
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
 
-AGGREGATE_KEYS = (
-    "net_debit", "net_credit", "net_delta", "net_gamma", "net_vega",
-    "net_theta", "max_loss", "max_profit", "rr_ratio", "width",
-    "breakeven_low", "breakeven_high",
-)
+# rows (or row x candidate cells) per block in assembly and aggregation;
+# bounds the temporaries of one step whatever the result size
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,16 +71,50 @@ class ResultSet:
 
 
 # ============================================================
-# Leg predicates
+# Conditions: one comparison table for scalars and arrays
 # ============================================================
 
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
-def soft_match(value: float, target: float, epsilon: float,
-               epsilon_abs: float) -> bool:
-    """|value - target| <= epsilon * |target|; absolute band when target is 0."""
+
+def soft_match(value, target: float, epsilon: float, epsilon_abs: float):
+    """|value - target| <= epsilon * |target|; absolute band when target is 0.
+
+    value may be a float or a float array.
+    """
     if target == 0.0:
         return abs(value) <= epsilon_abs
     return abs(value - target) <= epsilon * abs(target)
+
+
+def _test(cond: LegCondition | StratCondition, config: RunConfig):
+    """cond as a function of an available value: a float, a string or a
+    float array.
+
+    WHERE applies it to one contract's field, HAVING to a column of
+    aggregates, so both clauses read one operator table.
+    """
+    if cond.op == "BETWEEN":
+        lo, hi = cond.lo, cond.hi
+        return lambda value: (lo <= value) & (value <= hi)
+    target = cond.value if isinstance(cond.value, str) else float(cond.value)
+    if cond.op == "~":
+        epsilon, epsilon_abs = config.epsilon_for(cond.field), config.epsilon_abs
+        return lambda value: soft_match(value, target, epsilon, epsilon_abs)
+    op = _COMPARE[cond.op]
+    return lambda value: op(value, target)
+
+
+# ============================================================
+# Leg predicates
+# ============================================================
 
 
 def leg_field_value(record: ContractRecord, field: str, spot: float,
@@ -89,60 +129,70 @@ def leg_field_value(record: ContractRecord, field: str, spot: float,
     return None if value is None else float(value)
 
 
-def eval_leg_condition(cond: LegCondition, record: ContractRecord,
-                       spot: float, config: RunConfig) -> bool:
-    """One leg predicate against one contract; missing values never match."""
-    value = leg_field_value(record, cond.field, spot, config)
-    if value is None:
-        return False
-    if isinstance(value, str):
-        if cond.op == "=":
-            return value == cond.value
-        return value != cond.value
-    target = float(cond.value)
-    if cond.op == "~":
-        return soft_match(value, target, config.epsilon_for(cond.field),
-                          config.epsilon_abs)
-    if cond.op == "=":
-        return value == target
-    if cond.op == "!=":
-        return value != target
-    if cond.op == "<":
-        return value < target
-    if cond.op == ">":
-        return value > target
-    if cond.op == "<=":
-        return value <= target
-    return value >= target
-
-
 def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
                 config: RunConfig) -> dict[str, list[ContractRecord]]:
     """Per-role candidate lists: option type first, then every condition.
 
-    Candidates are sorted by (expiry, strike, ticker) so everything
+    A contract missing a tested field never matches. Candidates are sorted by (expiry, strike, ticker) so everything
     downstream is independent of input record order.
     """
     out: dict[str, list[ContractRecord]] = {}
+    spot = snapshot.spot
     for role in vq.schema.roles:
-        conds = vq.per_role_conditions[role.id]
+        tests = [(c.field, _test(c, config))
+                 for c in vq.per_role_conditions[role.id]]
+
+        def matches(rec: ContractRecord) -> bool:
+            for field, test in tests:
+                value = leg_field_value(rec, field, spot, config)
+                if value is None or not test(value):
+                    return False
+            return True
+
         cands = [
             rec for rec in snapshot.records
             if (role.option_type == "either" or rec.option_type == role.option_type)
-            and all(eval_leg_condition(c, rec, snapshot.spot, config) for c in conds)
+            and matches(rec)
         ]
         cands.sort(key=lambda r: (r.expiry, r.strike, r.ticker))
         out[role.id] = cands
     return out
 
 
-# ============================================================
-# Assembly under structural rules
-# ============================================================
+def _role_columns(records: list[ContractRecord]) -> dict[str, np.ndarray]:
+    """One role's candidate list as columns.
+
+    A missing Greek reads 0.0 in its column and False in its `<greek>_ok`
+    mask, so no column ever holds NaN.
+    """
+    cols = {
+        "strike": np.array([r.strike for r in records], dtype=float),
+        "price": np.array([r.price for r in records], dtype=float),
+        "expiry": np.array([r.expiry.toordinal() for r in records], dtype=np.int64),
+        "is_call": np.array([r.option_type == "call" for r in records], dtype=bool),
+    }
+    for greek in GREEK_FIELDS:
+        values = [getattr(r, greek) for r in records]
+        cols[greek] = np.array([0.0 if v is None else v for v in values], dtype=float)
+        cols[f"{greek}_ok"] = np.array([v is not None for v in values], dtype=bool)
+    return cols
 
 
-def _rule_checks_for_depth(schema: StrategySchema):
-    """Per-depth incremental checks equivalent to full rule evaluation.
+# ============================================================
+# Assembly: an index join under structural rules
+# ============================================================
+
+_PAIR_CHECKS = {
+    "strike_order": ("strike", operator.lt),
+    "strike_equal": ("strike", operator.eq),
+    "expiry_equal": ("expiry", operator.eq),
+    "expiry_order": ("expiry", operator.lt),
+}
+
+
+def _depth_checks(schema: StrategySchema) -> dict[int, list]:
+    """Per-depth checks, as (rule kind, role positions), equivalent to full
+    rule evaluation.
 
     Rules decompose into adjacent-pair comparisons (orderings and equalities
     are transitive over the rule's role list); each check fires at the depth
@@ -151,182 +201,295 @@ def _rule_checks_for_depth(schema: StrategySchema):
     """
     index = {rid: i for i, rid in enumerate(schema.role_ids)}
     checks: dict[int, list] = {i: [] for i in range(len(schema.role_ids))}
-
-    def strike(assign, rid):
-        return assign[index[rid]].strike
-
-    def expiry(assign, rid):
-        return assign[index[rid]].expiry
-
     for rule in schema.rules:
+        positions = tuple(index[r] for r in rule.roles)
         if rule.kind == "symmetric_wings":
-            lo, body, hi = rule.roles
-            depth = max(index[r] for r in rule.roles)
-
-            def check(assign, lo=lo, body=body, hi=hi):
-                return (strike(assign, body) - strike(assign, lo)
-                        == strike(assign, hi) - strike(assign, body))
-
-            checks[depth].append(check)
+            checks[max(positions)].append((rule.kind, positions))
             continue
-        for a, b in zip(rule.roles, rule.roles[1:]):
-            depth = max(index[a], index[b])
-            if rule.kind == "strike_order":
-                def check(assign, a=a, b=b):
-                    return strike(assign, a) < strike(assign, b)
-            elif rule.kind == "strike_equal":
-                def check(assign, a=a, b=b):
-                    return strike(assign, a) == strike(assign, b)
-            elif rule.kind == "expiry_equal":
-                def check(assign, a=a, b=b):
-                    return expiry(assign, a) == expiry(assign, b)
-            else:  # expiry_order
-                def check(assign, a=a, b=b):
-                    return expiry(assign, a) < expiry(assign, b)
-            checks[depth].append(check)
+        for pair in zip(positions, positions[1:]):
+            checks[max(pair)].append((rule.kind, pair))
     return checks
 
 
+def _join(rows: np.ndarray, depth: int, cols: list[dict],
+          checks: list) -> np.ndarray:
+    """Extend each row by every candidate of role `depth` that may follow it.
+
+    Per block of rows the outer product rows x candidates is one boolean
+    mask: the new contract differs from every bound one and each check
+    firing at this depth holds. np.nonzero reads the mask row-major, which
+    keeps the lexicographic product order.
+    """
+    new = cols[depth]
+    width = len(new["ticker"])
+    step = max(1, _BLOCK // max(width, 1))
+    parts = [np.empty((0, depth + 1), dtype=np.int32)]
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+
+        def value(j: int, name: str) -> np.ndarray:
+            if j == depth:
+                return new[name][None, :]
+            return cols[j][name][block[:, j]][:, None]
+
+        keep = np.ones((len(block), width), dtype=bool)
+        for j in range(depth):
+            keep &= value(j, "ticker") != value(depth, "ticker")
+        for kind, positions in checks:
+            if kind == "symmetric_wings":
+                wing_lo, body, wing_hi = (value(j, "strike") for j in positions)
+                keep &= (body - wing_lo) == (wing_hi - body)
+            else:
+                name, op = _PAIR_CHECKS[kind]
+                keep &= op(value(positions[0], name), value(positions[1], name))
+        at, pick = np.nonzero(keep)
+        out = np.empty((len(at), depth + 1), dtype=np.int32)
+        out[:, :depth] = block[at]
+        out[:, depth] = pick
+        parts.append(out)
+    return np.concatenate(parts)
+
+
 def assemble(vq: ValidatedQuery, candidates: dict[str, list[ContractRecord]],
-             config: RunConfig) -> tuple[list[tuple[ContractRecord, ...]], int]:
+             config: RunConfig) -> tuple[np.ndarray, int]:
     """All role assignments satisfying the schema's structural rules.
 
-    Returns (assignments in product order over the sorted candidate lists,
-    raw product size). A contract never fills two roles at once. Raises
-    CombinatorialBudgetExceeded when the raw product tops the config cap.
+    Returns (an (m, n_roles) int32 array whose row j-th entry is the
+    position of role j's contract in its sorted candidate list, the raw
+    product size). Rows come in product order over the candidate lists. A
+    contract never fills two roles at once. Raises
+    CombinatorialBudgetExceeded when the raw product tops the config cap,
+    before any row is built.
     """
-    role_ids = vq.schema.role_ids
-    raw = 1
-    for rid in role_ids:
-        raw *= len(candidates[rid])
+    lists = [candidates[rid] for rid in vq.schema.role_ids]
+    raw = math.prod(len(records) for records in lists)
     if raw > config.combinatorial_cap:
         raise CombinatorialBudgetExceeded(
             f"raw candidate product {raw} exceeds cap {config.combinatorial_cap}")
-    checks = _rule_checks_for_depth(vq.schema)
-    results: list[tuple[ContractRecord, ...]] = []
-    n = len(role_ids)
-    assign: list[ContractRecord | None] = [None] * n
-
-    def extend(depth: int, used: set[str]) -> None:
-        if depth == n:
-            results.append(tuple(assign))  # type: ignore[arg-type]
-            return
-        for rec in candidates[role_ids[depth]]:
-            if rec.ticker in used:
-                continue
-            assign[depth] = rec
-            if all(check(assign) for check in checks[depth]):
-                used.add(rec.ticker)
-                extend(depth + 1, used)
-                used.remove(rec.ticker)
-        assign[depth] = None
-
-    extend(0, set())
-    return results, raw
+    ticker_ids: dict[str, int] = {}
+    cols = [_role_columns(records) for records in lists]
+    for records, col in zip(lists, cols):
+        col["ticker"] = np.array([ticker_ids.setdefault(r.ticker, len(ticker_ids))
+                                  for r in records], dtype=np.int64)
+    checks = _depth_checks(vq.schema)
+    rows = np.zeros((1, 0), dtype=np.int32)  # the empty assignment
+    for depth in range(len(lists)):
+        rows = _join(rows, depth, cols, checks[depth])
+    return rows, raw
 
 
 # ============================================================
-# Aggregates
+# Aggregates: one batch kernel
 # ============================================================
 
 
-def _payoff_legs(schema: StrategySchema,
-                 assignment: tuple[ContractRecord, ...]) -> list[pricing.Leg]:
-    legs = []
-    for role, rec in zip(schema.roles, assignment):
-        legs.append(pricing.Leg(
-            direction=role.direction, option_type=rec.option_type,
-            strike=rec.strike, expiry_tau=rec.tau(), quantity=role.quantity,
-            premium=rec.price))
-    return legs
+def aggregate_batch(schema: StrategySchema, cols: list[dict], rows: np.ndarray,
+                    config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every aggregate of every row: field -> (values, available).
+
+    cols[j] holds role j's candidate columns and rows[:, j] indexes them.
+    Cash aggregates and net Greeks are scaled by the contract multiplier.
+    Sums run role by role in role order, so each value is bit-identical
+    whatever the batch size. An unavailable aggregate (it fails HAVING and
+    sorts last) reads 0.0 with available False; +inf marks an unbounded
+    payoff side and stays comparable.
+    """
+    m, n = rows.shape
+    mult = config.multiplier
+    qd = [role.quantity * role.direction for role in schema.roles]
+    index = rows.T.astype(np.intp)
+
+    def gather(name: str) -> list[np.ndarray]:
+        """Column `name` of every role, one (m,) array per role."""
+        return [cols[j][name][index[j]] for j in range(n)]
+
+    price, strike = gather("price"), gather("strike")
+    every = np.ones(m, dtype=bool)
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    entry = np.zeros(m)
+    for j in range(n):
+        entry = entry + qd[j] * price[j]
+    entry_cash = entry * mult
+    # zero-cost structures count as debit
+    out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
+                        entry_cash >= 0.0)
+    out["net_credit"] = (-entry_cash, entry_cash < 0.0)
+
+    for greek in GREEK_FIELDS:
+        total, ok = np.zeros(m), every
+        for j, (value, known) in enumerate(zip(gather(greek),
+                                               gather(f"{greek}_ok"))):
+            total = total + qd[j] * value
+            ok = ok & known
+        out[f"net_{greek}"] = (total * mult, ok)
+
+    # different expiries: no terminal payoff; worst case for a debit
+    # structure is losing the debit, nothing is claimed for credits
+    expiry = gather("expiry")
+    single = np.logical_and.reduce([e == expiry[0] for e in expiry])
+    knots, values, slope = pricing.payoff_at_knots(
+        qd, np.stack(gather("is_call")), np.stack(strike), np.stack(price))
+    max_profit, max_loss = pricing.extremes_from_knots(values, slope)
+    low, high, crosses = pricing.breakevens_from_knots(knots, values, slope)
+    out["max_profit"] = (max_profit * mult, single)
+    out["max_loss"] = (np.where(single, max_loss * mult, entry_cash),
+                       single | (entry_cash > 0.0))
+    out["breakeven_low"] = (low, single & crosses)
+    out["breakeven_high"] = (high, single & crosses)
+
+    profit, profit_ok = out["max_profit"]
+    loss, loss_ok = out["max_loss"]
+    rr_ok = (profit_ok & loss_ok & np.isfinite(profit) & np.isfinite(loss)
+             & (loss > 0.0))
+    out["rr_ratio"] = (np.divide(profit, loss, out=np.zeros(m), where=rr_ok),
+                       rr_ok)
+    out["width"] = (np.maximum.reduce(strike) - np.minimum.reduce(strike), every)
+    return {field: out[field] for field in AGGREGATE_FIELDS}
+
+
+def _aggregate_dicts(aggregates: dict, picks: np.ndarray) -> list[dict]:
+    """Per-row aggregate dicts (None where unavailable) for the picked rows."""
+    columns = [
+        [v if ok else None
+         for v, ok in zip(values[picks].tolist(), available[picks].tolist())]
+        for values, available in aggregates.values()
+    ]
+    return [dict(zip(aggregates, row)) for row in zip(*columns)]
 
 
 def compute_aggregates(schema: StrategySchema,
                        assignment: tuple[ContractRecord, ...],
                        config: RunConfig) -> dict[str, float | None]:
-    """Strategy-level aggregates for one assignment.
+    """Strategy-level aggregates for one assignment: a one-row batch.
 
-    Cash aggregates and net Greeks are scaled by the contract multiplier.
-    None marks an unavailable aggregate (it fails HAVING and sorts last);
-    +inf marks an unbounded payoff side and stays comparable.
+    None marks an unavailable aggregate; see aggregate_batch.
     """
-    mult = config.multiplier
-    entry_per_share = 0.0
-    for role, rec in zip(schema.roles, assignment):
-        entry_per_share += role.quantity * role.direction * rec.price
-    entry_cash = entry_per_share * mult
-
-    agg: dict[str, float | None] = dict.fromkeys(AGGREGATE_KEYS)
-    if entry_cash > 0.0:
-        agg["net_debit"] = entry_cash
-    elif entry_cash < 0.0:
-        agg["net_credit"] = -entry_cash
-    else:
-        agg["net_debit"] = 0.0  # zero-cost structures count as debit
-
-    for greek in ("delta", "gamma", "vega", "theta"):
-        total = 0.0
-        for role, rec in zip(schema.roles, assignment):
-            value = getattr(rec, greek)
-            if value is None:
-                total = None
-                break
-            total += role.quantity * role.direction * value
-        agg[f"net_{greek}"] = None if total is None else total * mult
-
-    legs = _payoff_legs(schema, assignment)
-    try:
-        ext = pricing.payoff_extremes(legs)
-        agg["max_profit"] = ext.max_profit * mult
-        agg["max_loss"] = ext.max_loss * mult
-        lo, hi = pricing.breakevens(legs)
-        agg["breakeven_low"] = lo
-        agg["breakeven_high"] = hi
-    except MultiExpiryUnsupported:
-        # different expiries: no terminal payoff; worst case for a debit
-        # structure is losing the debit, nothing is claimed for credits
-        if entry_cash > 0.0:
-            agg["max_loss"] = entry_cash
-
-    max_profit, max_loss = agg["max_profit"], agg["max_loss"]
-    if (max_profit is not None and max_loss is not None
-            and math.isfinite(max_profit) and math.isfinite(max_loss)
-            and max_loss > 0.0):
-        agg["rr_ratio"] = max_profit / max_loss
-
-    strikes = [rec.strike for rec in assignment]
-    agg["width"] = max(strikes) - min(strikes)
-    return agg
+    cols = [_role_columns([rec]) for rec in assignment]
+    rows = np.zeros((1, len(assignment)), dtype=np.int32)
+    return _aggregate_dicts(aggregate_batch(schema, cols, rows, config),
+                            np.arange(1))[0]
 
 
 def eval_strat_condition(cond: StratCondition, aggregates: dict,
                          config: RunConfig) -> bool:
-    """One HAVING predicate; an unavailable aggregate rejects the instance."""
+    """One HAVING predicate on one row; an unavailable aggregate rejects."""
     value = aggregates.get(cond.field)
-    if value is None:
-        return False
-    if cond.op == "BETWEEN":
-        return cond.lo <= value <= cond.hi
-    target = float(cond.value)
-    if cond.op == "~":
-        return soft_match(value, target, config.epsilon_for(cond.field),
-                          config.epsilon_abs)
-    if cond.op == "=":
-        return value == target
-    if cond.op == "!=":
-        return value != target
-    if cond.op == "<":
-        return value < target
-    if cond.op == ">":
-        return value > target
-    if cond.op == "<=":
-        return value <= target
-    return value >= target
+    return value is not None and bool(_test(cond, config)(value))
 
 
 # ============================================================
-# Ordering and the pipeline
+# HAVING survivors, ranking and the pipeline
 # ============================================================
+
+
+@dataclass
+class _Survivors:
+    """The rows that passed HAVING, kept as columns."""
+
+    lists: list[list[ContractRecord]]  # sorted candidates, in role order
+    rows: np.ndarray                   # (k, n_roles) int32 into `lists`
+    aggregates: dict                   # field -> (values, available), (k,) each
+    stats: ExecutionStats
+
+
+def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
+                   config: RunConfig) -> _Survivors:
+    """Filter, assemble, aggregate and apply HAVING, block by block."""
+    candidates = filter_legs(vq, snapshot, config)
+    rows, raw = assemble(vq, candidates, config)
+    lists = [candidates[rid] for rid in vq.schema.role_ids]
+    cols = [_role_columns(records) for records in lists]
+    tests = [(c.field, _test(c, config)) for c in vq.strategy_conditions]
+    kept_rows, kept = [], []
+    for lo in range(0, max(len(rows), 1), _BLOCK):
+        block = rows[lo:lo + _BLOCK]
+        aggregates = aggregate_batch(vq.schema, cols, block, config)
+        keep = np.ones(len(block), dtype=bool)
+        for field, test in tests:
+            values, available = aggregates[field]
+            keep &= available & test(values)
+        kept_rows.append(block[keep])
+        kept.append({field: (values[keep], available[keep])
+                     for field, (values, available) in aggregates.items()})
+    passed = np.concatenate(kept_rows)
+    stats = ExecutionStats(
+        candidates={rid: len(candidates[rid]) for rid in vq.schema.role_ids},
+        filtered=sum(len(records) for records in lists),
+        raw_product=raw,
+        assembled=len(rows),
+        having_passed=len(passed),
+        returned=0,
+    )
+    aggregates = {
+        field: (np.concatenate([part[field][0] for part in kept]),
+                np.concatenate([part[field][1] for part in kept]))
+        for field in AGGREGATE_FIELDS
+    }
+    return _Survivors(lists, passed, aggregates, stats)
+
+
+def _instances(schema: StrategySchema, surv: _Survivors,
+               picks: np.ndarray) -> list[StrategyInstance]:
+    """StrategyInstance objects for the picked survivor rows, in pick order."""
+    out = []
+    for row, agg in zip(surv.rows[picks].tolist(),
+                        _aggregate_dicts(surv.aggregates, picks)):
+        legs = tuple(
+            StrategyLeg(role=role.id, record=surv.lists[j][i],
+                        direction=role.direction, quantity=role.quantity)
+            for j, (role, i) in enumerate(zip(schema.roles, row)))
+        out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
+                                    aggregates=agg))
+    return out
+
+
+def _ticker_ranks(surv: _Survivors) -> list[np.ndarray] | None:
+    """Per-role ticker ranks of every survivor row, or None when some
+    role's tickers differ in length.
+
+    When each role's tickers share one length, comparing rows rank by rank
+    orders them exactly as comparing their concatenated ticker strings.
+    """
+    if any(len({len(r.ticker) for r in records}) > 1 for records in surv.lists):
+        return None
+    names = sorted({r.ticker for records in surv.lists for r in records})
+    rank = {name: i for i, name in enumerate(names)}
+    return [np.array([rank[r.ticker] for r in records], dtype=np.int64)[surv.rows[:, j]]
+            for j, records in enumerate(surv.lists)]
+
+
+def _top_rows(surv: _Survivors, order_by, limit: int | None) -> np.ndarray:
+    """Ascending positions of the survivors that can rank within LIMIT.
+
+    Rows are ranked by numeric sort keys, per ORDER BY item a missing flag
+    and the signed value, as order_and_limit's key has them. With ticker
+    ranks appended the stable lexsort is the full order and its first
+    `limit` rows are the answer. Without them every row tied on the
+    numeric keys with the limit-th row stays, for order_and_limit to
+    break the ties on the ticker strings.
+    """
+    k = len(surv.rows)
+    if limit is None or limit >= k:
+        return np.arange(k)
+    keys: list[np.ndarray] = []
+    for item in order_by:
+        values, available = surv.aggregates[item.field]
+        keys.append(~available)
+        signed = values if item.direction == "ASC" else -values
+        keys.append(np.where(available, signed, 0.0))
+    ranks = _ticker_ranks(surv)
+    if ranks is not None:
+        return np.sort(np.lexsort((keys + ranks)[::-1])[:limit])
+    if not keys:
+        return np.arange(k)
+    pivot = np.lexsort(keys[::-1])[limit - 1]
+    before = np.zeros(k, dtype=bool)
+    tied = np.ones(k, dtype=bool)
+    for key in keys:
+        before |= tied & (key < key[pivot])
+        tied &= key == key[pivot]
+    return np.nonzero(before | tied)[0]
 
 
 def order_and_limit(instances: list[StrategyInstance], order_by,
@@ -355,35 +518,16 @@ def order_and_limit(instances: list[StrategyInstance], order_by,
 def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
               config: RunConfig) -> tuple[list[StrategyInstance], ExecutionStats]:
     """Pipeline through HAVING (everything before ORDER BY / LIMIT)."""
-    candidates = filter_legs(vq, snapshot, config)
-    assignments, raw = assemble(vq, candidates, config)
-    instances: list[StrategyInstance] = []
-    passed = 0
-    for assignment in assignments:
-        agg = compute_aggregates(vq.schema, assignment, config)
-        if all(eval_strat_condition(c, agg, config)
-               for c in vq.strategy_conditions):
-            passed += 1
-            legs = tuple(
-                StrategyLeg(role=role.id, record=rec, direction=role.direction,
-                            quantity=role.quantity)
-                for role, rec in zip(vq.schema.roles, assignment))
-            instances.append(StrategyInstance(
-                strategy_type=vq.schema.name, legs=legs, aggregates=agg))
-    stats = ExecutionStats(
-        candidates={rid: len(candidates[rid]) for rid in vq.schema.role_ids},
-        filtered=sum(len(candidates[rid]) for rid in vq.schema.role_ids),
-        raw_product=raw,
-        assembled=len(assignments),
-        having_passed=passed,
-        returned=0,
-    )
-    return instances, stats
+    surv = _survivor_rows(vq, snapshot, config)
+    return _instances(vq.schema, surv, np.arange(len(surv.rows))), surv.stats
 
 
 def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
-    """Run a query against a snapshot end to end."""
+    """Run a query against a snapshot end to end.
+
+    Only the rows that can reach the result become StrategyInstances.
+    """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
     vq = validate(ast, symmetric_wings=config.symmetric_wings)
@@ -392,8 +536,11 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             f"query is FROM {ast.underlying} but the snapshot holds "
             f"{snapshot.underlying}")
     snapshot = chain_mod.enrich(snapshot)
-    instances, stats = survivors(vq, snapshot, config)
-    ranked = order_and_limit(instances, ast.order_by, ast.limit)
+    surv = _survivor_rows(vq, snapshot, config)
+    picks = _top_rows(surv, ast.order_by, ast.limit)
+    ranked = order_and_limit(_instances(vq.schema, surv, picks),
+                             ast.order_by, ast.limit)
+    stats = surv.stats
     stats.returned = len(ranked)
     return ResultSet(query=vq, text=pretty_print(ast),
                      underlying=snapshot.underlying,
@@ -408,7 +555,7 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
 
 def _aggregates_to_json(agg: dict[str, float | None]) -> dict:
     out: dict = {}
-    for key in AGGREGATE_KEYS:
+    for key in AGGREGATE_FIELDS:
         value = agg[key]
         if key in ("max_loss", "max_profit"):
             unbounded = value is not None and math.isinf(value)

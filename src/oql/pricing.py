@@ -15,6 +15,7 @@ N(x) = erfc(-x/sqrt(2))/2, accurate to ~1e-16 absolute over the real line.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, MultiExpiryUnsupported, NoSolution, NonConvergence
@@ -227,13 +228,96 @@ def _require_single_expiry(legs) -> None:
             f"legs span {len(taus)} expiries; terminal payoff is undefined")
 
 
-def _tail_slope(legs) -> float:
-    """Payoff slope as spot -> +inf: only call legs contribute."""
-    slope = 0.0
-    for leg in legs:
-        if leg.option_type == "call":
-            slope += leg.quantity * leg.direction
-    return slope
+# ============================================================
+# Payoff analysis over many baskets at once
+# ============================================================
+#
+# One basket per column: qd[j] is quantity * direction of leg j, and the
+# leg-major (n_legs, m) arrays give each basket's leg types, strikes and
+# premiums. The payoff is linear between the knots {0} + strikes and
+# linear with the tail slope beyond the last strike, so one
+# payoff-at-knots matrix answers both the extremes and the breakevens. A
+# knot repeated in a basket (two legs at one strike) changes neither: it
+# only repeats a value.
+
+
+def _sorted_rows(rows: list) -> list:
+    """Each column of the stacked rows in ascending order (odd-even
+    transposition network; min and max move values without rounding)."""
+    rows = list(rows)
+    for sweep in range(len(rows)):
+        for i in range(sweep % 2, len(rows) - 1, 2):
+            rows[i], rows[i + 1] = (np.minimum(rows[i], rows[i + 1]),
+                                    np.maximum(rows[i], rows[i + 1]))
+    return rows
+
+
+def payoff_at_knots(qd, is_call, strike, premium):
+    """(knots, values, slope) for every basket.
+
+    knots is (n_legs + 1, m): 0 then the basket's strikes ascending.
+    values holds the net terminal PnL per share at each knot, summed leg
+    by leg in leg order exactly as strategy_payoff sums it. slope is the
+    payoff slope as spot -> +inf: the sum of qd over call legs.
+    """
+    n, m = strike.shape
+    knots = np.stack([np.zeros(m)] + _sorted_rows(strike))
+    values = np.zeros_like(knots)
+    slope = np.zeros(m)
+    for j in range(n):
+        k, call = strike[j], is_call[j]
+        if call.all():
+            intrinsic = np.maximum(knots - k, 0.0)
+        elif not call.any():
+            intrinsic = np.maximum(k - knots, 0.0)
+        else:
+            intrinsic = np.where(call, np.maximum(knots - k, 0.0),
+                                 np.maximum(k - knots, 0.0))
+        values = values + qd[j] * (intrinsic - premium[j])
+        slope = slope + np.where(call, float(qd[j]), 0.0)
+    return knots, values, slope
+
+
+def extremes_from_knots(values, slope):
+    """(max_profit, max_loss) per share; an unbounded side is +inf."""
+    max_profit = np.where(slope <= 0.0, values.max(axis=0), math.inf)
+    max_loss = np.where(slope >= 0.0, -values.min(axis=0), math.inf)
+    return max_profit, max_loss
+
+
+def breakevens_from_knots(knots, values, slope):
+    """(low, high, found): lowest and highest zero crossings per basket.
+
+    found is False where the payoff never touches zero; low and high hold
+    0.0 there. A crossing is a knot where the payoff is 0, a sign change
+    between neighbouring knots, or the tail reaching zero past the last
+    strike.
+    """
+    a, b = knots[:-1], knots[1:]
+    va, vb = values[:-1], values[1:]
+    change = ((va > 0.0) & (vb < 0.0)) | ((va < 0.0) & (vb > 0.0))
+    interp = a + np.divide((b - a) * va, va - vb, out=np.zeros_like(va),
+                           where=change)
+    last_k, last_v = knots[-1], values[-1]
+    tail = (slope != 0.0) & ((last_v > 0.0) != (slope > 0.0)) & (last_v != 0.0)
+    tail_x = last_k - np.divide(last_v, slope, out=np.zeros_like(last_v),
+                                where=tail)
+    points = np.concatenate((a, interp, [last_k, tail_x]))
+    present = np.concatenate((va == 0.0, change, [last_v == 0.0, tail]))
+    found = present.any(axis=0)
+    low = np.where(present, points, math.inf).min(axis=0)
+    high = np.where(present, points, -math.inf).max(axis=0)
+    return np.where(found, low, 0.0), np.where(found, high, 0.0), found
+
+
+def _leg_knots(legs):
+    """payoff_at_knots for one basket of Leg objects."""
+    _require_single_expiry(legs)
+    qd = [leg.quantity * leg.direction for leg in legs]
+    is_call = np.array([[leg.option_type == "call"] for leg in legs])
+    strike = np.array([[leg.strike] for leg in legs], dtype=float)
+    premium = np.array([[leg.premium] for leg in legs], dtype=float)
+    return payoff_at_knots(qd, is_call, strike, premium)
 
 
 @dataclass(frozen=True)
@@ -253,21 +337,15 @@ class PayoffExtremes:
 def payoff_extremes(legs: list[Leg] | tuple[Leg, ...]) -> PayoffExtremes:
     """Exact extremes of the piecewise-linear terminal payoff.
 
-    The payoff is linear between knots {0} + strikes and linear with the
-    tail slope beyond the last strike, so extremes occur at a knot unless
-    the tail slope makes a side unbounded. Multi-expiry structures raise
-    MultiExpiryUnsupported.
+    Extremes occur at a knot unless the tail slope makes a side unbounded.
+    Multi-expiry structures raise MultiExpiryUnsupported.
     """
-    _require_single_expiry(legs)
-    knots = [0.0] + sorted({leg.strike for leg in legs})
-    values = [strategy_payoff(legs, s) for s in knots]
-    slope = _tail_slope(legs)
-    profit_bounded = slope <= 0.0
-    loss_bounded = slope >= 0.0
-    max_profit = max(values) if profit_bounded else math.inf
-    max_loss = -min(values) if loss_bounded else math.inf
-    return PayoffExtremes(max_profit=max_profit, max_loss=max_loss,
-                          profit_bounded=profit_bounded, loss_bounded=loss_bounded)
+    _, values, slope = _leg_knots(legs)
+    max_profit, max_loss = extremes_from_knots(values, slope)
+    return PayoffExtremes(max_profit=float(max_profit[0]),
+                          max_loss=float(max_loss[0]),
+                          profit_bounded=bool(slope[0] <= 0.0),
+                          loss_bounded=bool(slope[0] >= 0.0))
 
 
 def breakevens(legs: list[Leg] | tuple[Leg, ...]) -> tuple[float | None, float | None]:
@@ -276,23 +354,7 @@ def breakevens(legs: list[Leg] | tuple[Leg, ...]) -> tuple[float | None, float |
     Returns (None, None) when the payoff never touches zero; with a single
     crossing both entries are that point. Multi-expiry raises.
     """
-    _require_single_expiry(legs)
-    knots = [0.0] + sorted({leg.strike for leg in legs})
-    values = [strategy_payoff(legs, s) for s in knots]
-    crossings: list[float] = []
-    for i in range(len(knots) - 1):
-        a, b = knots[i], knots[i + 1]
-        va, vb = values[i], values[i + 1]
-        if va == 0.0:
-            crossings.append(a)
-        if (va > 0.0 > vb) or (va < 0.0 < vb):
-            crossings.append(a + (b - a) * va / (va - vb))
-    last_v = values[-1]
-    if last_v == 0.0:
-        crossings.append(knots[-1])
-    slope = _tail_slope(legs)
-    if slope != 0.0 and (last_v > 0.0) != (slope > 0.0) and last_v != 0.0:
-        crossings.append(knots[-1] - last_v / slope)
-    if not crossings:
+    low, high, found = breakevens_from_knots(*_leg_knots(legs))
+    if not found[0]:
         return None, None
-    return min(crossings), max(crossings)
+    return float(low[0]), float(high[0])

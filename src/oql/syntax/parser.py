@@ -15,10 +15,9 @@ there is never a silent partial result.
 
 from ..errors import ParseError
 from ..fields import SYMBOLIC_VALUES, canonical_aggregate_field, canonical_leg_field
-from .ast import LegCondition, OrderItem, QueryAst, StratCondition
+from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
 from .lexer import Token, TokenKind, tokenize
 
-_COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=", "~")
 _INT_RE_DIGITS = "0123456789"
 
 
@@ -134,9 +133,9 @@ class _Parser:
         else:
             field = canonical_leg_field(first.text)
         if self.at_keyword("BETWEEN"):
-            raise self.fail("BETWEEN is only valid in HAVING", _COMPARISON_OPS)
+            raise self.fail("BETWEEN is only valid in HAVING", COMPARISON_OPS)
         if self.current.kind is not TokenKind.OP:
-            raise self.fail("expected a comparison operator", _COMPARISON_OPS)
+            raise self.fail("expected a comparison operator", COMPARISON_OPS)
         op = self.advance().text
         value = self.parse_value()
         return LegCondition(role=role, field=field, op=op, value=value)
@@ -157,7 +156,7 @@ class _Parser:
             return StratCondition(field=field, op="BETWEEN", lo=lo, hi=hi)
         if self.current.kind is not TokenKind.OP:
             raise self.fail("expected a comparison operator or BETWEEN",
-                            _COMPARISON_OPS + ("BETWEEN",))
+                            COMPARISON_OPS + ("BETWEEN",))
         op = self.advance().text
         value = self.parse_value()
         return StratCondition(field=field, op=op, value=value)

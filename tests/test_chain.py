@@ -1,6 +1,7 @@
 """Chain data model: file formats, validation, enrichment, generators."""
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -221,6 +222,67 @@ def test_empty_file_rejected(tmp_path):
         load_snapshot(str(path))
 
 
+@pytest.mark.parametrize("column,text", [
+    (12, "nan"), (12, "NaN"), (6, "inf"), (4, "-inf"), (8, "Infinity"),
+])
+def test_non_finite_cells_rejected_with_row_and_field(tmp_path, column, text):
+    parts = GOOD_ROW.split(",")
+    parts[column] = text
+    path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW.replace(
+        "C00100000", "C00105000").replace(",100,C,", ",105,C,"), ",".join(parts)])
+    field = CSV_HEADER.split(",")[column]
+    with pytest.raises(FormatError, match=f"{field} must be finite") as exc_info:
+        load_snapshot(path)
+    assert exc_info.value.row == 4
+
+
+@pytest.mark.parametrize("meta,message", [
+    ("spot=0", "spot must be > 0"),
+    ("spot=-100", "spot must be > 0"),
+    ("spot=nan", "spot must be finite"),
+    ("rate=inf", "rate must be finite"),
+])
+def test_bad_metadata_numbers_rejected(tmp_path, meta, message):
+    key = meta.split("=")[0]
+    line = " ".join(meta if pair.startswith(key + "=") else pair
+                    for pair in GOOD_META.split(" "))
+    path = write_csv(tmp_path, [line, CSV_HEADER, GOOD_ROW])
+    with pytest.raises(FormatError, match=message) as exc_info:
+        load_snapshot(path)
+    assert exc_info.value.row == 1
+
+
+def _jsonl_lines(snapshot):
+    return snapshot_to_text(snapshot, fmt="jsonl").splitlines()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("theta", math.nan, "theta must be finite"),
+    ("price", math.inf, "price must be finite"),
+    ("volume", math.nan, "bad volume"),
+])
+def test_jsonl_non_finite_literals_rejected(tmp_path, key, value, message):
+    lines = _jsonl_lines(small_snapshot())
+    obj = json.loads(lines[2])
+    obj[key] = value
+    lines[2] = json.dumps(obj)  # writes the NaN / Infinity literals
+    assert "NaN" in lines[2] or "Infinity" in lines[2]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as exc_info:
+        load_snapshot(str(path))
+    assert exc_info.value.row == 3
+
+
+def test_jsonl_metadata_spot_zero_rejected(tmp_path):
+    lines = _jsonl_lines(small_snapshot())
+    lines[0] = lines[0].replace('"spot": 100.0', '"spot": 0')
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="spot must be > 0"):
+        load_snapshot(str(path))
+
+
 # ============================================================
 # Enrichment
 # ============================================================
@@ -270,6 +332,45 @@ def test_enrich_is_idempotent():
     twice = enrich(once)
     assert once.records == twice.records
     assert once.excluded == twice.excluded
+
+
+def test_enrich_returns_an_enriched_snapshot_as_is():
+    bare = small_snapshot()
+    assert not bare.enriched
+    once = enrich(bare)
+    assert once.enriched
+    assert enrich(once) is once
+
+
+def test_enrich_recompute_still_recomputes_an_enriched_snapshot():
+    from dataclasses import replace
+    once = enrich(small_snapshot())
+    tweaked = replace(once, records=tuple(
+        replace(r, delta=0.123 if r.option_type == "call" else -0.123)
+        for r in once.records))
+    object.__setattr__(tweaked, "enriched", True)
+    assert enrich(tweaked) is tweaked
+    fixed = enrich(tweaked, recompute=True)
+    assert fixed is not tweaked and fixed.enriched
+    assert all(abs(r.delta) != 0.123 for r in fixed.records)
+
+
+def test_replace_drops_the_enriched_flag():
+    from dataclasses import replace
+    once = enrich(small_snapshot())
+    assert not replace(once, records=once.records[:1]).enriched
+    copy = replace(once)
+    assert not copy.enriched
+    assert copy == once  # the flag takes no part in equality or repr
+    assert "enriched" not in repr(once)
+
+
+def test_load_snapshot_is_enriched(tmp_path):
+    path = tmp_path / "chain.csv"
+    save_snapshot(small_snapshot(), str(path))
+    snap = load_snapshot(str(path))
+    assert snap.enriched
+    assert enrich(snap) is snap
 
 
 def test_enriched_greeks_are_model_consistent():

@@ -334,6 +334,27 @@ class TestRun:
         assert code == EXIT_ERROR
         assert "error [load]:" in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        (",-18\n", ",nan\n", "row 3: theta must be finite, got 'nan'"),
+        ("spot=100", "spot=0", "row 1: spot must be > 0, got '0'"),
+    ])
+    def test_non_finite_or_zero_numbers_exit_one(self, tmp_path, old, new,
+                                                 message):
+        text = ("# oql-chain underlying=SPY as_of=2025-06-02 spot=100 "
+                "rate=0.04\n"
+                "ticker,underlying,as_of,expiry,strike,type,price,volume,"
+                "iv,delta,gamma,vega,theta\n"
+                "O:SPY250702C00100000,SPY,2025-06-02,2025-07-02,100,C,"
+                "3.5,120,0.3,0.5,0.02,11,-18\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(old, new))
+        code, out, err = run_cli([
+            "run", "SELECT LONG_CALL FROM SPY ORDER BY net_theta DESC LIMIT 3",
+            "--chain", str(bad)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error [load]: {message}\n"
+
     def test_table_format(self, cli_dir):
         chain = str(cli_dir / "chain.csv")
         code, out, _ = run_cli(["run", SPREAD_QUERY, "--chain", chain,

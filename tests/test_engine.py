@@ -11,6 +11,7 @@ import dataclasses
 import datetime as dt
 import random
 
+import numpy as np
 import pytest
 
 from oql import serialize
@@ -20,6 +21,7 @@ from oql.config import RunConfig
 from oql.engine import (
     StrategyInstance,
     StrategyLeg,
+    assemble,
     compute_aggregates,
     execute,
     filter_legs,
@@ -755,3 +757,89 @@ class TestPipelineStats:
         ast = parse_text("SELECT LONG_CALL FROM SPY")
         result = execute(ast, snap(records))
         assert len(result.strategies) == 1
+
+
+# ============================================================
+# Columnar core: index rows, top-k and enrich-once
+# ============================================================
+
+
+def _renamed(records, tickers):
+    return [dataclasses.replace(r, ticker=t) for r, t in zip(records, tickers)]
+
+
+class TestColumnarCore:
+    def test_assemble_returns_int32_rows_in_product_order(self):
+        records = [rec("SPY", k, "call", 2.0, d)
+                   for k in (100.0, 105.0, 110.0) for d in (30, 60)]
+        vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
+        candidates = filter_legs(vq, snap(records), RunConfig())
+        rows, raw = assemble(vq, candidates, RunConfig())
+        assert rows.dtype == np.int32 and rows.shape == (6, 2)
+        assert raw == 36
+        assert rows.tolist() == sorted(rows.tolist())
+        for i, j in rows.tolist():
+            lo, hi = candidates["L"][i], candidates["S"][j]
+            assert lo.strike < hi.strike and lo.expiry == hi.expiry
+
+    def test_budget_refused_before_building_any_row(self):
+        # a raw product of 1e18: anything beyond len() would never finish
+        vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
+        huge = {"L": range(10 ** 9), "S": range(10 ** 9)}
+        with pytest.raises(CombinatorialBudgetExceeded) as exc_info:
+            assemble(vq, huge, RunConfig())
+        assert exc_info.value.stage == "assemble"
+
+    def test_limit_boundary_inside_a_tie_of_mixed_length_tickers(self):
+        # Widths tie at 10 for (100,110) "A"+"BZ" and (105,115) "AB"+"C".
+        # As strings "ABC" < "ABZ"; as per-role ticker ranks the order
+        # flips, so only the string tie-break picks the right second row.
+        records = _renamed([rec("SPY", k, "call", 2.0, 30)
+                            for k in (100.0, 105.0, 110.0, 115.0)],
+                           ("A", "AB", "BZ", "C"))
+        snapshot = snap(records)
+        result = execute("SELECT BULL_CALL_SPREAD FROM SPY "
+                         "ORDER BY width DESC LIMIT 2", snapshot)
+        assert [inst.ticker_key() for inst in result.strategies] == ["AC", "ABC"]
+        result = execute("SELECT BULL_CALL_SPREAD FROM SPY LIMIT 3", snapshot)
+        assert ([inst.ticker_key() for inst in result.strategies]
+                == ["AAB", "ABBZ", "ABC"])
+        assert result.stats.having_passed == 6
+
+    def test_top_k_matches_the_oracle_order(self):
+        rng = random.Random(4242)
+        config = RunConfig()
+        fields = ("net_debit", "net_credit", "net_theta", "max_loss",
+                  "max_profit", "rr_ratio", "width", "breakeven_low")
+        compared = 0
+        for trial in range(150):
+            snapshot = _random_snapshot(rng)
+            if trial % 2:
+                # tickers of several lengths exercise the string tie-break
+                snapshot = dataclasses.replace(snapshot, records=tuple(
+                    dataclasses.replace(r, ticker=r.ticker[:rng.randint(4, 20)])
+                    for r in snapshot.records))
+            ast = random_valid_query(rng, snapshot)
+            order_by = tuple(OrderItem(rng.choice(fields),
+                                       rng.choice(("ASC", "DESC")))
+                             for _ in range(rng.randint(0, 2)))
+            ast = dataclasses.replace(ast, order_by=order_by,
+                                      limit=rng.choice((1, 2, 3, 7, 25)))
+            expected, _ = oracle_survivors(validate(ast), snapshot, config)
+            want = [row[0] for row in oracle_order(expected, order_by, ast.limit)]
+            got = [tuple(leg.record.ticker for leg in inst.legs)
+                   for inst in execute(ast, snapshot, config).strategies]
+            assert got == want
+            compared += len(expected) > ast.limit
+        assert compared >= 40  # LIMIT must actually cut most of the time
+
+    def test_execute_enriches_a_bare_snapshot(self):
+        base = snap([rec("SPY", 100.0, "call", 2.0, 30),
+                     rec("SPY", 105.0, "call", 1.0, 30)])
+        bare = dataclasses.replace(base, records=tuple(
+            dataclasses.replace(r, delta=None, vega=None)
+            for r in base.records))
+        assert not bare.enriched
+        result = execute("SELECT BULL_CALL_SPREAD FROM SPY", bare)
+        agg = result.strategies[0].aggregates
+        assert agg["net_delta"] is not None and agg["net_vega"] is not None
