@@ -60,6 +60,11 @@ def rec(underlying: str, strike: float, option_type: str, price: float,
         delta=delta, gamma=gamma, vega=vega, theta=theta)
 
 
+def _records_of(snapshot: ChainSnapshot, candidates) -> list[ContractRecord]:
+    """One role's candidates as the snapshot records they stand for."""
+    return list(candidates)
+
+
 def snap(records, *, underlying: str = "SPY", spot: float = 100.0,
          rate: float = 0.04) -> ChainSnapshot:
     return ChainSnapshot(underlying=underlying, as_of=AS_OF, spot=spot,
@@ -189,6 +194,39 @@ class TestFiltering:
         cands = filter_legs(vq, snap(records), RunConfig())
         keys = [(r.expiry, r.strike) for r in cands["L"]]
         assert keys == sorted(keys)
+
+    def test_matches_the_oracle_record_for_record(self):
+        rng = random.Random(977)
+        extra_fields = ("Iv", "Delta", "Gamma", "Vega", "Theta", "Volume", "Dte")
+        nonempty = 0
+        for _ in range(200):
+            snapshot = _random_snapshot(rng)
+            # mixed-length tickers and missing Greeks
+            snapshot = dataclasses.replace(snapshot, records=tuple(
+                dataclasses.replace(
+                    r, ticker=r.ticker[:rng.randint(4, 20)],
+                    **{g: None for g in ("delta", "gamma", "vega", "theta")
+                       if rng.random() < 0.2})
+                for r in snapshot.records))
+            ast = random_valid_query(rng, snapshot)
+            sample = rng.choice(snapshot.records)
+            extra = []
+            for _ in range(rng.randint(0, 2)):
+                field = rng.choice(extra_fields)
+                value = getattr(sample, field.lower()) if field != "Dte" else sample.dte()
+                target = -0.3 if value is None else round(float(value), 3)
+                role = rng.choice((None,) + CATALOG[ast.strategy].role_ids)
+                extra.append(LegCondition(role, field, rng.choice(
+                    ("=", "!=", "<", ">", "<=", ">=", "~")), target))
+            vq = validate(dataclasses.replace(ast, where=ast.where + tuple(extra)))
+            config = RunConfig(atm_band=rng.choice((0.0, 0.01, 0.05)))
+            got = filter_legs(vq, snapshot, config)
+            want = oracle_candidates(vq, snapshot, config)
+            assert list(got) == list(want)
+            for role, records in want.items():
+                assert _records_of(snapshot, got[role]) == records
+            nonempty += all(want.values())
+        assert nonempty >= 80
 
 
 # ============================================================

@@ -1,9 +1,11 @@
 """Byte pins: `oql run` output on the committed chains, recorded once.
 
 tests/data/run_pins.json holds the exit code, stdout and stderr of every
-run below, recorded from the row-at-a-time engine that preceded the
-columnar core. Each run must reproduce them byte for byte, so a change in
-ranking, aggregates, stats or formatting shows up here even when every
+run below. The first 27 CLI runs and the engine runs were recorded from
+the row-at-a-time engine that preceded the columnar core; the WHERE-heavy
+runs after them from the engine that still filtered one record at a time.
+Each run must reproduce them byte for byte, so a change in ranking,
+aggregates, stats or formatting shows up here even when every
 self-consistency check still passes.
 
 The engine-level pins run survivors() and order_and_limit() on the edge
@@ -96,6 +98,46 @@ CLI_RUNS = [
     (EDGE, "SELECT STRADDLE FROM SPY ORDER BY net_theta DESC", []),
     (EDGE, "SELECT BUTTERFLY_CALL FROM SPY HAVING breakeven_low ~ 100 "
            "ORDER BY net_debit DESC LIMIT 4", ["--epsilon", "0.05"]),
+    # WHERE-heavy runs, recorded from the engine that filtered one record
+    # at a time, before WHERE became masks over the snapshot's record table
+    (TSLA, "SELECT LONG_CALL FROM TSLA WHERE Moneyness = ITM AND Dte ~ 55 "
+           "ORDER BY net_debit ASC LIMIT 6", []),
+    (TSLA, "SELECT LONG_PUT FROM TSLA WHERE Moneyness = atm "
+           "ORDER BY net_theta DESC", ["--atm-band", "0.05"]),
+    (TSLA, "SELECT STRADDLE FROM TSLA WHERE Moneyness != OTM AND Dte ~ 60 "
+           "ORDER BY net_debit ASC LIMIT 5", []),
+    (TSLA, "SELECT LONG_CALL FROM TSLA WHERE Volume > 1000 AND Iv < 0.55 "
+           "ORDER BY net_vega DESC LIMIT 8", []),
+    (TSLA, "SELECT LONG_PUT FROM TSLA WHERE Delta ~ -0.3 AND Dte <= 45 "
+           "ORDER BY net_delta ASC", []),
+    (TSLA, "SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
+           "AND L.Moneyness = ITM AND S.Moneyness = OTM AND S.Volume >= 500 "
+           "ORDER BY rr_ratio DESC LIMIT 5", []),
+    (TSLA, "SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 60 AND SP.Delta ~ -0.2 "
+           "AND LP.Delta ~ -0.1 AND SC.Delta ~ 0.2 AND LC.Delta ~ 0.1 "
+           "AND Iv > 0.3 ORDER BY net_credit DESC LIMIT 5", []),
+    (TSLA, "SELECT BEAR_CALL_SPREAD FROM TSLA WHERE Delta < 0.5 "
+           "AND S.Delta < 0.35 AND L.Delta < 0.2 AND Dte ~ 30 "
+           "ORDER BY net_credit DESC LIMIT 5", []),
+    (TSLA, "SELECT BUTTERFLY_CALL FROM TSLA WHERE Dte ~ 30 AND Price > 1 "
+           "AND Moneyness != ITM ORDER BY max_profit DESC LIMIT 3", []),
+    (QQQ, "SELECT STRANGLE FROM QQQ WHERE P.Moneyness = OTM "
+          "AND C.Moneyness = OTM AND Volume >= 200 AND Gamma > 0.001 "
+          "ORDER BY net_debit ASC LIMIT 5", []),
+    (QQQ, "SELECT BEAR_PUT_SPREAD FROM QQQ WHERE L.Delta ~ -0.5 "
+          "AND S.Delta ~ -0.25 AND Dte ~ 30 ORDER BY rr_ratio DESC LIMIT 5",
+     []),
+    (QQQ, "SELECT CALENDAR_CALL FROM QQQ WHERE Moneyness = ATM AND Price < 30 "
+          "AND Vega > 0.1 ORDER BY net_debit ASC", ["--atm-band", "0.02"]),
+    (EDGE, "SELECT LONG_PUT FROM SPY WHERE Delta >= -0.3 AND Delta != -0.12 "
+           "AND Theta ~ -0.04", []),
+    (EDGE, "SELECT BEAR_PUT_SPREAD FROM SPY WHERE L.Moneyness = ITM "
+           "AND S.Delta <= -0.26 AND Dte = 30", []),
+    (EDGE, "SELECT LONG_CALL FROM SPY WHERE Moneyness = ATM",
+     ["--atm-band", "0"]),
+    (EDGE, "SELECT STRADDLE FROM SPY WHERE Moneyness != ITM AND Volume > 800",
+     ["--atm-band", "0.05"]),
+    (EDGE, "SELECT LONG_CALL FROM SPY WHERE Iv > 0.5", []),
 ]
 
 # (query, strike of the 30-day call that loses a Greek, that Greek)
