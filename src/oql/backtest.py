@@ -141,10 +141,9 @@ def _leg_value(leg: PositionLeg, spot: float, date: _dt.date, rate: float,
 
 
 def _snapshot_iv(snapshot: ChainSnapshot, leg: PositionLeg) -> float:
-    for rec in snapshot.records:
-        if (rec.expiry == leg.expiry and rec.strike == leg.strike
-                and rec.option_type == leg.option_type and rec.iv is not None):
-            return rec.iv
+    iv = snapshot.iv_by_contract.get((leg.expiry, leg.option_type), {}).get(leg.strike)
+    if iv is not None:
+        return iv
     raise BacktestError(
         f"no iv for {leg.option_type} K={leg.strike:g} {leg.expiry} "
         f"in the {snapshot.as_of} snapshot")

@@ -17,7 +17,9 @@ JSONL: first line {"meta": {...}}, then one record object per line.
 import datetime as _dt
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .serialize import format_date, format_number, parse_date
 
 CSV_HEADER = ("ticker,underlying,as_of,expiry,strike,type,"
               "price,volume,iv,delta,gamma,vega,theta")
+_KEYS = tuple(CSV_HEADER.split(","))
 
 _META_PREFIX = "# oql-chain "
 
@@ -36,6 +39,16 @@ _TYPE_CODES = {"call": "C", "put": "P"}
 _CODE_TYPES = {"C": "call", "P": "put"}
 
 GREEK_FIELDS = ("delta", "gamma", "vega", "theta")
+
+# the model fields a record may lack; each has a `<name>_ok` table column
+_OPTIONAL_FIELDS = ("iv",) + GREEK_FIELDS
+
+_TABLE_DTYPE = np.dtype(
+    [("row", np.int64), ("ticker_rank", np.int64), ("ticker_len", np.int64),
+     ("expiry", np.int64), ("dte", float), ("strike", float), ("price", float),
+     ("volume", float), ("is_call", bool)]
+    + [(name + suffix, dtype) for name in _OPTIONAL_FIELDS
+       for suffix, dtype in (("", float), ("_ok", bool))])
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,27 @@ class ChainSnapshot:
     # yields an un-enriched copy, so the flag never outlives its records
     enriched: bool = field(default=False, init=False, compare=False, repr=False)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """record_table(self.records), built on first use."""
+        return record_table(self.records)
+
+    @cached_property
+    def iv_by_contract(self) -> dict[tuple, dict[float, float]]:
+        """(expiry, option_type) -> strike -> iv; the first record with an
+        iv wins.
+
+        Keyed by expiry and type first so the map holds a few tuples, not
+        one per contract: tuples are objects the cyclic garbage collector
+        tracks, and thousands of new ones set off a full collection.
+        """
+        out: dict[tuple, dict[float, float]] = {}
+        for rec in self.records:
+            if rec.iv is not None:
+                out.setdefault((rec.expiry, rec.option_type), {}).setdefault(
+                    rec.strike, rec.iv)
+        return out
+
     def exclusion_summary(self) -> str:
         if not self.excluded:
             return "no records excluded"
@@ -99,14 +133,47 @@ def occ_ticker(underlying: str, expiry: _dt.date, option_type: str,
     return f"O:{underlying}{expiry.strftime('%y%m%d')}{code}{int(round(strike * 1000)):08d}"
 
 
-def moneyness(option_type: str, strike: float, spot: float,
-              atm_band: float = 0.01) -> str:
-    """ATM within |K-S|/S <= atm_band; else calls are ITM iff K < S, puts reversed."""
-    if abs(strike - spot) / spot <= atm_band:
-        return "ATM"
-    if option_type == "call":
-        return "ITM" if strike < spot else "OTM"
-    return "ITM" if strike > spot else "OTM"
+def moneyness(option_type, strike, spot: float, atm_band: float = 0.01):
+    """ATM within |K-S|/S <= atm_band; else calls are ITM iff K < S, puts reversed.
+
+    option_type and strike may be arrays; the result then is an array of
+    labels, one per element.
+    """
+    strike = np.asarray(strike, dtype=float)
+    in_the_money = np.where(np.asarray(option_type) == "call",
+                            strike < spot, strike > spot)
+    label = np.where(np.abs(strike - spot) / spot <= atm_band, "ATM",
+                     np.where(in_the_money, "ITM", "OTM"))
+    return label if label.ndim else str(label)
+
+
+def record_table(records) -> np.ndarray:
+    """The records as one numpy structured array, one row per record.
+
+    Columns: `row` (the record's position), `ticker_rank` (the ticker's
+    rank in Python string order among the records' tickers) and
+    `ticker_len`, `expiry` (date ordinal), `dte`, `strike`, `price`,
+    `volume`, `is_call`, and iv and each Greek with a `<name>_ok` mask. A
+    missing value reads 0.0 with `_ok` False, so no column holds NaN.
+    """
+    table = np.zeros(len(records), dtype=_TABLE_DTYPE)
+    table["row"] = np.arange(len(records))
+    tickers = [rec.ticker for rec in records]
+    rank = {name: i for i, name in enumerate(sorted(set(tickers)))}
+    table["ticker_rank"] = [rank[name] for name in tickers]
+    table["ticker_len"] = [len(name) for name in tickers]
+    table["expiry"] = [rec.expiry.toordinal() for rec in records]
+    table["dte"] = [rec.dte() for rec in records]
+    table["strike"] = [rec.strike for rec in records]
+    table["price"] = [rec.price for rec in records]
+    # a volume past the float range reads as the largest float
+    table["volume"] = [min(rec.volume, sys.float_info.max) for rec in records]
+    table["is_call"] = [rec.option_type == "call" for rec in records]
+    for name in _OPTIONAL_FIELDS:
+        values = [getattr(rec, name) for rec in records]
+        table[name] = [0.0 if v is None else v for v in values]
+        table[name + "_ok"] = [v is not None for v in values]
+    return table
 
 
 # ============================================================
@@ -258,8 +325,8 @@ def _req_float(text: str, what: str, row: int) -> float:
     return _finite(text, what, row)
 
 
-def _opt_json(obj: dict, key: str, row: int) -> float | None:
-    return None if obj[key] is None else _finite(obj[key], key, row)
+def _opt_json(value, what: str, row: int) -> float | None:
+    return None if value is None else _finite(value, what, row)
 
 
 def _spot_rate(meta: dict) -> tuple[float, float]:
@@ -277,52 +344,65 @@ def _req_date(text: str, what: str, row: int) -> _dt.date:
         raise FormatError(f"bad {what} {text!r}; want YYYY-MM-DD", row) from None
 
 
+def _record(raw: dict, row: int, number, optional) -> ContractRecord:
+    """One record from its raw values, keyed like the CSV header.
+
+    number(value, what, row) reads a required numeric value and
+    optional(value, what, row) one that may be missing.
+    """
+    # a tuple compares by ==, so a JSON list or object is refused, not hashed
+    if raw["type"] not in tuple(_CODE_TYPES):
+        raise FormatError(f"bad type code {raw['type']!r}; want C or P", row)
+    try:
+        volume = int(raw["volume"])
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"bad volume {raw['volume']!r}", row) from None
+    return ContractRecord(
+        ticker=str(raw["ticker"]),
+        underlying=str(raw["underlying"]),
+        as_of=_req_date(str(raw["as_of"]), "as_of", row),
+        expiry=_req_date(str(raw["expiry"]), "expiry", row),
+        strike=number(raw["strike"], "strike", row),
+        option_type=_CODE_TYPES[raw["type"]],
+        price=number(raw["price"], "price", row),
+        volume=volume,
+        **{name: optional(raw[name], name, row) for name in _OPTIONAL_FIELDS})
+
+
+def _snapshot(meta: dict, numbered) -> ChainSnapshot:
+    """The snapshot of (row, record) pairs, each validated as it comes."""
+    underlying = str(meta["underlying"])
+    as_of = _req_date(str(meta["as_of"]), "as_of", 1)
+    spot, rate = _spot_rate(meta)
+    records: list[ContractRecord] = []
+    rows: list[int] = []
+    for row, rec in numbered:
+        _validate_record(rec, underlying, as_of, row)
+        records.append(rec)
+        rows.append(row)
+    _check_duplicates(records, rows)
+    return ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
+                         rate=rate, records=tuple(records))
+
+
 def _load_csv(lines: list[str]) -> ChainSnapshot:
     if not lines or not lines[0].startswith(_META_PREFIX):
         raise FormatError(f"first line must start with {_META_PREFIX!r}", 1)
     meta = _parse_meta_pairs(lines[0][len(_META_PREFIX):], 1)
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise FormatError(f"second line must be the header {CSV_HEADER!r}", 2)
-    underlying = meta["underlying"]
-    as_of = _req_date(meta["as_of"], "as_of", 1)
-    spot, rate = _spot_rate(meta)
-    records: list[ContractRecord] = []
-    rows: list[int] = []
-    for idx, line in enumerate(lines[2:], start=3):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != 13:
-            raise FormatError(f"expected 13 fields, got {len(parts)}", idx)
-        (ticker, und, as_of_s, expiry_s, strike_s, code, price_s, volume_s,
-         iv_s, delta_s, gamma_s, vega_s, theta_s) = parts
-        if code not in _CODE_TYPES:
-            raise FormatError(f"bad type code {code!r}; want C or P", idx)
-        try:
-            volume = int(volume_s)
-        except ValueError:
-            raise FormatError(f"bad volume {volume_s!r}", idx) from None
-        rec = ContractRecord(
-            ticker=ticker,
-            underlying=und,
-            as_of=_req_date(as_of_s, "as_of", idx),
-            expiry=_req_date(expiry_s, "expiry", idx),
-            strike=_req_float(strike_s, "strike", idx),
-            option_type=_CODE_TYPES[code],
-            price=_req_float(price_s, "price", idx),
-            volume=volume,
-            iv=_opt_float(iv_s, "iv", idx),
-            delta=_opt_float(delta_s, "delta", idx),
-            gamma=_opt_float(gamma_s, "gamma", idx),
-            vega=_opt_float(vega_s, "vega", idx),
-            theta=_opt_float(theta_s, "theta", idx),
-        )
-        _validate_record(rec, underlying, as_of, idx)
-        records.append(rec)
-        rows.append(idx)
-    _check_duplicates(records, rows)
-    return ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
-                         rate=rate, records=tuple(records))
+
+    def numbered():
+        for idx, line in enumerate(lines[2:], start=3):
+            if line == "":
+                continue
+            parts = line.split(",")
+            if len(parts) != len(_KEYS):
+                raise FormatError(f"expected 13 fields, got {len(parts)}", idx)
+            yield idx, _record(dict(zip(_KEYS, parts)), idx, _req_float,
+                               _opt_float)
+
+    return _snapshot(meta, numbered())
 
 
 def _load_jsonl(lines: list[str]) -> ChainSnapshot:
@@ -345,50 +425,22 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
     missing = {"underlying", "as_of", "spot", "rate"} - set(meta)
     if missing:
         raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
-    underlying = str(meta["underlying"])
-    as_of = _req_date(str(meta["as_of"]), "as_of", 1)
-    spot, rate = _spot_rate(meta)
-    records: list[ContractRecord] = []
-    rows: list[int] = []
-    keys = ("ticker", "underlying", "as_of", "expiry", "strike", "type",
-            "price", "volume", "iv", "delta", "gamma", "vega", "theta")
-    for idx, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        obj = parse_obj(line, idx)
-        extra = set(obj) - set(keys)
-        if extra:
-            raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", idx)
-        missing_keys = set(keys) - set(obj)
-        if missing_keys:
-            raise FormatError(f"missing keys: {', '.join(sorted(missing_keys))}", idx)
-        if obj["type"] not in _CODE_TYPES:
-            raise FormatError(f"bad type code {obj['type']!r}; want C or P", idx)
-        try:
-            volume = int(obj["volume"])
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"bad volume {obj['volume']!r}", idx) from None
-        rec = ContractRecord(
-            ticker=str(obj["ticker"]),
-            underlying=str(obj["underlying"]),
-            as_of=_req_date(str(obj["as_of"]), "as_of", idx),
-            expiry=_req_date(str(obj["expiry"]), "expiry", idx),
-            strike=_finite(obj["strike"], "strike", idx),
-            option_type=_CODE_TYPES[obj["type"]],
-            price=_finite(obj["price"], "price", idx),
-            volume=volume,
-            iv=_opt_json(obj, "iv", idx),
-            delta=_opt_json(obj, "delta", idx),
-            gamma=_opt_json(obj, "gamma", idx),
-            vega=_opt_json(obj, "vega", idx),
-            theta=_opt_json(obj, "theta", idx),
-        )
-        _validate_record(rec, underlying, as_of, idx)
-        records.append(rec)
-        rows.append(idx)
-    _check_duplicates(records, rows)
-    return ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
-                         rate=rate, records=tuple(records))
+
+    def numbered():
+        for idx, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            obj = parse_obj(line, idx)
+            extra = set(obj) - set(_KEYS)
+            if extra:
+                raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", idx)
+            missing_keys = set(_KEYS) - set(obj)
+            if missing_keys:
+                raise FormatError(
+                    f"missing keys: {', '.join(sorted(missing_keys))}", idx)
+            yield idx, _record(obj, idx, _finite, _opt_json)
+
+    return _snapshot(meta, numbered())
 
 
 def _detect_format(path: str, fmt: str | None) -> str:
@@ -422,35 +474,21 @@ def load_snapshot(path: str, fmt: str | None = None) -> ChainSnapshot:
     return enrich(snapshot)
 
 
-def _csv_record_line(rec: ContractRecord) -> str:
-    def opt(x: float | None) -> str:
-        return "" if x is None else format_number(x)
-
-    return ",".join([
+def _stored(rec: ContractRecord) -> dict:
+    """A record's stored values, keyed and ordered like the CSV header."""
+    return dict(zip(_KEYS, (
         rec.ticker, rec.underlying, format_date(rec.as_of),
-        format_date(rec.expiry), format_number(rec.strike),
-        _TYPE_CODES[rec.option_type], format_number(rec.price),
-        str(rec.volume), opt(rec.iv), opt(rec.delta), opt(rec.gamma),
-        opt(rec.vega), opt(rec.theta),
-    ])
+        format_date(rec.expiry), rec.strike, _TYPE_CODES[rec.option_type],
+        rec.price, rec.volume, rec.iv, rec.delta, rec.gamma, rec.vega,
+        rec.theta)))
 
 
-def _jsonl_record_line(rec: ContractRecord) -> str:
-    return json.dumps({
-        "ticker": rec.ticker,
-        "underlying": rec.underlying,
-        "as_of": format_date(rec.as_of),
-        "expiry": format_date(rec.expiry),
-        "strike": rec.strike,
-        "type": _TYPE_CODES[rec.option_type],
-        "price": rec.price,
-        "volume": rec.volume,
-        "iv": rec.iv,
-        "delta": rec.delta,
-        "gamma": rec.gamma,
-        "vega": rec.vega,
-        "theta": rec.theta,
-    })
+def _csv_record_line(rec: ContractRecord) -> str:
+    return ",".join(
+        "" if value is None
+        else str(value) if key == "volume" or isinstance(value, str)
+        else format_number(value)
+        for key, value in _stored(rec).items())
 
 
 def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
@@ -471,7 +509,7 @@ def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
             "rate": snapshot.rate,
         }})
         lines = [head]
-        lines.extend(_jsonl_record_line(r) for r in snapshot.records)
+        lines.extend(json.dumps(_stored(r)) for r in snapshot.records)
         return "\n".join(lines) + "\n"
     raise FormatError(f"unknown snapshot format {fmt!r}")
 

@@ -9,7 +9,7 @@ config is echoed into every JSON report.
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -107,9 +107,3 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         return RunConfig(**settings)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_overrides(config: RunConfig, **kwargs) -> RunConfig:
-    """A copy of `config` with the given non-None fields replaced."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(config, **updates) if updates else config

@@ -2,15 +2,17 @@
 
 The pipeline is tokenize -> parse -> validate -> filter -> assemble ->
 aggregate -> having -> order/limit. Between filter and order it runs on
-columns: assembly joins the per-role candidate lists into an (m, n_roles)
-index array, one batch kernel computes every aggregate of every row,
-HAVING is a boolean mask, and ORDER BY + LIMIT ranks a top-k before any
-StrategyInstance is built. Execution is fully deterministic:
-candidates are sorted by (expiry, strike, ticker) before assembly, results
-are canonically ordered with a final tie-break on concatenated leg tickers,
-and serialized output is byte-stable under permutation of input records.
+columns: WHERE is a mask over the snapshot's record table, assembly joins
+the per-role candidate rows into an (m, n_roles) index array, one batch
+kernel computes every aggregate of every row, HAVING is a boolean mask,
+and ORDER BY + LIMIT ranks a top-k before any StrategyInstance is built.
+Execution is fully deterministic: candidates are sorted by (expiry,
+strike, ticker) before assembly, results are canonically ordered with a
+final tie-break on concatenated leg tickers, and serialized output is
+byte-stable under permutation of input records.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -113,69 +115,45 @@ def _test(cond: LegCondition | StratCondition, config: RunConfig):
 
 
 # ============================================================
-# Leg predicates
+# Leg predicates: masks over the snapshot's record table
 # ============================================================
 
 
-def leg_field_value(record: ContractRecord, field: str, spot: float,
-                    config: RunConfig) -> float | str | None:
-    """Resolve a leg field to a comparable value (None when unavailable)."""
-    if field == "Dte":
-        return float(record.dte())
-    if field == "Moneyness":
-        return chain_mod.moneyness(record.option_type, record.strike, spot,
-                                   config.atm_band)
-    value = getattr(record, field.lower())
-    return None if value is None else float(value)
-
-
 def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
-                config: RunConfig) -> dict[str, list[ContractRecord]]:
-    """Per-role candidate lists: option type first, then every condition.
+                config: RunConfig) -> dict[str, np.ndarray]:
+    """Per-role candidates: the rows of snapshot.table that match.
 
-    A contract missing a tested field never matches. Candidates are sorted by (expiry, strike, ticker) so everything
-    downstream is independent of input record order.
+    A role keeps the rows of its option type that pass every one of its
+    conditions, each evaluated once per query as a mask over the table; a
+    contract missing a tested field never matches. Rows are sorted by
+    (expiry, strike, ticker) so everything downstream is independent of
+    input record order.
     """
-    out: dict[str, list[ContractRecord]] = {}
-    spot = snapshot.spot
+    table = snapshot.table
+
+    @functools.cache
+    def mask(cond: LegCondition) -> np.ndarray:
+        if cond.field == "Moneyness":
+            value = chain_mod.moneyness(np.where(table["is_call"], "call", "put"),
+                                        table["strike"], snapshot.spot,
+                                        config.atm_band)
+            return _test(cond, config)(value)
+        name = cond.field.lower()
+        ok = f"{name}_ok"
+        known = table[ok] if ok in table.dtype.names else True
+        return known & _test(cond, config)(table[name])
+
+    out: dict[str, np.ndarray] = {}
     for role in vq.schema.roles:
-        tests = [(c.field, _test(c, config))
-                 for c in vq.per_role_conditions[role.id]]
-
-        def matches(rec: ContractRecord) -> bool:
-            for field, test in tests:
-                value = leg_field_value(rec, field, spot, config)
-                if value is None or not test(value):
-                    return False
-            return True
-
-        cands = [
-            rec for rec in snapshot.records
-            if (role.option_type == "either" or rec.option_type == role.option_type)
-            and matches(rec)
-        ]
-        cands.sort(key=lambda r: (r.expiry, r.strike, r.ticker))
-        out[role.id] = cands
+        keep = np.full(len(table), True)
+        if role.option_type != "either":
+            keep &= table["is_call"] == (role.option_type == "call")
+        for cond in vq.per_role_conditions[role.id]:
+            keep &= mask(cond)
+        rows = table[keep]
+        out[role.id] = rows[np.lexsort((rows["ticker_rank"], rows["strike"],
+                                        rows["expiry"]))]
     return out
-
-
-def _role_columns(records: list[ContractRecord]) -> dict[str, np.ndarray]:
-    """One role's candidate list as columns.
-
-    A missing Greek reads 0.0 in its column and False in its `<greek>_ok`
-    mask, so no column ever holds NaN.
-    """
-    cols = {
-        "strike": np.array([r.strike for r in records], dtype=float),
-        "price": np.array([r.price for r in records], dtype=float),
-        "expiry": np.array([r.expiry.toordinal() for r in records], dtype=np.int64),
-        "is_call": np.array([r.option_type == "call" for r in records], dtype=bool),
-    }
-    for greek in GREEK_FIELDS:
-        values = [getattr(r, greek) for r in records]
-        cols[greek] = np.array([0.0 if v is None else v for v in values], dtype=float)
-        cols[f"{greek}_ok"] = np.array([v is not None for v in values], dtype=bool)
-    return cols
 
 
 # ============================================================
@@ -211,7 +189,7 @@ def _depth_checks(schema: StrategySchema) -> dict[int, list]:
     return checks
 
 
-def _join(rows: np.ndarray, depth: int, cols: list[dict],
+def _join(rows: np.ndarray, depth: int, cols: list[np.ndarray],
           checks: list) -> np.ndarray:
     """Extend each row by every candidate of role `depth` that may follow it.
 
@@ -221,7 +199,7 @@ def _join(rows: np.ndarray, depth: int, cols: list[dict],
     keeps the lexicographic product order.
     """
     new = cols[depth]
-    width = len(new["ticker"])
+    width = len(new)
     step = max(1, _BLOCK // max(width, 1))
     parts = [np.empty((0, depth + 1), dtype=np.int32)]
     for lo in range(0, len(rows), step):
@@ -234,7 +212,7 @@ def _join(rows: np.ndarray, depth: int, cols: list[dict],
 
         keep = np.ones((len(block), width), dtype=bool)
         for j in range(depth):
-            keep &= value(j, "ticker") != value(depth, "ticker")
+            keep &= value(j, "ticker_rank") != value(depth, "ticker_rank")
         for kind, positions in checks:
             if kind == "symmetric_wings":
                 wing_lo, body, wing_hi = (value(j, "strike") for j in positions)
@@ -250,30 +228,25 @@ def _join(rows: np.ndarray, depth: int, cols: list[dict],
     return np.concatenate(parts)
 
 
-def assemble(vq: ValidatedQuery, candidates: dict[str, list[ContractRecord]],
+def assemble(vq: ValidatedQuery, candidates: dict[str, np.ndarray],
              config: RunConfig) -> tuple[np.ndarray, int]:
     """All role assignments satisfying the schema's structural rules.
 
-    Returns (an (m, n_roles) int32 array whose row j-th entry is the
-    position of role j's contract in its sorted candidate list, the raw
-    product size). Rows come in product order over the candidate lists. A
-    contract never fills two roles at once. Raises
-    CombinatorialBudgetExceeded when the raw product tops the config cap,
-    before any row is built.
+    candidates are filter_legs' per-role table rows. Returns (an
+    (m, n_roles) int32 array whose row j-th entry is the position of role
+    j's contract among its candidates, the raw product size). Rows come
+    in product order over the candidates. A contract never fills two roles
+    at once. Raises CombinatorialBudgetExceeded when the raw product tops
+    the config cap, before any row is built.
     """
-    lists = [candidates[rid] for rid in vq.schema.role_ids]
-    raw = math.prod(len(records) for records in lists)
+    cols = [candidates[rid] for rid in vq.schema.role_ids]
+    raw = math.prod(len(rows) for rows in cols)
     if raw > config.combinatorial_cap:
         raise CombinatorialBudgetExceeded(
             f"raw candidate product {raw} exceeds cap {config.combinatorial_cap}")
-    ticker_ids: dict[str, int] = {}
-    cols = [_role_columns(records) for records in lists]
-    for records, col in zip(lists, cols):
-        col["ticker"] = np.array([ticker_ids.setdefault(r.ticker, len(ticker_ids))
-                                  for r in records], dtype=np.int64)
     checks = _depth_checks(vq.schema)
     rows = np.zeros((1, 0), dtype=np.int32)  # the empty assignment
-    for depth in range(len(lists)):
+    for depth in range(len(cols)):
         rows = _join(rows, depth, cols, checks[depth])
     return rows, raw
 
@@ -283,11 +256,11 @@ def assemble(vq: ValidatedQuery, candidates: dict[str, list[ContractRecord]],
 # ============================================================
 
 
-def aggregate_batch(schema: StrategySchema, cols: list[dict], rows: np.ndarray,
+def aggregate_batch(schema: StrategySchema, cols: list[np.ndarray], rows: np.ndarray,
                     config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every aggregate of every row: field -> (values, available).
 
-    cols[j] holds role j's candidate columns and rows[:, j] indexes them.
+    cols[j] holds role j's candidate table rows and rows[:, j] indexes them.
     Cash aggregates and net Greeks are scaled by the contract multiplier.
     Sums run role by role in role order, so each value is bit-identical
     whatever the batch size. An unavailable aggregate (it fails HAVING and
@@ -365,7 +338,7 @@ def compute_aggregates(schema: StrategySchema,
 
     None marks an unavailable aggregate; see aggregate_batch.
     """
-    cols = [_role_columns([rec]) for rec in assignment]
+    cols = [chain_mod.record_table([rec]) for rec in assignment]
     rows = np.zeros((1, len(assignment)), dtype=np.int32)
     return _aggregate_dicts(aggregate_batch(schema, cols, rows, config),
                             np.arange(1))[0]
@@ -387,9 +360,10 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
 class _Survivors:
     """The rows that passed HAVING, kept as columns."""
 
-    lists: list[list[ContractRecord]]  # sorted candidates, in role order
-    rows: np.ndarray                   # (k, n_roles) int32 into `lists`
-    aggregates: dict                   # field -> (values, available), (k,) each
+    records: tuple[ContractRecord, ...]  # the snapshot's records
+    candidates: list[np.ndarray]  # sorted candidate table rows, in role order
+    rows: np.ndarray              # (k, n_roles) int32 into `candidates`
+    aggregates: dict              # field -> (values, available), (k,) each
     stats: ExecutionStats
 
 
@@ -398,8 +372,7 @@ def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
     """Filter, assemble, aggregate and apply HAVING, block by block."""
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
-    lists = [candidates[rid] for rid in vq.schema.role_ids]
-    cols = [_role_columns(records) for records in lists]
+    cols = [candidates[rid] for rid in vq.schema.role_ids]
     tests = [(c.field, _test(c, config)) for c in vq.strategy_conditions]
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
@@ -415,7 +388,7 @@ def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
     passed = np.concatenate(kept_rows)
     stats = ExecutionStats(
         candidates={rid: len(candidates[rid]) for rid in vq.schema.role_ids},
-        filtered=sum(len(records) for records in lists),
+        filtered=sum(len(col) for col in cols),
         raw_product=raw,
         assembled=len(rows),
         having_passed=len(passed),
@@ -426,19 +399,22 @@ def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
                 np.concatenate([part[field][1] for part in kept]))
         for field in AGGREGATE_FIELDS
     }
-    return _Survivors(lists, passed, aggregates, stats)
+    return _Survivors(snapshot.records, cols, passed, aggregates, stats)
 
 
 def _instances(schema: StrategySchema, surv: _Survivors,
                picks: np.ndarray) -> list[StrategyInstance]:
     """StrategyInstance objects for the picked survivor rows, in pick order."""
+    rows = surv.rows[picks]
+    record_rows = np.stack([col["row"][rows[:, j]]
+                            for j, col in enumerate(surv.candidates)], axis=1)
     out = []
-    for row, agg in zip(surv.rows[picks].tolist(),
+    for row, agg in zip(record_rows.tolist(),
                         _aggregate_dicts(surv.aggregates, picks)):
         legs = tuple(
-            StrategyLeg(role=role.id, record=surv.lists[j][i],
+            StrategyLeg(role=role.id, record=surv.records[i],
                         direction=role.direction, quantity=role.quantity)
-            for j, (role, i) in enumerate(zip(schema.roles, row)))
+            for role, i in zip(schema.roles, row))
         out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
                                     aggregates=agg))
     return out
@@ -451,12 +427,10 @@ def _ticker_ranks(surv: _Survivors) -> list[np.ndarray] | None:
     When each role's tickers share one length, comparing rows rank by rank
     orders them exactly as comparing their concatenated ticker strings.
     """
-    if any(len({len(r.ticker) for r in records}) > 1 for records in surv.lists):
+    if any(len(np.unique(col["ticker_len"])) > 1 for col in surv.candidates):
         return None
-    names = sorted({r.ticker for records in surv.lists for r in records})
-    rank = {name: i for i, name in enumerate(names)}
-    return [np.array([rank[r.ticker] for r in records], dtype=np.int64)[surv.rows[:, j]]
-            for j, records in enumerate(surv.lists)]
+    return [col["ticker_rank"][surv.rows[:, j]]
+            for j, col in enumerate(surv.candidates)]
 
 
 def _top_rows(surv: _Survivors, order_by, limit: int | None) -> np.ndarray:

@@ -13,12 +13,20 @@ ParseError with the current token's position and the expected-token set;
 there is never a silent partial result.
 """
 
+import math
+import sys
+
 from ..errors import ParseError
 from ..fields import SYMBOLIC_VALUES, canonical_aggregate_field, canonical_leg_field
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
 from .lexer import Token, TokenKind, tokenize
 
 _INT_RE_DIGITS = "0123456789"
+
+
+def _shown(text: str, width: int = 24) -> str:
+    """A token's text for an error message, cut to `width` characters."""
+    return repr(text) if len(text) <= width else repr(text[:width]) + "..."
 
 
 class _Parser:
@@ -59,15 +67,25 @@ class _Parser:
 
     # ---- value parsing ----
 
+    def number(self) -> float:
+        """The current NUMBER token's value; one past the float range fails."""
+        tok = self.current
+        value = float(tok.text)
+        if math.isinf(value):
+            raise ParseError(f"number out of range: {_shown(tok.text)}",
+                             tok.line, tok.column)
+        self.advance()
+        return value
+
     def parse_number(self, what: str) -> float:
         if self.current.kind is not TokenKind.NUMBER:
             raise self.fail(f"expected {what}", ("number",))
-        return float(self.advance().text)
+        return self.number()
 
     def parse_value(self) -> float | str:
         tok = self.current
         if tok.kind is TokenKind.NUMBER:
-            return float(self.advance().text)
+            return self.number()
         if tok.kind is TokenKind.IDENT and tok.upper() in SYMBOLIC_VALUES:
             return self.advance().upper()
         raise self.fail("expected a value",
@@ -176,10 +194,14 @@ class _Parser:
         tok = self.current
         if tok.kind is not TokenKind.NUMBER:
             raise self.fail("expected a positive integer LIMIT", ("integer",))
-        text = tok.text.lstrip("+")
-        if not text or any(ch not in _INT_RE_DIGITS for ch in text) or int(text) <= 0:
+        text = tok.text.lstrip("+").lstrip("0")
+        if not text or any(ch not in _INT_RE_DIGITS for ch in text):
             raise ParseError(f"LIMIT must be a positive integer, got {tok.text!r}",
                              tok.line, tok.column)
+        # checked on the digit count first: int() refuses very long text
+        if len(text) > len(str(sys.maxsize)) or int(text) > sys.maxsize:
+            raise ParseError(f"LIMIT out of range (at most {sys.maxsize}): "
+                             f"{_shown(tok.text)}", tok.line, tok.column)
         self.advance()
         return int(text)
 

@@ -7,6 +7,7 @@ layer is pinned by a 20-path hand fixture whose WR/RE/ROC numbers were
 worked out by hand, including the inclusive risk-exposure boundary.
 """
 
+import dataclasses
 import datetime as dt
 import random
 
@@ -230,6 +231,25 @@ class TestSnapshotIvPolicy:
             mark_path(position, flat_spots(100.0, 1), ENTRY, day1,
                       iv_policy="snapshot", snapshots=snapshots)
 
+
+    def test_first_record_with_an_iv_is_the_mark(self):
+        position = Position("p", (leg(1, "call", 100.0, 30,
+                                      entry_price=2.0, entry_iv=0.20),))
+        day1 = ENTRY + dt.timedelta(days=1)
+        first = self.snapshot_for(day1, 0.35)
+        blank = dataclasses.replace(first.records[0], iv=None)
+        second = dataclasses.replace(first.records[0], iv=0.50)
+        snapshots = {ENTRY: self.snapshot_for(ENTRY, 0.20),
+                     day1: dataclasses.replace(
+                         first, records=(blank,) + first.records + (second,))}
+        want = mark_path(position, flat_spots(100.0, 1), ENTRY, day1,
+                         iv_policy="snapshot",
+                         snapshots={ENTRY: snapshots[ENTRY], day1: first})
+        got = mark_path(position, flat_spots(100.0, 1), ENTRY, day1,
+                        iv_policy="snapshot", snapshots=snapshots)
+        assert got == want
+        assert snapshots[day1].iv_by_contract == {
+            (blank.expiry, "call"): {100.0: 0.35}}
 
 # ============================================================
 # Risk exposure and sides

@@ -274,6 +274,19 @@ def test_jsonl_non_finite_literals_rejected(tmp_path, key, value, message):
     assert exc_info.value.row == 3
 
 
+@pytest.mark.parametrize("value", [["C"], {"C": 1}, 1])
+def test_jsonl_type_that_is_not_a_code_rejected(tmp_path, value):
+    lines = _jsonl_lines(small_snapshot())
+    obj = json.loads(lines[2])
+    obj["type"] = value
+    lines[2] = json.dumps(obj)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="bad type code") as exc_info:
+        load_snapshot(str(path))
+    assert exc_info.value.row == 3
+
+
 def test_jsonl_metadata_spot_zero_rejected(tmp_path):
     lines = _jsonl_lines(small_snapshot())
     lines[0] = lines[0].replace('"spot": 100.0', '"spot": 0')

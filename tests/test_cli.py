@@ -326,6 +326,18 @@ class TestRun:
         assert code == EXIT_ERROR
         assert "error [validate]:" in err
 
+    @pytest.mark.parametrize("query", [
+        "SELECT LONG_CALL FROM SPY WHERE Dte ~ " + "9" * 400,
+        "SELECT LONG_CALL FROM SPY LIMIT " + "9" * 5000,
+    ], ids=["where-literal", "limit"])
+    def test_out_of_range_literal_exits_one(self, cli_dir, query):
+        chain = str(cli_dir / "chain.csv")
+        code, out, err = run_cli(["run", query, "--chain", chain])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error [parse]: ") and "out of range" in err
+        assert err.count("\n") == 1
+
     def test_malformed_chain_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not a chain\n")

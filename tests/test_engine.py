@@ -61,8 +61,8 @@ def rec(underlying: str, strike: float, option_type: str, price: float,
 
 
 def _records_of(snapshot: ChainSnapshot, candidates) -> list[ContractRecord]:
-    """One role's candidates as the snapshot records they stand for."""
-    return list(candidates)
+    """One role's candidate table rows as the snapshot records they stand for."""
+    return [snapshot.records[i] for i in candidates["row"]]
 
 
 def snap(records, *, underlying: str = "SPY", spot: float = 100.0,
@@ -145,15 +145,18 @@ class TestFiltering:
         unknown = rec("SPY", 105.0, "call", 1.0, 30, delta=None)
         vq = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Delta > 0.1"))
-        cands = filter_legs(vq, snap([known, unknown]), RunConfig())
-        assert [r.ticker for r in cands["L"]] == [known.ticker]
+        snapshot = snap([known, unknown])
+        cands = filter_legs(vq, snapshot, RunConfig())
+        assert ([r.ticker for r in _records_of(snapshot, cands["L"])]
+                == [known.ticker])
 
     def test_missing_value_also_fails_not_equal(self):
         unknown = rec("SPY", 105.0, "call", 1.0, 30, delta=None)
         vq = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Delta != 0.5"))
-        cands = filter_legs(vq, snap([unknown]), RunConfig())
-        assert cands["L"] == []
+        snapshot = snap([unknown])
+        cands = filter_legs(vq, snapshot, RunConfig())
+        assert _records_of(snapshot, cands["L"]) == []
 
     def test_moneyness_equality_and_inequality(self):
         records = [rec("SPY", k, "call", 2.0, 30)
@@ -162,11 +165,13 @@ class TestFiltering:
         vq_atm = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Moneyness = ATM"))
         cands = filter_legs(vq_atm, snapshot, RunConfig())
-        assert sorted(r.strike for r in cands["L"]) == [99.5, 100.5]
+        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+                == [99.5, 100.5])
         vq_not = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Moneyness != ATM"))
         cands = filter_legs(vq_not, snapshot, RunConfig())
-        assert sorted(r.strike for r in cands["L"]) == [90.0, 110.0]
+        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+                == [90.0, 110.0])
 
     def test_role_condition_only_constrains_that_role(self):
         lows = [rec("SPY", k, "call", 5.0, 30) for k in (90.0, 95.0)]
@@ -174,26 +179,39 @@ class TestFiltering:
         vq = validate(parse_text(
             "SELECT BULL_CALL_SPREAD FROM SPY WHERE L.Strike < 100 "
             "AND S.Strike > 100"))
-        cands = filter_legs(vq, snap(lows + highs), RunConfig())
-        assert sorted(r.strike for r in cands["L"]) == [90.0, 95.0]
-        assert sorted(r.strike for r in cands["S"]) == [105.0, 110.0]
+        snapshot = snap(lows + highs)
+        cands = filter_legs(vq, snapshot, RunConfig())
+        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+                == [90.0, 95.0])
+        assert (sorted(r.strike for r in _records_of(snapshot, cands["S"]))
+                == [105.0, 110.0])
 
     def test_bare_condition_constrains_every_role(self):
         records = [rec("SPY", k, "call", 2.0, d)
                    for k in (95.0, 105.0) for d in (30, 60)]
         vq = validate(parse_text(
             "SELECT BULL_CALL_SPREAD FROM SPY WHERE Dte ~ 30"))
-        cands = filter_legs(vq, snap(records), RunConfig())
+        snapshot = snap(records)
+        cands = filter_legs(vq, snapshot, RunConfig())
         for role in ("L", "S"):
-            assert {r.dte() for r in cands[role]} == {30}
+            assert {r.dte() for r in _records_of(snapshot, cands[role])} == {30}
 
     def test_candidates_sorted_by_expiry_strike_ticker(self):
         records = [rec("SPY", k, "call", 2.0, d)
                    for k in (110.0, 90.0) for d in (60, 30)]
         vq = validate(parse_text("SELECT LONG_CALL FROM SPY"))
-        cands = filter_legs(vq, snap(records), RunConfig())
-        keys = [(r.expiry, r.strike) for r in cands["L"]]
+        snapshot = snap(records)
+        cands = filter_legs(vq, snapshot, RunConfig())
+        keys = [(r.expiry, r.strike) for r in _records_of(snapshot, cands["L"])]
         assert keys == sorted(keys)
+
+    def test_volume_past_the_float_range_still_compares(self):
+        # int() reads any digit string a chain file holds; float() cannot
+        records = [rec("SPY", 100.0, "call", 2.0, 30, volume=10 ** 400),
+                   rec("SPY", 105.0, "call", 1.0, 30, volume=10)]
+        result = execute("SELECT LONG_CALL FROM SPY WHERE Volume > 1000000",
+                         snap(records))
+        assert [i.legs[0].record.strike for i in result.strategies] == [100.0]
 
     def test_matches_the_oracle_record_for_record(self):
         rng = random.Random(977)
@@ -811,13 +829,16 @@ class TestColumnarCore:
         records = [rec("SPY", k, "call", 2.0, d)
                    for k in (100.0, 105.0, 110.0) for d in (30, 60)]
         vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
-        candidates = filter_legs(vq, snap(records), RunConfig())
+        snapshot = snap(records)
+        candidates = filter_legs(vq, snapshot, RunConfig())
         rows, raw = assemble(vq, candidates, RunConfig())
         assert rows.dtype == np.int32 and rows.shape == (6, 2)
         assert raw == 36
         assert rows.tolist() == sorted(rows.tolist())
+        lows = _records_of(snapshot, candidates["L"])
+        highs = _records_of(snapshot, candidates["S"])
         for i, j in rows.tolist():
-            lo, hi = candidates["L"][i], candidates["S"][j]
+            lo, hi = lows[i], highs[j]
             assert lo.strike < hi.strike and lo.expiry == hi.expiry
 
     def test_budget_refused_before_building_any_row(self):
@@ -870,6 +891,27 @@ class TestColumnarCore:
             assert got == want
             compared += len(expected) > ast.limit
         assert compared >= 40  # LIMIT must actually cut most of the time
+
+    def test_record_table_is_cached_per_snapshot(self):
+        base = snap([rec("SPY", 100.0, "call", 2.0, 30),
+                     rec("SPY", 105.0, "call", 1.0, 30)])
+        bare = dataclasses.replace(base, records=tuple(
+            dataclasses.replace(r, delta=None) for r in base.records))
+        assert bare.table is bare.table
+        copy = dataclasses.replace(bare)
+        assert copy == bare and repr(copy) == repr(bare)
+        assert copy.table is not bare.table
+        assert copy.table.tobytes() == bare.table.tobytes()
+        assert [f.name for f in dataclasses.fields(bare)] == [
+            "underlying", "as_of", "spot", "rate", "records", "excluded",
+            "enriched"]
+        vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
+        cands = filter_legs(vq, bare, RunConfig())
+        # filtering reads the bare records as they are: no enrich
+        assert not bare.enriched
+        assert [r.delta for r in _records_of(bare, cands["L"])] == [None, None]
+        assert not cands["L"]["delta_ok"].any()
+        assert (cands["L"]["delta"] == 0.0).all()
 
     def test_execute_enriches_a_bare_snapshot(self):
         base = snap([rec("SPY", 100.0, "call", 2.0, 30),

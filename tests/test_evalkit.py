@@ -226,6 +226,17 @@ class TestRunCase:
         assert out.k_first_success == 2
         assert "[validate]" in out.attempt_errors[0]
 
+    def test_out_of_range_literals_score_as_failed_attempts(self):
+        case = EvalCase(id="a", intent="i", gold_strategy="LONG_CALL",
+                        chain="x", attempts=(
+                            "SELECT LONG_CALL FROM SYN WHERE Dte ~ " + "9" * 400,
+                            "SELECT LONG_CALL FROM SYN LIMIT " + "9" * 5000,
+                            "SELECT LONG_CALL FROM SYN"))
+        out = run_case(case, tiny_snapshot())
+        assert out.k_first_success == 3
+        assert [e[:19] for e in out.attempt_errors] == ["attempt 1 [parse]: ",
+                                                        "attempt 2 [parse]: "]
+
     def test_case_without_attempts_rejected(self):
         with pytest.raises(EvalError, match="no attempts"):
             EvalCase(id="a", intent="i", gold_strategy="LONG_CALL",

@@ -167,6 +167,38 @@ def test_malformed_queries_raise_parse_error(bad):
         parse_text(bad)
 
 
+BIG = "9" * 400
+
+
+@pytest.mark.parametrize("prefix,literal", [
+    ("SELECT LONG_CALL FROM SPY WHERE Dte ~ ", BIG),
+    ("SELECT LONG_CALL FROM SPY WHERE Delta > ", f"-{BIG}.5"),
+    ("SELECT LONG_CALL FROM SPY HAVING width BETWEEN 1 AND ", BIG),
+    ("SELECT LONG_CALL FROM SPY HAVING net_debit < ", BIG),
+], ids=["where", "signed", "between", "having"])
+def test_number_past_the_float_range_is_a_parse_error(prefix, literal):
+    with pytest.raises(ParseError, match="number out of range") as exc_info:
+        parse_text(prefix + literal)
+    assert (exc_info.value.line, exc_info.value.column) == (1, len(prefix) + 1)
+    assert len(str(exc_info.value)) < 200  # the literal is cut short
+
+
+@pytest.mark.parametrize("limit", ["9" * 5000, "9223372036854775808",
+                                   "0" * 5000 + "1" + "0" * 19],
+                         ids=["5000-digits", "int64-max-plus-1", "zero-padded"])
+def test_limit_past_the_int64_range_is_a_parse_error(limit):
+    with pytest.raises(ParseError, match="LIMIT out of range") as exc_info:
+        parse_text(f"SELECT LONG_CALL FROM SPY LIMIT {limit}")
+    assert (exc_info.value.line, exc_info.value.column) == (1, 33)
+
+
+def test_largest_limit_and_leading_zeros_parse():
+    assert parse_text("SELECT LONG_CALL FROM SPY LIMIT 9223372036854775807"
+                      ).limit == 2 ** 63 - 1
+    assert parse_text("SELECT LONG_CALL FROM SPY LIMIT " + "0" * 5000 + "12"
+                      ).limit == 12
+
+
 def test_between_rejected_in_where():
     with pytest.raises(ParseError, match="HAVING"):
         parse_text("SELECT LONG_CALL FROM SPY WHERE Dte BETWEEN 20 AND 40")
