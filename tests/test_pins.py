@@ -1,4 +1,4 @@
-"""Byte pins: `oql run` output on the committed chains, recorded once.
+"""Byte pins: oql output on the committed chains, recorded once.
 
 tests/data/run_pins.json holds the exit code, stdout and stderr of every
 run below. The first 27 CLI runs and the engine runs were recorded from
@@ -7,6 +7,14 @@ runs after them from the engine that still filtered one record at a time.
 Each run must reproduce them byte for byte, so a change in ranking,
 aggregates, stats or formatting shows up here even when every
 self-consistency check still passes.
+
+The document pins cover what the other commands print (parse, check,
+eval, backtest, the gen-chain and gen-path summaries, the repl's
+:config, and a run under a config file). Each is a short session of
+commands in a fresh working directory, so relative --out paths echo the
+same text wherever the suite runs; every step's output is pinned. They
+were recorded before the JSON views became derived from their
+dataclasses.
 
 The engine-level pins run survivors() and order_and_limit() on the edge
 chain with one Greek removed: enrich backfills missing Greeks, so a None
@@ -21,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -151,6 +160,81 @@ ENGINE_RUNS = [
 ]
 
 
+PARSE_QUERY = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.2 "
+               "AND LP.Delta > -0.05 AND Moneyness = OTM "
+               "HAVING rr_ratio BETWEEN 0.2 AND 1 AND net_theta > 0 "
+               "ORDER BY net_credit DESC, rr_ratio ASC LIMIT 5")
+# buyers only, then sellers only: each side's rates are null in one report
+BUYER_QUERY = ("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
+               "HAVING net_debit < 1500 ORDER BY rr_ratio DESC LIMIT 6")
+SELLER_QUERY = ("SELECT BEAR_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
+                "HAVING net_credit > 200 ORDER BY rr_ratio DESC LIMIT 4")
+CONFIG_QUERY = ("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
+                "AND L.Delta ~ 0.5 HAVING net_debit ~ 800 "
+                "ORDER BY rr_ratio DESC LIMIT 3")
+# keys out of sorted order on purpose: the echo sorts them
+CONFIG_FILE = ('{"epsilon": 0.1, '
+               '"epsilon_overrides": {"net_debit": 0.3, "Delta": 0.05}}\n')
+TSLA_PATH = os.path.join(DATA_DIR, TSLA)
+
+# name -> (files written into the working directory, steps); a step is
+# (argv, stdin text or None)
+DOC_RUNS = {
+    "parse": ({}, [(["parse", PARSE_QUERY], None)]),
+    "check": ({}, [(["check", PARSE_QUERY], None)]),
+    "check --schemas": ({}, [(["check", "--schemas"], None)]),
+    "check --schemas --symmetric-wings": (
+        {}, [(["check", "--schemas", "--symmetric-wings"], None)]),
+    "eval": ({}, [(["eval", "--cases",
+                    os.path.join(DATA_DIR, "cases20.jsonl")], None)]),
+    "backtest": ({}, [
+        (["run", BUYER_QUERY, "--chain", TSLA_PATH,
+          "--out", "buyers.json"], None),
+        (["run", SELLER_QUERY, "--chain", TSLA_PATH,
+          "--out", "sellers.json"], None),
+        (["gen-path", "--out", "spots.csv", "--spot", "300", "--mu", "0.1",
+          "--sigma", "0.5", "--days", "30", "--start", "2025-06-02",
+          "--seed", "4"], None),
+        (["backtest", "--results", "buyers.json", "--spots", "spots.csv",
+          "--entry", "2025-06-02", "--exit", "2025-06-25"], None),
+        (["backtest", "--results", "sellers.json", "--spots", "spots.csv",
+          "--entry", "2025-06-02", "--exit", "2025-06-25"], None),
+    ]),
+    "gen-chain --rate": ({}, [
+        (["gen-chain", "--out", "chain.csv", "--underlying", "abc",
+          "--as-of", "2025-06-02", "--spot", "100", "--dtes", "30,60",
+          "--strike-range", "80:120:5", "--base-vol", "0.3",
+          "--rate", "0.05", "--seed", "3"], None),
+    ]),
+    "repl :config": ({}, [
+        (["repl", "--chain", TSLA_PATH, "--epsilon", "0.2"],
+         ":config\n:quit\n"),
+    ]),
+    "run --config": ({"oql.json": CONFIG_FILE}, [
+        (["run", CONFIG_QUERY, "--chain", TSLA_PATH, "--config", "oql.json"],
+         None),
+    ]),
+}
+
+
+def doc_run(name: str, workdir: str) -> list:
+    """Every step's outcome, run in workdir (which is left as found)."""
+    files, steps = DOC_RUNS[name]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for file_name, text in files.items():
+            with open(file_name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        outcomes = []
+        for argv, stdin_text in steps:
+            code, out, err = run_cli(argv, stdin_text)
+            outcomes.append({"code": code, "stdout": out, "stderr": err})
+        return outcomes
+    finally:
+        os.chdir(cwd)
+
+
 def cli_run(chain: str, query: str, flags: list) -> dict:
     code, out, err = run_cli(["run", query, "--chain",
                               os.path.join(DATA_DIR, chain), *flags])
@@ -214,6 +298,11 @@ def test_engine_run_matches_pin(pins, index):
     assert engine_run(query, strike, greek)["stdout"] == want["stdout"]
 
 
+@pytest.mark.parametrize("name", list(DOC_RUNS))
+def test_document_matches_pin(pins, name, tmp_path):
+    assert doc_run(name, str(tmp_path)) == pins["documents"][name]
+
+
 def test_pins_cover_every_family_and_outcome(pins):
     families = {parse_text(q).strategy for _, q, _ in CLI_RUNS}
     assert len(families) == 10
@@ -228,7 +317,11 @@ def record() -> None:
     doc = {
         "cli": [{"query": q, **cli_run(c, q, f)} for c, q, f in CLI_RUNS],
         "engine": [{"query": q, **engine_run(q, k, g)} for q, k, g in ENGINE_RUNS],
+        "documents": {},
     }
+    for name in DOC_RUNS:
+        with tempfile.TemporaryDirectory() as workdir:
+            doc["documents"][name] = doc_run(name, workdir)
     with open(PIN_FILE, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
