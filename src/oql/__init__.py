@@ -35,7 +35,6 @@ from .pricing import (
     greeks,
     implied_vol,
     payoff_extremes,
-    strategy_payoff,
 )
 from .syntax import QueryAst, parse, parse_text, pretty_print, tokenize
 
@@ -77,7 +76,6 @@ __all__ = [
     "pretty_print",
     "result_to_json",
     "save_snapshot",
-    "strategy_payoff",
     "tokenize",
     "validate",
 ]

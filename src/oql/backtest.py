@@ -9,8 +9,8 @@ final PnL of a single-expiry strategy equals its terminal payoff.
 
 import csv
 import datetime as _dt
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import pricing
 from .catalog import lookup
@@ -240,37 +240,12 @@ class BacktestReport:
     zero_cost_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_buyer": self.n_buyer,
-            "n_seller": self.n_seller,
-            "wr": self.wr,
-            "wr_buyer": self.wr_buyer,
-            "wr_seller": self.wr_seller,
-            "re50": self.re50,
-            "re50_buyer": self.re50_buyer,
-            "re50_seller": self.re50_seller,
-            "re90": self.re90,
-            "re90_buyer": self.re90_buyer,
-            "re90_seller": self.re90_seller,
-            "mean_profit": self.mean_profit,
-            "mean_roc": self.mean_roc,
-            "zero_cost_count": self.zero_cost_count,
-            "strategies": [
-                {
-                    "label": row.label,
-                    "side": row.side,
-                    "zero_cost": row.zero_cost,
-                    "entry_cash": row.entry_cash,
-                    "final_pnl": row.final_pnl,
-                    "win": row.win,
-                    "roc": row.roc,
-                    "re50": row.re50,
-                    "re90": row.re90,
-                }
-                for row in self.rows
-            ],
-        }
+        """The fields after rows in declaration order, then the rows as
+        "strategies"."""
+        doc = dict(vars(self))
+        del doc["rows"]
+        doc["strategies"] = [dict(vars(row)) for row in self.rows]
+        return doc
 
     def to_table(self) -> str:
         def pct(x: float | None) -> str:
@@ -293,6 +268,10 @@ class BacktestReport:
             f"mean_profit {self.mean_profit:.2f}  "
             f"mean_roc {'-' if self.mean_roc is None else f'{self.mean_roc:.4f}'}")
         return "\n".join(lines)
+
+
+# report rate -> the StrategyRow flag it counts
+_RATE_FLAGS = (("wr", "win"), ("re50", "re50"), ("re90", "re90"))
 
 
 def _rate_over(rows, predicate) -> float | None:
@@ -324,20 +303,16 @@ def report(paths: list[PnLPath]) -> BacktestReport:
     buyers = [r for r in rows if r.side == "buyer"]
     sellers = [r for r in rows if r.side == "seller"]
     with_roc = [r for r in rows if r.roc is not None]
+    rates = {f"{rate}{suffix}": _rate_over(cohort, attrgetter(flag))
+             for rate, flag in _RATE_FLAGS
+             for suffix, cohort in (("", rows), ("_buyer", buyers),
+                                    ("_seller", sellers))}
     return BacktestReport(
         rows=tuple(rows),
         n=len(rows),
         n_buyer=len(buyers),
         n_seller=len(sellers),
-        wr=_rate_over(rows, lambda r: r.win),
-        wr_buyer=_rate_over(buyers, lambda r: r.win),
-        wr_seller=_rate_over(sellers, lambda r: r.win),
-        re50=_rate_over(rows, lambda r: r.re50),
-        re50_buyer=_rate_over(buyers, lambda r: r.re50),
-        re50_seller=_rate_over(sellers, lambda r: r.re50),
-        re90=_rate_over(rows, lambda r: r.re90),
-        re90_buyer=_rate_over(buyers, lambda r: r.re90),
-        re90_seller=_rate_over(sellers, lambda r: r.re90),
+        **rates,
         mean_profit=sum(r.final_pnl for r in rows) / len(rows),
         mean_roc=(sum(r.roc for r in with_roc) / len(with_roc)
                   if with_roc else None),

@@ -7,7 +7,7 @@ a QueryAst onto a schema, broadcasts bare leg conditions to every role, and
 type-checks every condition against the field vocabulary.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import TypeMismatch, UnknownField, UnknownRole, UnknownStrategy
@@ -161,18 +161,7 @@ def lookup(name: str, symmetric_wings: bool = False) -> StrategySchema:
 
 
 def schema_to_json(schema: StrategySchema) -> dict:
-    return {
-        "name": schema.name,
-        "roles": [
-            {"id": r.id, "option_type": r.option_type,
-             "direction": r.direction, "quantity": r.quantity}
-            for r in schema.roles
-        ],
-        "rules": [
-            {"kind": rule.kind, "roles": list(rule.roles)}
-            for rule in schema.rules
-        ],
-    }
+    return asdict(schema)
 
 
 def catalog_to_json(symmetric_wings: bool = False) -> list[dict]:

@@ -12,6 +12,7 @@ import datetime as dt
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import backtest as bt
 from . import chain as chain_mod
@@ -69,12 +70,7 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        overrides[dest] = getattr(args, dest, None)
-    overrides["output_mode"] = getattr(args, "output_mode", None)
-    overrides["output_format"] = getattr(args, "output_format", None)
-    overrides["symmetric_wings"] = getattr(args, "symmetric_wings", None)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -88,27 +84,11 @@ def _query_text(args: argparse.Namespace) -> str:
 
 
 def _ast_to_json(ast: QueryAst) -> dict:
-    where = [
-        {"role": c.role, "field": c.field, "op": c.op, "value": c.value}
-        for c in ast.where
-    ]
-    having = []
-    for c in ast.having:
-        if c.op == "BETWEEN":
-            having.append({"field": c.field, "op": c.op, "lo": c.lo, "hi": c.hi})
-        else:
-            having.append({"field": c.field, "op": c.op, "value": c.value})
-    return {
-        "strategy": ast.strategy,
-        "underlying": ast.underlying,
-        "where": where,
-        "having": having,
-        "order_by": [
-            {"field": item.field, "direction": item.direction}
-            for item in ast.order_by
-        ],
-        "limit": ast.limit,
-    }
+    """The AST's fields; a HAVING condition shows only its set operands."""
+    doc = asdict(ast)
+    doc["having"] = [{k: v for k, v in c.items() if v is not None}
+                     for c in doc["having"]]
+    return doc
 
 
 # ============================================================
@@ -184,12 +164,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     spots = bt.load_spots(args.spots)
     entry = parse_date(args.entry)
     exit_date = parse_date(args.exit)
-    reports = bt.run_cohorts(positions, spots, entry, exit_date, config,
-                             iv_policy=args.iv_policy)
+    reports = bt.run_cohorts(positions, spots, entry, exit_date, config)
     doc = {
         "entry": format_date(entry),
         "exit": format_date(exit_date),
-        "iv_policy": args.iv_policy,
+        "iv_policy": "sticky_entry",
         "config": config.to_json_dict(),
         "cohorts": {name: rep.to_json_dict() for name, rep in reports.items()},
     }
@@ -244,12 +223,11 @@ def cmd_gen_chain(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _refuse_overwrite(args.out, args.force)
     as_of = parse_date(args.as_of)
-    rate = config.rate if args.rate is None else args.rate
     snapshot = chain_mod.generate_synthetic(
         underlying=args.underlying.upper(),
         as_of=as_of,
         spot=args.spot,
-        rate=rate,
+        rate=config.rate,
         expiries=_parse_expiries(args, as_of),
         strikes=_parse_strikes(args),
         base_vol=args.base_vol,
@@ -302,16 +280,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                         config=config, k=args.k)
     doc = {
         **report,
-        "outcomes": [
-            {
-                "case_id": o.case_id,
-                "gold_strategy": o.gold_strategy,
-                "k_first_success": o.k_first_success,
-                "rows_at_success": o.rows_at_success,
-                "selected_strategy": o.selected_strategy,
-            }
-            for o in outcomes
-        ],
+        "outcomes": [{k: v for k, v in vars(o).items() if k != "attempt_errors"}
+                     for o in outcomes],
         "config": config.to_json_dict(),
     }
     if config.output_format == "table":
@@ -423,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spots", required=True, help="CSV spot series (date,close)")
     p.add_argument("--entry", required=True, help="entry date YYYY-MM-DD")
     p.add_argument("--exit", required=True, help="exit date YYYY-MM-DD")
-    p.add_argument("--iv-policy", choices=bt.IV_POLICIES,
-                   default="sticky_entry")
     _add_config_options(p)
     p.set_defaults(func=cmd_backtest)
 

@@ -61,18 +61,9 @@ class RunConfig:
         return float(self.epsilon_overrides.get(field_name, self.epsilon))
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "epsilon_abs": self.epsilon_abs,
-            "atm_band": self.atm_band,
-            "multiplier": self.multiplier,
-            "rate": self.rate,
-            "combinatorial_cap": self.combinatorial_cap,
-            "output_mode": self.output_mode,
-            "output_format": self.output_format,
-            "symmetric_wings": self.symmetric_wings,
-            "epsilon_overrides": dict(sorted(self.epsilon_overrides.items())),
-        }
+        """Every field in declaration order; overrides sorted by key."""
+        return {**vars(self),
+                "epsilon_overrides": dict(sorted(self.epsilon_overrides.items()))}
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}

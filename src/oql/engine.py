@@ -574,14 +574,8 @@ def result_to_json(result: ResultSet, config: RunConfig) -> dict:
         "underlying": result.underlying,
         "as_of": result.as_of,
         "config": config.to_json_dict(),
-        "stats": {
-            "candidates": dict(result.stats.candidates),
-            "filtered": result.stats.filtered,
-            "raw_product": result.stats.raw_product,
-            "assembled": result.stats.assembled,
-            "having_passed": result.stats.having_passed,
-            "returned": result.stats.returned,
-        },
+        "stats": {**vars(result.stats),
+                  "candidates": dict(result.stats.candidates)},
         "strategies": [
             _instance_to_json(inst, config.output_mode)
             for inst in result.strategies

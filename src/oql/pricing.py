@@ -203,22 +203,6 @@ class Leg:
             raise ValueError(f"quantity must be >= 1, got {self.quantity}")
 
 
-def leg_payoff(leg: Leg, terminal_spot: float) -> float:
-    """Intrinsic value of one contract at expiry (premium ignored)."""
-    if leg.option_type == "call":
-        return max(terminal_spot - leg.strike, 0.0)
-    return max(leg.strike - terminal_spot, 0.0)
-
-
-def strategy_payoff(legs: list[Leg] | tuple[Leg, ...], terminal_spot: float) -> float:
-    """Net terminal PnL per share: sum of q * d * (payoff - premium)."""
-    total = 0.0
-    for leg in legs:
-        total += leg.quantity * leg.direction * (leg_payoff(leg, terminal_spot)
-                                                - leg.premium)
-    return total
-
-
 def _require_single_expiry(legs) -> None:
     if not legs:
         raise ValueError("payoff analysis needs at least one leg")
@@ -256,9 +240,9 @@ def payoff_at_knots(qd, is_call, strike, premium):
     """(knots, values, slope) for every basket.
 
     knots is (n_legs + 1, m): 0 then the basket's strikes ascending.
-    values holds the net terminal PnL per share at each knot, summed leg
-    by leg in leg order exactly as strategy_payoff sums it. slope is the
-    payoff slope as spot -> +inf: the sum of qd over call legs.
+    values holds the net terminal PnL per share at each knot: the sum of
+    qd * (intrinsic - premium), added leg by leg in leg order. slope is
+    the payoff slope as spot -> +inf: the sum of qd over call legs.
     """
     n, m = strike.shape
     knots = np.stack([np.zeros(m)] + _sorted_rows(strike))

@@ -9,7 +9,10 @@ package against code that shares no logic with it:
   ``random_valid_query``) used by round-trip and engine tests,
 * a brute-force query executor (``oracle_survivors``, ``oracle_order``)
   built on ``itertools.product`` plus plain-loop re-implementations of the
-  filter, rule, aggregate, and ordering semantics.
+  filter, rule, aggregate, and ordering semantics,
+* the scalar terminal payoff of ``pricing.Leg`` baskets
+  (``leg_payoff``, ``strategy_payoff``), which ``payoff_at_knots``
+  must reproduce at every knot.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic
 from oql.cli import main as cli_main
 from oql.config import RunConfig
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
-from oql.pricing import MarketParams, bsm_price
+from oql.pricing import Leg, MarketParams, bsm_price
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
 
 AS_OF = dt.date(2025, 6, 2)
@@ -366,6 +369,22 @@ def _rules_hold(schema: StrategySchema,
             if body - lo != hi - body:
                 return False
     return True
+
+
+def leg_payoff(leg: Leg, terminal_spot: float) -> float:
+    """Intrinsic value of one contract at expiry (premium ignored)."""
+    if leg.option_type == "call":
+        return max(terminal_spot - leg.strike, 0.0)
+    return max(leg.strike - terminal_spot, 0.0)
+
+
+def strategy_payoff(legs, terminal_spot: float) -> float:
+    """Net terminal PnL per share: sum of q * d * (payoff - premium)."""
+    total = 0.0
+    for leg in legs:
+        total += leg.quantity * leg.direction * (leg_payoff(leg, terminal_spot)
+                                                - leg.premium)
+    return total
 
 
 def _oracle_payoff(leg_specs, s: float) -> float:

@@ -28,6 +28,7 @@ from helpers import (
     backtest_hand_fixture,
     draw_params,
     fd_greeks,
+    leg_payoff,
     oracle_order,
     oracle_survivors,
     pnl_path,
@@ -35,6 +36,7 @@ from helpers import (
     random_snapshot,
     random_valid_query,
     run_cli,
+    strategy_payoff,
 )
 from oql import pricing, serialize
 from oql.backtest import (
@@ -234,10 +236,10 @@ def _extremes_oracle(legs):
     """
     strikes = sorted({item.strike for item in legs})
     knots = [0.0] + strikes
-    values = [pricing.strategy_payoff(legs, s) for s in knots]
+    values = [strategy_payoff(legs, s) for s in knots]
     far = strikes[-1]
-    slope = round(pricing.strategy_payoff(legs, far + 2.0)
-                  - pricing.strategy_payoff(legs, far + 1.0))
+    slope = round(strategy_payoff(legs, far + 2.0)
+                  - strategy_payoff(legs, far + 1.0))
     max_profit = math.inf if slope > 0 else max(values)
     max_loss = math.inf if slope < 0 else -min(values)
     return max_profit, max_loss
@@ -257,15 +259,15 @@ def test_payoff_algebra(capfd):
             expected = 0.0
             for item in legs:
                 expected += item.quantity * item.direction * (
-                    pricing.leg_payoff(item, spot) - item.premium)
-            c.check(pricing.strategy_payoff(legs, spot) == expected,
+                    leg_payoff(item, spot) - item.premium)
+            c.check(strategy_payoff(legs, spot) == expected,
                     f"leg sum mismatch at spot {spot}")
 
         strike = 100.0
         straddle = [_leg(1, "call", strike, 0.0), _leg(1, "put", strike, 0.0)]
         for _ in range(1000):
             spot = rng.uniform(0.0, 300.0)
-            c.check(pricing.strategy_payoff(straddle, spot)
+            c.check(strategy_payoff(straddle, spot)
                     == abs(spot - strike),
                     f"straddle != |S-K| at {spot}")
 
@@ -279,21 +281,21 @@ def test_payoff_algebra(capfd):
                       _leg(-1, "put", sp, prem[2]),
                       _leg(1, "put", lp, prem[3])]
             spot = rng.randrange(0, 1000) / 4.0
-            whole = pricing.strategy_payoff(condor, spot)
-            parts = (pricing.strategy_payoff(condor[:2], spot)
-                     + pricing.strategy_payoff(condor[2:], spot))
+            whole = strategy_payoff(condor, spot)
+            parts = (strategy_payoff(condor[:2], spot)
+                     + strategy_payoff(condor[2:], spot))
             c.check(whole == parts, f"condor != spreads at {spot}")
 
         lo, body, hi = 90.0, 100.0, 110.0
         fly = [_leg(1, "call", lo, 0.0), _leg(-1, "call", body, 0.0, 2),
                _leg(1, "call", hi, 0.0)]
         grid = list(np.linspace(0.0, 300.0, 1501)) + [lo, body, hi]
-        c.check(all(pricing.strategy_payoff(fly, float(s)) >= 0.0
+        c.check(all(strategy_payoff(fly, float(s)) >= 0.0
                     for s in grid), "symmetric butterfly went negative")
-        c.check(pricing.strategy_payoff(fly, body) == body - lo,
+        c.check(strategy_payoff(fly, body) == body - lo,
                 "butterfly peak wrong")
-        c.check(pricing.strategy_payoff(fly, body - 3.0)
-                == pricing.strategy_payoff(fly, body + 3.0),
+        c.check(strategy_payoff(fly, body - 3.0)
+                == strategy_payoff(fly, body + 3.0),
                 "butterfly not symmetric about the body")
 
         for _ in range(300):
@@ -558,7 +560,7 @@ def test_settlement_matches_terminal_payoff(capfd):
                 level *= 1.0 + rng.uniform(-0.05, 0.05)
             path = mark_path(Position("p", legs), spots, AS_OF, expiry,
                              config)
-            terminal = pricing.strategy_payoff(
+            terminal = strategy_payoff(
                 [Leg(direction=l.direction, option_type=l.option_type,
                      strike=l.strike, expiry_tau=0.0, quantity=l.quantity,
                      premium=l.entry_price) for l in legs],

@@ -30,6 +30,7 @@ from oql.backtest import (
     run_cohorts,
 )
 from helpers import backtest_hand_fixture as hand_fixture
+from helpers import strategy_payoff
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
@@ -92,7 +93,7 @@ class TestTerminalConsistency:
                             premium=pl.entry_price)
                 for pl in legs
             ]
-            expected = pricing.strategy_payoff(payoff_legs, terminal_spot)
+            expected = strategy_payoff(payoff_legs, terminal_spot)
             assert path.final_pnl() == pytest.approx(
                 expected * config.multiplier, abs=1e-9)
 

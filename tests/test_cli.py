@@ -497,6 +497,19 @@ class TestBacktest:
         assert code == EXIT_ERROR
         assert "error [backtest]:" in err
 
+    def test_iv_policy_is_not_a_flag(self, cli_dir):
+        # the snapshot policy needs a per-date snapshot map, which only a
+        # library caller of run_cohorts can pass
+        code, out, err = run_cli([
+            "backtest", "--results", str(cli_dir / "results.json"),
+            "--spots", str(cli_dir / "spots.csv"),
+            "--entry", AS_OF, "--exit", "2025-06-22",
+            "--iv-policy", "snapshot"])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "unrecognized arguments: --iv-policy snapshot" in err
+        assert "Traceback" not in err
+
     def test_blueprint_results_rejected(self, cli_dir, tmp_path):
         chain = str(cli_dir / "chain.csv")
         blueprint = str(tmp_path / "bp.json")

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from helpers import leg_payoff, strategy_payoff
 from oql.errors import MultiExpiryUnsupported
-from oql.pricing import (Leg, breakevens, leg_payoff, payoff_extremes,
-                         strategy_payoff)
+from oql.pricing import Leg, breakevens, payoff_extremes
 
 TAU = 30.0 / 365.0
 
