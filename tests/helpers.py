@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Three independent oracles live here so the test modules can cross-check the
+Four independent oracles live here so the test modules can cross-check the
 package against code that shares no logic with it:
 
 * finite-difference Greeks (``fd_greeks``) with calibrated steps and
