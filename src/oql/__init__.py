@@ -28,13 +28,11 @@ from .errors import OqlError
 from .evalkit import CaseOutcome, EvalCase, evaluate, load_cases
 from .pricing import (
     GreeksVector,
-    Leg,
     MarketParams,
     bsm_price,
     d_plus_minus,
     greeks,
     implied_vol,
-    payoff_extremes,
 )
 from .syntax import QueryAst, parse, parse_text, pretty_print, tokenize
 
@@ -46,7 +44,6 @@ __all__ = [
     "ContractRecord",
     "EvalCase",
     "GreeksVector",
-    "Leg",
     "MarketParams",
     "OqlError",
     "QueryAst",
@@ -72,7 +69,6 @@ __all__ = [
     "lookup",
     "parse",
     "parse_text",
-    "payoff_extremes",
     "pretty_print",
     "result_to_json",
     "save_snapshot",

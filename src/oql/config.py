@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .fields import SOFT_MATCH_FIELDS
 
 ENV_CONFIG_VAR = "OQL_CONFIG"
 
@@ -35,27 +36,40 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.epsilon_abs <= 0.0:
-            raise ConfigError(f"epsilon_abs must be > 0, got {self.epsilon_abs}")
-        if self.atm_band < 0.0:
-            raise ConfigError(f"atm_band must be >= 0, got {self.atm_band}")
-        if self.multiplier < 1.0:
-            raise ConfigError(f"multiplier must be >= 1, got {self.multiplier}")
+        if not (0.0 < self.epsilon_abs < math.inf):
+            raise ConfigError(
+                f"epsilon_abs must be finite and > 0, got {self.epsilon_abs}")
+        if not (0.0 <= self.atm_band < math.inf):
+            raise ConfigError(
+                f"atm_band must be finite and >= 0, got {self.atm_band}")
+        if not (1.0 <= self.multiplier < math.inf):
+            raise ConfigError(
+                f"multiplier must be finite and >= 1, got {self.multiplier}")
         if not math.isfinite(self.rate):
             raise ConfigError(f"rate must be finite, got {self.rate}")
-        if self.combinatorial_cap < 1:
-            raise ConfigError(
-                f"combinatorial_cap must be >= 1, got {self.combinatorial_cap}")
+        if not (1 <= self.combinatorial_cap < math.inf):
+            raise ConfigError(f"combinatorial_cap must be finite and >= 1, "
+                              f"got {self.combinatorial_cap}")
         if self.output_mode not in OUTPUT_MODES:
             raise ConfigError(f"output_mode must be one of {OUTPUT_MODES}, "
                               f"got {self.output_mode!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}, "
                               f"got {self.output_format!r}")
+        if not isinstance(self.symmetric_wings, bool):
+            raise ConfigError("symmetric_wings must be true or false, got "
+                              f"{self.symmetric_wings!r}")
+        if not isinstance(self.epsilon_overrides, dict):
+            raise ConfigError("epsilon_overrides must be a JSON object, got "
+                              f"{self.epsilon_overrides!r}")
         for key, value in self.epsilon_overrides.items():
-            if not (0.0 < float(value) < 1.0):
+            if key not in SOFT_MATCH_FIELDS:
+                raise ConfigError(f"epsilon override for unknown field {key!r}; "
+                                  f"one of {', '.join(SOFT_MATCH_FIELDS)}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0.0 < value < 1.0):
                 raise ConfigError(
-                    f"epsilon override for {key!r} must be in (0, 1), got {value}")
+                    f"epsilon override for {key!r} must be in (0, 1), got {value!r}")
 
     def epsilon_for(self, field_name: str) -> float:
         return float(self.epsilon_overrides.get(field_name, self.epsilon))

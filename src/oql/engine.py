@@ -5,7 +5,8 @@ aggregate -> having -> order/limit. Between filter and order it runs on
 columns: WHERE is a mask over the snapshot's record table, assembly joins
 the per-role candidate rows into an (m, n_roles) index array, one batch
 kernel computes every aggregate of every row, HAVING is a boolean mask,
-and ORDER BY + LIMIT ranks a top-k before any StrategyInstance is built.
+and ORDER BY + LIMIT ranks the survivor columns once; only the returned
+rows become StrategyInstances.
 Execution is fully deterministic: candidates are sorted by (expiry,
 strike, ticker) before assembly, results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
@@ -256,8 +257,9 @@ def assemble(vq: ValidatedQuery, candidates: dict[str, np.ndarray],
 # ============================================================
 
 
-def aggregate_batch(schema: StrategySchema, cols: list[np.ndarray], rows: np.ndarray,
-                    config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def compute_aggregates(schema: StrategySchema, cols: list[np.ndarray],
+                       rows: np.ndarray,
+                       config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every aggregate of every row: field -> (values, available).
 
     cols[j] holds role j's candidate table rows and rows[:, j] indexes them.
@@ -303,8 +305,8 @@ def aggregate_batch(schema: StrategySchema, cols: list[np.ndarray], rows: np.nda
     single = np.logical_and.reduce([e == expiry[0] for e in expiry])
     knots, values, slope = pricing.payoff_at_knots(
         qd, np.stack(gather("is_call")), np.stack(strike), np.stack(price))
-    max_profit, max_loss = pricing.extremes_from_knots(values, slope)
-    low, high, crosses = pricing.breakevens_from_knots(knots, values, slope)
+    max_profit, max_loss = pricing.payoff_extremes(values, slope)
+    low, high, crosses = pricing.breakevens(knots, values, slope)
     out["max_profit"] = (max_profit * mult, single)
     out["max_loss"] = (np.where(single, max_loss * mult, entry_cash),
                        single | (entry_cash > 0.0))
@@ -321,34 +323,12 @@ def aggregate_batch(schema: StrategySchema, cols: list[np.ndarray], rows: np.nda
     return {field: out[field] for field in AGGREGATE_FIELDS}
 
 
-def _aggregate_dicts(aggregates: dict, picks: np.ndarray) -> list[dict]:
-    """Per-row aggregate dicts (None where unavailable) for the picked rows."""
-    columns = [
-        [v if ok else None
-         for v, ok in zip(values[picks].tolist(), available[picks].tolist())]
-        for values, available in aggregates.values()
-    ]
-    return [dict(zip(aggregates, row)) for row in zip(*columns)]
-
-
-def compute_aggregates(schema: StrategySchema,
-                       assignment: tuple[ContractRecord, ...],
-                       config: RunConfig) -> dict[str, float | None]:
-    """Strategy-level aggregates for one assignment: a one-row batch.
-
-    None marks an unavailable aggregate; see aggregate_batch.
-    """
-    cols = [chain_mod.record_table([rec]) for rec in assignment]
-    rows = np.zeros((1, len(assignment)), dtype=np.int32)
-    return _aggregate_dicts(aggregate_batch(schema, cols, rows, config),
-                            np.arange(1))[0]
-
-
 def eval_strat_condition(cond: StratCondition, aggregates: dict,
-                         config: RunConfig) -> bool:
-    """One HAVING predicate on one row; an unavailable aggregate rejects."""
-    value = aggregates.get(cond.field)
-    return value is not None and bool(_test(cond, config)(value))
+                         config: RunConfig) -> np.ndarray:
+    """One HAVING predicate as a mask over aggregate columns; an
+    unavailable aggregate rejects."""
+    values, available = aggregates[cond.field]
+    return available & _test(cond, config)(values)
 
 
 # ============================================================
@@ -357,9 +337,10 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
 
 
 @dataclass
-class _Survivors:
+class Survivors:
     """The rows that passed HAVING, kept as columns."""
 
+    schema: StrategySchema
     records: tuple[ContractRecord, ...]  # the snapshot's records
     candidates: list[np.ndarray]  # sorted candidate table rows, in role order
     rows: np.ndarray              # (k, n_roles) int32 into `candidates`
@@ -367,21 +348,19 @@ class _Survivors:
     stats: ExecutionStats
 
 
-def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
-                   config: RunConfig) -> _Survivors:
+def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
+              config: RunConfig) -> Survivors:
     """Filter, assemble, aggregate and apply HAVING, block by block."""
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     cols = [candidates[rid] for rid in vq.schema.role_ids]
-    tests = [(c.field, _test(c, config)) for c in vq.strategy_conditions]
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
-        aggregates = aggregate_batch(vq.schema, cols, block, config)
+        aggregates = compute_aggregates(vq.schema, cols, block, config)
         keep = np.ones(len(block), dtype=bool)
-        for field, test in tests:
-            values, available = aggregates[field]
-            keep &= available & test(values)
+        for cond in vq.strategy_conditions:
+            keep &= eval_strat_condition(cond, aggregates, config)
         kept_rows.append(block[keep])
         kept.append({field: (values[keep], available[keep])
                      for field, (values, available) in aggregates.items()})
@@ -399,28 +378,11 @@ def _survivor_rows(vq: ValidatedQuery, snapshot: ChainSnapshot,
                 np.concatenate([part[field][1] for part in kept]))
         for field in AGGREGATE_FIELDS
     }
-    return _Survivors(snapshot.records, cols, passed, aggregates, stats)
+    return Survivors(vq.schema, snapshot.records, cols, passed, aggregates,
+                     stats)
 
 
-def _instances(schema: StrategySchema, surv: _Survivors,
-               picks: np.ndarray) -> list[StrategyInstance]:
-    """StrategyInstance objects for the picked survivor rows, in pick order."""
-    rows = surv.rows[picks]
-    record_rows = np.stack([col["row"][rows[:, j]]
-                            for j, col in enumerate(surv.candidates)], axis=1)
-    out = []
-    for row, agg in zip(record_rows.tolist(),
-                        _aggregate_dicts(surv.aggregates, picks)):
-        legs = tuple(
-            StrategyLeg(role=role.id, record=surv.records[i],
-                        direction=role.direction, quantity=role.quantity)
-            for role, i in zip(schema.roles, row))
-        out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
-                                    aggregates=agg))
-    return out
-
-
-def _ticker_ranks(surv: _Survivors) -> list[np.ndarray] | None:
+def _ticker_ranks(surv: Survivors) -> list[np.ndarray] | None:
     """Per-role ticker ranks of every survivor row, or None when some
     role's tickers differ in length.
 
@@ -433,19 +395,18 @@ def _ticker_ranks(surv: _Survivors) -> list[np.ndarray] | None:
             for j, col in enumerate(surv.candidates)]
 
 
-def _top_rows(surv: _Survivors, order_by, limit: int | None) -> np.ndarray:
-    """Ascending positions of the survivors that can rank within LIMIT.
+def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
+    """Survivor positions in result order: a stable multi-key sort
+    (default ASC), then LIMIT.
 
-    Rows are ranked by numeric sort keys, per ORDER BY item a missing flag
-    and the signed value, as order_and_limit's key has them. With ticker
-    ranks appended the stable lexsort is the full order and its first
-    `limit` rows are the answer. Without them every row tied on the
-    numeric keys with the limit-th row stays, for order_and_limit to
-    break the ties on the ticker strings.
+    Each ORDER BY item keys on a missing flag, then the signed value, so
+    unavailable values go last regardless of direction. Ties always break
+    on concatenated leg tickers, so the order is total and independent of
+    assembly order. With per-role ticker ranks as the last keys one
+    lexsort is that order. Otherwise only the rows tied with the
+    limit-th row on the numeric keys, or ahead of it, are sorted with
+    their ticker strings.
     """
-    k = len(surv.rows)
-    if limit is None or limit >= k:
-        return np.arange(k)
     keys: list[np.ndarray] = []
     for item in order_by:
         values, available = surv.aggregates[item.field]
@@ -454,53 +415,56 @@ def _top_rows(surv: _Survivors, order_by, limit: int | None) -> np.ndarray:
         keys.append(np.where(available, signed, 0.0))
     ranks = _ticker_ranks(surv)
     if ranks is not None:
-        return np.sort(np.lexsort((keys + ranks)[::-1])[:limit])
-    if not keys:
-        return np.arange(k)
-    pivot = np.lexsort(keys[::-1])[limit - 1]
-    before = np.zeros(k, dtype=bool)
-    tied = np.ones(k, dtype=bool)
-    for key in keys:
-        before |= tied & (key < key[pivot])
-        tied &= key == key[pivot]
-    return np.nonzero(before | tied)[0]
+        return np.lexsort((keys + ranks)[::-1])[:limit]
+    k = len(surv.rows)
+    picks = np.arange(k)
+    if keys and limit is not None and limit < k:
+        pivot = np.lexsort(keys[::-1])[limit - 1]
+        before = np.zeros(k, dtype=bool)
+        tied = np.ones(k, dtype=bool)
+        for key in keys:
+            before |= tied & (key < key[pivot])
+            tied &= key == key[pivot]
+        picks = np.nonzero(before | tied)[0]
+    tickers = ["".join(surv.records[i].ticker for i in row)
+               for row in _record_rows(surv, picks).tolist()]
+    columns = [key[picks].tolist() for key in keys]
+    ranked = sorted(range(len(picks)),
+                    key=lambda i: (*(col[i] for col in columns), tickers[i]))
+    return picks[ranked[:limit]]
 
 
-def order_and_limit(instances: list[StrategyInstance], order_by,
-                    limit: int | None) -> list[StrategyInstance]:
-    """Stable multi-key sort (default ASC), then LIMIT.
-
-    Unavailable sort values go last regardless of direction; ties always
-    break on concatenated leg tickers, so the order is total and
-    independent of assembly order.
-    """
-    def key(inst: StrategyInstance):
-        parts: list = []
-        for item in order_by:
-            value = inst.aggregates.get(item.field)
-            if value is None:
-                parts.extend((1, 0.0))
-            else:
-                parts.extend((0, value if item.direction == "ASC" else -value))
-        parts.append(inst.ticker_key())
-        return tuple(parts)
-
-    ranked = sorted(instances, key=key)
-    return ranked[:limit] if limit is not None else ranked
+def _record_rows(surv: Survivors, picks: np.ndarray) -> np.ndarray:
+    """(len(picks), n_roles) snapshot record positions of picked survivors."""
+    rows = surv.rows[picks]
+    return np.stack([col["row"][rows[:, j]]
+                     for j, col in enumerate(surv.candidates)], axis=1)
 
 
-def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
-              config: RunConfig) -> tuple[list[StrategyInstance], ExecutionStats]:
-    """Pipeline through HAVING (everything before ORDER BY / LIMIT)."""
-    surv = _survivor_rows(vq, snapshot, config)
-    return _instances(vq.schema, surv, np.arange(len(surv.rows))), surv.stats
+def _instances(surv: Survivors, picks: np.ndarray) -> list[StrategyInstance]:
+    """StrategyInstance objects for the picked survivor rows, in pick order."""
+    aggregates = surv.aggregates
+    columns = [
+        [v if ok else None
+         for v, ok in zip(values[picks].tolist(), available[picks].tolist())]
+        for values, available in aggregates.values()
+    ]
+    out = []
+    for row, agg in zip(_record_rows(surv, picks).tolist(), zip(*columns)):
+        legs = tuple(
+            StrategyLeg(role=role.id, record=surv.records[i],
+                        direction=role.direction, quantity=role.quantity)
+            for role, i in zip(surv.schema.roles, row))
+        out.append(StrategyInstance(strategy_type=surv.schema.name, legs=legs,
+                                    aggregates=dict(zip(aggregates, agg))))
+    return out
 
 
 def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
     """Run a query against a snapshot end to end.
 
-    Only the rows that can reach the result become StrategyInstances.
+    Only the rows that reach the result become StrategyInstances.
     """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
@@ -510,16 +474,14 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             f"query is FROM {ast.underlying} but the snapshot holds "
             f"{snapshot.underlying}")
     snapshot = chain_mod.enrich(snapshot)
-    surv = _survivor_rows(vq, snapshot, config)
-    picks = _top_rows(surv, ast.order_by, ast.limit)
-    ranked = order_and_limit(_instances(vq.schema, surv, picks),
-                             ast.order_by, ast.limit)
+    surv = survivors(vq, snapshot, config)
+    picks = order_and_limit(surv, ast.order_by, ast.limit)
     stats = surv.stats
-    stats.returned = len(ranked)
+    stats.returned = len(picks)
     return ResultSet(query=vq, text=pretty_print(ast),
                      underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of),
-                     strategies=ranked, stats=stats)
+                     strategies=_instances(surv, picks), stats=stats)
 
 
 # ============================================================

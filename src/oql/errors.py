@@ -93,10 +93,6 @@ class NonConvergence(PricingError):
     """Root finder failed to meet the residual tolerance inside the bracket."""
 
 
-class MultiExpiryUnsupported(PricingError):
-    """Terminal payoff analysis requires all legs to share one expiry."""
-
-
 # ============================================================
 # Chain data
 # ============================================================

@@ -186,8 +186,8 @@ def avg_rows(outcomes: list[CaseOutcome]) -> float:
 
 
 def evaluate(cases: list[EvalCase], base_dir: str = ".",
-             config: RunConfig | None = None, k: int = DEFAULT_K,
-             snapshot_loader=None) -> tuple[list[CaseOutcome], dict]:
+             config: RunConfig | None = None,
+             k: int = DEFAULT_K) -> tuple[list[CaseOutcome], dict]:
     """Run every case and build the metrics report.
 
     Chain paths resolve relative to base_dir; snapshots are cached per
@@ -196,7 +196,6 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
     """
     if not cases:
         raise EmptyInput("no cases")
-    loader = snapshot_loader or load_snapshot
     cache: dict[str, ChainSnapshot] = {}
     outcomes: list[CaseOutcome] = []
     for case in cases:
@@ -205,7 +204,7 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
             path = os.path.join(base_dir, path)
         path = os.path.normpath(path)
         if path not in cache:
-            cache[path] = loader(path)
+            cache[path] = load_snapshot(path)
         outcomes.append(run_case(case, cache[path], config, k))
     try:
         sm_cond = strategy_match(outcomes, "solved")

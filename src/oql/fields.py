@@ -24,9 +24,6 @@ CATEGORICAL_LEG_FIELDS = frozenset({"Moneyness"})
 
 MONEYNESS_VALUES = ("ITM", "ATM", "OTM")
 
-# symbolic values the value grammar admits
-SYMBOLIC_VALUES = frozenset({"CALL", "PUT", "ATM", "OTM", "ITM"})
-
 AGGREGATE_FIELDS = (
     "net_debit",
     "net_credit",
@@ -43,6 +40,10 @@ AGGREGATE_FIELDS = (
 )
 
 _AGGREGATE_SET = frozenset(AGGREGATE_FIELDS)
+
+# the fields a ~ condition can test, so an epsilon override can name
+SOFT_MATCH_FIELDS = tuple(f for f in LEG_FIELDS.values()
+                          if f not in CATEGORICAL_LEG_FIELDS) + AGGREGATE_FIELDS
 
 
 def canonical_leg_field(name: str) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, MultiExpiryUnsupported, NoSolution, NonConvergence
+from .errors import DomainError, NoSolution, NonConvergence
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -178,41 +178,6 @@ def implied_vol(spot: float, rate: float, tau: float, strike: float,
 
 
 # ============================================================
-# Terminal payoff algebra
-# ============================================================
-
-
-@dataclass(frozen=True)
-class Leg:
-    """One executed option leg for payoff purposes."""
-
-    direction: int       # +1 long, -1 short
-    option_type: str     # "call" | "put"
-    strike: float
-    expiry_tau: float    # years to expiry at entry
-    quantity: int
-    premium: float       # per-share price paid/received at entry
-
-    def __post_init__(self):
-        if self.direction not in (1, -1):
-            raise ValueError(f"direction must be +1 or -1, got {self.direction}")
-        _check_option_type(self.option_type)
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if self.quantity < 1:
-            raise ValueError(f"quantity must be >= 1, got {self.quantity}")
-
-
-def _require_single_expiry(legs) -> None:
-    if not legs:
-        raise ValueError("payoff analysis needs at least one leg")
-    taus = {leg.expiry_tau for leg in legs}
-    if len(taus) > 1:
-        raise MultiExpiryUnsupported(
-            f"legs span {len(taus)} expiries; terminal payoff is undefined")
-
-
-# ============================================================
 # Payoff analysis over many baskets at once
 # ============================================================
 #
@@ -262,14 +227,14 @@ def payoff_at_knots(qd, is_call, strike, premium):
     return knots, values, slope
 
 
-def extremes_from_knots(values, slope):
+def payoff_extremes(values, slope):
     """(max_profit, max_loss) per share; an unbounded side is +inf."""
     max_profit = np.where(slope <= 0.0, values.max(axis=0), math.inf)
     max_loss = np.where(slope >= 0.0, -values.min(axis=0), math.inf)
     return max_profit, max_loss
 
 
-def breakevens_from_knots(knots, values, slope):
+def breakevens(knots, values, slope):
     """(low, high, found): lowest and highest zero crossings per basket.
 
     found is False where the payoff never touches zero; low and high hold
@@ -292,53 +257,3 @@ def breakevens_from_knots(knots, values, slope):
     low = np.where(present, points, math.inf).min(axis=0)
     high = np.where(present, points, -math.inf).max(axis=0)
     return np.where(found, low, 0.0), np.where(found, high, 0.0), found
-
-
-def _leg_knots(legs):
-    """payoff_at_knots for one basket of Leg objects."""
-    _require_single_expiry(legs)
-    qd = [leg.quantity * leg.direction for leg in legs]
-    is_call = np.array([[leg.option_type == "call"] for leg in legs])
-    strike = np.array([[leg.strike] for leg in legs], dtype=float)
-    premium = np.array([[leg.premium] for leg in legs], dtype=float)
-    return payoff_at_knots(qd, is_call, strike, premium)
-
-
-@dataclass(frozen=True)
-class PayoffExtremes:
-    """Extremes of the terminal payoff over spot in [0, inf).
-
-    max_loss is -min(payoff): a positive magnitude whenever the structure
-    can lose money. Unbounded sides are +inf with the bounded flag False.
-    """
-
-    max_profit: float
-    max_loss: float
-    profit_bounded: bool
-    loss_bounded: bool
-
-
-def payoff_extremes(legs: list[Leg] | tuple[Leg, ...]) -> PayoffExtremes:
-    """Exact extremes of the piecewise-linear terminal payoff.
-
-    Extremes occur at a knot unless the tail slope makes a side unbounded.
-    Multi-expiry structures raise MultiExpiryUnsupported.
-    """
-    _, values, slope = _leg_knots(legs)
-    max_profit, max_loss = extremes_from_knots(values, slope)
-    return PayoffExtremes(max_profit=float(max_profit[0]),
-                          max_loss=float(max_loss[0]),
-                          profit_bounded=bool(slope[0] <= 0.0),
-                          loss_bounded=bool(slope[0] >= 0.0))
-
-
-def breakevens(legs: list[Leg] | tuple[Leg, ...]) -> tuple[float | None, float | None]:
-    """Lowest and highest zero crossings of the terminal payoff.
-
-    Returns (None, None) when the payoff never touches zero; with a single
-    crossing both entries are that point. Multi-expiry raises.
-    """
-    low, high, found = breakevens_from_knots(*_leg_knots(legs))
-    if not found[0]:
-        return None, None
-    return float(low[0]), float(high[0])

@@ -17,7 +17,7 @@ import math
 import sys
 
 from ..errors import ParseError
-from ..fields import SYMBOLIC_VALUES, canonical_aggregate_field, canonical_leg_field
+from ..fields import MONEYNESS_VALUES, canonical_aggregate_field, canonical_leg_field
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
 from .lexer import Token, TokenKind, tokenize
 
@@ -86,10 +86,9 @@ class _Parser:
         tok = self.current
         if tok.kind is TokenKind.NUMBER:
             return self.number()
-        if tok.kind is TokenKind.IDENT and tok.upper() in SYMBOLIC_VALUES:
+        if tok.kind is TokenKind.IDENT and tok.upper() in MONEYNESS_VALUES:
             return self.advance().upper()
-        raise self.fail("expected a value",
-                        ("number", "CALL", "PUT", "ATM", "OTM", "ITM"))
+        raise self.fail("expected a value", ("number", *MONEYNESS_VALUES))
 
     # ---- clauses ----
 

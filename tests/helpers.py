@@ -10,9 +10,13 @@ package against code that shares no logic with it:
 * a brute-force query executor (``oracle_survivors``, ``oracle_order``)
   built on ``itertools.product`` plus plain-loop re-implementations of the
   filter, rule, aggregate, and ordering semantics,
-* the scalar terminal payoff of ``pricing.Leg`` baskets
-  (``leg_payoff``, ``strategy_payoff``), which ``payoff_at_knots``
-  must reproduce at every knot.
+* the scalar terminal payoff of ``Leg`` baskets (``leg_payoff``,
+  ``strategy_payoff``), which ``payoff_at_knots`` must reproduce at every
+  knot.
+
+It also holds one-row and one-basket views of the batch kernels
+(``basket_payoff``, ``row_aggregates``, ``survivor_instances``) for tests
+that check a single structure by hand.
 """
 
 from __future__ import annotations
@@ -25,14 +29,19 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import dataclass
 
+import numpy as np
+
+from oql import engine, pricing
 from oql.backtest import PnLPath
 from oql.catalog import StrategySchema, ValidatedQuery, build_catalog
-from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic
+from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_table
 from oql.cli import main as cli_main
 from oql.config import RunConfig
+from oql.engine import StrategyInstance, Survivors
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
-from oql.pricing import Leg, MarketParams, bsm_price
+from oql.pricing import MarketParams, bsm_price
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
 
 AS_OF = dt.date(2025, 6, 2)
@@ -539,6 +548,68 @@ def oracle_order(rows, order_by, limit):
 
     ranked = sorted(rows, key=functools.cmp_to_key(compare))
     return ranked[:limit] if limit is not None else ranked
+
+
+# ============================================================
+# One basket, one row: the batch kernels on a single structure
+# ============================================================
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One option leg of a payoff basket."""
+
+    direction: int       # +1 long, -1 short
+    option_type: str     # "call" | "put"
+    strike: float
+    quantity: int
+    premium: float       # per-share price paid/received at entry
+
+
+@dataclass(frozen=True)
+class BasketPayoff:
+    """Terminal payoff extremes and breakevens of one basket.
+
+    Unbounded sides are +inf with the bounded flag False; breakevens is
+    (None, None) when the payoff never touches zero.
+    """
+
+    max_profit: float
+    max_loss: float
+    profit_bounded: bool
+    loss_bounded: bool
+    breakevens: tuple[float | None, float | None]
+
+
+def basket_payoff(legs) -> BasketPayoff:
+    """pricing.payoff_extremes and pricing.breakevens of one basket."""
+    qd = [leg.quantity * leg.direction for leg in legs]
+    is_call = np.array([[leg.option_type == "call"] for leg in legs])
+    strike = np.array([[leg.strike] for leg in legs], dtype=float)
+    premium = np.array([[leg.premium] for leg in legs], dtype=float)
+    knots, values, slope = pricing.payoff_at_knots(qd, is_call, strike, premium)
+    max_profit, max_loss = pricing.payoff_extremes(values, slope)
+    low, high, found = pricing.breakevens(knots, values, slope)
+    return BasketPayoff(
+        max_profit=float(max_profit[0]), max_loss=float(max_loss[0]),
+        profit_bounded=bool(slope[0] <= 0.0), loss_bounded=bool(slope[0] >= 0.0),
+        breakevens=(float(low[0]), float(high[0])) if found[0] else (None, None))
+
+
+def row_aggregates(schema: StrategySchema,
+                   assignment: tuple[ContractRecord, ...],
+                   config: RunConfig) -> dict[str, float | None]:
+    """engine.compute_aggregates on one assignment; None where unavailable."""
+    cols = [record_table([rec]) for rec in assignment]
+    rows = np.zeros((1, len(assignment)), dtype=np.int32)
+    return {field: float(values[0]) if available[0] else None
+            for field, (values, available)
+            in engine.compute_aggregates(schema, cols, rows, config).items()}
+
+
+def survivor_instances(surv: Survivors) -> list[StrategyInstance]:
+    """Every survivor row as a StrategyInstance, in assembly order."""
+    return engine._instances(surv, np.arange(len(surv.rows)))
 
 
 # ============================================================

@@ -24,8 +24,10 @@ from helpers import (
     AS_OF,
     GREEK_ATOL,
     GREEK_RTOL,
+    Leg,
     aggregates_equal,
     backtest_hand_fixture,
+    basket_payoff,
     draw_params,
     fd_greeks,
     leg_payoff,
@@ -37,8 +39,9 @@ from helpers import (
     random_valid_query,
     run_cli,
     strategy_payoff,
+    survivor_instances,
 )
-from oql import pricing, serialize
+from oql import serialize
 from oql.backtest import (
     Position,
     PositionLeg,
@@ -57,7 +60,7 @@ from oql.engine import (
     survivors,
 )
 from oql.evalkit import CaseOutcome, efficiency, evaluate, load_cases
-from oql.pricing import Leg, MarketParams, bsm_price, greeks, implied_vol
+from oql.pricing import MarketParams, bsm_price, greeks, implied_vol
 from oql.syntax import LegCondition, StratCondition, parse_text, pretty_print
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -218,12 +221,9 @@ def test_pricing_identities(capfd):
 # 3. Payoff algebra: leg sums, family identities, extremes
 # ------------------------------------------------------------
 
-_TAU = 30.0 / 365.0
-
-
 def _leg(direction, option_type, strike, premium, quantity=1):
     return Leg(direction=direction, option_type=option_type, strike=strike,
-               expiry_tau=_TAU, quantity=quantity, premium=premium)
+               quantity=quantity, premium=premium)
 
 
 def _extremes_oracle(legs):
@@ -306,7 +306,7 @@ def test_payoff_algebra(capfd):
                      quantity=rng.randint(1, 3))
                 for _ in range(rng.randint(1, 5))
             ]
-            ext = pricing.payoff_extremes(legs)
+            ext = basket_payoff(legs)
             want_mp, want_ml = _extremes_oracle(legs)
             for got, want, side in ((ext.max_profit, want_mp, "profit"),
                                     (ext.max_loss, want_ml, "loss")):
@@ -336,7 +336,8 @@ def test_engine_matches_exhaustive_enumeration(capfd):
             tree = random_valid_query(rng, snapshot)
             vq = validate(tree)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
-            instances, stats = survivors(vq, snapshot, config)
+            surv = survivors(vq, snapshot, config)
+            instances, stats = survivor_instances(surv), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -355,7 +356,8 @@ def test_engine_matches_exhaustive_enumeration(capfd):
                     and stats.candidates == want_stats["candidates"],
                     "pipeline stats differ")
 
-            ranked = order_and_limit(instances, tree.order_by, tree.limit)
+            ranked = [instances[i] for i in
+                      order_and_limit(surv, tree.order_by, tree.limit)]
             want_ranked = oracle_order(expected, tree.order_by, tree.limit)
             c.check([tuple(leg.record.ticker for leg in inst.legs)
                      for inst in ranked] == [row[0] for row in want_ranked],
@@ -393,8 +395,9 @@ def test_engine_matches_exhaustive_enumeration(capfd):
                         StratCondition("max_loss", "<", 1000.0),
                         StratCondition("net_debit", "<", 800.0),
                     )),))
-            wide, _ = survivors(validate(base), snapshot, config)
-            narrow, _ = survivors(validate(tighter), snapshot, config)
+            wide = survivor_instances(survivors(validate(base), snapshot, config))
+            narrow = survivor_instances(
+                survivors(validate(tighter), snapshot, config))
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             c.check(narrow_keys <= wide_keys,
@@ -562,7 +565,7 @@ def test_settlement_matches_terminal_payoff(capfd):
                              config)
             terminal = strategy_payoff(
                 [Leg(direction=l.direction, option_type=l.option_type,
-                     strike=l.strike, expiry_tau=0.0, quantity=l.quantity,
+                     strike=l.strike, quantity=l.quantity,
                      premium=l.entry_price) for l in legs],
                 spots[expiry]) * config.multiplier
             worst = max(worst, abs(path.final_pnl() - terminal))

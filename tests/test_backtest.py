@@ -30,7 +30,7 @@ from oql.backtest import (
     run_cohorts,
 )
 from helpers import backtest_hand_fixture as hand_fixture
-from helpers import strategy_payoff
+from helpers import Leg, strategy_payoff
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
@@ -87,10 +87,9 @@ class TestTerminalConsistency:
                              ENTRY + dt.timedelta(days=days), config)
             terminal_spot = spots[ENTRY + dt.timedelta(days=days)]
             payoff_legs = [
-                pricing.Leg(direction=pl.direction,
-                            option_type=pl.option_type, strike=pl.strike,
-                            expiry_tau=days / 365.0, quantity=pl.quantity,
-                            premium=pl.entry_price)
+                Leg(direction=pl.direction, option_type=pl.option_type,
+                    strike=pl.strike, quantity=pl.quantity,
+                    premium=pl.entry_price)
                 for pl in legs
             ]
             expected = strategy_payoff(payoff_legs, terminal_spot)

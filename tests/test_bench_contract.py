@@ -4,7 +4,10 @@ perfbench/ traces oql by replacing module functions by name and checks
 workload W through engine.assemble(vq, engine.filter_legs(...), config).
 These tests run both against the current sources, so renaming or
 reshaping one of those functions fails here rather than in a benchmark
-run. perfbench/ is put on sys.path and nothing in it is changed.
+run, and a traced query must reach every engine stage the trace names:
+a wrapped function that execute no longer calls would read 0 in every
+benchmark run. perfbench/ is put on sys.path and nothing in it is
+changed.
 """
 
 import os
@@ -54,3 +57,20 @@ def test_assemble_over_filter_legs_matches_the_oracle(query):
     _, want = oracle_survivors(vq, snap, config)
     assert raw == want["raw_product"]
     assert len(rows) == want["assembled"]
+
+
+def test_traced_query_records_every_engine_stage(spans):
+    tracer = spans.Tracer()
+    query = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
+             "AND LC.Delta < 0.15 AND SP.Delta > -0.3 AND LP.Delta > -0.15 "
+             "HAVING net_theta > 0 ORDER BY rr_ratio DESC LIMIT 5")
+    snap = chain.load_snapshot(CHAIN)
+    with spans.Patched(spans.wrap_points(tracer)):
+        result = engine.execute(query, snap, RunConfig())
+    assert len(result.strategies) == 5
+    calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
+    for name in ("engine.filter_legs", "engine.assemble", "engine.survivors",
+                 "engine.compute_aggregates", "pricing.payoff_extremes",
+                 "pricing.breakevens", "engine.eval_strat_condition",
+                 "engine.order_and_limit"):
+        assert calls.get(name, 0) >= 1, name

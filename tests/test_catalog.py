@@ -6,7 +6,8 @@ from conftest import CONDOR_QUERY_QQQ, CONDOR_QUERY_TSLA
 from oql.catalog import (StrategySchema, build_catalog, catalog,
                          catalog_table, catalog_to_json, lookup,
                          schema_to_json, validate)
-from oql.errors import TypeMismatch, UnknownField, UnknownRole, UnknownStrategy
+from oql.errors import (ParseError, TypeMismatch, UnknownField, UnknownRole,
+                        UnknownStrategy)
 from oql.syntax import parse_text
 
 EXPECTED_FAMILIES = (
@@ -193,7 +194,8 @@ def test_moneyness_requires_equality_operator():
 
 
 def test_moneyness_requires_moneyness_value():
-    with pytest.raises(TypeMismatch):
+    # CALL and PUT are not values: the query fails at parse
+    with pytest.raises(ParseError):
         validate(parse_text("SELECT LONG_CALL FROM SPY WHERE Moneyness = CALL"))
     with pytest.raises(TypeMismatch):
         validate(parse_text("SELECT LONG_CALL FROM SPY WHERE Moneyness = 1"))
@@ -202,7 +204,7 @@ def test_moneyness_requires_moneyness_value():
 def test_numeric_field_rejects_symbolic_value():
     with pytest.raises(TypeMismatch):
         validate(parse_text("SELECT LONG_CALL FROM SPY WHERE Delta = ATM"))
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(ParseError):
         validate(parse_text("SELECT LONG_CALL FROM SPY HAVING net_debit = PUT"))
 
 

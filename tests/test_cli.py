@@ -455,6 +455,70 @@ class TestConfigPrecedence:
         assert code == EXIT_ERROR
         assert "error [config]:" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--multiplier", "nan"), ("--multiplier", "inf"),
+        ("--atm-band", "inf"), ("--atm-band", "nan"),
+        ("--epsilon-abs", "nan"), ("--epsilon-abs", "inf"),
+    ])
+    def test_non_finite_config_value_is_rejected(self, flag, value):
+        code, out, err = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
+                                  flag, value])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error [config]:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"combinatorial_cap": NaN}', "combinatorial_cap must be finite"),
+        ('{"combinatorial_cap": Infinity}', "combinatorial_cap must be finite"),
+        ('{"multiplier": Infinity}', "multiplier must be finite"),
+        ('{"symmetric_wings": "false"}', "symmetric_wings must be true or false"),
+    ])
+    def test_config_file_value_that_cannot_apply_is_rejected(self, tmp_path,
+                                                             text, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
+                                  "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error [config]:")
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides,needle", [
+        ([0.2], "must be a JSON object"),
+        ("Dte", "must be a JSON object"),
+        ({"Dte": "0.2"}, "'Dte' must be in (0, 1)"),
+        ({"Dte": None}, "'Dte' must be in (0, 1)"),
+        ({"Dte": True}, "'Dte' must be in (0, 1)"),
+        ({"Dte": [0.2]}, "'Dte' must be in (0, 1)"),
+        ({"delta": 0.5}, "unknown field 'delta'"),
+        ({"Moneyness": 0.5}, "unknown field 'Moneyness'"),
+        ({"NET_DEBIT": 0.5}, "unknown field 'NET_DEBIT'"),
+    ])
+    def test_bad_epsilon_overrides_are_rejected(self, tmp_path, overrides,
+                                                needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_overrides": overrides}))
+        code, out, err = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
+                                  "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error [config]:")
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_epsilon_overrides_take_leg_and_aggregate_fields(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_overrides": {
+            "Dte": 0.25, "Iv": 0.5, "net_debit": 0.3, "breakeven_high": 1e-3}}))
+        code, out, err = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
+                                  "--config", str(cfg)])
+        assert code == EXIT_OK, err
+        assert json.loads(out)["config"]["epsilon_overrides"] == {
+            "Dte": 0.25, "Iv": 0.5, "breakeven_high": 1e-3, "net_debit": 0.3}
+
 
 # ============================================================
 # backtest

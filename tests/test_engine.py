@@ -16,13 +16,11 @@ import pytest
 
 from oql import serialize
 from oql.catalog import build_catalog, validate
-from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
+from oql.chain import ChainSnapshot, ContractRecord, occ_ticker, record_table
 from oql.config import RunConfig
 from oql.engine import (
-    StrategyInstance,
-    StrategyLeg,
+    Survivors,
     assemble,
-    compute_aggregates,
     execute,
     filter_legs,
     order_and_limit,
@@ -32,6 +30,7 @@ from oql.engine import (
     survivors,
 )
 from oql.errors import CombinatorialBudgetExceeded, UnderlyingMismatch
+from oql.fields import AGGREGATE_FIELDS
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition, parse_text
 
 from helpers import (
@@ -41,6 +40,8 @@ from helpers import (
     oracle_survivors,
     random_snapshot as _random_snapshot,
     random_valid_query,
+    row_aggregates,
+    survivor_instances,
 )
 
 AS_OF = dt.date(2025, 6, 2)
@@ -268,7 +269,7 @@ class TestAggregates:
         schema = CATALOG["IRON_CONDOR"]
         legs = self.condor()
         assignment = tuple(legs[r] for r in schema.role_ids)
-        return compute_aggregates(schema, assignment, RunConfig())
+        return row_aggregates(schema, assignment, RunConfig())
 
     def test_condor_cash_and_bounds(self):
         agg = self.condor_aggregates()
@@ -301,7 +302,7 @@ class TestAggregates:
         schema = CATALOG["IRON_CONDOR"]
         legs = self.condor()
         assignment = tuple(legs[r] for r in schema.role_ids)
-        agg = compute_aggregates(schema, assignment, RunConfig(multiplier=10))
+        agg = row_aggregates(schema, assignment, RunConfig(multiplier=10))
         assert agg["net_credit"] == pytest.approx(34.0)
         assert agg["max_loss"] == pytest.approx(16.0)
         assert agg["width"] == pytest.approx(30.0)
@@ -311,14 +312,14 @@ class TestAggregates:
         schema = CATALOG["BULL_CALL_SPREAD"]
         lo = rec("SPY", 95.0, "call", 5.0, 30, vega=None)
         hi = rec("SPY", 105.0, "call", 2.0, 30)
-        agg = compute_aggregates(schema, (lo, hi), RunConfig())
+        agg = row_aggregates(schema, (lo, hi), RunConfig())
         assert agg["net_vega"] is None
         assert agg["net_delta"] is not None
         assert agg["net_debit"] == pytest.approx(300.0)
 
     def test_long_call_unbounded_profit(self):
         schema = CATALOG["LONG_CALL"]
-        agg = compute_aggregates(schema, (rec("SPY", 100.0, "call", 2.5, 30),),
+        agg = row_aggregates(schema, (rec("SPY", 100.0, "call", 2.5, 30),),
                                  RunConfig())
         assert agg["net_debit"] == pytest.approx(250.0)
         assert agg["max_profit"] == float("inf")
@@ -332,7 +333,7 @@ class TestAggregates:
         schema = CATALOG["BULL_CALL_SPREAD"]
         lo = rec("SPY", 90.0, "call", 1.0, 30)
         hi = rec("SPY", 100.0, "call", 3.0, 30)
-        agg = compute_aggregates(schema, (lo, hi), RunConfig())
+        agg = row_aggregates(schema, (lo, hi), RunConfig())
         assert agg["net_credit"] == pytest.approx(200.0)
         assert agg["max_loss"] == pytest.approx(-200.0)  # guaranteed profit
         assert agg["max_profit"] == pytest.approx(1200.0)
@@ -342,7 +343,7 @@ class TestAggregates:
         schema = CATALOG["BULL_CALL_SPREAD"]
         lo = rec("SPY", 95.0, "call", 2.0, 30)
         hi = rec("SPY", 105.0, "call", 2.0, 30)
-        agg = compute_aggregates(schema, (lo, hi), RunConfig())
+        agg = row_aggregates(schema, (lo, hi), RunConfig())
         assert agg["net_debit"] == 0.0
         assert agg["net_credit"] is None
 
@@ -350,7 +351,7 @@ class TestAggregates:
         schema = CATALOG["CALENDAR_CALL"]
         front = rec("SPY", 100.0, "call", 2.0, 30)
         back = rec("SPY", 100.0, "call", 3.5, 60)
-        agg = compute_aggregates(schema, (front, back), RunConfig())
+        agg = row_aggregates(schema, (front, back), RunConfig())
         assert agg["net_debit"] == pytest.approx(150.0)
         assert agg["max_loss"] == pytest.approx(150.0)
         assert agg["max_profit"] is None       # no terminal payoff claim
@@ -363,7 +364,7 @@ class TestAggregates:
         schema = CATALOG["CALENDAR_CALL"]
         front = rec("SPY", 100.0, "call", 4.0, 30)
         back = rec("SPY", 100.0, "call", 3.0, 60)
-        agg = compute_aggregates(schema, (front, back), RunConfig())
+        agg = row_aggregates(schema, (front, back), RunConfig())
         assert agg["net_credit"] == pytest.approx(100.0)
         assert agg["max_loss"] is None
         assert agg["max_profit"] is None
@@ -425,32 +426,36 @@ class TestHaving:
 # ============================================================
 
 
-def _instance(ticker: str, **agg_overrides) -> StrategyInstance:
-    record = rec("SPY", 100.0, "call", 2.0, 30)
-    record = dataclasses.replace(record, ticker=ticker)
-    agg: dict = dict.fromkeys(
-        ("net_debit", "net_credit", "net_delta", "net_gamma", "net_vega",
-         "net_theta", "max_loss", "max_profit", "rr_ratio", "width",
-         "breakeven_low", "breakeven_high"))
-    agg.update(agg_overrides)
-    leg = StrategyLeg(role="L", record=record, direction=1, quantity=1)
-    return StrategyInstance(strategy_type="LONG_CALL", legs=(leg,),
-                            aggregates=agg)
+def _survivors(*rows: tuple[str, dict]) -> Survivors:
+    """One-role survivor columns for (ticker, aggregate overrides) rows."""
+    records = tuple(dataclasses.replace(rec("SPY", 100.0, "call", 2.0, 30),
+                                        ticker=ticker) for ticker, _ in rows)
+    aggregates = {}
+    for field in AGGREGATE_FIELDS:
+        values = [agg.get(field) for _, agg in rows]
+        aggregates[field] = (np.array([v or 0.0 for v in values]),
+                             np.array([v is not None for v in values]))
+    return Survivors(schema=CATALOG["LONG_CALL"], records=records,
+                     candidates=[record_table(records)],
+                     rows=np.arange(len(rows), dtype=np.int32)[:, None],
+                     aggregates=aggregates, stats=None)
 
 
 class TestOrdering:
-    def make(self):
-        return [
-            _instance("B", rr_ratio=2.0, width=10.0),
-            _instance("D", rr_ratio=None, width=5.0),
-            _instance("A", rr_ratio=1.0, width=10.0),
-            _instance("C", rr_ratio=2.0, width=10.0),
-        ]
+    SUFFIX = ""  # appended to B and D
 
-    def order(self, instances, items, limit=None):
+    def make(self):
+        return _survivors(
+            ("B" + self.SUFFIX, {"rr_ratio": 2.0, "width": 10.0}),
+            ("D" + self.SUFFIX, {"rr_ratio": None, "width": 5.0}),
+            ("A", {"rr_ratio": 1.0, "width": 10.0}),
+            ("C", {"rr_ratio": 2.0, "width": 10.0}),
+        )
+
+    def order(self, surv, items, limit=None):
         order_by = tuple(OrderItem(field=f, direction=d) for f, d in items)
-        return [inst.ticker_key()
-                for inst in order_and_limit(instances, order_by, limit)]
+        return [surv.records[i].ticker[0]
+                for i in order_and_limit(surv, order_by, limit)]
 
     def test_ascending_with_missing_last(self):
         got = self.order(self.make(), [("rr_ratio", "ASC")])
@@ -479,6 +484,13 @@ class TestOrdering:
     def test_limit_larger_than_result_is_harmless(self):
         got = self.order(self.make(), [("rr_ratio", "DESC")], limit=99)
         assert len(got) == 4
+
+
+class TestOrderingMixedTickerLengths(TestOrdering):
+    """The same cases with tickers of several lengths, which rank on the
+    ticker strings instead of per-role ranks; string order is unchanged."""
+
+    SUFFIX = "XY"
 
 
 # ============================================================
@@ -644,7 +656,8 @@ class TestOracleEquivalence:
             ast = random_valid_query(rng, snapshot)
             vq = validate(ast)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
-            instances, stats = survivors(vq, snapshot, config)
+            surv = survivors(vq, snapshot, config)
+            instances, stats = survivor_instances(surv), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -663,7 +676,8 @@ class TestOracleEquivalence:
 
             _assert_sound(vq, snapshot, config, instances)
 
-            ranked = order_and_limit(instances, ast.order_by, ast.limit)
+            ranked = [instances[i] for i in
+                      order_and_limit(surv, ast.order_by, ast.limit)]
             want_ranked = oracle_order(expected, ast.order_by, ast.limit)
             assert ([tuple(leg.record.ticker for leg in inst.legs)
                      for inst in ranked]
@@ -712,8 +726,9 @@ class TestOracleEquivalence:
                 ))
                 tighter = dataclasses.replace(
                     base, having=base.having + (extra_having,))
-            wide, _ = survivors(validate(base), snapshot, config)
-            narrow, _ = survivors(validate(tighter), snapshot, config)
+            wide = survivor_instances(survivors(validate(base), snapshot, config))
+            narrow = survivor_instances(
+                survivors(validate(tighter), snapshot, config))
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             assert narrow_keys <= wide_keys

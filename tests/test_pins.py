@@ -16,9 +16,10 @@ same text wherever the suite runs; every step's output is pinned. They
 were recorded before the JSON views became derived from their
 dataclasses.
 
-The engine-level pins run survivors() and order_and_limit() on the edge
-chain with one Greek removed: enrich backfills missing Greeks, so a None
-net Greek cannot reach a query through the CLI.
+The engine-level pins run execute() on the edge chain with one Greek
+removed, on a snapshot marked enriched so enrich leaves it as it is:
+enrich backfills missing Greeks, so a None net Greek cannot reach a
+query through the CLI.
 
 Recording (only when the output contract changes on purpose):
 
@@ -35,13 +36,10 @@ import pytest
 
 from helpers import run_cli
 from oql import serialize
-from oql.catalog import validate
 from oql.chain import load_snapshot
 from oql.config import RunConfig
-from oql.engine import (ResultSet, order_and_limit, result_to_json,
-                        survivors)
-from oql.serialize import format_date
-from oql.syntax import parse_text, pretty_print
+from oql.engine import execute, result_to_json
+from oql.syntax import parse_text
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 PIN_FILE = os.path.join(DATA_DIR, "run_pins.json")
@@ -250,16 +248,9 @@ def engine_run(query: str, strike: float, greek: str) -> dict:
         and r.expiry.isoformat() == "2025-07-02" else r
         for r in snapshot.records)
     snapshot = dataclasses.replace(snapshot, records=records)
+    object.__setattr__(snapshot, "enriched", True)
     config = RunConfig()
-    ast = parse_text(query)
-    vq = validate(ast)
-    instances, stats = survivors(vq, snapshot, config)
-    ranked = order_and_limit(instances, ast.order_by, ast.limit)
-    stats.returned = len(ranked)
-    result = ResultSet(query=vq, text=pretty_print(ast),
-                       underlying=snapshot.underlying,
-                       as_of=format_date(snapshot.as_of), strategies=ranked,
-                       stats=stats)
+    result = execute(query, snapshot, config)
     return {"stdout": serialize.dumps(result_to_json(result, config))}
 
 
