@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import pricing
-from .catalog import lookup
-from .chain import DAYS_PER_YEAR, ChainSnapshot
+from .catalog import StrategySchema, lookup
+from .chain import DAYS_PER_YEAR, ChainSnapshot, finite_number, required_date
 from .config import RunConfig
 from .engine import StrategyInstance
-from .errors import BacktestError, MissingSpot, UnknownStrategy
-from .serialize import parse_date
+from .errors import BacktestError, FormatError, MissingSpot, UnknownStrategy
 
 RE_TAUS = (0.5, 0.9)
 
@@ -68,42 +67,62 @@ def position_from_instance(instance: StrategyInstance, label: str) -> Position:
     return Position(label=label, legs=tuple(legs))
 
 
-def positions_from_results(doc: dict) -> list[Position]:
+def positions_from_results(doc) -> list[Position]:
     """Positions from a results JSON document (standard output mode)."""
-    strategies = doc.get("strategies")
-    if strategies is None:
-        raise BacktestError("results document has no 'strategies' list")
+    strategies = doc.get("strategies") if isinstance(doc, dict) else None
+    if not isinstance(strategies, list):
+        raise BacktestError(
+            "results document must be a JSON object with a 'strategies' list")
     positions = []
     for rank, entry in enumerate(strategies, start=1):
+        if not isinstance(entry, dict):
+            raise BacktestError(f"strategy {rank} is not a JSON object")
         if "legs" not in entry:
             raise BacktestError(
                 "results were serialized in blueprint mode; backtesting "
                 "needs standard mode (per-leg iv)")
         try:
-            schema = lookup(entry["strategy_type"])
-        except UnknownStrategy as exc:
-            raise BacktestError(str(exc)) from exc
-        legs = []
-        for leg in entry["legs"]:
-            if leg.get("iv") is None:
-                raise BacktestError(
-                    f"{leg.get('ticker', '?')} carries no iv in the results")
-            legs.append(PositionLeg(
-                direction=int(leg["direction"]),
-                option_type=schema.role(leg["role"]).option_type,
-                strike=float(leg["strike"]),
-                expiry=parse_date(leg["expiry"]),
-                quantity=int(leg["quantity"]),
-                entry_price=float(leg["price"]),
-                entry_iv=float(leg["iv"]),
-            ))
+            schema = lookup(str(entry["strategy_type"]))
+            if not isinstance(entry["legs"], list):
+                raise BacktestError("legs must be a list")
+            legs = tuple(_position_leg(leg, schema) for leg in entry["legs"])
+        except KeyError as exc:
+            raise BacktestError(f"strategy {rank}: missing key {exc}") from None
+        except (BacktestError, FormatError, UnknownStrategy) as exc:
+            raise BacktestError(f"strategy {rank}: {exc}") from None
         positions.append(Position(
-            label=f"{entry['strategy_type']}#{rank}", legs=tuple(legs)))
+            label=f"{entry['strategy_type']}#{rank}", legs=legs))
     return positions
 
 
+def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
+    if not isinstance(leg, dict):
+        raise BacktestError("a leg is not a JSON object")
+    if leg.get("iv") is None:
+        raise BacktestError(
+            f"{leg.get('ticker', '?')} carries no iv in the results")
+    if leg["role"] not in schema.role_ids:
+        raise BacktestError(f"{schema.name} has no role {leg['role']!r}")
+    direction = finite_number(leg["direction"], "direction")
+    if direction not in (1.0, -1.0):
+        raise BacktestError(f"direction must be 1 or -1, got {leg['direction']!r}")
+    quantity = finite_number(leg["quantity"], "quantity")
+    if quantity < 1 or quantity % 1 != 0:
+        raise BacktestError(
+            f"quantity must be a whole number >= 1, got {leg['quantity']!r}")
+    return PositionLeg(
+        direction=int(direction),
+        option_type=schema.role(leg["role"]).option_type,
+        strike=finite_number(leg["strike"], "strike"),
+        expiry=required_date(str(leg["expiry"]), "expiry"),
+        quantity=int(quantity),
+        entry_price=finite_number(leg["price"], "price"),
+        entry_iv=finite_number(leg["iv"], "iv"),
+    )
+
+
 def load_spots(path: str) -> dict[_dt.date, float]:
-    """Spot series CSV with header date,close."""
+    """Spot series CSV with header date,close; closes finite and > 0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,9 +132,17 @@ def load_spots(path: str) -> dict[_dt.date, float]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: row {reader.line_num}"
             if len(row) != 2:
-                raise BacktestError(f"bad spot row {row}")
-            spots[parse_date(row[0])] = float(row[1])
+                raise BacktestError(f"{where}: bad spot row {row}")
+            try:
+                day = required_date(row[0], "date")
+                close = finite_number(row[1], "close")
+            except FormatError as exc:
+                raise BacktestError(f"{where}: {exc}") from None
+            if not close > 0.0:
+                raise BacktestError(f"{where}: close must be > 0, got {row[1]!r}")
+            spots[day] = close
     if not spots:
         raise BacktestError("spot series is empty")
     return spots

@@ -304,7 +304,7 @@ def _parse_meta_pairs(text: str, row: int) -> dict:
     return meta
 
 
-def _finite(value, what: str, row: int) -> float:
+def finite_number(value, what: str, row: int | None = None) -> float:
     """A number from CSV text or a JSON value; nan and inf are rejected."""
     try:
         number = float(value)
@@ -316,17 +316,17 @@ def _finite(value, what: str, row: int) -> float:
 
 
 def _opt_float(text: str, what: str, row: int) -> float | None:
-    return None if text == "" else _finite(text, what, row)
+    return None if text == "" else finite_number(text, what, row)
 
 
 def _req_float(text: str, what: str, row: int) -> float:
     if text == "":
         raise FormatError(f"missing {what}", row)
-    return _finite(text, what, row)
+    return finite_number(text, what, row)
 
 
 def _opt_json(value, what: str, row: int) -> float | None:
-    return None if value is None else _finite(value, what, row)
+    return None if value is None else finite_number(value, what, row)
 
 
 def _spot_rate(meta: dict) -> tuple[float, float]:
@@ -337,7 +337,7 @@ def _spot_rate(meta: dict) -> tuple[float, float]:
     return spot, _req_float(meta["rate"], "rate", 1)
 
 
-def _req_date(text: str, what: str, row: int) -> _dt.date:
+def required_date(text: str, what: str, row: int | None = None) -> _dt.date:
     try:
         return parse_date(text)
     except ValueError:
@@ -360,8 +360,8 @@ def _record(raw: dict, row: int, number, optional) -> ContractRecord:
     return ContractRecord(
         ticker=str(raw["ticker"]),
         underlying=str(raw["underlying"]),
-        as_of=_req_date(str(raw["as_of"]), "as_of", row),
-        expiry=_req_date(str(raw["expiry"]), "expiry", row),
+        as_of=required_date(str(raw["as_of"]), "as_of", row),
+        expiry=required_date(str(raw["expiry"]), "expiry", row),
         strike=number(raw["strike"], "strike", row),
         option_type=_CODE_TYPES[raw["type"]],
         price=number(raw["price"], "price", row),
@@ -372,7 +372,7 @@ def _record(raw: dict, row: int, number, optional) -> ContractRecord:
 def _snapshot(meta: dict, numbered) -> ChainSnapshot:
     """The snapshot of (row, record) pairs, each validated as it comes."""
     underlying = str(meta["underlying"])
-    as_of = _req_date(str(meta["as_of"]), "as_of", 1)
+    as_of = required_date(str(meta["as_of"]), "as_of", 1)
     spot, rate = _spot_rate(meta)
     records: list[ContractRecord] = []
     rows: list[int] = []
@@ -438,7 +438,7 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
             if missing_keys:
                 raise FormatError(
                     f"missing keys: {', '.join(sorted(missing_keys))}", idx)
-            yield idx, _record(obj, idx, _finite, _opt_json)
+            yield idx, _record(obj, idx, finite_number, _opt_json)
 
     return _snapshot(meta, numbered())
 
@@ -453,7 +453,8 @@ def _detect_format(path: str, fmt: str | None) -> str:
         return "csv"
     if lower.endswith(".jsonl") or lower.endswith(".ndjson"):
         return "jsonl"
-    raise FormatError(f"cannot infer format from {path!r}; pass fmt='csv'|'jsonl'")
+    raise FormatError(f"cannot infer the snapshot format from {path!r}; "
+                      "name a .csv, .jsonl or .ndjson file")
 
 
 def load_snapshot(path: str, fmt: str | None = None) -> ChainSnapshot:

@@ -20,7 +20,7 @@ from . import evalkit
 from .catalog import catalog_table, catalog_to_json, lookup, schema_table, validate
 from .config import RunConfig, load_config
 from .engine import execute, result_to_json, result_to_table
-from .errors import OqlError
+from .errors import BacktestError, OqlError
 from .serialize import dumps, format_date, format_number, parse_date
 from .syntax import QueryAst, parse_text, pretty_print
 
@@ -72,6 +72,24 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(getattr(args, "config", None), overrides)
+
+
+def _date_arg(text: str) -> dt.date:
+    try:
+        return parse_date(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad date {text!r}; want YYYY-MM-DD") from None
+
+
+def _list_of(item, what: str):
+    """An argparse type: comma-separated values, each read by item."""
+    def parse(text: str) -> list:
+        try:
+            return [item(s) for s in text.split(",") if s.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from None
+    return parse
 
 
 def _query_text(args: argparse.Namespace) -> str:
@@ -159,15 +177,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_backtest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     with open(args.results, "r", encoding="utf-8") as fh:
-        results_doc = json.load(fh)
+        try:
+            results_doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise BacktestError(f"{args.results} is not a JSON document: {exc}") from None
     positions = bt.positions_from_results(results_doc)
     spots = bt.load_spots(args.spots)
-    entry = parse_date(args.entry)
-    exit_date = parse_date(args.exit)
-    reports = bt.run_cohorts(positions, spots, entry, exit_date, config)
+    reports = bt.run_cohorts(positions, spots, args.entry, args.exit, config)
     doc = {
-        "entry": format_date(entry),
-        "exit": format_date(exit_date),
+        "entry": format_date(args.entry),
+        "exit": format_date(args.exit),
         "iv_policy": "sticky_entry",
         "config": config.to_json_dict(),
         "cohorts": {name: rep.to_json_dict() for name, rep in reports.items()},
@@ -185,7 +204,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 def _parse_strikes(args: argparse.Namespace) -> list[float]:
     if args.strikes:
-        return [float(s) for s in args.strikes.split(",") if s.strip()]
+        return args.strikes
     if args.strike_range:
         try:
             lo_s, hi_s, step_s = args.strike_range.split(":")
@@ -207,10 +226,9 @@ def _parse_strikes(args: argparse.Namespace) -> list[float]:
 
 def _parse_expiries(args: argparse.Namespace, as_of) -> list:
     if args.expiries:
-        return [parse_date(s) for s in args.expiries.split(",") if s.strip()]
+        return args.expiries
     if args.dtes:
-        return [as_of + dt.timedelta(days=int(s))
-                for s in args.dtes.split(",") if s.strip()]
+        return [as_of + dt.timedelta(days=d) for d in args.dtes]
     raise OqlError("pass --expiries or --dtes")
 
 
@@ -222,7 +240,7 @@ def _refuse_overwrite(path: str, force: bool) -> None:
 def cmd_gen_chain(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _refuse_overwrite(args.out, args.force)
-    as_of = parse_date(args.as_of)
+    as_of = args.as_of
     snapshot = chain_mod.generate_synthetic(
         underlying=args.underlying.upper(),
         as_of=as_of,
@@ -252,7 +270,7 @@ def cmd_gen_chain(args: argparse.Namespace) -> int:
 def cmd_gen_path(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _refuse_overwrite(args.out, args.force)
-    start = parse_date(args.start)
+    start = args.start
     levels = chain_mod.generate_path(args.spot, args.mu, args.sigma,
                                      args.days, args.seed)
     lines = ["date,close"]
@@ -391,19 +409,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="mark results over a spot series")
     p.add_argument("--results", required=True, help="results JSON from `oql run`")
     p.add_argument("--spots", required=True, help="CSV spot series (date,close)")
-    p.add_argument("--entry", required=True, help="entry date YYYY-MM-DD")
-    p.add_argument("--exit", required=True, help="exit date YYYY-MM-DD")
+    p.add_argument("--entry", required=True, type=_date_arg,
+                   help="entry date YYYY-MM-DD")
+    p.add_argument("--exit", required=True, type=_date_arg,
+                   help="exit date YYYY-MM-DD")
     _add_config_options(p)
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("gen-chain", help="write a synthetic chain snapshot")
     p.add_argument("--out", required=True, help="target file (.csv/.jsonl)")
     p.add_argument("--underlying", required=True)
-    p.add_argument("--as-of", required=True, help="snapshot date YYYY-MM-DD")
+    p.add_argument("--as-of", required=True, type=_date_arg,
+                   help="snapshot date YYYY-MM-DD")
     p.add_argument("--spot", required=True, type=float)
-    p.add_argument("--expiries", help="comma-separated expiry dates")
-    p.add_argument("--dtes", help="comma-separated days-to-expiry")
-    p.add_argument("--strikes", help="comma-separated strikes")
+    p.add_argument("--expiries", type=_list_of(parse_date, "date"),
+                   help="comma-separated expiry dates")
+    p.add_argument("--dtes", type=_list_of(int, "days-to-expiry"),
+                   help="comma-separated days-to-expiry")
+    p.add_argument("--strikes", type=_list_of(float, "strike"),
+                   help="comma-separated strikes")
     p.add_argument("--strike-range", help="LO:HI:STEP strike grid")
     p.add_argument("--base-vol", type=float, default=0.2)
     p.add_argument("--skew", type=float, default=0.0)
@@ -420,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.05, help="annualized drift")
     p.add_argument("--sigma", type=float, default=0.2, help="annualized vol")
     p.add_argument("--days", required=True, type=int)
-    p.add_argument("--start", required=True, help="first date YYYY-MM-DD")
+    p.add_argument("--start", required=True, type=_date_arg,
+                   help="first date YYYY-MM-DD")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing output file")
@@ -455,6 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         _diag(f"error [{exc.stage}]: {exc}")
         return EXIT_ERROR
     except BrokenPipeError:
+        return EXIT_ERROR
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be
+        # opened, read or written, or whose text is not UTF-8
+        _diag(f"error [io]: {exc}")
         return EXIT_ERROR
 
 

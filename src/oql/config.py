@@ -19,6 +19,10 @@ ENV_CONFIG_VAR = "OQL_CONFIG"
 OUTPUT_MODES = ("standard", "blueprint")
 OUTPUT_FORMATS = ("json", "table")
 
+# a JSON true or false would pass their range checks as 1 or 0
+_NUMERIC_FIELDS = ("epsilon", "epsilon_abs", "atm_band", "multiplier", "rate",
+                   "combinatorial_cap")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -34,6 +38,10 @@ class RunConfig:
     epsilon_overrides: dict = field(default_factory=dict)  # field name -> epsilon
 
     def __post_init__(self):
+        for name in _NUMERIC_FIELDS:
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not (0.0 < self.epsilon_abs < math.inf):
@@ -50,6 +58,9 @@ class RunConfig:
         if not (1 <= self.combinatorial_cap < math.inf):
             raise ConfigError(f"combinatorial_cap must be finite and >= 1, "
                               f"got {self.combinatorial_cap}")
+        if self.combinatorial_cap % 1 != 0:
+            raise ConfigError("combinatorial_cap must be a whole number, got "
+                              f"{self.combinatorial_cap}")
         if self.output_mode not in OUTPUT_MODES:
             raise ConfigError(f"output_mode must be one of {OUTPUT_MODES}, "
                               f"got {self.output_mode!r}")

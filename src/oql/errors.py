@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Every error carries a ``stage`` label naming the pipeline phase that raised
-it (lex, parse, validate, filter, assemble, aggregate, having, order, price,
-load, backtest, eval, config), so callers and the CLI can report where a
-query died without matching on concrete types.
+it (lex, parse, validate, assemble, execute, price, load, backtest, eval,
+config), so callers and the CLI can report where a query died without
+matching on concrete types. The CLI reports a file it cannot open, read or
+write under the stage io.
 """
 
 

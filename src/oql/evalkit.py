@@ -16,12 +16,13 @@ import os
 from dataclasses import dataclass
 
 from .catalog import build_catalog
-from .chain import ChainSnapshot, load_snapshot
+from .chain import ChainSnapshot, finite_number, load_snapshot
 from .config import RunConfig
 from .engine import execute
 from .errors import (
     EmptyInput,
     EvalError,
+    FormatError,
     NoSolvedCases,
     OqlError,
     UnknownGoldLabel,
@@ -66,22 +67,31 @@ def load_cases(path: str) -> list[EvalCase]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
+                raise EvalError(f"{where}: bad JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise EvalError(f"{where}: a case must be a JSON object")
             try:
+                attempts = obj["attempts"]
+                if not (isinstance(attempts, list)
+                        and all(isinstance(a, str) for a in attempts)):
+                    raise EvalError(f"{where}: attempts must be a list of strings")
                 cases.append(EvalCase(
                     id=str(obj["id"]),
                     intent=str(obj["intent"]),
                     gold_strategy=str(obj["gold_strategy"]),
                     chain=str(obj["chain"]),
-                    attempts=tuple(str(a) for a in obj["attempts"]),
+                    attempts=tuple(attempts),
                     sa_grade=(None if obj.get("sa_grade") is None
-                              else float(obj["sa_grade"])),
+                              else finite_number(obj["sa_grade"], "sa_grade")),
                 ))
             except KeyError as exc:
-                raise EvalError(f"{path}:{lineno}: missing key {exc}") from None
+                raise EvalError(f"{where}: missing key {exc}") from None
+            except FormatError as exc:
+                raise EvalError(f"{where}: {exc}") from None
     if not cases:
         raise EmptyInput(f"{path} holds no cases")
     return cases
@@ -196,6 +206,8 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
     """
     if not cases:
         raise EmptyInput("no cases")
+    if k < 1:
+        raise EvalError(f"attempt budget k must be >= 1, got {k}")
     cache: dict[str, ChainSnapshot] = {}
     outcomes: list[CaseOutcome] = []
     for case in cases:

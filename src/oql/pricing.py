@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoSolution, NonConvergence
 
@@ -126,29 +125,21 @@ def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
 
 
 def implied_vol(spot: float, rate: float, tau: float, strike: float,
-                option_type: str, observed_price: float, *,
-                bracket: tuple[float, float] = IV_BRACKET,
-                residual_tol: float = IV_RESIDUAL_TOL,
-                on_low_bound: str = "raise") -> float:
-    """Invert bsm_price for vol inside `bracket`.
+                option_type: str, observed_price: float) -> float:
+    """Invert bsm_price for vol inside IV_BRACKET.
 
     The observed price is first checked against the no-arbitrage envelope
-    attainable inside the bracket; prices below the vol->0 limit raise
-    NoSolution (or return the bracket floor when on_low_bound="clip"),
-    prices above the vol->bracket-top value raise NoSolution. The root is
-    then bracketed with Brent's method and verified to reprice within
-    `residual_tol`, else NonConvergence.
+    attainable inside the bracket: prices below the vol->0 limit or above
+    the vol->bracket-top value raise NoSolution. The root is then found
+    with Brent's method and verified to reprice within IV_RESIDUAL_TOL,
+    else NonConvergence.
     """
     _check_option_type(option_type)
     if tau <= 0.0:
         raise DomainError("implied vol undefined at tau <= 0")
-    if observed_price < 0.0:
-        raise NoSolution(f"negative option price {observed_price}")
-    if on_low_bound not in ("raise", "clip"):
-        raise ValueError(f"on_low_bound must be 'raise' or 'clip', got {on_low_bound!r}")
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad vol bracket {bracket}")
+    if not observed_price >= 0.0:
+        raise NoSolution(f"option price must be >= 0, got {observed_price}")
+    lo, hi = IV_BRACKET
 
     def price_at(vol: float) -> float:
         return bsm_price(MarketParams(spot, rate, vol, tau), strike, option_type)
@@ -156,25 +147,68 @@ def implied_vol(spot: float, rate: float, tau: float, strike: float,
     price_lo = price_at(lo)
     price_hi = price_at(hi)
     if observed_price < price_lo:
-        if on_low_bound == "clip":
-            return lo
         raise NoSolution(
             f"price {observed_price} below the vol->0 bound {price_lo:.10g}")
     if observed_price > price_hi:
         raise NoSolution(
             f"price {observed_price} above the bound {price_hi:.10g} at vol={hi}")
-    if observed_price == price_lo:
-        return lo
-    if observed_price == price_hi:
-        return hi
 
-    root = brentq(lambda v: price_at(v) - observed_price, lo, hi,
-                  xtol=1e-14, rtol=8.882e-16, maxiter=200)
+    root = _brent(lambda v: price_at(v) - observed_price, lo, hi,
+                  price_lo - observed_price, price_hi - observed_price)
     residual = abs(price_at(root) - observed_price)
-    if residual > residual_tol:
+    if residual > IV_RESIDUAL_TOL:
         raise NonConvergence(
-            f"residual {residual:.3e} exceeds {residual_tol:.1e} at vol={root:.10g}")
+            f"residual {residual:.3e} exceeds {IV_RESIDUAL_TOL:.1e} at vol={root:.10g}")
     return float(root)
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign
+    or one of them is 0.
+
+    Brent's method (Brent 1973, ch. 4) as the widely used C routine brentq
+    has it, step for step and in the same operation order, with xtol 1e-14,
+    rtol 8.882e-16 and at most 200 steps, so each root is the very double
+    that routine returns (tests/test_pricing.py compares the two).
+    """
+    xtol, rtol = 1e-14, 8.882e-16
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # a zero divisor gives C an inf or nan, which bisects too
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NonConvergence(f"no root after 200 Brent steps; last estimate {xcur:.10g}")
 
 
 # ============================================================

@@ -698,6 +698,205 @@ class TestRepl:
 
 
 # ============================================================
+# Bad input: one diagnostic line, exit 1, nothing on stdout
+# ============================================================
+
+
+def _results(mutate):
+    """The fixture's results document, changed in place by mutate."""
+    def text(cli_dir):
+        doc = json.loads((cli_dir / "results.json").read_text())
+        mutate(doc)
+        return json.dumps(doc)
+    return text
+
+
+def _first_leg(**changes):
+    return _results(lambda doc: doc["strategies"][0]["legs"][0].update(changes))
+
+
+def _backtest(results="{d}/results.json", spots="{d}/spots.csv",
+              entry=AS_OF, exit="2025-06-22"):
+    return ["backtest", "--results", results, "--spots", spots,
+            "--entry", entry, "--exit", exit]
+
+
+def _case(**changes):
+    case = {"id": "c1", "intent": "a call", "gold_strategy": "LONG_CALL",
+            "chain": "{d}/chain.csv", "attempts": ["SELECT LONG_CALL FROM SPY"]}
+    return json.dumps({**case, **changes}) + "\n"
+
+
+_PARSE = ["parse", "SELECT LONG_CALL FROM SPY", "--config", "{tmp}/cfg.json"]
+_EVAL = ["eval", "--cases", "{tmp}/cases.jsonl"]
+
+
+def _gen_chain(out="{tmp}/c.csv", as_of=AS_OF, expiries=("--dtes", "30"),
+               strikes="100"):
+    return ["gen-chain", "--underlying", "spy", "--as-of", as_of, "--spot",
+            "100", *expiries, "--strikes", strikes, "--out", out]
+
+
+def _gen_path(out="{tmp}/p.csv", start=AS_OF):
+    return ["gen-path", "--spot", "100", "--days", "5", "--start", start,
+            "--out", out]
+
+
+_MISSING = "No such file or directory"
+
+# (id, files written to tmp_path, argv, stage, text in the diagnostic).
+# "{d}" is the fixture directory and "{tmp}" the test's own; files map a
+# name to text or to a function of the fixture directory. A stage of None
+# is an argparse usage error, which prints "oql ...: error: ..." instead.
+BAD_INPUT = [
+    ("config-multiplier-true", {"cfg.json": '{"multiplier": true}'}, _PARSE,
+     "config", "multiplier must be a number, got True"),
+    ("config-rate-false", {"cfg.json": '{"rate": false}'}, _PARSE,
+     "config", "rate must be a number, got False"),
+    ("config-epsilon-true", {"cfg.json": '{"epsilon": true}'}, _PARSE,
+     "config", "epsilon must be a number"),
+    ("config-epsilon-abs-true", {"cfg.json": '{"epsilon_abs": true}'}, _PARSE,
+     "config", "epsilon_abs must be a number"),
+    ("config-atm-band-false", {"cfg.json": '{"atm_band": false}'}, _PARSE,
+     "config", "atm_band must be a number"),
+    ("config-cap-true", {"cfg.json": '{"combinatorial_cap": true}'}, _PARSE,
+     "config", "combinatorial_cap must be a number"),
+    ("config-cap-fraction", {"cfg.json": '{"combinatorial_cap": 2.5}'},
+     _PARSE, "config", "combinatorial_cap must be a whole number, got 2.5"),
+    ("config-all-three", {"cfg.json": '{"multiplier": true, "rate": false, '
+                                      '"combinatorial_cap": 2.5}'},
+     _PARSE, "config", "multiplier must be a number"),
+    ("spots-close-text", {"s.csv": "date,close\n2025-06-02,abc\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: row 2: bad close 'abc'"),
+    ("spots-bad-date", {"s.csv": "date,close\n2025-13-02,100\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "row 2: bad date '2025-13-02'"),
+    ("spots-negative-close", {"s.csv": "date,close\n2025-06-02,1\n2025-06-03,-5\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "row 3: close must be > 0"),
+    ("spots-zero-close", {"s.csv": "date,close\n2025-06-02,0\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "close must be > 0"),
+    ("spots-nan-close", {"s.csv": "date,close\n2025-06-02,nan\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "close must be finite"),
+    ("spots-inf-close", {"s.csv": "date,close\n2025-06-02,inf\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "close must be finite"),
+    ("results-not-json", {"r.json": "{not json"},
+     _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
+    ("results-not-utf8", {"r.json": b"\xff\xfe{}"},
+     _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
+    ("results-not-object", {"r.json": "[1, 2]"},
+     _backtest(results="{tmp}/r.json"), "backtest", "a 'strategies' list"),
+    ("results-strategies-string", {"r.json": '{"strategies": "x"}'},
+     _backtest(results="{tmp}/r.json"), "backtest", "a 'strategies' list"),
+    ("results-strategy-not-object", {"r.json": '{"strategies": [1]}'},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1 is not a JSON object"),
+    ("results-unknown-strategy",
+     {"r.json": _results(lambda doc: doc["strategies"][0].update(
+         strategy_type="NOPE"))},
+     _backtest(results="{tmp}/r.json"), "backtest", "strategy 1: "),
+    ("results-legs-not-list",
+     {"r.json": _results(lambda doc: doc["strategies"][0].update(legs="x"))},
+     _backtest(results="{tmp}/r.json"), "backtest", "legs must be a list"),
+    ("results-leg-not-object",
+     {"r.json": _results(lambda doc: doc["strategies"][0].update(legs=[1]))},
+     _backtest(results="{tmp}/r.json"), "backtest", "a leg is not a JSON object"),
+    ("leg-missing-key",
+     {"r.json": _results(lambda doc: doc["strategies"][0]["legs"][0].pop(
+         "strike"))},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: missing key 'strike'"),
+    ("leg-direction-text", {"r.json": _first_leg(direction="x")},
+     _backtest(results="{tmp}/r.json"), "backtest", "bad direction 'x'"),
+    ("leg-direction-two", {"r.json": _first_leg(direction=2)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "direction must be 1 or -1, got 2"),
+    ("leg-unknown-role", {"r.json": _first_leg(role="ZZ")},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "BULL_CALL_SPREAD has no role 'ZZ'"),
+    ("leg-strike-nan-text", {"r.json": _first_leg(strike="nan")},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strike must be finite, got 'nan'"),
+    ("leg-bad-expiry", {"r.json": _first_leg(expiry="2025-13-02")},
+     _backtest(results="{tmp}/r.json"), "backtest", "bad expiry '2025-13-02'"),
+    ("leg-fractional-quantity", {"r.json": _first_leg(quantity=1.5)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "quantity must be a whole number >= 1, got 1.5"),
+    ("eval-line-not-object", {"cases.jsonl": "[1]\n"}, _EVAL,
+     "eval", "cases.jsonl:1: a case must be a JSON object"),
+    ("eval-attempts-string",
+     {"cases.jsonl": _case(attempts="SELECT LONG_CALL FROM SPY")}, _EVAL,
+     "eval", "cases.jsonl:1: attempts must be a list of strings"),
+    ("eval-attempts-numbers", {"cases.jsonl": _case(attempts=[1, 2])}, _EVAL,
+     "eval", "cases.jsonl:1: attempts must be a list of strings"),
+    ("eval-sa-grade-text", {"cases.jsonl": _case(sa_grade="high")}, _EVAL,
+     "eval", "cases.jsonl:1: bad sa_grade 'high'"),
+    ("eval-k-negative", {"cases.jsonl": _case()}, _EVAL + ["--k", "-1"],
+     "eval", "k must be >= 1, got -1"),
+    ("eval-k-zero", {"cases.jsonl": _case()}, _EVAL + ["--k", "0"],
+     "eval", "k must be >= 1, got 0"),
+    ("io-run-chain", {}, ["run", SPREAD_QUERY, "--chain", "{tmp}/no.csv"],
+     "io", _MISSING),
+    ("io-run-query-file", {},
+     ["run", "--query-file", "{tmp}/no.oql", "--chain", "{d}/chain.csv"],
+     "io", _MISSING),
+    ("io-run-out", {}, ["run", SPREAD_QUERY, "--chain", "{d}/chain.csv",
+                        "--out", "{tmp}/no/r.json"], "io", _MISSING),
+    ("io-eval-cases", {}, _EVAL, "io", _MISSING),
+    ("io-eval-case-chain", {"cases.jsonl": _case(chain="{tmp}/no.csv")},
+     _EVAL, "io", _MISSING),
+    ("io-backtest-results", {}, _backtest(results="{tmp}/no.json"),
+     "io", _MISSING),
+    ("io-backtest-spots", {}, _backtest(spots="{tmp}/no.csv"), "io", _MISSING),
+    ("io-gen-chain-out", {}, _gen_chain(out="{tmp}/no/c.csv"), "io", _MISSING),
+    ("io-gen-path-out", {}, _gen_path(out="{tmp}/no/p.csv"), "io", _MISSING),
+    ("date-entry", {}, _backtest(entry="2025-13-02"), None,
+     "argument --entry: bad date '2025-13-02'; want YYYY-MM-DD"),
+    ("date-exit", {}, _backtest(exit="June 22"), None,
+     "argument --exit: bad date 'June 22'"),
+    ("date-as-of", {}, _gen_chain(as_of="2025-06-31"), None,
+     "argument --as-of: bad date '2025-06-31'"),
+    ("date-start", {}, _gen_path(start="x"), None,
+     "argument --start: bad date 'x'"),
+    ("date-expiries", {},
+     _gen_chain(expiries=("--expiries", "2025-07-01,2025-13-01")), None,
+     "argument --expiries: bad date list '2025-07-01,2025-13-01'"),
+    ("list-dtes", {}, _gen_chain(expiries=("--dtes", "30,x")), None,
+     "argument --dtes: bad days-to-expiry list '30,x'"),
+    ("list-strikes", {}, _gen_chain(strikes="95,abc"), None,
+     "argument --strikes: bad strike list '95,abc'"),
+    ("io-chain-not-utf8", {"bin.csv": b"\xff\xfe\x00"},
+     ["run", SPREAD_QUERY, "--chain", "{tmp}/bin.csv"], "io",
+     "can't decode byte 0xff"),
+    ("gen-chain-unknown-extension", {}, _gen_chain(out="{tmp}/g.txt"), "load",
+     "name a .csv, .jsonl or .ndjson file"),
+]
+
+
+@pytest.mark.parametrize("files,argv,stage,needle",
+                         [case[1:] for case in BAD_INPUT],
+                         ids=[case[0] for case in BAD_INPUT])
+def test_bad_input_is_one_diagnostic(cli_dir, tmp_path, files, argv, stage,
+                                     needle):
+    def fill(text):
+        return text.replace("{d}", str(cli_dir)).replace("{tmp}", str(tmp_path))
+
+    for name, content in files.items():
+        content = content(cli_dir) if callable(content) else content
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(fill(content))
+    code, out, err = run_cli([fill(a) for a in argv])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "Traceback" not in err
+    if stage is None:
+        assert "error: " in err
+    else:
+        assert err.startswith(f"error [{stage}]: ")
+    assert needle in err
+
+
+# ============================================================
 # Console script
 # ============================================================
 

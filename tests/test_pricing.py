@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import GREEK_ATOL, GREEK_RTOL, draw_params, fd_greeks
+from oql import pricing
 from oql.errors import DomainError, NoSolution, NonConvergence
 from oql.pricing import (IV_BRACKET, GreeksVector, MarketParams, bsm_price,
                          d_plus_minus, greeks, implied_vol, norm_cdf,
@@ -266,8 +267,6 @@ def test_iv_price_below_low_vol_bound():
     floor = s - k * math.exp(-r * t)
     with pytest.raises(NoSolution, match="below"):
         implied_vol(s, r, t, k, "call", floor - 0.5)
-    clipped = implied_vol(s, r, t, k, "call", floor - 0.5, on_low_bound="clip")
-    assert clipped == IV_BRACKET[0]
 
 
 def test_iv_price_above_high_vol_bound():
@@ -281,22 +280,35 @@ def test_iv_negative_price_rejected():
         implied_vol(100.0, 0.0, 1.0, 100.0, "call", -1.0)
 
 
+def test_iv_nan_price_rejected():
+    with pytest.raises(NoSolution, match="must be >= 0"):
+        implied_vol(100.0, 0.0, 1.0, 100.0, "call", math.nan)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_iv_price_on_a_bracket_bound_returns_that_bound(end):
+    s, r, t, k = 100.0, 0.01, 0.5, 100.0
+    price = bsm_price(MarketParams(s, r, IV_BRACKET[end], t), k, "call")
+    assert implied_vol(s, r, t, k, "call", price) == IV_BRACKET[end]
+
+
 def test_iv_zero_tau_rejected():
     with pytest.raises(DomainError):
         implied_vol(100.0, 0.0, 0.0, 100.0, "call", 5.0)
 
 
-def test_iv_nonconvergence_when_residual_tolerance_is_impossible():
+def test_iv_nonconvergence_when_residual_tolerance_is_impossible(monkeypatch):
     # Consecutive vol doubles step this price by ~4 price ulps, so the
     # vol->price map cannot cover every float in a 200-ulp price window;
     # with a zero residual tolerance an uncoverable target must raise.
+    monkeypatch.setattr(pricing, "IV_RESIDUAL_TOL", 0.0)
     s, r, t, k = 100.0, 0.0, 1.0, 150.0
     base = bsm_price(MarketParams(s, r, 0.5, t), k, "call")
     raised = False
     for i in range(1, 200):
         target = base + i * math.ulp(base)
         try:
-            implied_vol(s, r, t, k, "call", target, residual_tol=0.0)
+            implied_vol(s, r, t, k, "call", target)
         except NonConvergence:
             raised = True
             break
@@ -316,8 +328,71 @@ def test_iv_reports_no_solution_on_a_double_precision_plateau():
         implied_vol(s, r, t, k, "call", price)
 
 
-def test_iv_bad_arguments():
-    with pytest.raises(ValueError):
-        implied_vol(100.0, 0.0, 1.0, 100.0, "call", 5.0, bracket=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        implied_vol(100.0, 0.0, 1.0, 100.0, "call", 5.0, on_low_bound="warn")
+def test_iv_matches_scipy_brentq_bit_for_bit():
+    """The in-package Brent step returns the very double scipy's brentq
+    does, so every inverted vol (and every Greek, pin and golden built on
+    it) is unchanged by dropping scipy.
+
+    Prices are rounded to 2-12 decimals, as quotes are, so most targets
+    sit between representable model prices; rates may be negative and tau
+    runs from one day to three years.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    lo, hi = IV_BRACKET
+    rng = np.random.default_rng(20)
+    roots = 0
+    for _ in range(2_500):
+        s = float(rng.uniform(5.0, 1000.0))
+        k = float(s * math.exp(rng.normal(0.0, 0.4)))
+        r = float(rng.uniform(-0.03, 0.1))
+        t = float(rng.uniform(1 / 365, 0.1) if rng.integers(2)
+                  else rng.uniform(0.1, 3.0))
+        v = float(rng.uniform(0.02, 3.0))
+        option_type = "call" if rng.integers(2) else "put"
+        price = round(bsm_price(MarketParams(s, r, v, t), k, option_type),
+                      int(rng.choice([2, 4, 8, 12])))
+
+        def excess(vol):
+            return bsm_price(MarketParams(s, r, vol, t), k, option_type) - price
+
+        if not excess(lo) <= 0.0 <= excess(hi):
+            with pytest.raises(NoSolution):
+                implied_vol(s, r, t, k, option_type, price)
+            continue
+        root = optimize.brentq(excess, lo, hi, xtol=1e-14, rtol=8.882e-16,
+                               maxiter=200)
+        if abs(excess(root)) > pricing.IV_RESIDUAL_TOL:
+            with pytest.raises(NonConvergence):
+                implied_vol(s, r, t, k, option_type, price)
+            continue
+        assert implied_vol(s, r, t, k, option_type, price) == root
+        roots += 1
+    assert roots > 2_000
+
+
+def test_brent_matches_scipy_where_a_divisor_underflows():
+    """Tiny function values underflow the extrapolation step's divisor to
+    0: C divides to inf or nan and bisects, and so must the port."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        r = float(rng.uniform(0.05, 0.95))
+        scale = float(10.0 ** -rng.uniform(150.0, 320.0))
+        power = int(rng.choice([1, 3, 5]))
+
+        def f(x):
+            return scale * (x - r) ** power + scale * 0.1 * (x - r)
+
+        expected = optimize.brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.882e-16,
+                                   maxiter=200)
+        assert pricing._brent(f, 0.0, 1.0, f(0.0), f(1.0)) == expected
+
+
+def test_brent_out_of_steps_is_nonconvergence():
+    # +-1 on either side of 0.3 never lets the step interpolate, and
+    # bisecting from 1e300 down to 0.3 takes ~1,000 halvings
+    def step(x):
+        return -1.0 if x < 0.3 else 1.0
+
+    with pytest.raises(NonConvergence, match="200 Brent steps"):
+        pricing._brent(step, -1e300, 1e300, -1.0, 1.0)
