@@ -33,12 +33,12 @@ class RoleSpec:
     """One leg slot of a strategy."""
 
     id: str
-    option_type: str  # "call" | "put" | "either"
+    option_type: str  # "call" | "put"
     direction: int    # +1 long, -1 short
     quantity: int = 1
 
     def __post_init__(self):
-        if self.option_type not in ("call", "put", "either"):
+        if self.option_type not in ("call", "put"):
             raise ValueError(f"bad option_type {self.option_type!r}")
         if self.direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")

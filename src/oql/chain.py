@@ -598,5 +598,8 @@ def generate_path(spot: float, mu: float, sigma: float, days: int,
     dt = 1.0 / DAYS_PER_YEAR
     z = rng.standard_normal(days)
     log_steps = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * z
-    levels = spot * np.exp(np.cumsum(log_steps))
+    with np.errstate(all="ignore"):
+        levels = spot * np.exp(np.cumsum(log_steps))
+    if not ((levels > 0.0) & (levels < math.inf)).all():
+        raise ValueError("the path leaves the positive float range")
     return [float(spot)] + [float(x) for x in levels]

@@ -10,6 +10,7 @@ config dataclass) > defaults; $OQL_CONFIG names a default config file.
 import argparse
 import datetime as dt
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -74,22 +75,33 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _date_arg(text: str) -> dt.date:
-    try:
-        return parse_date(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad date {text!r}; want YYYY-MM-DD") from None
-
-
-def _list_of(item, what: str):
-    """An argparse type: comma-separated values, each read by item."""
-    def parse(text: str) -> list:
+def _arg(read, what: str, want: str = "", ok=lambda value: True):
+    """An argparse type: the value read(text), refused unless ok(value)."""
+    def parse(text: str):
         try:
-            return [item(s) for s in text.split(",") if s.strip()]
+            value = read(text)
+            if ok(value):
+                return value
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from None
+            pass
+        raise argparse.ArgumentTypeError(
+            f"bad {what} {text!r}" + (f"; want {want}" if want else ""))
     return parse
+
+
+def _items(read):
+    """Comma-separated values, each read by read."""
+    return lambda text: [read(s) for s in text.split(",") if s.strip()]
+
+
+def _positive(x: float) -> bool:
+    return 0.0 < x < math.inf
+
+
+_DATE = _arg(parse_date, "date", "YYYY-MM-DD")
+_FINITE = _arg(float, "value", "a finite number", math.isfinite)
+_POSITIVE = _arg(float, "value", "a finite number > 0", _positive)
+_COUNT = _arg(int, "value", "a whole number >= 0", lambda n: n >= 0)
 
 
 def _query_text(args: argparse.Namespace) -> str:
@@ -213,7 +225,8 @@ def _parse_strikes(args: argparse.Namespace) -> list[float]:
             raise OqlError(
                 f"--strike-range wants LO:HI:STEP, got {args.strike_range!r}"
             ) from None
-        if step <= 0 or hi < lo:
+        # a step lost to rounding, or an infinite end, would never finish
+        if not (-math.inf < lo <= hi < math.inf and lo + step > lo):
             raise OqlError(f"bad strike range {args.strike_range!r}")
         strikes = []
         k = lo
@@ -241,18 +254,21 @@ def cmd_gen_chain(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _refuse_overwrite(args.out, args.force)
     as_of = args.as_of
-    snapshot = chain_mod.generate_synthetic(
-        underlying=args.underlying.upper(),
-        as_of=as_of,
-        spot=args.spot,
-        rate=config.rate,
-        expiries=_parse_expiries(args, as_of),
-        strikes=_parse_strikes(args),
-        base_vol=args.base_vol,
-        skew=args.skew,
-        term=args.term,
-        seed=args.seed,
-    )
+    try:
+        snapshot = chain_mod.generate_synthetic(
+            underlying=args.underlying.upper(),
+            as_of=as_of,
+            spot=args.spot,
+            rate=config.rate,
+            expiries=_parse_expiries(args, as_of),
+            strikes=_parse_strikes(args),
+            base_vol=args.base_vol,
+            skew=args.skew,
+            term=args.term,
+            seed=args.seed,
+        )
+    except (ValueError, OverflowError) as exc:  # a date or strike past range
+        raise OqlError(f"cannot generate the chain: {exc}") from None
     chain_mod.save_snapshot(snapshot, args.out)
     _emit({
         "out": args.out,
@@ -271,8 +287,13 @@ def cmd_gen_path(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _refuse_overwrite(args.out, args.force)
     start = args.start
-    levels = chain_mod.generate_path(args.spot, args.mu, args.sigma,
-                                     args.days, args.seed)
+    if args.days > (dt.date.max - start).days:
+        raise OqlError(f"--days {args.days} runs past {format_date(dt.date.max)}")
+    try:
+        levels = chain_mod.generate_path(args.spot, args.mu, args.sigma,
+                                         args.days, args.seed)
+    except ValueError as exc:
+        raise OqlError(f"cannot generate the path: {exc}") from None
     lines = ["date,close"]
     for offset, close in enumerate(levels):
         day = start + dt.timedelta(days=offset)
@@ -409,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="mark results over a spot series")
     p.add_argument("--results", required=True, help="results JSON from `oql run`")
     p.add_argument("--spots", required=True, help="CSV spot series (date,close)")
-    p.add_argument("--entry", required=True, type=_date_arg,
+    p.add_argument("--entry", required=True, type=_DATE,
                    help="entry date YYYY-MM-DD")
-    p.add_argument("--exit", required=True, type=_date_arg,
+    p.add_argument("--exit", required=True, type=_DATE,
                    help="exit date YYYY-MM-DD")
     _add_config_options(p)
     p.set_defaults(func=cmd_backtest)
@@ -419,20 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-chain", help="write a synthetic chain snapshot")
     p.add_argument("--out", required=True, help="target file (.csv/.jsonl)")
     p.add_argument("--underlying", required=True)
-    p.add_argument("--as-of", required=True, type=_date_arg,
+    p.add_argument("--as-of", required=True, type=_DATE,
                    help="snapshot date YYYY-MM-DD")
-    p.add_argument("--spot", required=True, type=float)
-    p.add_argument("--expiries", type=_list_of(parse_date, "date"),
+    p.add_argument("--spot", required=True, type=_POSITIVE)
+    p.add_argument("--expiries", type=_arg(_items(parse_date), "date list"),
                    help="comma-separated expiry dates")
-    p.add_argument("--dtes", type=_list_of(int, "days-to-expiry"),
+    p.add_argument("--dtes", type=_arg(_items(int), "days-to-expiry list",
+                                       "whole numbers >= 1",
+                                       lambda days: all(d >= 1 for d in days)),
                    help="comma-separated days-to-expiry")
-    p.add_argument("--strikes", type=_list_of(float, "strike"),
+    p.add_argument("--strikes", type=_arg(_items(float), "strike list",
+                                          "finite numbers > 0",
+                                          lambda ks: all(map(_positive, ks))),
                    help="comma-separated strikes")
     p.add_argument("--strike-range", help="LO:HI:STEP strike grid")
-    p.add_argument("--base-vol", type=float, default=0.2)
-    p.add_argument("--skew", type=float, default=0.0)
-    p.add_argument("--term", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--base-vol", type=_FINITE, default=0.2)
+    p.add_argument("--skew", type=_FINITE, default=0.0)
+    p.add_argument("--term", type=_FINITE, default=0.0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing output file")
     _add_config_options(p)
@@ -440,13 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-path", help="write a synthetic daily spot series")
     p.add_argument("--out", required=True, help="target CSV")
-    p.add_argument("--spot", required=True, type=float)
-    p.add_argument("--mu", type=float, default=0.05, help="annualized drift")
-    p.add_argument("--sigma", type=float, default=0.2, help="annualized vol")
-    p.add_argument("--days", required=True, type=int)
-    p.add_argument("--start", required=True, type=_date_arg,
+    p.add_argument("--spot", required=True, type=_POSITIVE)
+    p.add_argument("--mu", type=_FINITE, default=0.05, help="annualized drift")
+    p.add_argument("--sigma", type=_arg(float, "value", "a finite number >= 0",
+                                        lambda x: 0.0 <= x < math.inf),
+                   default=0.2, help="annualized vol")
+    p.add_argument("--days", required=True, type=_COUNT)
+    p.add_argument("--start", required=True, type=_DATE,
                    help="first date YYYY-MM-DD")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing output file")
     _add_config_options(p)

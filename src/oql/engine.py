@@ -101,8 +101,8 @@ def _test(cond: LegCondition | StratCondition, config: RunConfig):
     """cond as a function of an available value: a float, a string or a
     float array.
 
-    WHERE applies it to one contract's field, HAVING to a column of
-    aggregates, so both clauses read one operator table.
+    WHERE applies it to a column of the record table, HAVING to a column
+    of aggregates, so both clauses read one operator table.
     """
     if cond.op == "BETWEEN":
         lo, hi = cond.lo, cond.hi
@@ -146,9 +146,7 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
 
     out: dict[str, np.ndarray] = {}
     for role in vq.schema.roles:
-        keep = np.full(len(table), True)
-        if role.option_type != "either":
-            keep &= table["is_call"] == (role.option_type == "call")
+        keep = table["is_call"] == (role.option_type == "call")
         for cond in vq.per_role_conditions[role.id]:
             keep &= mask(cond)
         rows = table[keep]
@@ -304,7 +302,8 @@ def compute_aggregates(schema: StrategySchema, cols: list[np.ndarray],
     expiry = gather("expiry")
     single = np.logical_and.reduce([e == expiry[0] for e in expiry])
     knots, values, slope = pricing.payoff_at_knots(
-        qd, np.stack(gather("is_call")), np.stack(strike), np.stack(price))
+        qd, [role.option_type == "call" for role in schema.roles],
+        np.stack(strike), np.stack(price))
     max_profit, max_loss = pricing.payoff_extremes(values, slope)
     low, high, crosses = pricing.breakevens(knots, values, slope)
     out["max_profit"] = (max_profit * mult, single)

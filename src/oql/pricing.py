@@ -238,26 +238,20 @@ def _sorted_rows(rows: list) -> list:
 def payoff_at_knots(qd, is_call, strike, premium):
     """(knots, values, slope) for every basket.
 
-    knots is (n_legs + 1, m): 0 then the basket's strikes ascending.
-    values holds the net terminal PnL per share at each knot: the sum of
-    qd * (intrinsic - premium), added leg by leg in leg order. slope is
-    the payoff slope as spot -> +inf: the sum of qd over call legs.
+    Leg j has quantity * direction qd[j] and is a call where is_call[j];
+    strike and premium are (n_legs, m). knots is (n_legs + 1, m): 0 then
+    the basket's strikes ascending. values holds the net terminal PnL per
+    share at each knot: the sum of qd * (intrinsic - premium), added leg
+    by leg in leg order. slope is the payoff slope as spot -> +inf: the
+    sum of qd over call legs.
     """
-    n, m = strike.shape
+    m = strike.shape[1]
     knots = np.stack([np.zeros(m)] + _sorted_rows(strike))
     values = np.zeros_like(knots)
-    slope = np.zeros(m)
-    for j in range(n):
-        k, call = strike[j], is_call[j]
-        if call.all():
-            intrinsic = np.maximum(knots - k, 0.0)
-        elif not call.any():
-            intrinsic = np.maximum(k - knots, 0.0)
-        else:
-            intrinsic = np.where(call, np.maximum(knots - k, 0.0),
-                                 np.maximum(k - knots, 0.0))
-        values = values + qd[j] * (intrinsic - premium[j])
-        slope = slope + np.where(call, float(qd[j]), 0.0)
+    for q, call, k, p in zip(qd, is_call, strike, premium):
+        intrinsic = np.maximum(knots - k if call else k - knots, 0.0)
+        values = values + q * (intrinsic - p)
+    slope = np.full(m, float(sum(q for q, call in zip(qd, is_call) if call)))
     return knots, values, slope
 
 

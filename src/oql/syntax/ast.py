@@ -16,7 +16,7 @@ class LegCondition:
     """`[Role.]Field Op Value` — a per-contract predicate.
 
     role None means the condition is broadcast to every role of the schema.
-    value is a float or a symbolic constant (CALL/PUT/ATM/OTM/ITM).
+    value is a float or a symbolic constant (ATM/OTM/ITM).
     """
 
     role: str | None

@@ -4,6 +4,11 @@ Token alphabet: keywords, identifiers, signed numeric literals, comparison
 operators (= != < > <= >= ~), dot, comma. `--` starts a line comment.
 Keywords are recognized case-insensitively. Anything else is a LexError
 pointing at the offending character.
+
+One pattern scans the text; at each position the first alternative that
+matches wins. So `--` always opens a comment (`--5` is never `-` then
+`-5`), a number wins over a dot (`.5` is one literal), and two-character
+operators win over one-character ones (`<=` is one token).
 """
 
 import re
@@ -39,66 +44,35 @@ class Token:
         return self.text.upper()
 
 
-_WS_RE = re.compile(r"[ \t\r\n]+")
-_COMMENT_RE = re.compile(r"--[^\n]*")
-# sign binds to the literal; a lone sign is not a token
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\d+|\.\d+)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = ("<=", ">=", "!=", "=", "<", ">", "~")
+# group names other than skip, word and bad are TokenKind names
+_TOKEN_RE = re.compile(r"""
+      (?P<skip>   [ \t\r\n]+ | --[^\n]* )
+    | (?P<NUMBER> [+-]? (?: \d+\.\d* | \d+ | \.\d+ ) )  # a lone sign is not a token
+    | (?P<word>   [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<OP>     <= | >= | != | [=<>~] )
+    | (?P<DOT>    \. )
+    | (?P<COMMA>  , )
+    | (?P<bad>    . )
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
     """Scan source text to a token list ending with an END token."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
-        m = _WS_RE.match(source, pos)
-        if m:
-            chunk = m.group()
-            newlines = chunk.count("\n")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":  # the only text that can hold a newline
+            newlines = text.count("\n")
             if newlines:
                 line += newlines
-                line_start = pos + chunk.rfind("\n") + 1
-            pos = m.end()
+                line_start = m.start() + text.rfind("\n") + 1
             continue
-        m = _COMMENT_RE.match(source, pos)
-        if m:
-            pos = m.end()
-            continue
-        col = pos - line_start + 1
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.NUMBER, m.group(), line, col))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            text = m.group()
-            kind = TokenKind.KEYWORD if text.upper() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, col))
-            pos = m.end()
-            continue
-        two = source[pos:pos + 2]
-        if two in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, two, line, col))
-            pos += 2
-            continue
-        one = source[pos]
-        if one in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, one, line, col))
-            pos += 1
-            continue
-        if one == ".":
-            tokens.append(Token(TokenKind.DOT, one, line, col))
-            pos += 1
-            continue
-        if one == ",":
-            tokens.append(Token(TokenKind.COMMA, one, line, col))
-            pos += 1
-            continue
-        raise LexError(f"unexpected character {one!r}", line, col)
-    tokens.append(Token(TokenKind.END, "", line, n - line_start + 1))
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        if kind == "word":
+            kind = "KEYWORD" if text.upper() in KEYWORDS else "IDENT"
+        tokens.append(Token(TokenKind[kind], text, line, col))
+    tokens.append(Token(TokenKind.END, "", line, len(source) - line_start + 1))
     return tokens

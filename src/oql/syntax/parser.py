@@ -14,6 +14,7 @@ there is never a silent partial result.
 """
 
 import math
+import re
 import sys
 
 from ..errors import ParseError
@@ -21,7 +22,7 @@ from ..fields import MONEYNESS_VALUES, canonical_aggregate_field, canonical_leg_
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
 from .lexer import Token, TokenKind, tokenize
 
-_INT_RE_DIGITS = "0123456789"
+_LIMIT_RE = re.compile(r"\+?0*[1-9][0-9]*")
 
 
 def _shown(text: str, width: int = 24) -> str:
@@ -67,9 +68,11 @@ class _Parser:
 
     # ---- value parsing ----
 
-    def number(self) -> float:
+    def parse_number(self, what: str) -> float:
         """The current NUMBER token's value; one past the float range fails."""
         tok = self.current
+        if tok.kind is not TokenKind.NUMBER:
+            raise self.fail(f"expected {what}", ("number",))
         value = float(tok.text)
         if math.isinf(value):
             raise ParseError(f"number out of range: {_shown(tok.text)}",
@@ -77,20 +80,26 @@ class _Parser:
         self.advance()
         return value
 
-    def parse_number(self, what: str) -> float:
-        if self.current.kind is not TokenKind.NUMBER:
-            raise self.fail(f"expected {what}", ("number",))
-        return self.number()
-
     def parse_value(self) -> float | str:
         tok = self.current
         if tok.kind is TokenKind.NUMBER:
-            return self.number()
+            return self.parse_number("a value")
         if tok.kind is TokenKind.IDENT and tok.upper() in MONEYNESS_VALUES:
             return self.advance().upper()
         raise self.fail("expected a value", ("number", *MONEYNESS_VALUES))
 
     # ---- clauses ----
+
+    def clause(self, keyword: str, item) -> list:
+        """`keyword item {AND item}`; empty when keyword is absent."""
+        if not self.at_keyword(keyword):
+            return []
+        self.advance()
+        items = [item()]
+        while self.at_keyword("AND"):
+            self.advance()
+            items.append(item())
+        return items
 
     def parse_query(self) -> QueryAst:
         self.expect_keyword("SELECT")
@@ -103,21 +112,8 @@ class _Parser:
                 f"underlying must be alphabetic, got {underlying!r}",
                 underlying_tok.line, underlying_tok.column, ("ticker",))
 
-        where: list[LegCondition] = []
-        if self.at_keyword("WHERE"):
-            self.advance()
-            where.append(self.parse_leg_condition())
-            while self.at_keyword("AND"):
-                self.advance()
-                where.append(self.parse_leg_condition())
-
-        having: list[StratCondition] = []
-        if self.at_keyword("HAVING"):
-            self.advance()
-            having.append(self.parse_strat_condition())
-            while self.at_keyword("AND"):
-                self.advance()
-                having.append(self.parse_strat_condition())
+        where = self.clause("WHERE", self.parse_leg_condition)
+        having = self.clause("HAVING", self.parse_strat_condition)
 
         order_by: list[OrderItem] = []
         if self.at_keyword("ORDER"):
@@ -136,8 +132,8 @@ class _Parser:
         if self.current.kind is not TokenKind.END:
             raise self.fail("trailing input after query", ("end of query",))
         return QueryAst(strategy=strategy, underlying=underlying,
-                        where=tuple(where), having=tuple(having),
-                        order_by=tuple(order_by), limit=limit)
+                        where=where, having=having, order_by=order_by,
+                        limit=limit)
 
     def parse_leg_condition(self) -> LegCondition:
         first = self.expect_identifier("a role or leg field")
@@ -193,10 +189,10 @@ class _Parser:
         tok = self.current
         if tok.kind is not TokenKind.NUMBER:
             raise self.fail("expected a positive integer LIMIT", ("integer",))
-        text = tok.text.lstrip("+").lstrip("0")
-        if not text or any(ch not in _INT_RE_DIGITS for ch in text):
+        if not _LIMIT_RE.fullmatch(tok.text):
             raise ParseError(f"LIMIT must be a positive integer, got {tok.text!r}",
                              tok.line, tok.column)
+        text = tok.text.lstrip("+0")
         # checked on the digit count first: int() refuses very long text
         if len(text) > len(str(sys.maxsize)) or int(text) > sys.maxsize:
             raise ParseError(f"LIMIT out of range (at most {sys.maxsize}): "

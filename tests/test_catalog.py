@@ -120,6 +120,8 @@ def test_schema_invariants_enforced_at_construction():
     with pytest.raises(ValueError):
         RoleSpec("X", "swap", 1, 1)
     with pytest.raises(ValueError):
+        RoleSpec("X", "either", 1)
+    with pytest.raises(ValueError):
         RoleSpec("X", "call", 0, 1)
     with pytest.raises(ValueError):
         StructuralRule("strike_order", ("A",))

@@ -868,6 +868,58 @@ BAD_INPUT = [
      "can't decode byte 0xff"),
     ("gen-chain-unknown-extension", {}, _gen_chain(out="{tmp}/g.txt"), "load",
      "name a .csv, .jsonl or .ndjson file"),
+    ("gen-chain-strikes-nan", {}, _gen_chain(strikes="nan"), None,
+     "argument --strikes: bad strike list 'nan'; want finite numbers > 0"),
+    ("gen-chain-strikes-zero", {}, _gen_chain(strikes="0"), None,
+     "argument --strikes: bad strike list '0'"),
+    ("gen-chain-dtes-negative", {}, _gen_chain(expiries=("--dtes", "30,-5")),
+     None, "argument --dtes: bad days-to-expiry list '30,-5'; want whole "
+     "numbers >= 1"),
+    ("gen-chain-dtes-zero", {}, _gen_chain(expiries=("--dtes", "0")), None,
+     "argument --dtes: bad days-to-expiry list '0'"),
+    ("gen-chain-spot-negative", {}, _gen_chain() + ["--spot", "-1"], None,
+     "argument --spot: bad value '-1'; want a finite number > 0"),
+    ("gen-chain-base-vol-nan", {}, _gen_chain() + ["--base-vol", "nan"], None,
+     "argument --base-vol: bad value 'nan'; want a finite number"),
+    ("gen-chain-skew-inf", {}, _gen_chain() + ["--skew", "inf"], None,
+     "argument --skew: bad value 'inf'"),
+    ("gen-chain-term-nan", {}, _gen_chain() + ["--term", "nan"], None,
+     "argument --term: bad value 'nan'"),
+    ("gen-chain-seed-negative", {}, _gen_chain() + ["--seed", "-1"], None,
+     "argument --seed: bad value '-1'; want a whole number >= 0"),
+    ("gen-chain-expiry-before-as-of", {},
+     _gen_chain(expiries=("--expiries", "2025-05-01")), "execute",
+     "expiry 2025-05-01 must be after as_of 2025-06-02"),
+    ("gen-chain-dtes-past-year-9999", {},
+     _gen_chain(expiries=("--dtes", "10000000")), "execute",
+     "cannot generate the chain: date value out of range"),
+    ("gen-chain-strike-overflow", {}, _gen_chain(strikes="1e308"), "execute",
+     "cannot generate the chain: "),
+    ("gen-chain-strike-range-inf", {},
+     _gen_chain(strikes=",") + ["--strike-range", "1:inf:1"], "execute",
+     "bad strike range '1:inf:1'"),
+    ("gen-chain-strike-range-lost-step", {},
+     _gen_chain(strikes=",") + ["--strike-range", "1e300:1e300:1"], "execute",
+     "bad strike range '1e300:1e300:1'"),
+    ("gen-chain-strike-range-zero", {},
+     _gen_chain(strikes=",") + ["--strike-range", "0:10:5"], "execute",
+     "strike must be > 0, got 0.0"),
+    ("gen-path-spot-nan", {}, _gen_path() + ["--spot", "nan"], None,
+     "argument --spot: bad value 'nan'; want a finite number > 0"),
+    ("gen-path-mu-inf", {}, _gen_path() + ["--mu", "inf"], None,
+     "argument --mu: bad value 'inf'; want a finite number"),
+    ("gen-path-sigma-nan", {}, _gen_path() + ["--sigma", "nan"], None,
+     "argument --sigma: bad value 'nan'; want a finite number >= 0"),
+    ("gen-path-sigma-negative", {}, _gen_path() + ["--sigma", "-1"], None,
+     "argument --sigma: bad value '-1'"),
+    ("gen-path-days-negative", {}, _gen_path() + ["--days", "-1"], None,
+     "argument --days: bad value '-1'; want a whole number >= 0"),
+    ("gen-path-seed-negative", {}, _gen_path() + ["--seed", "-1"], None,
+     "argument --seed: bad value '-1'"),
+    ("gen-path-days-past-year-9999", {}, _gen_path() + ["--days", "3000000"],
+     "execute", "--days 3000000 runs past 9999-12-31"),
+    ("gen-path-overflow", {}, _gen_path() + ["--mu", "1e300"], "execute",
+     "cannot generate the path: the path leaves the positive float range"),
 ]
 
 
@@ -947,6 +999,7 @@ class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "oql", "check", "--schemas"],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "LONG_CALL" in proc.stdout

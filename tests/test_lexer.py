@@ -1,7 +1,10 @@
 """Tokenizer behavior: token stream shape, positions, and rejections."""
 
+import random
+
 import pytest
 
+from helpers import oracle_tokenize
 from oql.errors import LexError
 from oql.syntax.lexer import Token, TokenKind, tokenize
 
@@ -117,3 +120,39 @@ def test_lex_error_reports_position():
 def test_lone_sign_is_not_a_token():
     with pytest.raises(LexError):
         tokenize("a - 5")
+
+
+# pieces of the token alphabet, whitespace and comments
+_PIECES = (
+    "SELECT", "from", "Where", "AND", "having", "Order", "BY", "limit",
+    "asc", "DESC", "between", "SC", "Dte", "_x1", "a", "Z9",
+    "0", "7", "30", "0.25", ".5", "7.", "+", "-", "+1.5", "-0.05",
+    "=", "!=", "<", ">", "<=", ">=", "~", ".", ",",
+    " ", "\t", "\n", "\r", "\r\n", "\n\r", "-- note", "--", "--5",
+)
+# characters outside the alphabet, or inside it only by Unicode's \d
+_JUNK = ("!", "#", "\u00e9", "\0", "\f", "\v", "\u00a0", "\u2028",
+         "\u0663", "\u00b2")
+
+
+def random_query_text(rng: random.Random) -> str:
+    """Up to 12 pieces, run together or spaced at random; a few are junk."""
+    return "".join(
+        rng.choice(_JUNK if rng.random() < 0.05 else _PIECES)
+        + rng.choice(("", "", " "))
+        for _ in range(rng.randint(0, 12)))
+
+
+def scan(scanner, source):
+    """(kind, text, line, column) per token, or the LexError's details."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in scanner(source)]
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.column)
+
+
+def test_tokenize_matches_the_probe_by_probe_oracle():
+    rng = random.Random(9)
+    for _ in range(20_000):
+        source = random_query_text(rng)
+        assert scan(tokenize, source) == scan(oracle_tokenize, source), source
