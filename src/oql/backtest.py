@@ -16,7 +16,6 @@ from . import pricing
 from .catalog import StrategySchema, lookup
 from .chain import DAYS_PER_YEAR, ChainSnapshot, finite_number, required_date
 from .config import RunConfig
-from .engine import StrategyInstance
 from .errors import BacktestError, FormatError, MissingSpot, UnknownStrategy
 
 RE_TAUS = (0.5, 0.9)
@@ -50,21 +49,6 @@ class PnLPath:
 
     def final_pnl(self) -> float:
         return self.pnl[-1]
-
-
-def position_from_instance(instance: StrategyInstance, label: str) -> Position:
-    """Adapt an engine result (in memory) for backtesting."""
-    legs = []
-    for leg in instance.legs:
-        if leg.record.iv is None:
-            raise BacktestError(
-                f"{leg.record.ticker} carries no iv; enrich the snapshot first")
-        legs.append(PositionLeg(
-            direction=leg.direction, option_type=leg.record.option_type,
-            strike=leg.record.strike, expiry=leg.record.expiry,
-            quantity=leg.quantity, entry_price=leg.record.price,
-            entry_iv=leg.record.iv))
-    return Position(label=label, legs=tuple(legs))
 
 
 def positions_from_results(doc) -> list[Position]:

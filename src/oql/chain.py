@@ -128,9 +128,15 @@ class ChainSnapshot:
 
 def occ_ticker(underlying: str, expiry: _dt.date, option_type: str,
                strike: float) -> str:
-    """OCC-style ticker: O:{UND}{YYMMDD}{C|P}{strike*1000, 8 digits}."""
+    """OCC-style ticker: O:{UND}{YYMMDD}{C|P}{strike*1000, 8 digits}.
+
+    Raises ValueError when strike*1000 does not round into the 8 digits.
+    """
     code = _TYPE_CODES[option_type]
-    return f"O:{underlying}{expiry.strftime('%y%m%d')}{code}{int(round(strike * 1000)):08d}"
+    millis = round(strike * 1000)
+    if not 0 <= millis < 10 ** 8:
+        raise ValueError(f"strike {strike} does not fit the ticker's 8 digits")
+    return f"O:{underlying}{expiry.strftime('%y%m%d')}{code}{millis:08d}"
 
 
 def moneyness(option_type, strike, spot: float, atm_band: float = 0.01):
@@ -213,36 +219,32 @@ def _validate_record(rec: ContractRecord, snapshot_underlying: str,
 
 
 def _check_duplicates(records, rows) -> None:
-    seen: dict[tuple, int] = {}
+    """Refuse two records of one contract, or two that share a ticker."""
+    contracts: dict[tuple, int] = {}
+    tickers: dict[str, int] = {}
     for rec, row in zip(records, rows):
         key = (rec.expiry, rec.strike, rec.option_type)
-        if key in seen:
+        if key in contracts:
             raise InvariantViolation(
                 f"duplicate contract ({rec.expiry}, {format_number(rec.strike)}, "
-                f"{rec.option_type}); first seen at row {seen[key]}", row)
-        seen[key] = row
+                f"{rec.option_type}); first seen at row {contracts[key]}", row)
+        if rec.ticker in tickers:
+            raise InvariantViolation(
+                f"duplicate ticker {rec.ticker!r}; first seen at row "
+                f"{tickers[rec.ticker]}", row)
+        contracts[key] = tickers[rec.ticker] = row
 
 
-def _low_bound(spot: float, rate: float, tau: float, strike: float,
-               option_type: str) -> float:
-    """Price floor as vol -> 0 (the European no-arbitrage lower bound)."""
-    discounted = strike * math.exp(-rate * tau)
-    if option_type == "call":
-        return max(spot - discounted, 0.0)
-    return max(discounted - spot, 0.0)
-
-
-def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
+def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
     """Complete model fields; exclude records they cannot be computed for.
 
     For each record: iv is taken as stored, else inverted from price; Greeks
-    are backfilled where missing (all four recomputed when recompute=True).
-    Records that expire on as_of, price below the no-arbitrage floor, carry
-    zero iv, or defeat the vol inversion are moved to snapshot.excluded with
-    a reason. Enrichment is idempotent: an already enriched snapshot is
-    returned as is unless recompute=True.
+    are backfilled where missing. Records that expire on as_of, price below
+    the no-arbitrage floor (the vol -> 0 price), carry zero iv, or defeat
+    the vol inversion are moved to snapshot.excluded with a reason.
+    Enrichment is idempotent: an already enriched snapshot is returned as is.
     """
-    if snapshot.enriched and not recompute:
+    if snapshot.enriched:
         return snapshot
     kept: list[ContractRecord] = []
     excluded = list(snapshot.excluded)
@@ -251,8 +253,9 @@ def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
         if tau == 0.0:
             excluded.append(ExcludedRecord(rec, "expires on as_of; model values undefined"))
             continue
-        floor = _low_bound(snapshot.spot, snapshot.rate, tau, rec.strike,
-                           rec.option_type)
+        floor = pricing.bsm_price(
+            pricing.MarketParams(snapshot.spot, snapshot.rate, 0.0, tau),
+            rec.strike, rec.option_type)
         if rec.price < floor - 1e-9:
             excluded.append(ExcludedRecord(
                 rec, f"price {format_number(rec.price)} below the no-arbitrage "
@@ -269,17 +272,15 @@ def enrich(snapshot: ChainSnapshot, recompute: bool = False) -> ChainSnapshot:
         if iv == 0.0:
             excluded.append(ExcludedRecord(rec, "zero iv; Greeks undefined"))
             continue
-        needs = recompute or any(getattr(rec, g) is None for g in GREEK_FIELDS)
+        missing = [g for g in GREEK_FIELDS if getattr(rec, g) is None]
         updates: dict = {}
         if iv != rec.iv:
             updates["iv"] = iv
-        if needs:
+        if missing:
             vec = pricing.greeks(
                 pricing.MarketParams(snapshot.spot, snapshot.rate, iv, tau),
                 rec.strike, rec.option_type)
-            for g in GREEK_FIELDS:
-                if recompute or getattr(rec, g) is None:
-                    updates[g] = getattr(vec, g)
+            updates.update((g, getattr(vec, g)) for g in missing)
         kept.append(replace(rec, **updates) if updates else rec)
     out = replace(snapshot, records=tuple(kept), excluded=tuple(excluded))
     object.__setattr__(out, "enriched", True)
@@ -443,11 +444,7 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
     return _snapshot(meta, numbered())
 
 
-def _detect_format(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "jsonl"):
-            raise FormatError(f"unknown snapshot format {fmt!r}")
-        return fmt
+def _detect_format(path: str) -> str:
     lower = path.lower()
     if lower.endswith(".csv"):
         return "csv"
@@ -457,13 +454,13 @@ def _detect_format(path: str, fmt: str | None) -> str:
                       "name a .csv, .jsonl or .ndjson file")
 
 
-def load_snapshot(path: str, fmt: str | None = None) -> ChainSnapshot:
+def load_snapshot(path: str) -> ChainSnapshot:
     """Read, validate, and backfill a snapshot file.
 
     Stored Greeks are kept as-is; only missing model fields are filled in
     (see enrich). Unresolvable records land in snapshot.excluded.
     """
-    fmt = _detect_format(path, fmt)
+    fmt = _detect_format(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     lines = text.split("\n")
@@ -515,9 +512,9 @@ def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
     raise FormatError(f"unknown snapshot format {fmt!r}")
 
 
-def save_snapshot(snapshot: ChainSnapshot, path: str, fmt: str | None = None) -> None:
+def save_snapshot(snapshot: ChainSnapshot, path: str) -> None:
     """Write the canonical file form; load(save(load(x))) is byte-identical."""
-    fmt = _detect_format(path, fmt)
+    fmt = _detect_format(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(snapshot_to_text(snapshot, fmt))
 
@@ -539,16 +536,19 @@ def generate_synthetic(underlying: str, as_of: _dt.date, spot: float,
                        strikes: list[float], *, base_vol: float = 0.2,
                        skew: float = 0.0, term: float = 0.0,
                        seed: int = 0) -> ChainSnapshot:
-    """A fully priced synthetic chain over the (expiry, strike, type) grid.
+    """A fully priced, enriched synthetic chain over the (expiry, strike,
+    type) grid.
 
-    ivs come from smile_vol, prices and Greeks from the pricing module, and
+    ivs come from smile_vol, prices from bsm_price, Greeks from enrich, and
     volumes from a seeded generator that decays in |ln(K/S)|. The same seed
-    always yields the same snapshot, byte for byte.
+    always yields the same snapshot, byte for byte. Raises ValueError when
+    two contracts of the grid give one ticker.
     """
     if not expiries or not strikes:
         raise ValueError("need at least one expiry and one strike")
     rng = np.random.default_rng(seed)
     records: list[ContractRecord] = []
+    contract_of: dict[str, tuple] = {}
     for expiry in sorted(set(expiries)):
         if expiry <= as_of:
             raise ValueError(f"expiry {expiry} must be after as_of {as_of}")
@@ -559,27 +559,25 @@ def generate_synthetic(underlying: str, as_of: _dt.date, spot: float,
             iv = smile_vol(strike, spot, tau, base_vol, skew, term)
             params = pricing.MarketParams(spot, rate, iv, tau)
             for option_type in ("call", "put"):
-                price = pricing.bsm_price(params, strike, option_type)
-                vec = pricing.greeks(params, strike, option_type)
+                ticker = occ_ticker(underlying, expiry, option_type, strike)
+                if contract_of.setdefault(ticker, (expiry, strike)) != (expiry, strike):
+                    raise ValueError(f"two grid contracts give one ticker {ticker}")
                 volume = int(round(2000.0 * math.exp(-3.0 * abs(math.log(strike / spot)))
                                    * rng.uniform(0.5, 1.5)))
                 records.append(ContractRecord(
-                    ticker=occ_ticker(underlying, expiry, option_type, strike),
+                    ticker=ticker,
                     underlying=underlying,
                     as_of=as_of,
                     expiry=expiry,
                     strike=float(strike),
                     option_type=option_type,
-                    price=price,
+                    price=pricing.bsm_price(params, strike, option_type),
                     volume=volume,
                     iv=iv,
-                    delta=vec.delta,
-                    gamma=vec.gamma,
-                    vega=vec.vega,
-                    theta=vec.theta,
                 ))
-    return ChainSnapshot(underlying=underlying, as_of=as_of, spot=float(spot),
-                         rate=float(rate), records=tuple(records))
+    return enrich(ChainSnapshot(underlying=underlying, as_of=as_of,
+                                spot=float(spot), rate=float(rate),
+                                records=tuple(records)))
 
 
 def generate_path(spot: float, mu: float, sigma: float, days: int,

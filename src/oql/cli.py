@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, fields
 
 from . import backtest as bt
@@ -32,10 +33,6 @@ EXIT_EMPTY = 2
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(dumps(doc))
 
 
 # ============================================================
@@ -125,30 +122,27 @@ def _ast_to_json(ast: QueryAst) -> dict:
 # Subcommands
 # ============================================================
 
+# A subcommand's exit code, JSON document, and table renderer; with no
+# renderer, --format table prints the document
+Outcome = tuple[int, dict | None, Callable[[], str] | None]
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+
+def cmd_parse(args: argparse.Namespace, config: RunConfig) -> Outcome:
     ast = parse_text(_query_text(args))
-    if config.output_format == "table":
-        print(pretty_print(ast))
-        return EXIT_OK
-    _emit({
+    doc = {
         "query": pretty_print(ast),
         "ast": _ast_to_json(ast),
         "config": config.to_json_dict(),
-    })
-    return EXIT_OK
+    }
+    return EXIT_OK, doc, lambda: doc["query"]
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_check(args: argparse.Namespace, config: RunConfig) -> Outcome:
     if args.schemas:
-        if config.output_format == "table":
-            print(catalog_table(config.symmetric_wings))
-        else:
-            _emit({"schemas": catalog_to_json(config.symmetric_wings),
-                   "config": config.to_json_dict()})
-        return EXIT_OK
+        return (EXIT_OK,
+                {"schemas": catalog_to_json(config.symmetric_wings),
+                 "config": config.to_json_dict()},
+                lambda: catalog_table(config.symmetric_wings))
     ast = parse_text(_query_text(args))
     vq = validate(ast, symmetric_wings=config.symmetric_wings)
     doc = {
@@ -161,16 +155,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         },
         "config": config.to_json_dict(),
     }
-    if config.output_format == "table":
-        print(f"valid: {doc['query']}")
-        print(schema_table(vq.schema))
-    else:
-        _emit(doc)
-    return EXIT_OK
+    return (EXIT_OK, doc,
+            lambda: f"valid: {doc['query']}\n{schema_table(vq.schema)}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_run(args: argparse.Namespace, config: RunConfig) -> Outcome:
     snapshot = chain_mod.load_snapshot(args.chain)
     if snapshot.excluded:
         _diag(snapshot.exclusion_summary())
@@ -179,15 +168,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps(doc))
-    if config.output_format == "table":
-        print(result_to_table(result))
-    else:
-        _emit(doc)
-    return EXIT_OK if result.strategies else EXIT_EMPTY
+    return (EXIT_OK if result.strategies else EXIT_EMPTY, doc,
+            lambda: result_to_table(result))
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_backtest(args: argparse.Namespace, config: RunConfig) -> Outcome:
     with open(args.results, "r", encoding="utf-8") as fh:
         try:
             results_doc = json.load(fh)
@@ -203,15 +188,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         "config": config.to_json_dict(),
         "cohorts": {name: rep.to_json_dict() for name, rep in reports.items()},
     }
-    if config.output_format == "table":
-        print("cohort: all")
-        print(reports["all"].to_table())
-        print()
-        print("cohort: top")
-        print(reports["top"].to_table())
-    else:
-        _emit(doc)
-    return EXIT_OK
+    return EXIT_OK, doc, lambda: "\n\n".join(
+        f"cohort: {name}\n{reports[name].to_table()}" for name in ("all", "top"))
 
 
 def _parse_strikes(args: argparse.Namespace) -> list[float]:
@@ -250,8 +228,7 @@ def _refuse_overwrite(path: str, force: bool) -> None:
         raise OqlError(f"{path} exists; pass --force to overwrite")
 
 
-def cmd_gen_chain(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_gen_chain(args: argparse.Namespace, config: RunConfig) -> Outcome:
     _refuse_overwrite(args.out, args.force)
     as_of = args.as_of
     try:
@@ -270,7 +247,7 @@ def cmd_gen_chain(args: argparse.Namespace) -> int:
     except (ValueError, OverflowError) as exc:  # a date or strike past range
         raise OqlError(f"cannot generate the chain: {exc}") from None
     chain_mod.save_snapshot(snapshot, args.out)
-    _emit({
+    return EXIT_OK, {
         "out": args.out,
         "underlying": snapshot.underlying,
         "as_of": format_date(snapshot.as_of),
@@ -279,12 +256,10 @@ def cmd_gen_chain(args: argparse.Namespace) -> int:
         "records": len(snapshot.records),
         "seed": args.seed,
         "config": config.to_json_dict(),
-    })
-    return EXIT_OK
+    }, None
 
 
-def cmd_gen_path(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_gen_path(args: argparse.Namespace, config: RunConfig) -> Outcome:
     _refuse_overwrite(args.out, args.force)
     start = args.start
     if args.days > (dt.date.max - start).days:
@@ -300,19 +275,17 @@ def cmd_gen_path(args: argparse.Namespace) -> int:
         lines.append(f"{format_date(day)},{format_number(close)}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    _emit({
+    return EXIT_OK, {
         "out": args.out,
         "start": format_date(start),
         "days": args.days,
         "points": len(levels),
         "seed": args.seed,
         "config": config.to_json_dict(),
-    })
-    return EXIT_OK
+    }, None
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_eval(args: argparse.Namespace, config: RunConfig) -> Outcome:
     cases = evalkit.load_cases(args.cases)
     base_dir = os.path.dirname(os.path.abspath(args.cases))
     outcomes, report = evalkit.evaluate(cases, base_dir=base_dir,
@@ -323,22 +296,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
                      for o in outcomes],
         "config": config.to_json_dict(),
     }
-    if config.output_format == "table":
-        for o in outcomes:
-            k_text = "-" if o.k_first_success is None else str(o.k_first_success)
-            print(f"{o.case_id:<16} k={k_text:<3} "
-                  f"rows={o.rows_at_success if o.rows_at_success is not None else '-'}")
 
-        def fmt(x):
-            return "-" if x is None else f"{x:.4f}"
+    def table() -> str:
+        def fmt(x, spec=".4f"):
+            return "-" if x is None else format(x, spec)
 
-        print(f"VR {fmt(report['vr'])}  SM {fmt(report['sm_conditional'])} "
-              f"(uncond {fmt(report['sm_unconditional'])})  "
-              f"Eff {fmt(report['eff'])}  AvgRows {fmt(report['avg_rows'])}  "
-              f"n={report['n']} K={report['k']}")
-    else:
-        _emit(doc)
-    return EXIT_OK
+        lines = [f"{o.case_id:<16} k={fmt(o.k_first_success, ''):<3} "
+                 f"rows={fmt(o.rows_at_success, '')}" for o in outcomes]
+        lines.append(
+            f"VR {fmt(report['vr'])}  SM {fmt(report['sm_conditional'])} "
+            f"(uncond {fmt(report['sm_unconditional'])})  "
+            f"Eff {fmt(report['eff'])}  AvgRows {fmt(report['avg_rows'])}  "
+            f"n={report['n']} K={report['k']}")
+        return "\n".join(lines)
+
+    return EXIT_OK, doc, table
 
 
 _REPL_HELP = """\
@@ -350,8 +322,7 @@ commands:
 anything else is executed as a query against the loaded chain"""
 
 
-def cmd_repl(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_repl(args: argparse.Namespace, config: RunConfig) -> Outcome:
     snapshot = chain_mod.load_snapshot(args.chain)
     if snapshot.excluded:
         _diag(snapshot.exclusion_summary())
@@ -362,7 +333,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         line = sys.stdin.readline()
         if line == "":  # EOF
             print()
-            return EXIT_OK
+            return EXIT_OK, None, None
         line = line.strip()
         if not line:
             continue
@@ -370,7 +341,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
             parts = line.split()
             command = parts[0]
             if command == ":quit":
-                return EXIT_OK
+                return EXIT_OK, None, None
             if command == ":help":
                 print(_REPL_HELP)
             elif command == ":config":
@@ -502,7 +473,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for empty results
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        return args.func(args)
+        config = _config_from_args(args)
+        code, doc, table = args.func(args, config)
+        if config.output_format == "table" and table is not None:
+            print(table())
+        elif doc is not None:
+            sys.stdout.write(dumps(doc))
+        return code
     except OqlError as exc:
         _diag(f"error [{exc.stage}]: {exc}")
         return EXIT_ERROR

@@ -23,7 +23,6 @@ from oql.backtest import (
     entry_cash_of,
     load_spots,
     mark_path,
-    position_from_instance,
     positions_from_results,
     report,
     risk_exposure,
@@ -403,9 +402,9 @@ def small_result_doc():
 
 class TestPositionAdapters:
     def test_position_from_instance(self):
-        result, _ = small_result_doc()
-        position = position_from_instance(result.strategies[0], "top")
-        assert position.label == "top"
+        _, doc = small_result_doc()
+        position = positions_from_results(doc)[0]
+        assert position.label == "BULL_CALL_SPREAD#1"
         assert [l.option_type for l in position.legs] == ["call", "call"]
         assert [l.direction for l in position.legs] == [1, -1]
         assert position.legs[0].entry_price == 4.0
@@ -416,8 +415,14 @@ class TestPositionAdapters:
         result, doc = small_result_doc()
         positions = positions_from_results(doc)
         assert len(positions) == 1
-        direct = position_from_instance(result.strategies[0], "x")
-        assert positions[0].legs == direct.legs
+        direct = tuple(
+            PositionLeg(direction=leg.direction,
+                        option_type=leg.record.option_type,
+                        strike=leg.record.strike, expiry=leg.record.expiry,
+                        quantity=leg.quantity, entry_price=leg.record.price,
+                        entry_iv=leg.record.iv)
+            for leg in result.strategies[0].legs)
+        assert positions[0].legs == direct
         assert positions[0].label == "BULL_CALL_SPREAD#1"
 
     def test_blueprint_documents_are_rejected(self):
@@ -445,16 +450,6 @@ class TestPositionAdapters:
         doc["strategies"][0]["legs"][0]["iv"] = None
         with pytest.raises(BacktestError, match="carries no iv"):
             positions_from_results(doc)
-
-    def test_instance_without_iv_rejected(self):
-        import dataclasses as dc
-        result, _ = small_result_doc()
-        inst = result.strategies[0]
-        bad_record = dc.replace(inst.legs[0].record, iv=None)
-        bad_leg = dc.replace(inst.legs[0], record=bad_record)
-        bad_inst = dc.replace(inst, legs=(bad_leg,) + inst.legs[1:])
-        with pytest.raises(BacktestError, match="no iv"):
-            position_from_instance(bad_inst, "x")
 
 
 # ============================================================

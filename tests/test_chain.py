@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from oql.chain import (CSV_HEADER, ChainSnapshot, ContractRecord, enrich,
-                       generate_path, generate_synthetic, load_snapshot,
-                       moneyness, occ_ticker, save_snapshot, smile_vol,
-                       snapshot_to_text)
+from oql.chain import (CSV_HEADER, GREEK_FIELDS, ChainSnapshot,
+                       ContractRecord, enrich, generate_path,
+                       generate_synthetic, load_snapshot, moneyness,
+                       occ_ticker, save_snapshot, smile_vol, snapshot_to_text)
+from oql.config import RunConfig
+from oql.engine import execute
 from oql.errors import FormatError, InvariantViolation
 from oql.pricing import MarketParams, bsm_price, greeks, implied_vol
 
@@ -48,6 +50,8 @@ def test_occ_ticker_format():
         "O:SPY250702C00002500"
     assert occ_ticker("QQQ", dt.date(2026, 1, 16), "call", 512.5) == \
         "O:QQQ260116C00512500"
+    assert occ_ticker("SPY", EXPIRY, "call", 99999.999) == \
+        "O:SPY250702C99999999"
 
 
 @pytest.mark.parametrize("option_type,strike,expected", [
@@ -126,9 +130,10 @@ def test_format_detection(tmp_path):
     path = tmp_path / "chain.dat"
     with pytest.raises(FormatError, match="infer"):
         save_snapshot(snapshot, str(path))
-    save_snapshot(snapshot, str(path), fmt="csv")
-    assert load_snapshot(str(path), fmt="csv").records == \
-        enrich(snapshot).records
+    assert not path.exists()
+    path.write_text(snapshot_to_text(snapshot, "csv"), encoding="utf-8")
+    with pytest.raises(FormatError, match="infer"):
+        load_snapshot(str(path))
 
 
 def write_csv(tmp_path, lines):
@@ -213,6 +218,16 @@ def test_duplicate_contract_rejected(tmp_path):
     with pytest.raises(InvariantViolation, match="duplicate") as exc_info:
         load_snapshot(path)
     assert "row 3" in str(exc_info.value)
+
+
+def test_two_contracts_sharing_a_ticker_rejected(tmp_path):
+    other = GOOD_ROW.replace(",100,C,", ",100.0001,C,")
+    path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW, other])
+    with pytest.raises(InvariantViolation,
+                       match="duplicate ticker 'O:SPY250702C00100000'") as exc_info:
+        load_snapshot(path)
+    assert exc_info.value.row == 4
+    assert "first seen at row 3" in str(exc_info.value)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -331,8 +346,6 @@ def test_enrich_keeps_stored_greeks_without_recompute():
                       for r in base.records))
     out = enrich(tweaked)
     assert all(abs(r.delta) == 0.123 for r in out.records)
-    fixed = enrich(tweaked, recompute=True)
-    assert all(abs(r.delta) != 0.123 for r in fixed.records)
 
 
 def test_enrich_is_idempotent():
@@ -348,24 +361,12 @@ def test_enrich_is_idempotent():
 
 
 def test_enrich_returns_an_enriched_snapshot_as_is():
-    bare = small_snapshot()
+    from dataclasses import replace
+    bare = replace(small_snapshot())
     assert not bare.enriched
     once = enrich(bare)
     assert once.enriched
     assert enrich(once) is once
-
-
-def test_enrich_recompute_still_recomputes_an_enriched_snapshot():
-    from dataclasses import replace
-    once = enrich(small_snapshot())
-    tweaked = replace(once, records=tuple(
-        replace(r, delta=0.123 if r.option_type == "call" else -0.123)
-        for r in once.records))
-    object.__setattr__(tweaked, "enriched", True)
-    assert enrich(tweaked) is tweaked
-    fixed = enrich(tweaked, recompute=True)
-    assert fixed is not tweaked and fixed.enriched
-    assert all(abs(r.delta) != 0.123 for r in fixed.records)
 
 
 def test_replace_drops_the_enriched_flag():
@@ -387,7 +388,10 @@ def test_load_snapshot_is_enriched(tmp_path):
 
 
 def test_enriched_greeks_are_model_consistent():
-    out = enrich(small_snapshot(), recompute=True)
+    from dataclasses import replace
+    base = small_snapshot()
+    out = enrich(replace(base, records=tuple(strip(r, *GREEK_FIELDS)
+                                             for r in base.records)))
     for rec in out.records:
         params = MarketParams(out.spot, out.rate, rec.iv, rec.tau())
         vec = greeks(params, rec.strike, rec.option_type)
@@ -469,7 +473,17 @@ def test_generate_synthetic_prices_and_greeks_are_model_values():
         assert rec.iv == iv
         params = MarketParams(snap.spot, snap.rate, iv, rec.tau())
         assert rec.price == bsm_price(params, rec.strike, rec.option_type)
-        assert rec.delta == greeks(params, rec.strike, rec.option_type).delta
+        vec = greeks(params, rec.strike, rec.option_type)
+        assert (rec.delta, rec.gamma, rec.vega, rec.theta) == \
+            (vec.delta, vec.gamma, vec.vega, vec.theta)
+
+
+def test_generated_snapshot_is_enriched_and_keeps_its_table():
+    snap = small_snapshot()
+    assert snap.enriched and enrich(snap) is snap
+    assert "table" not in vars(snap)
+    execute("SELECT LONG_CALL FROM SPY", snap, RunConfig())
+    assert "table" in vars(snap)
 
 
 def test_generated_prices_invert_to_the_smile_vol():
@@ -510,6 +524,10 @@ def test_generate_synthetic_argument_errors():
         small_snapshot(expiries=[AS_OF])
     with pytest.raises(ValueError):
         small_snapshot(strikes=[-5.0])
+    with pytest.raises(ValueError, match="one ticker O:SPY250702C00100000"):
+        small_snapshot(strikes=[100.0, 100.0001])
+    with pytest.raises(ValueError, match="8 digits"):
+        small_snapshot(strikes=[1e6])
 
 
 # ============================================================

@@ -174,18 +174,19 @@ class TestGenChain:
         assert len(snapshot.records) == 36
 
     def test_stdout_summary(self, tmp_path):
-        out_file = str(tmp_path / "c.csv")
-        code, out, _ = run_cli([
-            "gen-chain", "--out", out_file, "--underlying", "ABC",
-            "--as-of", AS_OF, "--spot", "50", "--dtes", "15",
-            "--strikes", "45,50,55", "--seed", "3"])
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert set(doc) == {"out", "underlying", "as_of", "spot", "rate",
-                            "records", "seed", "config"}
-        assert doc["underlying"] == "ABC"
-        assert doc["records"] == 6
-        assert doc["seed"] == 3
+        # gen-chain has no table: --format table prints the same document
+        for name, extra in (("c.csv", []), ("t.csv", ["--format", "table"])):
+            code, out, _ = run_cli([
+                "gen-chain", "--out", str(tmp_path / name), "--underlying",
+                "ABC", "--as-of", AS_OF, "--spot", "50", "--dtes", "15",
+                "--strikes", "45,50,55", "--seed", "3", *extra])
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            assert set(doc) == {"out", "underlying", "as_of", "spot", "rate",
+                                "records", "seed", "config"}
+            assert doc["underlying"] == "ABC"
+            assert doc["records"] == 6
+            assert doc["seed"] == 3
 
     def test_explicit_expiry_dates(self, tmp_path):
         out_file = str(tmp_path / "c.csv")
@@ -252,15 +253,16 @@ class TestGenPath:
         assert all(v > 0 for v in spots.values())
 
     def test_stdout_summary(self, tmp_path):
-        out_file = str(tmp_path / "p.csv")
-        code, out, _ = run_cli([
-            "gen-path", "--out", out_file, "--spot", "250", "--days", "10",
-            "--start", AS_OF, "--seed", "2"])
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert doc["points"] == 11
-        assert doc["days"] == 10
-        assert doc["start"] == AS_OF
+        # gen-path has no table: --format table prints the same document
+        for name, extra in (("p.csv", []), ("t.csv", ["--format", "table"])):
+            code, out, _ = run_cli([
+                "gen-path", "--out", str(tmp_path / name), "--spot", "250",
+                "--days", "10", "--start", AS_OF, "--seed", "2", *extra])
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            assert doc["points"] == 11
+            assert doc["days"] == 10
+            assert doc["start"] == AS_OF
 
     def test_deterministic_by_seed(self, tmp_path):
         argv = ["gen-path", "--spot", "250", "--days", "10", "--start",
@@ -895,6 +897,13 @@ BAD_INPUT = [
      "cannot generate the chain: date value out of range"),
     ("gen-chain-strike-overflow", {}, _gen_chain(strikes="1e308"), "execute",
      "cannot generate the chain: "),
+    ("gen-chain-strikes-share-a-ticker", {},
+     _gen_chain(strikes="100,100.0001"), "execute",
+     "cannot generate the chain: two grid contracts give one ticker "
+     "O:SPY250702C00100000"),
+    ("gen-chain-strike-past-ticker-digits", {}, _gen_chain(strikes="1e6"),
+     "execute", "cannot generate the chain: strike 1000000.0 does not fit "
+     "the ticker's 8 digits"),
     ("gen-chain-strike-range-inf", {},
      _gen_chain(strikes=",") + ["--strike-range", "1:inf:1"], "execute",
      "bad strike range '1:inf:1'"),

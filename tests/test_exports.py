@@ -31,3 +31,16 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_backtester_module_loads_no_engine():
+    # oql/__init__ imports the engine for the public API, so the probe
+    # stands in a bare package for `oql` and sees what oql.backtest itself
+    # pulls in
+    probe = ("import sys, types; pkg = types.ModuleType('oql'); "
+             f"pkg.__path__ = [{str(SRC / 'oql')!r}]; sys.modules['oql'] = pkg; "
+             "import oql.backtest; print('oql.engine' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
