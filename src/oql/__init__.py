@@ -3,7 +3,13 @@
 Compile SELECT/FROM/WHERE/HAVING queries over option-chain snapshots into
 ranked strategy instances, backtest them over spot paths, and score query
 transcripts with retrieval-style metrics.
+
+The engine and the eval kit load on first use of one of their names
+(PEP 562), so importing a module that needs neither, such as
+oql.backtest, does not load them.
 """
+
+import importlib
 
 from .catalog import (
     RoleSpec,
@@ -23,9 +29,7 @@ from .chain import (
     save_snapshot,
 )
 from .config import RunConfig, load_config
-from .engine import ResultSet, StrategyInstance, execute, result_to_json
 from .errors import OqlError
-from .evalkit import CaseOutcome, EvalCase, evaluate, load_cases
 from .pricing import (
     GreeksVector,
     MarketParams,
@@ -37,6 +41,26 @@ from .pricing import (
 from .syntax import QueryAst, parse, parse_text, pretty_print, tokenize
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported by __getattr__
+_LAZY = {
+    "ResultSet": "engine",
+    "StrategyInstance": "engine",
+    "execute": "engine",
+    "result_to_json": "engine",
+    "CaseOutcome": "evalkit",
+    "EvalCase": "evalkit",
+    "evaluate": "evalkit",
+    "load_cases": "evalkit",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "CaseOutcome",

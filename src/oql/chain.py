@@ -161,11 +161,22 @@ def record_table(records) -> np.ndarray:
     `ticker_len`, `expiry` (date ordinal), `dte`, `strike`, `price`,
     `volume`, `is_call`, and iv and each Greek with a `<name>_ok` mask. A
     missing value reads 0.0 with `_ok` False, so no column holds NaN.
+
+    Assembly reads one ticker rank as one contract, so two records that
+    share a ticker raise InvariantViolation, with record positions as
+    rows; this holds for snapshots built in memory, which never pass the
+    load checks.
     """
     table = np.zeros(len(records), dtype=_TABLE_DTYPE)
     table["row"] = np.arange(len(records))
     tickers = [rec.ticker for rec in records]
     rank = {name: i for i, name in enumerate(sorted(set(tickers)))}
+    if len(rank) < len(tickers):
+        first: dict[str, int] = {}
+        for row, name in enumerate(tickers):
+            if name in first:
+                raise _duplicate_ticker(name, first[name], row)
+            first[name] = row
     table["ticker_rank"] = [rank[name] for name in tickers]
     table["ticker_len"] = [len(name) for name in tickers]
     table["expiry"] = [rec.expiry.toordinal() for rec in records]
@@ -229,10 +240,13 @@ def _check_duplicates(records, rows) -> None:
                 f"duplicate contract ({rec.expiry}, {format_number(rec.strike)}, "
                 f"{rec.option_type}); first seen at row {contracts[key]}", row)
         if rec.ticker in tickers:
-            raise InvariantViolation(
-                f"duplicate ticker {rec.ticker!r}; first seen at row "
-                f"{tickers[rec.ticker]}", row)
+            raise _duplicate_ticker(rec.ticker, tickers[rec.ticker], row)
         contracts[key] = tickers[rec.ticker] = row
+
+
+def _duplicate_ticker(ticker: str, first: int, row: int) -> InvariantViolation:
+    return InvariantViolation(
+        f"duplicate ticker {ticker!r}; first seen at row {first}", row)
 
 
 def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:

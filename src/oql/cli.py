@@ -168,7 +168,7 @@ def cmd_run(args: argparse.Namespace, config: RunConfig) -> Outcome:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps(doc))
-    return (EXIT_OK if result.strategies else EXIT_EMPTY, doc,
+    return (EXIT_OK if result.stats.returned else EXIT_EMPTY, doc,
             lambda: result_to_table(result))
 
 

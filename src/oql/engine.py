@@ -5,8 +5,10 @@ aggregate -> having -> order/limit. Between filter and order it runs on
 columns: WHERE is a mask over the snapshot's record table, assembly joins
 the per-role candidate rows into an (m, n_roles) index array, one batch
 kernel computes every aggregate of every row, HAVING is a boolean mask,
-and ORDER BY + LIMIT ranks the survivor columns once; only the returned
-rows become StrategyInstances.
+and ORDER BY + LIMIT ranks the survivor columns once. The result keeps
+the returned rows as columns too: result_to_json renders them straight
+from those, and StrategyInstance objects are built only when
+ResultSet.strategies is read.
 Execution is fully deterministic: candidates are sorted by (expiry,
 strike, ticker) before assembly, results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
@@ -17,12 +19,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import chain as chain_mod
 from . import pricing
-from .catalog import StrategySchema, ValidatedQuery, validate
+from .catalog import RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
 from .errors import CombinatorialBudgetExceeded, UnderlyingMismatch
@@ -65,12 +68,22 @@ class ExecutionStats:
 
 @dataclass
 class ResultSet:
+    """A query's returned rows, kept as columns in result order."""
+
     query: ValidatedQuery
     text: str
     underlying: str
     as_of: str
-    strategies: list[StrategyInstance]
     stats: ExecutionStats
+    records: tuple[ContractRecord, ...]  # the snapshot's records
+    rows: np.ndarray    # (returned, n_roles) positions in `records`
+    aggregates: dict    # field -> (values, available), (returned,) each
+
+    @cached_property
+    def strategies(self) -> list[StrategyInstance]:
+        """The returned rows as StrategyInstances, built on first access."""
+        return _instances(self.query.schema, self.records, self.rows,
+                          self.aggregates)
 
 
 # ============================================================
@@ -440,21 +453,23 @@ def _record_rows(surv: Survivors, picks: np.ndarray) -> np.ndarray:
                      for j, col in enumerate(surv.candidates)], axis=1)
 
 
-def _instances(surv: Survivors, picks: np.ndarray) -> list[StrategyInstance]:
-    """StrategyInstance objects for the picked survivor rows, in pick order."""
-    aggregates = surv.aggregates
-    columns = [
-        [v if ok else None
-         for v, ok in zip(values[picks].tolist(), available[picks].tolist())]
-        for values, available in aggregates.values()
-    ]
+def _or_none(values: np.ndarray, available: np.ndarray) -> list:
+    """values as a list of floats, None where unavailable."""
+    return [v if ok else None for v, ok in zip(values.tolist(), available.tolist())]
+
+
+def _instances(schema: StrategySchema, records, rows: np.ndarray,
+               aggregates: dict) -> list[StrategyInstance]:
+    """One StrategyInstance per row of record positions, in row order."""
+    columns = [_or_none(values, available)
+               for values, available in aggregates.values()]
     out = []
-    for row, agg in zip(_record_rows(surv, picks).tolist(), zip(*columns)):
+    for row, agg in zip(rows.tolist(), zip(*columns)):
         legs = tuple(
-            StrategyLeg(role=role.id, record=surv.records[i],
+            StrategyLeg(role=role.id, record=records[i],
                         direction=role.direction, quantity=role.quantity)
-            for role, i in zip(surv.schema.roles, row))
-        out.append(StrategyInstance(strategy_type=surv.schema.name, legs=legs,
+            for role, i in zip(schema.roles, row))
+        out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
                                     aggregates=dict(zip(aggregates, agg))))
     return out
 
@@ -463,7 +478,8 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
     """Run a query against a snapshot end to end.
 
-    Only the rows that reach the result become StrategyInstances.
+    The result holds the record positions and aggregate columns of the
+    returned rows only.
     """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
@@ -479,8 +495,11 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
     stats.returned = len(picks)
     return ResultSet(query=vq, text=pretty_print(ast),
                      underlying=snapshot.underlying,
-                     as_of=format_date(snapshot.as_of),
-                     strategies=_instances(surv, picks), stats=stats)
+                     as_of=format_date(snapshot.as_of), stats=stats,
+                     records=surv.records, rows=_record_rows(surv, picks),
+                     aggregates={field: (values[picks], available[picks])
+                                 for field, (values, available)
+                                 in surv.aggregates.items()})
 
 
 # ============================================================
@@ -488,43 +507,57 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
 # ============================================================
 
 
-def _aggregates_to_json(agg: dict[str, float | None]) -> dict:
-    out: dict = {}
-    for key in AGGREGATE_FIELDS:
-        value = agg[key]
-        if key in ("max_loss", "max_profit"):
-            unbounded = value is not None and math.isinf(value)
-            out[key] = None if (value is None or unbounded) else value
-            out[f"{key}_unbounded"] = unbounded
+def _aggregate_columns(aggregates: dict) -> dict[str, list]:
+    """The JSON aggregates of every row as columns, in output key order.
+
+    An unavailable value is None. An infinite max_loss or max_profit is
+    None too, with its `<field>_unbounded` flag True.
+    """
+    out: dict[str, list] = {}
+    for field in AGGREGATE_FIELDS:
+        values, available = aggregates[field]
+        if field in ("max_loss", "max_profit"):
+            unbounded = available & np.isinf(values)
+            out[field] = _or_none(values, available & ~unbounded)
+            out[f"{field}_unbounded"] = unbounded.tolist()
         else:
-            out[key] = value
+            out[field] = _or_none(values, available)
     return out
 
 
-def _instance_to_json(inst: StrategyInstance, mode: str) -> dict:
+def _leg_to_json(role: RoleSpec, rec: ContractRecord) -> dict:
+    return {"role": role.id, "ticker": rec.ticker, "direction": role.direction,
+            "quantity": role.quantity, "strike": rec.strike,
+            "expiry": format_date(rec.expiry), "price": rec.price, "iv": rec.iv}
+
+
+def _strategies_to_json(result: ResultSet, mode: str) -> list[dict]:
+    """The returned rows as JSON strategy objects, rendered from columns."""
+    schema = result.query.schema
+    records = result.records
+    rows = result.rows.tolist()
     if mode == "blueprint":
-        details: dict = {}
-        for leg in inst.legs:
-            details[f"contract_ticker_{leg.role}"] = leg.record.ticker
-            details[f"price_{leg.role}"] = leg.record.price
-        return {"strategy_type": inst.strategy_type, "strategy_details": details}
-    return {
-        "strategy_type": inst.strategy_type,
-        "legs": [
-            {
-                "role": leg.role,
-                "ticker": leg.record.ticker,
-                "direction": leg.direction,
-                "quantity": leg.quantity,
-                "strike": leg.record.strike,
-                "expiry": format_date(leg.record.expiry),
-                "price": leg.record.price,
-                "iv": leg.record.iv,
-            }
-            for leg in inst.legs
-        ],
-        "aggregates": _aggregates_to_json(inst.aggregates),
-    }
+        names = [(f"contract_ticker_{role.id}", f"price_{role.id}")
+                 for role in schema.roles]
+        out = []
+        for row in rows:
+            details: dict = {}
+            for (ticker, price), i in zip(names, row):
+                details[ticker] = records[i].ticker
+                details[price] = records[i].price
+            out.append({"strategy_type": schema.name, "strategy_details": details})
+        return out
+    # a leg's object depends only on its role and record, so each is
+    # rendered once and copied into every row that holds it
+    legs = [{i: _leg_to_json(role, records[i]) for i in set(column)}
+            for role, column in zip(schema.roles, zip(*rows))]
+    columns = _aggregate_columns(result.aggregates)
+    return [
+        {"strategy_type": schema.name,
+         "legs": [role_legs[i].copy() for role_legs, i in zip(legs, row)],
+         "aggregates": dict(zip(columns, values))}
+        for row, values in zip(rows, zip(*columns.values()))
+    ]
 
 
 def result_to_json(result: ResultSet, config: RunConfig) -> dict:
@@ -537,10 +570,7 @@ def result_to_json(result: ResultSet, config: RunConfig) -> dict:
         "config": config.to_json_dict(),
         "stats": {**vars(result.stats),
                   "candidates": dict(result.stats.candidates)},
-        "strategies": [
-            _instance_to_json(inst, config.output_mode)
-            for inst in result.strategies
-        ],
+        "strategies": _strategies_to_json(result, config.output_mode),
     }
 
 

@@ -5,8 +5,9 @@ so every number that reaches a file or stdout goes through one formatter.
 """
 
 import datetime as _dt
-import json
+import functools
 import math
+from json.encoder import c_make_encoder, encode_basestring
 
 
 def format_number(x: float) -> str:
@@ -30,6 +31,87 @@ def format_date(d: _dt.date) -> str:
     return d.isoformat()
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+def _unsupported(obj):
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """(C encoder, opening indent, item separator, closing indent) of one
+    nesting depth; the encoder writes an all-scalar container there."""
+    inner = "\n" + _INDENT * (depth + 1)
+    # markers None: a container of scalars cannot hold a cycle
+    encode = c_make_encoder(None, _unsupported, encode_basestring, None, ": ",
+                            "," + inner, False, False, False)
+    return encode, inner, "," + inner, "\n" + _INDENT * depth
+
+
+def _key(key) -> str:
+    """A dict key as JSON text, converted as json converts it."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = "".join(_level(0)[0](key, 0))
+    return encode_basestring(key)
+
+
+def _emit(obj, depth: int, out: list[str]) -> None:
+    """Append the indented JSON text of obj, nested `depth` deep, to out."""
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        out.append("".join(_level(0)[0](obj, 0)))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    encode, inner, sep, close = _level(depth)
+    for value in values:
+        if isinstance(value, _CONTAINERS):
+            break
+    else:
+        # every value is a scalar: one C call writes the items, each on
+        # its own line; only the brackets' lines are added here
+        text = "".join(encode(obj, depth))
+        out += (text[0], inner, text[1:-1], close, text[-1])
+        return
+    if isinstance(obj, dict):
+        head = "{" + inner
+        for key, value in obj.items():
+            out += (head, _key(key), ": ")
+            _emit(value, depth + 1, out)
+            head = sep
+        out += (close, "}")
+    else:
+        head = "[" + inner
+        for value in obj:
+            out.append(head)
+            _emit(value, depth + 1, out)
+            head = sep
+        out += (close, "]")
+
+
 def dumps(obj) -> str:
-    """Canonical JSON: two-space indent, insertion key order, trailing newline."""
-    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """Canonical JSON: two-space indent, insertion key order, trailing newline.
+
+    The text is byte for byte what the json module writes with a two-space
+    indent, ensure_ascii and allow_nan off, plus "\n"; like it, this
+    raises ValueError on NaN or infinity and TypeError on an object JSON
+    has no form for. Given an indent, json falls back to its pure-Python
+    encoder, one generator step per item. Here Python walks only the
+    containers that hold containers, and json's C encoder writes each
+    container of scalars (a result's legs and aggregates) in one call,
+    with the item separator of its depth: a comma, a newline and the
+    indent.
+    """
+    out: list[str] = []
+    _emit(obj, 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -342,6 +342,19 @@ def random_valid_query(rng: random.Random,
                     where=where, having=having, order_by=order_by, limit=limit)
 
 
+def distinct_prefix(ticker: str, length: int, taken: set[str]) -> str:
+    """ticker cut to `length` characters, lengthened until no ticker in
+    `taken` is the same; the result joins `taken`.
+
+    Cut tickers of several lengths exercise the string tie-break, and a
+    ticker names one contract, so two records may not share a cut.
+    """
+    while ticker[:length] in taken and length < len(ticker):
+        length += 1
+    taken.add(ticker[:length])
+    return ticker[:length]
+
+
 def random_snapshot(rng: random.Random) -> ChainSnapshot:
     """A small synthetic chain (at most ~28 contracts) for oracle sweeps."""
     spot = rng.choice((40.0, 80.0, 150.0, 300.0))
@@ -684,7 +697,55 @@ def row_aggregates(schema: StrategySchema,
 
 def survivor_instances(surv: Survivors) -> list[StrategyInstance]:
     """Every survivor row as a StrategyInstance, in assembly order."""
-    return engine._instances(surv, np.arange(len(surv.rows)))
+    rows = engine._record_rows(surv, np.arange(len(surv.rows)))
+    return engine._instances(surv.schema, surv.records, rows, surv.aggregates)
+
+
+# ============================================================
+# Per-instance rendering oracle
+# ============================================================
+
+
+def aggregates_to_json(agg: dict[str, float | None]) -> dict:
+    """One instance's aggregates as the results document writes them."""
+    out: dict = {}
+    for key in AGGREGATE_FIELDS:
+        value = agg[key]
+        if key in ("max_loss", "max_profit"):
+            unbounded = value is not None and math.isinf(value)
+            out[key] = None if (value is None or unbounded) else value
+            out[f"{key}_unbounded"] = unbounded
+        else:
+            out[key] = value
+    return out
+
+
+def instance_to_json(inst: StrategyInstance, mode: str) -> dict:
+    """One StrategyInstance as a results document's strategy object, which
+    engine.result_to_json renders from columns instead."""
+    if mode == "blueprint":
+        details: dict = {}
+        for leg in inst.legs:
+            details[f"contract_ticker_{leg.role}"] = leg.record.ticker
+            details[f"price_{leg.role}"] = leg.record.price
+        return {"strategy_type": inst.strategy_type, "strategy_details": details}
+    return {
+        "strategy_type": inst.strategy_type,
+        "legs": [
+            {
+                "role": leg.role,
+                "ticker": leg.record.ticker,
+                "direction": leg.direction,
+                "quantity": leg.quantity,
+                "strike": leg.record.strike,
+                "expiry": leg.record.expiry.isoformat(),
+                "price": leg.record.price,
+                "iv": leg.record.iv,
+            }
+            for leg in inst.legs
+        ],
+        "aggregates": aggregates_to_json(inst.aggregates),
+    }
 
 
 # ============================================================

@@ -230,6 +230,20 @@ def test_two_contracts_sharing_a_ticker_rejected(tmp_path):
     assert "first seen at row 3" in str(exc_info.value)
 
 
+def test_snapshot_built_in_memory_with_a_shared_ticker_rejected():
+    # two calls, strikes 100 and 110, both tickered O:SPY250702C00100000:
+    # assembly would read them as one contract and build no spread
+    snapshot = ChainSnapshot(
+        underlying="SPY", as_of=AS_OF, spot=100.0, rate=0.04,
+        records=(record(), record(strike=110.0, price=1.0, delta=0.2)))
+    with pytest.raises(InvariantViolation,
+                       match="duplicate ticker 'O:SPY250702C00100000'; "
+                             "first seen at row 0") as exc_info:
+        execute("SELECT BULL_CALL_SPREAD FROM SPY", snapshot, RunConfig())
+    assert exc_info.value.row == 1
+    assert exc_info.value.stage == "load"
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

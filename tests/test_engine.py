@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from oql import serialize
+from oql import engine, evalkit, serialize
 from oql.catalog import build_catalog, validate
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker, record_table
 from oql.config import RunConfig
@@ -35,12 +35,15 @@ from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition, parse_
 
 from helpers import (
     aggregates_equal,
+    distinct_prefix,
+    instance_to_json,
     oracle_candidates,
     oracle_order,
     oracle_survivors,
     random_snapshot as _random_snapshot,
     random_valid_query,
     row_aggregates,
+    run_cli,
     survivor_instances,
 )
 
@@ -221,9 +224,10 @@ class TestFiltering:
         for _ in range(200):
             snapshot = _random_snapshot(rng)
             # mixed-length tickers and missing Greeks
+            taken: set[str] = set()
             snapshot = dataclasses.replace(snapshot, records=tuple(
                 dataclasses.replace(
-                    r, ticker=r.ticker[:rng.randint(4, 20)],
+                    r, ticker=distinct_prefix(r.ticker, rng.randint(4, 20), taken),
                     **{g: None for g in ("delta", "gamma", "vega", "theta")
                        if rng.random() < 0.2})
                 for r in snapshot.records))
@@ -890,8 +894,10 @@ class TestColumnarCore:
             snapshot = _random_snapshot(rng)
             if trial % 2:
                 # tickers of several lengths exercise the string tie-break
+                taken: set[str] = set()
                 snapshot = dataclasses.replace(snapshot, records=tuple(
-                    dataclasses.replace(r, ticker=r.ticker[:rng.randint(4, 20)])
+                    dataclasses.replace(r, ticker=distinct_prefix(
+                        r.ticker, rng.randint(4, 20), taken))
                     for r in snapshot.records))
             ast = random_valid_query(rng, snapshot)
             order_by = tuple(OrderItem(rng.choice(fields),
@@ -938,3 +944,127 @@ class TestColumnarCore:
         result = execute("SELECT BULL_CALL_SPREAD FROM SPY", bare)
         agg = result.strategies[0].aggregates
         assert agg["net_delta"] is not None and agg["net_vega"] is not None
+
+
+# ============================================================
+# Rendering the returned rows from columns
+# ============================================================
+
+
+class TestColumnRendering:
+    """result_to_json renders the returned rows from the result's columns;
+    helpers.instance_to_json renders one StrategyInstance at a time and is
+    its oracle."""
+
+    @pytest.mark.parametrize("mode", ["standard", "blueprint"])
+    def test_matches_the_per_instance_oracle(self, mode):
+        rng = random.Random(1107)
+        config = RunConfig(output_mode=mode)
+        seen = dict.fromkeys(("empty", "rows", "unbounded", "unavailable"), 0)
+        for _ in range(150):
+            snapshot = _random_snapshot(rng)
+            result = execute(random_valid_query(rng, snapshot), snapshot, config)
+            got = result_to_json(result, config)["strategies"]
+            want = [instance_to_json(inst, mode) for inst in result.strategies]
+            assert got == want
+            assert serialize.dumps(got) == serialize.dumps(want)
+            seen["empty"] += not want
+            seen["rows"] += len(want)
+            for strategy in want if mode == "standard" else ():
+                agg = strategy["aggregates"]
+                seen["unbounded"] += (agg["max_profit_unbounded"]
+                                      or agg["max_loss_unbounded"])
+                # one of net_debit and net_credit is always unavailable
+                seen["unavailable"] += any(
+                    agg[field] is None for field in AGGREGATE_FIELDS
+                    if field not in ("net_debit", "net_credit")
+                    and not agg.get(f"{field}_unbounded"))
+        # every rendering branch is reached
+        assert seen["empty"] >= 5 and seen["rows"] >= 500
+        if mode == "standard":
+            assert seen["unbounded"] >= 100 and seen["unavailable"] >= 100
+
+    def test_unbounded_and_unavailable_render_as_null(self):
+        s = snap([rec("SPY", 100.0, "call", 3.0, 30),
+                  rec("SPY", 100.0, "call", 4.0, 60)])
+        config = RunConfig()
+        long_call = execute("SELECT LONG_CALL FROM SPY WHERE Dte ~ 30", s, config)
+        calendar = execute("SELECT CALENDAR_CALL FROM SPY", s, config)
+        for result in (long_call, calendar):
+            got = result_to_json(result, config)["strategies"]
+            assert got == [instance_to_json(inst, "standard")
+                           for inst in result.strategies]
+        agg = result_to_json(long_call, config)["strategies"][0]["aggregates"]
+        assert agg["max_profit"] is None and agg["max_profit_unbounded"] is True
+        assert agg["max_loss"] == 300.0 and agg["max_loss_unbounded"] is False
+        agg = result_to_json(calendar, config)["strategies"][0]["aggregates"]
+        # different expiries: no terminal payoff, so no profit or breakeven
+        assert agg["max_profit"] is None and agg["max_profit_unbounded"] is False
+        assert agg["breakeven_low"] is None and agg["rr_ratio"] is None
+
+    @pytest.mark.parametrize("mode", ["standard", "blueprint"])
+    def test_empty_result(self, mode):
+        s = snap([rec("SPY", 100.0, "call", 3.0, 30)])
+        config = RunConfig(output_mode=mode)
+        result = execute("SELECT LONG_CALL FROM SPY HAVING net_debit > 1000000",
+                         s, config)
+        assert result.rows.shape == (0, 1)
+        assert result_to_json(result, config)["strategies"] == []
+        assert result.strategies == []
+
+
+class TestLateMaterialization:
+    """The query path builds no StrategyInstance; reading
+    ResultSet.strategies builds one per returned row, once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = engine.StrategyInstance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "StrategyInstance", counted)
+        return calls
+
+    def test_execute_builds_none_until_strategies_is_read(self, built,
+                                                          tsla_snapshot):
+        from conftest import CONDOR_QUERY_TSLA
+        config = RunConfig()
+        result = execute(CONDOR_QUERY_TSLA, tsla_snapshot, config)
+        serialize.dumps(result_to_json(result, config))
+        assert built == []
+        assert len(result.rows) == len(result.aggregates["net_debit"][0]) == 10
+        strategies = result.strategies
+        assert len(built) == len(strategies) == result.stats.returned == 10
+        assert result.strategies is strategies
+        assert len(built) == 10
+
+    def test_run_case_builds_none(self, built, tsla_snapshot):
+        case = evalkit.EvalCase(
+            id="c1", intent="", gold_strategy="BULL_CALL_SPREAD", chain="",
+            attempts=("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30",))
+        outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
+        assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
+        assert built == []
+
+    def test_cli_run_builds_none_unless_the_table_is_printed(self, built,
+                                                             tmp_path):
+        chain = str(tmp_path / "chain.csv")
+        code, _, err = run_cli([
+            "gen-chain", "--out", chain, "--underlying", "SPY",
+            "--as-of", "2025-06-02", "--spot", "100", "--dtes", "30",
+            "--strikes", "95,100,105", "--seed", "1"])
+        assert code == 0, err
+        query = "SELECT BULL_CALL_SPREAD FROM SPY"
+        code, out, _ = run_cli(["run", query, "--chain", chain])
+        assert code == 0 and '"returned": 3' in out
+        code, _, _ = run_cli(["run", f"{query} HAVING net_debit > 1000000",
+                              "--chain", chain])
+        assert code == 2  # empty, read from stats.returned
+        assert built == []
+        code, _, _ = run_cli(["run", query, "--chain", chain,
+                              "--format", "table"])
+        assert code == 0 and len(built) == 3

@@ -34,13 +34,20 @@ def test_import_loads_no_scipy():
 
 
 def test_backtester_module_loads_no_engine():
-    # oql/__init__ imports the engine for the public API, so the probe
-    # stands in a bare package for `oql` and sees what oql.backtest itself
-    # pulls in
-    probe = ("import sys, types; pkg = types.ModuleType('oql'); "
-             f"pkg.__path__ = [{str(SRC / 'oql')!r}]; sys.modules['oql'] = pkg; "
-             "import oql.backtest; print('oql.engine' in sys.modules)")
+    # a fresh interpreter, since this one has imported the engine
+    probe = ("import sys, oql.backtest; "
+             "print('oql.engine' in sys.modules, 'oql.evalkit' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
+
+
+def test_engine_names_load_on_first_use():
+    probe = ("import sys, oql; before = 'oql.engine' in sys.modules; "
+             "from oql import execute; "
+             "print(before, execute is sys.modules['oql.engine'].execute)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False True\n"
