@@ -40,15 +40,8 @@ _CODE_TYPES = {"C": "call", "P": "put"}
 
 GREEK_FIELDS = ("delta", "gamma", "vega", "theta")
 
-# the model fields a record may lack; each has a `<name>_ok` table column
+# the model fields a record may lack; each has a `<name>_ok` column
 _OPTIONAL_FIELDS = ("iv",) + GREEK_FIELDS
-
-_TABLE_DTYPE = np.dtype(
-    [("row", np.int64), ("ticker_rank", np.int64), ("ticker_len", np.int64),
-     ("expiry", np.int64), ("dte", float), ("strike", float), ("price", float),
-     ("volume", float), ("is_call", bool)]
-    + [(name + suffix, dtype) for name in _OPTIONAL_FIELDS
-       for suffix, dtype in (("", float), ("_ok", bool))])
 
 
 @dataclass(frozen=True)
@@ -97,9 +90,9 @@ class ChainSnapshot:
     enriched: bool = field(default=False, init=False, compare=False, repr=False)
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """record_table(self.records), built on first use."""
-        return record_table(self.records)
+    def columns(self) -> dict[str, np.ndarray]:
+        """record_columns(self.records), built on first use."""
+        return record_columns(self.records)
 
     @cached_property
     def iv_by_contract(self) -> dict[tuple, dict[float, float]]:
@@ -153,44 +146,39 @@ def moneyness(option_type, strike, spot: float, atm_band: float = 0.01):
     return label if label.ndim else str(label)
 
 
-def record_table(records) -> np.ndarray:
-    """The records as one numpy structured array, one row per record.
+def record_columns(records) -> dict[str, np.ndarray]:
+    """The records as contiguous 1-D columns, one row per record.
 
-    Columns: `row` (the record's position), `ticker_rank` (the ticker's
-    rank in Python string order among the records' tickers) and
-    `ticker_len`, `expiry` (date ordinal), `dte`, `strike`, `price`,
-    `volume`, `is_call`, and iv and each Greek with a `<name>_ok` mask. A
-    missing value reads 0.0 with `_ok` False, so no column holds NaN.
-
-    Assembly reads one ticker rank as one contract, so two records that
-    share a ticker raise InvariantViolation, with record positions as
-    rows; this holds for snapshots built in memory, which never pass the
-    load checks.
+    Rows are in (expiry, strike, ticker) order, whatever the record order.
+    Columns: `record` (the row's position in records), `ticker_rank` (the
+    ticker's rank in Python string order) and `ticker_len`, `expiry` (date
+    ordinal), `dte`, `strike`, `price`, `volume`, `is_call`, and iv and
+    each Greek with a `<name>_ok` mask. A missing value reads 0.0 with
+    `_ok` False, so no column holds NaN.
     """
-    table = np.zeros(len(records), dtype=_TABLE_DTYPE)
-    table["row"] = np.arange(len(records))
     tickers = [rec.ticker for rec in records]
     rank = {name: i for i, name in enumerate(sorted(set(tickers)))}
-    if len(rank) < len(tickers):
-        first: dict[str, int] = {}
-        for row, name in enumerate(tickers):
-            if name in first:
-                raise _duplicate_ticker(name, first[name], row)
-            first[name] = row
-    table["ticker_rank"] = [rank[name] for name in tickers]
-    table["ticker_len"] = [len(name) for name in tickers]
-    table["expiry"] = [rec.expiry.toordinal() for rec in records]
-    table["dte"] = [rec.dte() for rec in records]
-    table["strike"] = [rec.strike for rec in records]
-    table["price"] = [rec.price for rec in records]
-    # a volume past the float range reads as the largest float
-    table["volume"] = [min(rec.volume, sys.float_info.max) for rec in records]
-    table["is_call"] = [rec.option_type == "call" for rec in records]
+    raw = {
+        "ticker_rank": np.array([rank[name] for name in tickers], dtype=np.int64),
+        "ticker_len": np.array([len(name) for name in tickers], dtype=np.int64),
+        "expiry": np.array([rec.expiry.toordinal() for rec in records],
+                           dtype=np.int64),
+        "dte": np.array([rec.dte() for rec in records], dtype=float),
+        "strike": np.array([rec.strike for rec in records], dtype=float),
+        "price": np.array([rec.price for rec in records], dtype=float),
+        # a volume past the float range reads as the largest float
+        "volume": np.array([min(rec.volume, sys.float_info.max)
+                            for rec in records], dtype=float),
+        "is_call": np.array([rec.option_type == "call" for rec in records],
+                            dtype=bool),
+    }
     for name in _OPTIONAL_FIELDS:
         values = [getattr(rec, name) for rec in records]
-        table[name] = [0.0 if v is None else v for v in values]
-        table[name + "_ok"] = [v is not None for v in values]
-    return table
+        raw[name] = np.array([0.0 if v is None else v for v in values],
+                             dtype=float)
+        raw[name + "_ok"] = np.array([v is not None for v in values], dtype=bool)
+    order = np.lexsort((raw["ticker_rank"], raw["strike"], raw["expiry"]))
+    return {"record": order, **{name: col[order] for name, col in raw.items()}}
 
 
 # ============================================================
@@ -240,13 +228,10 @@ def _check_duplicates(records, rows) -> None:
                 f"duplicate contract ({rec.expiry}, {format_number(rec.strike)}, "
                 f"{rec.option_type}); first seen at row {contracts[key]}", row)
         if rec.ticker in tickers:
-            raise _duplicate_ticker(rec.ticker, tickers[rec.ticker], row)
+            raise InvariantViolation(
+                f"duplicate ticker {rec.ticker!r}; first seen at row "
+                f"{tickers[rec.ticker]}", row)
         contracts[key] = tickers[rec.ticker] = row
-
-
-def _duplicate_ticker(ticker: str, first: int, row: int) -> InvariantViolation:
-    return InvariantViolation(
-        f"duplicate ticker {ticker!r}; first seen at row {first}", row)
 
 
 def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
@@ -257,9 +242,15 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
     the no-arbitrage floor (the vol -> 0 price), carry zero iv, or defeat
     the vol inversion are moved to snapshot.excluded with a reason.
     Enrichment is idempotent: an already enriched snapshot is returned as is.
+
+    First every record passes the load checks, with its position as the
+    row, as a snapshot built in memory never passed them at load.
     """
     if snapshot.enriched:
         return snapshot
+    for row, rec in enumerate(snapshot.records):
+        _validate_record(rec, snapshot.underlying, snapshot.as_of, row)
+    _check_duplicates(snapshot.records, range(len(snapshot.records)))
     kept: list[ContractRecord] = []
     excluded = list(snapshot.excluded)
     for rec in snapshot.records:

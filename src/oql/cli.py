@@ -206,6 +206,13 @@ def _parse_strikes(args: argparse.Namespace) -> list[float]:
         # a step lost to rounding, or an infinite end, would never finish
         if not (-math.inf < lo <= hi < math.inf and lo + step > lo):
             raise OqlError(f"bad strike range {args.strike_range!r}")
+        # refused before the loop, which would take a point per step
+        if round(hi * 1000) >= 10 ** 8:
+            raise OqlError(f"bad strike range {args.strike_range!r}: a strike "
+                           "of 100000 or more does not fit the ticker's 8 digits")
+        if step < 0.001:
+            raise OqlError(f"bad strike range {args.strike_range!r}: strikes "
+                           "under 0.001 apart share a ticker")
         strikes = []
         k = lo
         while k <= hi + 1e-9:

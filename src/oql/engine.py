@@ -2,15 +2,14 @@
 
 The pipeline is tokenize -> parse -> validate -> filter -> assemble ->
 aggregate -> having -> order/limit. Between filter and order it runs on
-columns: WHERE is a mask over the snapshot's record table, assembly joins
-the per-role candidate rows into an (m, n_roles) index array, one batch
-kernel computes every aggregate of every row, HAVING is a boolean mask,
-and ORDER BY + LIMIT ranks the survivor columns once. The result keeps
-the returned rows as columns too: result_to_json renders them straight
-from those, and StrategyInstance objects are built only when
-ResultSet.strategies is read.
-Execution is fully deterministic: candidates are sorted by (expiry,
-strike, ticker) before assembly, results are canonically ordered with a
+one row space, the rows of snapshot.columns in (expiry, strike, ticker)
+order: WHERE is a mask over the columns, a role's candidates are the rows
+it keeps, assembly joins them into an (m, n_roles) array of rows, one
+batch kernel computes every aggregate of every row, HAVING is a boolean
+mask, and ORDER BY + LIMIT ranks the survivor columns once. result_to_json
+renders the returned rows from their columns, and StrategyInstance
+objects are built only when ResultSet.strategies is read.
+Execution is fully deterministic: results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
 byte-stable under permutation of input records.
 """
@@ -20,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def _test(cond: LegCondition | StratCondition, config: RunConfig):
     """cond as a function of an available value: a float, a string or a
     float array.
 
-    WHERE applies it to a column of the record table, HAVING to a column
+    WHERE applies it to a column of snapshot.columns, HAVING to a column
     of aggregates, so both clauses read one operator table.
     """
     if cond.op == "BETWEEN":
@@ -129,43 +129,47 @@ def _test(cond: LegCondition | StratCondition, config: RunConfig):
 
 
 # ============================================================
-# Leg predicates: masks over the snapshot's record table
+# Leg predicates: masks over the snapshot's columns
 # ============================================================
 
 
+class Candidates(NamedTuple):
+    """The snapshot's columns and, per role id, the row numbers it keeps."""
+
+    columns: dict[str, np.ndarray]
+    rows: dict[str, np.ndarray]
+
+
 def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
-                config: RunConfig) -> dict[str, np.ndarray]:
-    """Per-role candidates: the rows of snapshot.table that match.
+                config: RunConfig) -> Candidates:
+    """Per-role candidates: the rows of snapshot.columns that match.
 
     A role keeps the rows of its option type that pass every one of its
-    conditions, each evaluated once per query as a mask over the table; a
-    contract missing a tested field never matches. Rows are sorted by
-    (expiry, strike, ticker) so everything downstream is independent of
-    input record order.
+    conditions, each evaluated once per query as a mask over the columns;
+    a contract missing a tested field never matches. The rows are stored
+    in (expiry, strike, ticker) order, so each role's row numbers come
+    sorted and everything downstream is independent of input record order.
     """
-    table = snapshot.table
+    columns = snapshot.columns
 
     @functools.cache
     def mask(cond: LegCondition) -> np.ndarray:
         if cond.field == "Moneyness":
-            value = chain_mod.moneyness(np.where(table["is_call"], "call", "put"),
-                                        table["strike"], snapshot.spot,
+            value = chain_mod.moneyness(np.where(columns["is_call"], "call", "put"),
+                                        columns["strike"], snapshot.spot,
                                         config.atm_band)
             return _test(cond, config)(value)
         name = cond.field.lower()
-        ok = f"{name}_ok"
-        known = table[ok] if ok in table.dtype.names else True
-        return known & _test(cond, config)(table[name])
+        known = columns.get(f"{name}_ok", True)
+        return known & _test(cond, config)(columns[name])
 
-    out: dict[str, np.ndarray] = {}
+    rows: dict[str, np.ndarray] = {}
     for role in vq.schema.roles:
-        keep = table["is_call"] == (role.option_type == "call")
+        keep = columns["is_call"] == (role.option_type == "call")
         for cond in vq.per_role_conditions[role.id]:
             keep &= mask(cond)
-        rows = table[keep]
-        out[role.id] = rows[np.lexsort((rows["ticker_rank"], rows["strike"],
-                                        rows["expiry"]))]
-    return out
+        rows[role.id] = np.flatnonzero(keep)
+    return Candidates(columns, rows)
 
 
 # ============================================================
@@ -201,16 +205,16 @@ def _depth_checks(schema: StrategySchema) -> dict[int, list]:
     return checks
 
 
-def _join(rows: np.ndarray, depth: int, cols: list[np.ndarray],
+def _join(rows: np.ndarray, new: np.ndarray, columns: dict[str, np.ndarray],
           checks: list) -> np.ndarray:
-    """Extend each row by every candidate of role `depth` that may follow it.
+    """Extend each row by every candidate row in `new` that may follow it.
 
     Per block of rows the outer product rows x candidates is one boolean
-    mask: the new contract differs from every bound one and each check
-    firing at this depth holds. np.nonzero reads the mask row-major, which
-    keeps the lexicographic product order.
+    mask: the new row differs from every bound one and each check firing
+    at this depth holds. np.nonzero reads the mask row-major, which keeps
+    the lexicographic product order.
     """
-    new = cols[depth]
+    depth = rows.shape[1]
     width = len(new)
     step = max(1, _BLOCK // max(width, 1))
     parts = [np.empty((0, depth + 1), dtype=np.int32)]
@@ -219,12 +223,12 @@ def _join(rows: np.ndarray, depth: int, cols: list[np.ndarray],
 
         def value(j: int, name: str) -> np.ndarray:
             if j == depth:
-                return new[name][None, :]
-            return cols[j][name][block[:, j]][:, None]
+                return columns[name][new][None, :]
+            return columns[name][block[:, j]][:, None]
 
         keep = np.ones((len(block), width), dtype=bool)
         for j in range(depth):
-            keep &= value(j, "ticker_rank") != value(depth, "ticker_rank")
+            keep &= block[:, j, None] != new[None, :]
         for kind, positions in checks:
             if kind == "symmetric_wings":
                 wing_lo, body, wing_hi = (value(j, "strike") for j in positions)
@@ -235,31 +239,31 @@ def _join(rows: np.ndarray, depth: int, cols: list[np.ndarray],
         at, pick = np.nonzero(keep)
         out = np.empty((len(at), depth + 1), dtype=np.int32)
         out[:, :depth] = block[at]
-        out[:, depth] = pick
+        out[:, depth] = new[pick]
         parts.append(out)
     return np.concatenate(parts)
 
 
-def assemble(vq: ValidatedQuery, candidates: dict[str, np.ndarray],
+def assemble(vq: ValidatedQuery, candidates: Candidates,
              config: RunConfig) -> tuple[np.ndarray, int]:
     """All role assignments satisfying the schema's structural rules.
 
-    candidates are filter_legs' per-role table rows. Returns (an
-    (m, n_roles) int32 array whose row j-th entry is the position of role
-    j's contract among its candidates, the raw product size). Rows come
-    in product order over the candidates. A contract never fills two roles
-    at once. Raises CombinatorialBudgetExceeded when the raw product tops
-    the config cap, before any row is built.
+    candidates is what filter_legs returns. Returns (an (m, n_roles) int32
+    array whose j-th column holds the snapshot row of role j's contract,
+    the raw product size). Rows come in product order over the candidates.
+    A contract never fills two roles at once. Raises
+    CombinatorialBudgetExceeded when the raw product tops the config cap,
+    before any row is built.
     """
-    cols = [candidates[rid] for rid in vq.schema.role_ids]
+    cols = [candidates.rows[rid] for rid in vq.schema.role_ids]
     raw = math.prod(len(rows) for rows in cols)
     if raw > config.combinatorial_cap:
         raise CombinatorialBudgetExceeded(
             f"raw candidate product {raw} exceeds cap {config.combinatorial_cap}")
     checks = _depth_checks(vq.schema)
     rows = np.zeros((1, 0), dtype=np.int32)  # the empty assignment
-    for depth in range(len(cols)):
-        rows = _join(rows, depth, cols, checks[depth])
+    for depth, new in enumerate(cols):
+        rows = _join(rows, new, candidates.columns, checks[depth])
     return rows, raw
 
 
@@ -268,12 +272,12 @@ def assemble(vq: ValidatedQuery, candidates: dict[str, np.ndarray],
 # ============================================================
 
 
-def compute_aggregates(schema: StrategySchema, cols: list[np.ndarray],
+def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
                        rows: np.ndarray,
                        config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every aggregate of every row: field -> (values, available).
 
-    cols[j] holds role j's candidate table rows and rows[:, j] indexes them.
+    rows[:, j] holds the rows of `columns` that role j's contracts sit in.
     Cash aggregates and net Greeks are scaled by the contract multiplier.
     Sums run role by role in role order, so each value is bit-identical
     whatever the batch size. An unavailable aggregate (it fails HAVING and
@@ -287,7 +291,7 @@ def compute_aggregates(schema: StrategySchema, cols: list[np.ndarray],
 
     def gather(name: str) -> list[np.ndarray]:
         """Column `name` of every role, one (m,) array per role."""
-        return [cols[j][name][index[j]] for j in range(n)]
+        return [columns[name][index[j]] for j in range(n)]
 
     price, strike = gather("price"), gather("strike")
     every = np.ones(m, dtype=bool)
@@ -354,8 +358,8 @@ class Survivors:
 
     schema: StrategySchema
     records: tuple[ContractRecord, ...]  # the snapshot's records
-    candidates: list[np.ndarray]  # sorted candidate table rows, in role order
-    rows: np.ndarray              # (k, n_roles) int32 into `candidates`
+    columns: dict[str, np.ndarray]       # the snapshot's columns
+    rows: np.ndarray              # (k, n_roles) int32 rows of `columns`
     aggregates: dict              # field -> (values, available), (k,) each
     stats: ExecutionStats
 
@@ -365,11 +369,12 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     """Filter, assemble, aggregate and apply HAVING, block by block."""
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
-    cols = [candidates[rid] for rid in vq.schema.role_ids]
+    counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
-        aggregates = compute_aggregates(vq.schema, cols, block, config)
+        aggregates = compute_aggregates(vq.schema, candidates.columns, block,
+                                        config)
         keep = np.ones(len(block), dtype=bool)
         for cond in vq.strategy_conditions:
             keep &= eval_strat_condition(cond, aggregates, config)
@@ -378,8 +383,8 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
                      for field, (values, available) in aggregates.items()})
     passed = np.concatenate(kept_rows)
     stats = ExecutionStats(
-        candidates={rid: len(candidates[rid]) for rid in vq.schema.role_ids},
-        filtered=sum(len(col) for col in cols),
+        candidates=counts,
+        filtered=sum(counts.values()),
         raw_product=raw,
         assembled=len(rows),
         having_passed=len(passed),
@@ -390,21 +395,21 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
                 np.concatenate([part[field][1] for part in kept]))
         for field in AGGREGATE_FIELDS
     }
-    return Survivors(vq.schema, snapshot.records, cols, passed, aggregates,
-                     stats)
+    return Survivors(vq.schema, snapshot.records, candidates.columns, passed,
+                     aggregates, stats)
 
 
 def _ticker_ranks(surv: Survivors) -> list[np.ndarray] | None:
-    """Per-role ticker ranks of every survivor row, or None when some
-    role's tickers differ in length.
+    """Per-role ticker ranks of every survivor row, or None when the
+    snapshot's tickers differ in length.
 
-    When each role's tickers share one length, comparing rows rank by rank
-    orders them exactly as comparing their concatenated ticker strings.
+    When all tickers share one length, comparing rows rank by rank orders
+    them exactly as comparing their concatenated ticker strings.
     """
-    if any(len(np.unique(col["ticker_len"])) > 1 for col in surv.candidates):
+    lengths = surv.columns["ticker_len"]
+    if len(lengths) and lengths.min() != lengths.max():
         return None
-    return [col["ticker_rank"][surv.rows[:, j]]
-            for j, col in enumerate(surv.candidates)]
+    return [surv.columns["ticker_rank"][row] for row in surv.rows.T]
 
 
 def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
@@ -438,19 +443,13 @@ def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
             before |= tied & (key < key[pivot])
             tied &= key == key[pivot]
         picks = np.nonzero(before | tied)[0]
+    positions = surv.columns["record"][surv.rows[picks]]
     tickers = ["".join(surv.records[i].ticker for i in row)
-               for row in _record_rows(surv, picks).tolist()]
+               for row in positions.tolist()]
     columns = [key[picks].tolist() for key in keys]
     ranked = sorted(range(len(picks)),
                     key=lambda i: (*(col[i] for col in columns), tickers[i]))
     return picks[ranked[:limit]]
-
-
-def _record_rows(surv: Survivors, picks: np.ndarray) -> np.ndarray:
-    """(len(picks), n_roles) snapshot record positions of picked survivors."""
-    rows = surv.rows[picks]
-    return np.stack([col["row"][rows[:, j]]
-                     for j, col in enumerate(surv.candidates)], axis=1)
 
 
 def _or_none(values: np.ndarray, available: np.ndarray) -> list:
@@ -496,7 +495,8 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
     return ResultSet(query=vq, text=pretty_print(ast),
                      underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
-                     records=surv.records, rows=_record_rows(surv, picks),
+                     records=surv.records,
+                     rows=surv.columns["record"][surv.rows[picks]],
                      aggregates={field: (values[picks], available[picks])
                                  for field, (values, available)
                                  in surv.aggregates.items()})

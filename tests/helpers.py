@@ -40,7 +40,7 @@ import numpy as np
 from oql import engine, pricing
 from oql.backtest import PnLPath
 from oql.catalog import StrategySchema, ValidatedQuery, build_catalog
-from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_table
+from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_columns
 from oql.cli import main as cli_main
 from oql.config import RunConfig
 from oql.engine import StrategyInstance, Survivors
@@ -688,16 +688,17 @@ def row_aggregates(schema: StrategySchema,
                    assignment: tuple[ContractRecord, ...],
                    config: RunConfig) -> dict[str, float | None]:
     """engine.compute_aggregates on one assignment; None where unavailable."""
-    cols = [record_table([rec]) for rec in assignment]
-    rows = np.zeros((1, len(assignment)), dtype=np.int32)
+    columns = record_columns(assignment)
+    # role j's contract is assignment[j], which sits in row argsort(record)[j]
+    rows = np.argsort(columns["record"]).astype(np.int32)[None, :]
     return {field: float(values[0]) if available[0] else None
             for field, (values, available)
-            in engine.compute_aggregates(schema, cols, rows, config).items()}
+            in engine.compute_aggregates(schema, columns, rows, config).items()}
 
 
 def survivor_instances(surv: Survivors) -> list[StrategyInstance]:
     """Every survivor row as a StrategyInstance, in assembly order."""
-    rows = engine._record_rows(surv, np.arange(len(surv.rows)))
+    rows = surv.columns["record"][surv.rows]
     return engine._instances(surv.schema, surv.records, rows, surv.aggregates)
 
 

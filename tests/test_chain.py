@@ -230,15 +230,39 @@ def test_two_contracts_sharing_a_ticker_rejected(tmp_path):
     assert "first seen at row 3" in str(exc_info.value)
 
 
-def test_snapshot_built_in_memory_with_a_shared_ticker_rejected():
+@pytest.mark.parametrize("second,message", [
     # two calls, strikes 100 and 110, both tickered O:SPY250702C00100000:
     # assembly would read them as one contract and build no spread
+    (dict(strike=110.0, price=1.0, delta=0.2),
+     "duplicate ticker 'O:SPY250702C00100000'; first seen at row 0"),
+    (dict(ticker="O:QQQ250702C00110000", underlying="QQQ", strike=110.0),
+     "underlying 'QQQ' does not match snapshot 'SPY'"),
+    (dict(ticker="O:SPY250702P00110000", option_type="put", strike=110.0),
+     r"put delta must lie in \[-1, 0\], got 0.5"),
+    (dict(ticker="O:SPY250702C00100000X"),
+     r"duplicate contract \(2025-07-02, 100, call\); first seen at row 0"),
+    (dict(ticker="O:SPY250702C00110000", strike=110.0, volume=-1),
+     "volume must be >= 0, got -1"),
+    (dict(ticker="O:SPY250702C00000000", strike=0.0),
+     "strike must be > 0, got 0.0"),
+    (dict(ticker="O:SPY250602C00110000", expiry=dt.date(2025, 6, 1),
+          strike=110.0),
+     "expiry 2025-06-01 is before as_of 2025-06-02"),
+    (dict(ticker="O:SPY250702C00110000", option_type="CALL", strike=110.0),
+     "bad option type 'CALL'"),
+    (dict(ticker="O:SPY250702C00110000", strike=110.0, iv=-0.2),
+     r"iv must be >= 0, got -0.2"),
+], ids=["shared-ticker", "wrong-underlying", "put-delta-positive",
+        "contract-under-second-ticker", "negative-volume", "strike-zero",
+        "expiry-before-as-of", "option-type-CALL", "negative-iv"])
+def test_snapshot_built_in_memory_with_a_shared_ticker_rejected(second,
+                                                                message):
+    # a snapshot built in memory never passed the load checks; execute
+    # runs them before anything is priced, with record positions as rows
     snapshot = ChainSnapshot(
         underlying="SPY", as_of=AS_OF, spot=100.0, rate=0.04,
-        records=(record(), record(strike=110.0, price=1.0, delta=0.2)))
-    with pytest.raises(InvariantViolation,
-                       match="duplicate ticker 'O:SPY250702C00100000'; "
-                             "first seen at row 0") as exc_info:
+        records=(record(), record(**second)))
+    with pytest.raises(InvariantViolation, match=message) as exc_info:
         execute("SELECT BULL_CALL_SPREAD FROM SPY", snapshot, RunConfig())
     assert exc_info.value.row == 1
     assert exc_info.value.stage == "load"
@@ -495,9 +519,9 @@ def test_generate_synthetic_prices_and_greeks_are_model_values():
 def test_generated_snapshot_is_enriched_and_keeps_its_table():
     snap = small_snapshot()
     assert snap.enriched and enrich(snap) is snap
-    assert "table" not in vars(snap)
+    assert "columns" not in vars(snap)
     execute("SELECT LONG_CALL FROM SPY", snap, RunConfig())
-    assert "table" in vars(snap)
+    assert "columns" in vars(snap)
 
 
 def test_generated_prices_invert_to_the_smile_vol():

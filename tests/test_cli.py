@@ -910,6 +910,14 @@ BAD_INPUT = [
     ("gen-chain-strike-range-lost-step", {},
      _gen_chain(strikes=",") + ["--strike-range", "1e300:1e300:1"], "execute",
      "bad strike range '1e300:1e300:1'"),
+    ("gen-chain-strike-range-past-ticker-digits", {},
+     _gen_chain(strikes=",") + ["--strike-range", "1:1e12:1"], "execute",
+     "bad strike range '1:1e12:1': a strike of 100000 or more does not fit "
+     "the ticker's 8 digits"),
+    ("gen-chain-strike-range-step-under-ticker-resolution", {},
+     _gen_chain(strikes=",") + ["--strike-range", "1:2:0.0005"], "execute",
+     "bad strike range '1:2:0.0005': strikes under 0.001 apart share a "
+     "ticker"),
     ("gen-chain-strike-range-zero", {},
      _gen_chain(strikes=",") + ["--strike-range", "0:10:5"], "execute",
      "strike must be > 0, got 0.0"),

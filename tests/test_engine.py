@@ -16,9 +16,10 @@ import pytest
 
 from oql import engine, evalkit, serialize
 from oql.catalog import build_catalog, validate
-from oql.chain import ChainSnapshot, ContractRecord, occ_ticker, record_table
+from oql.chain import ChainSnapshot, ContractRecord, occ_ticker, record_columns
 from oql.config import RunConfig
 from oql.engine import (
+    Candidates,
     Survivors,
     assemble,
     execute,
@@ -64,9 +65,9 @@ def rec(underlying: str, strike: float, option_type: str, price: float,
         delta=delta, gamma=gamma, vega=vega, theta=theta)
 
 
-def _records_of(snapshot: ChainSnapshot, candidates) -> list[ContractRecord]:
-    """One role's candidate table rows as the snapshot records they stand for."""
-    return [snapshot.records[i] for i in candidates["row"]]
+def _records_of(snapshot: ChainSnapshot, rows) -> list[ContractRecord]:
+    """One role's candidate rows as the snapshot records they stand for."""
+    return [snapshot.records[i] for i in snapshot.columns["record"][rows]]
 
 
 def snap(records, *, underlying: str = "SPY", spot: float = 100.0,
@@ -151,7 +152,7 @@ class TestFiltering:
             "SELECT LONG_CALL FROM SPY WHERE Delta > 0.1"))
         snapshot = snap([known, unknown])
         cands = filter_legs(vq, snapshot, RunConfig())
-        assert ([r.ticker for r in _records_of(snapshot, cands["L"])]
+        assert ([r.ticker for r in _records_of(snapshot, cands.rows["L"])]
                 == [known.ticker])
 
     def test_missing_value_also_fails_not_equal(self):
@@ -160,7 +161,7 @@ class TestFiltering:
             "SELECT LONG_CALL FROM SPY WHERE Delta != 0.5"))
         snapshot = snap([unknown])
         cands = filter_legs(vq, snapshot, RunConfig())
-        assert _records_of(snapshot, cands["L"]) == []
+        assert _records_of(snapshot, cands.rows["L"]) == []
 
     def test_moneyness_equality_and_inequality(self):
         records = [rec("SPY", k, "call", 2.0, 30)
@@ -169,12 +170,12 @@ class TestFiltering:
         vq_atm = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Moneyness = ATM"))
         cands = filter_legs(vq_atm, snapshot, RunConfig())
-        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+        assert (sorted(r.strike for r in _records_of(snapshot, cands.rows["L"]))
                 == [99.5, 100.5])
         vq_not = validate(parse_text(
             "SELECT LONG_CALL FROM SPY WHERE Moneyness != ATM"))
         cands = filter_legs(vq_not, snapshot, RunConfig())
-        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+        assert (sorted(r.strike for r in _records_of(snapshot, cands.rows["L"]))
                 == [90.0, 110.0])
 
     def test_role_condition_only_constrains_that_role(self):
@@ -185,9 +186,9 @@ class TestFiltering:
             "AND S.Strike > 100"))
         snapshot = snap(lows + highs)
         cands = filter_legs(vq, snapshot, RunConfig())
-        assert (sorted(r.strike for r in _records_of(snapshot, cands["L"]))
+        assert (sorted(r.strike for r in _records_of(snapshot, cands.rows["L"]))
                 == [90.0, 95.0])
-        assert (sorted(r.strike for r in _records_of(snapshot, cands["S"]))
+        assert (sorted(r.strike for r in _records_of(snapshot, cands.rows["S"]))
                 == [105.0, 110.0])
 
     def test_bare_condition_constrains_every_role(self):
@@ -198,16 +199,30 @@ class TestFiltering:
         snapshot = snap(records)
         cands = filter_legs(vq, snapshot, RunConfig())
         for role in ("L", "S"):
-            assert {r.dte() for r in _records_of(snapshot, cands[role])} == {30}
+            assert {r.dte() for r in _records_of(snapshot, cands.rows[role])} == {30}
 
     def test_candidates_sorted_by_expiry_strike_ticker(self):
-        records = [rec("SPY", k, "call", 2.0, d)
-                   for k in (110.0, 90.0) for d in (60, 30)]
+        # puts first, so record order is not row order; a put and a call
+        # of one strike and expiry order by ticker
+        records = [rec("SPY", k, t, 2.0, d, delta=0.5 if t == "call" else -0.5)
+                   for t in ("put", "call") for k in (110.0, 90.0)
+                   for d in (60, 30)]
         vq = validate(parse_text("SELECT LONG_CALL FROM SPY"))
         snapshot = snap(records)
         cands = filter_legs(vq, snapshot, RunConfig())
-        keys = [(r.expiry, r.strike) for r in _records_of(snapshot, cands["L"])]
+        keys = [(r.expiry, r.strike) for r in _records_of(snapshot, cands.rows["L"])]
         assert keys == sorted(keys)
+        # the snapshot's rows: contiguous 1-D columns in (expiry, strike,
+        # ticker) order, each row pointing at one record
+        columns = snapshot.columns
+        for col in columns.values():
+            assert col.ndim == 1 and col.flags.c_contiguous
+        rows = [(r.expiry, r.strike, r.ticker)
+                for r in _records_of(snapshot, range(len(records)))]
+        assert rows == sorted(rows)
+        assert sorted(columns["record"].tolist()) == list(range(len(records)))
+        for role_rows in cands.rows.values():
+            assert (np.diff(role_rows) > 0).all()
 
     def test_volume_past_the_float_range_still_compares(self):
         # int() reads any digit string a chain file holds; float() cannot
@@ -245,9 +260,9 @@ class TestFiltering:
             config = RunConfig(atm_band=rng.choice((0.0, 0.01, 0.05)))
             got = filter_legs(vq, snapshot, config)
             want = oracle_candidates(vq, snapshot, config)
-            assert list(got) == list(want)
+            assert list(got.rows) == list(want)
             for role, records in want.items():
-                assert _records_of(snapshot, got[role]) == records
+                assert _records_of(snapshot, got.rows[role]) == records
             nonempty += all(want.values())
         assert nonempty >= 80
 
@@ -439,10 +454,12 @@ def _survivors(*rows: tuple[str, dict]) -> Survivors:
         values = [agg.get(field) for _, agg in rows]
         aggregates[field] = (np.array([v or 0.0 for v in values]),
                              np.array([v is not None for v in values]))
+    columns = record_columns(records)
+    # survivor i holds record i, so surv.records reads survivor positions
+    rows = np.argsort(columns["record"]).astype(np.int32)[:, None]
     return Survivors(schema=CATALOG["LONG_CALL"], records=records,
-                     candidates=[record_table(records)],
-                     rows=np.arange(len(rows), dtype=np.int32)[:, None],
-                     aggregates=aggregates, stats=None)
+                     columns=columns, rows=rows, aggregates=aggregates,
+                     stats=None)
 
 
 class TestOrdering:
@@ -532,7 +549,7 @@ class TestGuards:
         # calendar with one expiry would need the same contract twice.
         only = rec("SPY", 100.0, "call", 2.0, 30)
         vq = validate(parse_text("SELECT STRADDLE FROM SPY"))
-        put_twin = rec("SPY", 100.0, "put", 2.0, 30)
+        put_twin = rec("SPY", 100.0, "put", 2.0, 30, delta=-0.5)
         result = execute("SELECT STRADDLE FROM SPY", snap([only, put_twin]))
         assert len(result.strategies) == 1
         roles = {leg.role: leg.record.option_type
@@ -854,16 +871,18 @@ class TestColumnarCore:
         assert rows.dtype == np.int32 and rows.shape == (6, 2)
         assert raw == 36
         assert rows.tolist() == sorted(rows.tolist())
-        lows = _records_of(snapshot, candidates["L"])
-        highs = _records_of(snapshot, candidates["S"])
+        lows = _records_of(snapshot, candidates.rows["L"])
+        highs = _records_of(snapshot, candidates.rows["S"])
         for i, j in rows.tolist():
-            lo, hi = lows[i], highs[j]
+            # rows hold snapshot row numbers, each a candidate of its role
+            (lo,), (hi,) = _records_of(snapshot, [i]), _records_of(snapshot, [j])
+            assert lo in lows and hi in highs
             assert lo.strike < hi.strike and lo.expiry == hi.expiry
 
     def test_budget_refused_before_building_any_row(self):
         # a raw product of 1e18: anything beyond len() would never finish
         vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
-        huge = {"L": range(10 ** 9), "S": range(10 ** 9)}
+        huge = Candidates({}, {"L": range(10 ** 9), "S": range(10 ** 9)})
         with pytest.raises(CombinatorialBudgetExceeded) as exc_info:
             assemble(vq, huge, RunConfig())
         assert exc_info.value.stage == "assemble"
@@ -918,11 +937,13 @@ class TestColumnarCore:
                      rec("SPY", 105.0, "call", 1.0, 30)])
         bare = dataclasses.replace(base, records=tuple(
             dataclasses.replace(r, delta=None) for r in base.records))
-        assert bare.table is bare.table
+        assert bare.columns is bare.columns
         copy = dataclasses.replace(bare)
         assert copy == bare and repr(copy) == repr(bare)
-        assert copy.table is not bare.table
-        assert copy.table.tobytes() == bare.table.tobytes()
+        assert copy.columns is not bare.columns
+        assert list(copy.columns) == list(bare.columns)
+        assert all(copy.columns[name].tobytes() == col.tobytes()
+                   for name, col in bare.columns.items())
         assert [f.name for f in dataclasses.fields(bare)] == [
             "underlying", "as_of", "spot", "rate", "records", "excluded",
             "enriched"]
@@ -930,9 +951,9 @@ class TestColumnarCore:
         cands = filter_legs(vq, bare, RunConfig())
         # filtering reads the bare records as they are: no enrich
         assert not bare.enriched
-        assert [r.delta for r in _records_of(bare, cands["L"])] == [None, None]
-        assert not cands["L"]["delta_ok"].any()
-        assert (cands["L"]["delta"] == 0.0).all()
+        assert [r.delta for r in _records_of(bare, cands.rows["L"])] == [None, None]
+        assert not cands.columns["delta_ok"][cands.rows["L"]].any()
+        assert (cands.columns["delta"][cands.rows["L"]] == 0.0).all()
 
     def test_execute_enriches_a_bare_snapshot(self):
         base = snap([rec("SPY", 100.0, "call", 2.0, 30),
