@@ -25,6 +25,7 @@ import numpy as np
 
 from . import pricing
 from .errors import FormatError, InvariantViolation, NoSolution, NonConvergence
+from .fields import MONEYNESS_VALUES
 from .serialize import format_date, format_number, parse_date
 
 CSV_HEADER = ("ticker,underlying,as_of,expiry,strike,type,"
@@ -95,6 +96,19 @@ class ChainSnapshot:
         return record_columns(self.records)
 
     @cached_property
+    def _moneyness_by_band(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def moneyness(self, atm_band: float) -> np.ndarray:
+        """moneyness_codes of the rows of columns, cached per atm_band."""
+        codes = self._moneyness_by_band.get(atm_band)
+        if codes is None:
+            columns = self.columns
+            codes = self._moneyness_by_band[atm_band] = moneyness_codes(
+                columns["is_call"], columns["strike"], self.spot, atm_band)
+        return codes
+
+    @cached_property
     def iv_by_contract(self) -> dict[tuple, dict[float, float]]:
         """(expiry, option_type) -> strike -> iv; the first record with an
         iv wins.
@@ -132,18 +146,16 @@ def occ_ticker(underlying: str, expiry: _dt.date, option_type: str,
     return f"O:{underlying}{expiry.strftime('%y%m%d')}{code}{millis:08d}"
 
 
-def moneyness(option_type, strike, spot: float, atm_band: float = 0.01):
-    """ATM within |K-S|/S <= atm_band; else calls are ITM iff K < S, puts reversed.
+_ITM, _ATM, _OTM = map(MONEYNESS_VALUES.index, ("ITM", "ATM", "OTM"))
 
-    option_type and strike may be arrays; the result then is an array of
-    labels, one per element.
-    """
+
+def moneyness_codes(is_call, strike, spot: float, atm_band: float) -> np.ndarray:
+    """ATM within |K-S|/S <= atm_band; else calls are ITM iff K < S, puts
+    reversed. Each label as an int8 code, its index in MONEYNESS_VALUES."""
     strike = np.asarray(strike, dtype=float)
-    in_the_money = np.where(np.asarray(option_type) == "call",
-                            strike < spot, strike > spot)
-    label = np.where(np.abs(strike - spot) / spot <= atm_band, "ATM",
-                     np.where(in_the_money, "ITM", "OTM"))
-    return label if label.ndim else str(label)
+    in_the_money = np.where(is_call, strike < spot, strike > spot)
+    return np.where(np.abs(strike - spot) / spot <= atm_band, _ATM,
+                    np.where(in_the_money, _ITM, _OTM)).astype(np.int8)
 
 
 def record_columns(records) -> dict[str, np.ndarray]:

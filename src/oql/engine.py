@@ -29,7 +29,7 @@ from .catalog import RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
 from .errors import CombinatorialBudgetExceeded, UnderlyingMismatch
-from .fields import AGGREGATE_FIELDS
+from .fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
 
@@ -155,10 +155,8 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
     @functools.cache
     def mask(cond: LegCondition) -> np.ndarray:
         if cond.field == "Moneyness":
-            value = chain_mod.moneyness(np.where(columns["is_call"], "call", "put"),
-                                        columns["strike"], snapshot.spot,
-                                        config.atm_band)
-            return _test(cond, config)(value)
+            return _COMPARE[cond.op](snapshot.moneyness(config.atm_band),
+                                     MONEYNESS_VALUES.index(cond.value))
         name = cond.field.lower()
         known = columns.get(f"{name}_ok", True)
         return known & _test(cond, config)(columns[name])
@@ -548,20 +546,24 @@ def _strategies_to_json(result: ResultSet, mode: str) -> list[dict]:
             out.append({"strategy_type": schema.name, "strategy_details": details})
         return out
     # a leg's object depends only on its role and record, so each is
-    # rendered once and copied into every row that holds it
+    # rendered once and shared by every row that holds it
     legs = [{i: _leg_to_json(role, records[i]) for i in set(column)}
             for role, column in zip(schema.roles, zip(*rows))]
     columns = _aggregate_columns(result.aggregates)
     return [
         {"strategy_type": schema.name,
-         "legs": [role_legs[i].copy() for role_legs, i in zip(legs, row)],
+         "legs": [role_legs[i] for role_legs, i in zip(legs, row)],
          "aggregates": dict(zip(columns, values))}
         for row, values in zip(rows, zip(*columns.values()))
     ]
 
 
 def result_to_json(result: ResultSet, config: RunConfig) -> dict:
-    """JSON document for a result set (mode comes from the config)."""
+    """JSON document for a result set (mode comes from the config).
+
+    In standard mode the rows that hold one (role, record) share one leg
+    dict, which serialize.dumps writes once; copy a leg before changing it.
+    """
     return {
         "query": result.text,
         "strategy_type": result.query.schema.name,

@@ -60,14 +60,23 @@ def _key(key) -> str:
     return encode_basestring(key)
 
 
-def _emit(obj, depth: int, out: list[str]) -> None:
-    """Append the indented JSON text of obj, nested `depth` deep, to out."""
+def _emit(obj, depth: int, out: list[str], memo: dict) -> None:
+    """Append the indented JSON text of obj, nested `depth` deep, to out.
+
+    memo maps (id, depth) of each container of scalars written so far to
+    its text, so a repeated one is encoded once.
+    """
     if isinstance(obj, dict):
         values = obj.values()
     elif isinstance(obj, (list, tuple)):
         values = obj
     else:
         out.append("".join(_level(0)[0](obj, 0)))
+        return
+    seen = (id(obj), depth)
+    text = memo.get(seen)
+    if text is not None:
+        out.append(text)
         return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
@@ -80,20 +89,21 @@ def _emit(obj, depth: int, out: list[str]) -> None:
         # every value is a scalar: one C call writes the items, each on
         # its own line; only the brackets' lines are added here
         text = "".join(encode(obj, depth))
-        out += (text[0], inner, text[1:-1], close, text[-1])
+        text = memo[seen] = f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}"
+        out.append(text)
         return
     if isinstance(obj, dict):
         head = "{" + inner
         for key, value in obj.items():
             out += (head, _key(key), ": ")
-            _emit(value, depth + 1, out)
+            _emit(value, depth + 1, out, memo)
             head = sep
         out += (close, "}")
     else:
         head = "[" + inner
         for value in obj:
             out.append(head)
-            _emit(value, depth + 1, out)
+            _emit(value, depth + 1, out, memo)
             head = sep
         out += (close, "]")
 
@@ -109,9 +119,12 @@ def dumps(obj) -> str:
     containers that hold containers, and json's C encoder writes each
     container of scalars (a result's legs and aggregates) in one call,
     with the item separator of its depth: a comma, a newline and the
-    indent.
+    indent. A container of scalars that appears more than once at one
+    depth (a leg shared by many strategies) is encoded once and its text
+    reused; ids are stable for the call because obj keeps every object
+    in it alive.
     """
     out: list[str] = []
-    _emit(obj, 0, out)
+    _emit(obj, 0, out, {})
     out.append("\n")
     return "".join(out)

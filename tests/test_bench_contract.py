@@ -6,8 +6,9 @@ These tests run both against the current sources, so renaming or
 reshaping one of those functions fails here rather than in a benchmark
 run, and a traced query must reach every engine stage the trace names:
 a wrapped function that execute no longer calls would read 0 in every
-benchmark run. perfbench/ is put on sys.path and nothing in it is
-changed.
+benchmark run. The seed-1 scan and backtest ops must give their
+committed golden outcomes, so a change to output bytes fails here too.
+perfbench/ is put on sys.path and nothing in it is changed.
 """
 
 import os
@@ -27,12 +28,18 @@ CHAIN = os.path.join(ROOT, "tests", "data", "chain_tsla.csv")
 
 
 @pytest.fixture(scope="module")
-def spans():
-    # spans imports its sibling modules lazily, so the path stays for the run
+def perfbench():
+    # perfbench's modules import their siblings lazily, so the path stays
+    # for the run
     sys.path.insert(0, PERFBENCH)
-    import spans as module
-    yield module
+    yield
     sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="module")
+def spans(perfbench):
+    import spans as module
+    return module
 
 
 def test_every_traced_function_resolves(spans):
@@ -74,3 +81,17 @@ def test_traced_query_records_every_engine_stage(spans):
                  "pricing.breakevens", "engine.eval_strat_condition",
                  "engine.order_and_limit"):
         assert calls.get(name, 0) >= 1, name
+
+
+@pytest.mark.parametrize("workload", ["scan", "backtest"])
+def test_seed_one_ops_give_their_golden_outcomes(perfbench, workload, tmp_path):
+    import golden
+    import inputs
+    import workloads
+    manifest = inputs.write_inputs(workload, 1, str(tmp_path))
+    run = workloads.WORKLOADS[workload](str(tmp_path))
+    ops = run.ops()
+    expected = golden.expected_outcomes(workload, str(tmp_path), manifest)
+    assert len(ops) == len(expected) > 0
+    for op, want in zip(ops, expected):
+        assert run.outcome(run.run(op)) == want, op

@@ -9,11 +9,12 @@ import pytest
 
 from oql.chain import (CSV_HEADER, GREEK_FIELDS, ChainSnapshot,
                        ContractRecord, enrich, generate_path,
-                       generate_synthetic, load_snapshot, moneyness,
+                       generate_synthetic, load_snapshot, moneyness_codes,
                        occ_ticker, save_snapshot, smile_vol, snapshot_to_text)
 from oql.config import RunConfig
 from oql.engine import execute
 from oql.errors import FormatError, InvariantViolation
+from oql.fields import MONEYNESS_VALUES
 from oql.pricing import MarketParams, bsm_price, greeks, implied_vol
 
 AS_OF = dt.date(2025, 6, 2)
@@ -54,6 +55,13 @@ def test_occ_ticker_format():
         "O:SPY250702C99999999"
 
 
+def moneyness(option_type: str, strike: float) -> str:
+    """The label of one contract's code, spot 100 and atm_band 0.01."""
+    code = moneyness_codes(option_type == "call", strike, 100.0, 0.01)
+    assert code.dtype == np.int8
+    return MONEYNESS_VALUES[code]
+
+
 @pytest.mark.parametrize("option_type,strike,expected", [
     ("call", 95.0, "ITM"),
     ("call", 105.0, "OTM"),
@@ -65,12 +73,12 @@ def test_occ_ticker_format():
     ("put", 99.0, "ATM"),
 ])
 def test_moneyness_classification(option_type, strike, expected):
-    assert moneyness(option_type, strike, 100.0, atm_band=0.01) == expected
+    assert moneyness(option_type, strike) == expected
 
 
 def test_moneyness_just_outside_band():
-    assert moneyness("call", 101.01, 100.0, atm_band=0.01) == "OTM"
-    assert moneyness("put", 98.99, 100.0, atm_band=0.01) == "OTM"
+    assert moneyness("call", 101.01) == "OTM"
+    assert moneyness("put", 98.99) == "OTM"
 
 
 def test_dte_and_tau():

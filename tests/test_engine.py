@@ -9,6 +9,7 @@ ordering ties, budget refusal, and byte-stable serialization.
 
 import dataclasses
 import datetime as dt
+import json
 import random
 
 import numpy as np
@@ -31,7 +32,7 @@ from oql.engine import (
     survivors,
 )
 from oql.errors import CombinatorialBudgetExceeded, UnderlyingMismatch
-from oql.fields import AGGREGATE_FIELDS
+from oql.fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition, parse_text
 
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
     distinct_prefix,
     instance_to_json,
     oracle_candidates,
+    oracle_moneyness,
     oracle_order,
     oracle_survivors,
     random_snapshot as _random_snapshot,
@@ -177,6 +179,34 @@ class TestFiltering:
         cands = filter_legs(vq_not, snapshot, RunConfig())
         assert (sorted(r.strike for r in _records_of(snapshot, cands.rows["L"]))
                 == [90.0, 110.0])
+
+    def test_moneyness_codes_match_the_oracle_per_band(self):
+        # strikes on, inside and outside both bands, for calls and puts
+        records = [rec("SPY", k, t, 2.0, 30)
+                   for t in ("call", "put")
+                   for k in (90.0, 98.0, 99.0, 99.5, 100.0, 101.0, 102.0, 110.0)]
+        snapshot = snap(records)
+        row_records = _records_of(snapshot, range(len(records)))
+        labels = {}
+        for band in (0.01, 0.02):
+            codes = snapshot.moneyness(band)
+            assert codes.dtype == np.int8
+            assert snapshot.moneyness(band) is codes
+            labels[band] = [MONEYNESS_VALUES[c] for c in codes]
+            assert labels[band] == [
+                oracle_moneyness(r.option_type, r.strike, 100.0, band)
+                for r in row_records]
+            config = RunConfig(atm_band=band)
+            for label in MONEYNESS_VALUES:
+                for op in ("=", "!="):
+                    vq = validate(parse_text(
+                        f"SELECT STRADDLE FROM SPY WHERE Moneyness {op} {label}"))
+                    got = filter_legs(vq, snapshot, config)
+                    want = oracle_candidates(vq, snapshot, config)
+                    for role, kept in want.items():
+                        assert _records_of(snapshot, got.rows[role]) == kept
+        # strikes 98 and 102 are ATM only in the wider band
+        assert labels[0.01].count("ATM") == 8 and labels[0.02].count("ATM") == 12
 
     def test_role_condition_only_constrains_that_role(self):
         lows = [rec("SPY", k, "call", 5.0, 30) for k in (90.0, 95.0)]
@@ -981,16 +1011,28 @@ class TestColumnRendering:
     def test_matches_the_per_instance_oracle(self, mode):
         rng = random.Random(1107)
         config = RunConfig(output_mode=mode)
-        seen = dict.fromkeys(("empty", "rows", "unbounded", "unavailable"), 0)
+        seen = dict.fromkeys(("empty", "rows", "unbounded", "unavailable",
+                              "legs", "distinct_legs"), 0)
         for _ in range(150):
             snapshot = _random_snapshot(rng)
             result = execute(random_valid_query(rng, snapshot), snapshot, config)
-            got = result_to_json(result, config)["strategies"]
+            doc = result_to_json(result, config)
+            got = doc["strategies"]
             want = [instance_to_json(inst, mode) for inst in result.strategies]
             assert got == want
             assert serialize.dumps(got) == serialize.dumps(want)
+            assert json.loads(serialize.dumps(doc)) == doc
             seen["empty"] += not want
             seen["rows"] += len(want)
+            # standard mode: the rows holding one (role, record) share
+            # one leg object
+            legs: dict = {}
+            for row, strategy in zip(result.rows.tolist(), got):
+                for role, i, leg in zip(result.query.schema.role_ids, row,
+                                        strategy.get("legs", ())):
+                    assert legs.setdefault((role, i), leg) is leg
+                    seen["legs"] += 1
+            seen["distinct_legs"] += len(legs)
             for strategy in want if mode == "standard" else ():
                 agg = strategy["aggregates"]
                 seen["unbounded"] += (agg["max_profit_unbounded"]
@@ -1004,6 +1046,8 @@ class TestColumnRendering:
         assert seen["empty"] >= 5 and seen["rows"] >= 500
         if mode == "standard":
             assert seen["unbounded"] >= 100 and seen["unavailable"] >= 100
+            # most rows reuse a leg an earlier row already holds
+            assert seen["legs"] >= 2 * seen["distinct_legs"]
 
     def test_unbounded_and_unavailable_render_as_null(self):
         s = snap([rec("SPY", 100.0, "call", 3.0, 30),

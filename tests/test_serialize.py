@@ -7,6 +7,7 @@ each container of scalars to json's C encoder, so the trees below mix
 scalar-only and nested containers at every depth.
 """
 
+import collections
 import json
 import math
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oql import serialize
 from oql.serialize import dumps
 
 
@@ -110,3 +112,80 @@ def test_unsupported_object_at_any_depth_raises_type_error(tree):
     with pytest.raises(TypeError) as got:
         dumps(tree)
     assert str(got.value) == str(want.value)
+
+
+# dumps encodes a container of scalars once per depth and reuses its text
+# wherever the same object appears again at that depth
+
+_SLOT = object()
+
+
+def _fill(tree, shared):
+    """tree with every _SLOT replaced by the one object shared."""
+    if tree is _SLOT:
+        return shared
+    if isinstance(tree, dict):
+        return {key: _fill(value, shared) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_fill(value, shared) for value in tree)
+    return tree
+
+
+def sharing(shared):
+    """Trees that hold one drawn object at several positions: always twice
+    at depth 1 and once at depths 2 and 4, and wherever the drawn skeleton
+    puts a slot."""
+    skeletons = st.recursive(scalars | st.just(_SLOT), containers, max_leaves=20)
+
+    @st.composite
+    def build(draw):
+        obj = draw(shared)
+        skeleton = draw(skeletons)
+        return _fill([_SLOT, (_SLOT, {"k": [_SLOT]}), skeleton, _SLOT], obj)
+    return build()
+
+
+_SCALAR_CONTAINERS = (containers(scalars)
+                      | st.sampled_from([dict, list, tuple]).map(lambda t: t()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sharing(_SCALAR_CONTAINERS | trees))
+def test_a_shared_subtree_is_written_as_json_writes_it(tree):
+    assert dumps(tree) == reference(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sharing(st.builds(lambda items, value, at: items[:at] + [value] + items[at:],
+                         st.lists(scalars, max_size=3), _NON_FINITE,
+                         st.integers(0, 3))
+               | st.builds(lambda value: (1, value), _NON_FINITE)))
+def test_a_shared_container_holding_nan_still_raises(tree):
+    with pytest.raises(ValueError):
+        reference(tree)
+    with pytest.raises(ValueError):
+        dumps(tree)
+
+
+def test_a_leg_in_many_rows_is_encoded_once(monkeypatch):
+    leg = {"role": "L", "ticker": "O:SPY250702C00100000", "direction": 1,
+           "strike": 100.0, "expiry": "2025-07-02", "price": 2.5, "iv": None}
+    doc = {"strategies": [{"legs": [leg], "aggregates": {"net_debit": i / 8}}
+                          for i in range(1000)]}
+    calls = collections.Counter()
+    level = serialize._level
+
+    def counted(depth):
+        encode, *rest = level(depth)
+
+        def counting(obj, at):
+            calls[id(obj), at] += 1
+            return encode(obj, at)
+        return (counting, *rest)
+
+    level.cache_clear()
+    monkeypatch.setattr(serialize, "_level", counted)
+    assert dumps(doc) == reference(doc)
+    # doc 0, strategies 1, a strategy 2, its legs list 3, the leg 4
+    assert calls[id(leg), 4] == 1
+    assert sum(calls.values()) == 1 + 1000
