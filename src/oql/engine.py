@@ -5,10 +5,11 @@ aggregate -> having -> order/limit. Between filter and order it runs on
 one row space, the rows of snapshot.columns in (expiry, strike, ticker)
 order: WHERE is a mask over the columns, a role's candidates are the rows
 it keeps, assembly joins them into an (m, n_roles) array of rows, one
-batch kernel computes every aggregate of every row, HAVING is a boolean
-mask, and ORDER BY + LIMIT ranks the survivor columns once. result_to_json
-renders the returned rows from their columns, and StrategyInstance
-objects are built only when ResultSet.strategies is read.
+batch kernel computes the aggregates HAVING and ORDER BY name over every
+row, HAVING is a boolean mask, and ORDER BY + LIMIT ranks the survivor
+columns once. The returned rows get all twelve aggregates only when
+ResultSet.aggregates is first read, and StrategyInstance objects only when
+ResultSet.strategies is; result_to_json renders from those columns.
 Execution is fully deterministic: results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
 byte-stable under permutation of input records.
@@ -68,7 +69,11 @@ class ExecutionStats:
 
 @dataclass
 class ResultSet:
-    """A query's returned rows, kept as columns in result order."""
+    """A query's returned rows, kept as snapshot rows in result order.
+
+    Their record positions, aggregates and StrategyInstances are built on
+    first read, so a caller that reads only `stats` computes none of them.
+    """
 
     query: ValidatedQuery
     text: str
@@ -76,8 +81,21 @@ class ResultSet:
     as_of: str
     stats: ExecutionStats
     records: tuple[ContractRecord, ...]  # the snapshot's records
-    rows: np.ndarray    # (returned, n_roles) positions in `records`
-    aggregates: dict    # field -> (values, available), (returned,) each
+    columns: dict[str, np.ndarray]       # the snapshot's columns
+    column_rows: np.ndarray  # (returned, n_roles) int32 rows of `columns`
+    config: RunConfig        # the config the query ran under
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(returned, n_roles) positions in `records`."""
+        return self.columns["record"][self.column_rows]
+
+    @cached_property
+    def aggregates(self) -> dict:
+        """field -> (values, available), (returned,) each, for all twelve
+        fields, computed on first access."""
+        return compute_aggregates(self.query.schema, self.columns,
+                                  self.column_rows, self.config)
 
     @cached_property
     def strategies(self) -> list[StrategyInstance]:
@@ -266,75 +284,99 @@ def assemble(vq: ValidatedQuery, candidates: Candidates,
 
 
 # ============================================================
-# Aggregates: one batch kernel
+# Aggregates: one batch kernel, per field group
 # ============================================================
 
 
+# the kernel group each aggregate comes from: entry cash, one net Greek,
+# the payoff extremes, the breakevens or the strike width
+_GROUP = {
+    "net_debit": "entry", "net_credit": "entry",
+    **{f"net_{greek}": greek for greek in GREEK_FIELDS},
+    "max_loss": "extremes", "max_profit": "extremes", "rr_ratio": "extremes",
+    "breakeven_low": "breakevens", "breakeven_high": "breakevens",
+    "width": "width",
+}
+
+
 def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
-                       rows: np.ndarray,
-                       config: RunConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Every aggregate of every row: field -> (values, available).
+                       rows: np.ndarray, config: RunConfig,
+                       fields=AGGREGATE_FIELDS) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The aggregates named in `fields` of every row: field -> (values,
+    available), in AGGREGATE_FIELDS order.
 
     rows[:, j] holds the rows of `columns` that role j's contracts sit in.
-    Cash aggregates and net Greeks are scaled by the contract multiplier.
+    Only the kernel groups the fields need run; the payoff kernels run
+    only for max_profit, max_loss, rr_ratio and the breakevens. Cash
+    aggregates and net Greeks are scaled by the contract multiplier.
     Sums run role by role in role order, so each value is bit-identical
-    whatever the batch size. An unavailable aggregate (it fails HAVING and
-    sorts last) reads 0.0 with available False; +inf marks an unbounded
-    payoff side and stays comparable.
+    whatever the batch size and whichever other fields are asked for. An
+    unavailable aggregate (it fails HAVING and sorts last) reads 0.0 with
+    available False; +inf marks an unbounded payoff side and stays
+    comparable.
     """
     m, n = rows.shape
     mult = config.multiplier
     qd = [role.quantity * role.direction for role in schema.roles]
     index = rows.T.astype(np.intp)
+    groups = {_GROUP[field] for field in fields}
 
+    @functools.cache
     def gather(name: str) -> list[np.ndarray]:
         """Column `name` of every role, one (m,) array per role."""
         return [columns[name][index[j]] for j in range(n)]
 
-    price, strike = gather("price"), gather("strike")
     every = np.ones(m, dtype=bool)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    entry = np.zeros(m)
-    for j in range(n):
-        entry = entry + qd[j] * price[j]
-    entry_cash = entry * mult
-    # zero-cost structures count as debit
-    out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
-                        entry_cash >= 0.0)
-    out["net_credit"] = (-entry_cash, entry_cash < 0.0)
+    if groups & {"entry", "extremes"}:
+        entry = np.zeros(m)
+        for j, price in enumerate(gather("price")):
+            entry = entry + qd[j] * price
+        entry_cash = entry * mult
+        # zero-cost structures count as debit
+        out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
+                            entry_cash >= 0.0)
+        out["net_credit"] = (-entry_cash, entry_cash < 0.0)
 
     for greek in GREEK_FIELDS:
-        total, ok = np.zeros(m), every
-        for j, (value, known) in enumerate(zip(gather(greek),
-                                               gather(f"{greek}_ok"))):
-            total = total + qd[j] * value
-            ok = ok & known
-        out[f"net_{greek}"] = (total * mult, ok)
+        if greek in groups:
+            total, ok = np.zeros(m), every
+            for j, (value, known) in enumerate(zip(gather(greek),
+                                                   gather(f"{greek}_ok"))):
+                total = total + qd[j] * value
+                ok = ok & known
+            out[f"net_{greek}"] = (total * mult, ok)
 
-    # different expiries: no terminal payoff; worst case for a debit
-    # structure is losing the debit, nothing is claimed for credits
-    expiry = gather("expiry")
-    single = np.logical_and.reduce([e == expiry[0] for e in expiry])
-    knots, values, slope = pricing.payoff_at_knots(
-        qd, [role.option_type == "call" for role in schema.roles],
-        np.stack(strike), np.stack(price))
-    max_profit, max_loss = pricing.payoff_extremes(values, slope)
-    low, high, crosses = pricing.breakevens(knots, values, slope)
-    out["max_profit"] = (max_profit * mult, single)
-    out["max_loss"] = (np.where(single, max_loss * mult, entry_cash),
-                       single | (entry_cash > 0.0))
-    out["breakeven_low"] = (low, single & crosses)
-    out["breakeven_high"] = (high, single & crosses)
+    if groups & {"extremes", "breakevens"}:
+        # different expiries: no terminal payoff; worst case for a debit
+        # structure is losing the debit, nothing is claimed for credits
+        expiry = gather("expiry")
+        single = np.logical_and.reduce([e == expiry[0] for e in expiry])
+        knots, values, slope = pricing.payoff_at_knots(
+            qd, [role.option_type == "call" for role in schema.roles],
+            np.stack(gather("strike")), np.stack(gather("price")))
+        if "extremes" in groups:
+            max_profit, max_loss = pricing.payoff_extremes(values, slope)
+            profit, profit_ok = max_profit * mult, single
+            loss = np.where(single, max_loss * mult, entry_cash)
+            loss_ok = single | (entry_cash > 0.0)
+            rr_ok = (profit_ok & loss_ok & np.isfinite(profit)
+                     & np.isfinite(loss) & (loss > 0.0))
+            out["max_profit"] = (profit, profit_ok)
+            out["max_loss"] = (loss, loss_ok)
+            out["rr_ratio"] = (np.divide(profit, loss, out=np.zeros(m),
+                                         where=rr_ok), rr_ok)
+        if "breakevens" in groups:
+            low, high, crosses = pricing.breakevens(knots, values, slope)
+            out["breakeven_low"] = (low, single & crosses)
+            out["breakeven_high"] = (high, single & crosses)
 
-    profit, profit_ok = out["max_profit"]
-    loss, loss_ok = out["max_loss"]
-    rr_ok = (profit_ok & loss_ok & np.isfinite(profit) & np.isfinite(loss)
-             & (loss > 0.0))
-    out["rr_ratio"] = (np.divide(profit, loss, out=np.zeros(m), where=rr_ok),
-                       rr_ok)
-    out["width"] = (np.maximum.reduce(strike) - np.minimum.reduce(strike), every)
-    return {field: out[field] for field in AGGREGATE_FIELDS}
+    if "width" in groups:
+        strike = gather("strike")
+        out["width"] = (np.maximum.reduce(strike) - np.minimum.reduce(strike),
+                        every)
+    return {field: out[field] for field in AGGREGATE_FIELDS if field in fields}
 
 
 def eval_strat_condition(cond: StratCondition, aggregates: dict,
@@ -358,27 +400,34 @@ class Survivors:
     records: tuple[ContractRecord, ...]  # the snapshot's records
     columns: dict[str, np.ndarray]       # the snapshot's columns
     rows: np.ndarray              # (k, n_roles) int32 rows of `columns`
-    aggregates: dict              # field -> (values, available), (k,) each
+    aggregates: dict  # ORDER BY field -> (values, available), (k,) each
     stats: ExecutionStats
 
 
 def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
               config: RunConfig) -> Survivors:
-    """Filter, assemble, aggregate and apply HAVING, block by block."""
+    """Filter, assemble and apply HAVING, block by block.
+
+    Per block only the aggregates HAVING and ORDER BY name are computed,
+    and only the ORDER BY columns of the rows that pass are kept.
+    """
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
+    order = {item.field for item in vq.ast.order_by}
+    read = order | {cond.field for cond in vq.strategy_conditions}
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
         aggregates = compute_aggregates(vq.schema, candidates.columns, block,
-                                        config)
+                                        config, read)
         keep = np.ones(len(block), dtype=bool)
         for cond in vq.strategy_conditions:
             keep &= eval_strat_condition(cond, aggregates, config)
         kept_rows.append(block[keep])
         kept.append({field: (values[keep], available[keep])
-                     for field, (values, available) in aggregates.items()})
+                     for field, (values, available) in aggregates.items()
+                     if field in order})
     passed = np.concatenate(kept_rows)
     stats = ExecutionStats(
         candidates=counts,
@@ -391,7 +440,7 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     aggregates = {
         field: (np.concatenate([part[field][0] for part in kept]),
                 np.concatenate([part[field][1] for part in kept]))
-        for field in AGGREGATE_FIELDS
+        for field in kept[0]
     }
     return Survivors(vq.schema, snapshot.records, candidates.columns, passed,
                      aggregates, stats)
@@ -475,8 +524,8 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
     """Run a query against a snapshot end to end.
 
-    The result holds the record positions and aggregate columns of the
-    returned rows only.
+    The result holds the snapshot rows of the returned rows only; their
+    aggregates are computed when ResultSet.aggregates is first read.
     """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
@@ -493,11 +542,8 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
     return ResultSet(query=vq, text=pretty_print(ast),
                      underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
-                     records=surv.records,
-                     rows=surv.columns["record"][surv.rows[picks]],
-                     aggregates={field: (values[picks], available[picks])
-                                 for field, (values, available)
-                                 in surv.aggregates.items()})
+                     records=surv.records, columns=surv.columns,
+                     column_rows=surv.rows[picks], config=config)
 
 
 # ============================================================

@@ -696,10 +696,18 @@ def row_aggregates(schema: StrategySchema,
             in engine.compute_aggregates(schema, columns, rows, config).items()}
 
 
-def survivor_instances(surv: Survivors) -> list[StrategyInstance]:
-    """Every survivor row as a StrategyInstance, in assembly order."""
+def survivor_instances(surv: Survivors,
+                       config: RunConfig) -> list[StrategyInstance]:
+    """Every survivor row as a StrategyInstance with all twelve aggregates,
+    in assembly order.
+
+    Survivors keep only the ORDER BY columns, so the twelve are computed
+    here from the survivor rows.
+    """
     rows = surv.columns["record"][surv.rows]
-    return engine._instances(surv.schema, surv.records, rows, surv.aggregates)
+    aggregates = engine.compute_aggregates(surv.schema, surv.columns,
+                                           surv.rows, config)
+    return engine._instances(surv.schema, surv.records, rows, aggregates)
 
 
 # ============================================================

@@ -337,7 +337,7 @@ def test_engine_matches_exhaustive_enumeration(capfd):
             vq = validate(tree)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
             surv = survivors(vq, snapshot, config)
-            instances, stats = survivor_instances(surv), surv.stats
+            instances, stats = survivor_instances(surv, config), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -395,9 +395,10 @@ def test_engine_matches_exhaustive_enumeration(capfd):
                         StratCondition("max_loss", "<", 1000.0),
                         StratCondition("net_debit", "<", 800.0),
                     )),))
-            wide = survivor_instances(survivors(validate(base), snapshot, config))
+            wide = survivor_instances(
+                survivors(validate(base), snapshot, config), config)
             narrow = survivor_instances(
-                survivors(validate(tighter), snapshot, config))
+                survivors(validate(tighter), snapshot, config), config)
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             c.check(narrow_keys <= wide_keys,

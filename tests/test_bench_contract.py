@@ -6,8 +6,9 @@ These tests run both against the current sources, so renaming or
 reshaping one of those functions fails here rather than in a benchmark
 run, and a traced query must reach every engine stage the trace names:
 a wrapped function that execute no longer calls would read 0 in every
-benchmark run. The seed-1 scan and backtest ops must give their
-committed golden outcomes, so a change to output bytes fails here too.
+benchmark run. The seed-1 scan, attempts and backtest ops must give
+their committed golden outcomes, so a change to output bytes or to an
+eval outcome (k, rows, strategy, error stages) fails here too.
 perfbench/ is put on sys.path and nothing in it is changed.
 """
 
@@ -74,7 +75,8 @@ def test_traced_query_records_every_engine_stage(spans):
     snap = chain.load_snapshot(CHAIN)
     with spans.Patched(spans.wrap_points(tracer)):
         result = engine.execute(query, snap, RunConfig())
-    assert len(result.strategies) == 5
+        # the breakevens are computed only when the result is rendered
+        assert len(result.strategies) == 5
     calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
     for name in ("engine.filter_legs", "engine.assemble", "engine.survivors",
                  "engine.compute_aggregates", "pricing.payoff_extremes",
@@ -83,7 +85,7 @@ def test_traced_query_records_every_engine_stage(spans):
         assert calls.get(name, 0) >= 1, name
 
 
-@pytest.mark.parametrize("workload", ["scan", "backtest"])
+@pytest.mark.parametrize("workload", ["scan", "attempts", "backtest"])
 def test_seed_one_ops_give_their_golden_outcomes(perfbench, workload, tmp_path):
     import golden
     import inputs

@@ -13,11 +13,11 @@ snapshot is a helpers.random_snapshot, as generated or hand-built from
 one: tickers cut to 3-20 characters with helpers.distinct_prefix, and
 some Greeks dropped, either left for enrich to backfill or kept missing
 on a snapshot marked enriched. Queries are helpers.random_valid_query,
-some without WHERE, with extra HAVING conditions and ORDER BY keys over every aggregate field
-and random LIMITs; one in twelve is a helpers.random_ast, which mostly
-fails validation or names another underlying. Configs vary the soft-match
-band, the ATM band, the multiplier, symmetric wings and the
-combinatorial cap.
+some without WHERE, with extra HAVING conditions and ORDER BY keys over
+every aggregate field and random LIMITs; one in twelve is a
+helpers.random_ast, which mostly fails validation or names another
+underlying. Configs vary the soft-match band, the ATM band, the
+multiplier, symmetric wings and the combinatorial cap.
 
 Recording (only when the output contract changes on purpose):
 
@@ -39,10 +39,10 @@ from helpers import (
     random_valid_query,
 )
 from oql import serialize
-from oql.errors import OqlError
-from oql.engine import execute, result_to_json
-from oql.fields import AGGREGATE_FIELDS
 from oql.config import RunConfig
+from oql.engine import execute, result_to_json
+from oql.errors import OqlError
+from oql.fields import AGGREGATE_FIELDS
 from oql.syntax import OrderItem, pretty_print
 
 CORPUS_FILE = os.path.join(os.path.dirname(__file__), "data",

@@ -7,17 +7,22 @@ corners: soft-match bands, cash sign conventions, HAVING semantics,
 ordering ties, budget refusal, and byte-stable serialization.
 """
 
+import collections
 import dataclasses
 import datetime as dt
+import functools
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oql import engine, evalkit, serialize
+from oql import engine, evalkit, pricing, serialize
 from oql.catalog import build_catalog, validate
-from oql.chain import ChainSnapshot, ContractRecord, occ_ticker, record_columns
+from oql.chain import (ChainSnapshot, ContractRecord, generate_synthetic,
+                       occ_ticker, record_columns)
 from oql.config import RunConfig
 from oql.engine import (
     Candidates,
@@ -708,7 +713,7 @@ class TestOracleEquivalence:
             vq = validate(ast)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
             surv = survivors(vq, snapshot, config)
-            instances, stats = survivor_instances(surv), surv.stats
+            instances, stats = survivor_instances(surv, config), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -777,9 +782,10 @@ class TestOracleEquivalence:
                 ))
                 tighter = dataclasses.replace(
                     base, having=base.having + (extra_having,))
-            wide = survivor_instances(survivors(validate(base), snapshot, config))
+            wide = survivor_instances(
+                survivors(validate(base), snapshot, config), config)
             narrow = survivor_instances(
-                survivors(validate(tighter), snapshot, config))
+                survivors(validate(tighter), snapshot, config), config)
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             assert narrow_keys <= wide_keys
@@ -1133,3 +1139,104 @@ class TestLateMaterialization:
         code, _, _ = run_cli(["run", query, "--chain", chain,
                               "--format", "table"])
         assert code == 0 and len(built) == 3
+
+
+@functools.cache
+def _selection_pool() -> dict:
+    """Per catalog family: (schema, columns, assembled rows) on a two-expiry
+    chain where every fifth contract has lost one Greek."""
+    snapshot = generate_synthetic(
+        underlying="SYN", as_of=AS_OF, spot=100.0, rate=0.03,
+        expiries=[AS_OF + dt.timedelta(days=d) for d in (30, 60)],
+        strikes=[85.0 + 5.0 * i for i in range(7)], base_vol=0.3, skew=-0.1,
+        term=0.05, seed=3)
+    greeks = ("delta", "gamma", "vega", "theta")
+    snapshot = dataclasses.replace(snapshot, records=tuple(
+        dataclasses.replace(r, **{greeks[i % 4]: None}) if i % 5 == 0 else r
+        for i, r in enumerate(snapshot.records)))
+    object.__setattr__(snapshot, "enriched", True)  # keep them missing
+    config = RunConfig()
+    pool = {}
+    for name in sorted(CATALOG):
+        vq = validate(parse_text(f"SELECT {name} FROM SYN"))
+        rows, _ = assemble(vq, filter_legs(vq, snapshot, config), config)
+        pool[name] = (vq.schema, snapshot.columns, rows)
+    return pool
+
+
+class TestFieldSelection:
+    """survivors computes only the aggregates HAVING and ORDER BY name;
+    the twelve are computed for the returned rows when
+    ResultSet.aggregates is first read."""
+
+    CONDOR = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
+              "AND LC.Delta < 0.15 AND SP.Delta > -0.3 AND LP.Delta > -0.15")
+    PAYOFF = {"payoff_at_knots", "payoff_extremes", "breakevens"}
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        calls = collections.Counter()
+        for name in self.PAYOFF:
+            def counted(*args, _real=getattr(pricing, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(pricing, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("clauses, called", [
+        ("", set()),
+        (" HAVING net_credit > 0", set()),
+        (" HAVING net_theta > 0 ORDER BY width DESC LIMIT 5", set()),
+        (" ORDER BY rr_ratio DESC LIMIT 5",
+         {"payoff_at_knots", "payoff_extremes"}),
+        (" HAVING breakeven_low > 0", {"payoff_at_knots", "breakevens"}),
+    ])
+    def test_execute_computes_only_the_fields_read(self, kernels,
+                                                   tsla_snapshot, clauses,
+                                                   called):
+        config = RunConfig()
+        result = execute(self.CONDOR + clauses, tsla_snapshot, config)
+        assert result.stats.returned > 0
+        assert set(kernels) == called
+        kernels.clear()
+        aggregates = result.aggregates
+        assert set(kernels) == self.PAYOFF
+        assert result.aggregates is aggregates
+        # the twelve of the returned rows equal those of the same rows
+        # computed with every other assembled row
+        vq = result.query
+        rows, _ = assemble(vq, filter_legs(vq, tsla_snapshot, config), config)
+        full = engine.compute_aggregates(vq.schema, tsla_snapshot.columns,
+                                         rows, config)
+        where = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+        picks = [where[row] for row in map(tuple, result.column_rows.tolist())]
+        assert list(aggregates) == list(full) == list(AGGREGATE_FIELDS)
+        for field, (values, available) in full.items():
+            assert aggregates[field][0].tobytes() == values[picks].tobytes()
+            assert aggregates[field][1].tobytes() == available[picks].tobytes()
+
+    def test_run_case_calls_no_payoff_kernel(self, kernels, tsla_snapshot):
+        case = evalkit.EvalCase(id="c1", intent="", chain="",
+                                gold_strategy="IRON_CONDOR",
+                                attempts=(self.CONDOR,))
+        outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
+        assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
+        assert not kernels
+
+    @given(name=st.sampled_from(sorted(CATALOG)),
+           fields=st.sets(st.sampled_from(AGGREGATE_FIELDS)),
+           cut=st.integers(0, 12), multiplier=st.sampled_from((1.0, 100.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_each_field_is_the_same_whichever_fields_are_asked_for(
+            self, name, fields, cut, multiplier):
+        schema, columns, rows = _selection_pool()[name]
+        config = RunConfig(multiplier=multiplier)
+        full = engine.compute_aggregates(schema, columns, rows, config)
+        some = engine.compute_aggregates(schema, columns, rows[cut:], config,
+                                         fields)
+        assert list(some) == [f for f in AGGREGATE_FIELDS if f in fields]
+        for field, (values, available) in some.items():
+            want_values, want_available = full[field]
+            assert (values == want_values[cut:]).all()
+            assert values.tobytes() == want_values[cut:].tobytes()
+            assert (available == want_available[cut:]).all()
