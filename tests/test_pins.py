@@ -21,7 +21,9 @@ removed, on a snapshot marked enriched so enrich leaves it as it is:
 enrich backfills missing Greeks, so a None net Greek cannot reach a
 query through the CLI.
 
-Recording (only when the output contract changes on purpose):
+Recording pins every run added to the lists below and leaves the pins
+already recorded as they are (remove a pin first only when the output
+contract changes on purpose):
 
     PYTHONPATH=src python3 tests/test_pins.py --record
 """
@@ -145,6 +147,16 @@ CLI_RUNS = [
     (EDGE, "SELECT STRADDLE FROM SPY WHERE Moneyness != ITM AND Volume > 800",
      ["--atm-band", "0.05"]),
     (EDGE, "SELECT LONG_CALL FROM SPY WHERE Iv > 0.5", []),
+    # --format table runs, recorded before the table was rendered from
+    # columns: an unbounded max_profit, a calendar's unavailable cells, an
+    # empty result and a condor whose width ties break on tickers
+    (TSLA, "SELECT LONG_CALL FROM TSLA WHERE Dte ~ 30 AND Delta ~ 0.5 "
+           "ORDER BY net_debit ASC LIMIT 4", ["--format", "table"]),
+    (QQQ, "SELECT CALENDAR_CALL FROM QQQ WHERE Moneyness = ATM "
+          "ORDER BY net_debit DESC LIMIT 4", ["--format", "table"]),
+    (QQQ, "SELECT STRADDLE FROM QQQ WHERE Dte > 400", ["--format", "table"]),
+    (TSLA, "SELECT IRON_CONDOR FROM TSLA WHERE Strike > 270 AND Strike < 330 "
+           "AND Dte ~ 30 ORDER BY width ASC LIMIT 6", ["--format", "table"]),
 ]
 
 # (query, strike of the 30-day call that loses a Greek, that Greek)
@@ -174,6 +186,12 @@ CONFIG_QUERY = ("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
 CONFIG_FILE = ('{"epsilon": 0.1, '
                '"epsilon_overrides": {"net_debit": 0.3, "Delta": 0.05}}\n')
 TSLA_PATH = os.path.join(DATA_DIR, TSLA)
+REPL_SESSION = (
+    "SELECT LONG_PUT FROM TSLA WHERE Dte ~ 30 ORDER BY net_theta DESC LIMIT 3\n"
+    "SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 60 HAVING net_debit < 400 "
+    "ORDER BY rr_ratio DESC LIMIT 3\n"
+    "SELECT STRADDLE FROM TSLA HAVING max_gain > 0\n"
+    ":quit\n")
 
 # name -> (files written into the working directory, steps); a step is
 # (argv, stdin text or None)
@@ -211,6 +229,10 @@ DOC_RUNS = {
     "run --config": ({"oql.json": CONFIG_FILE}, [
         (["run", CONFIG_QUERY, "--chain", TSLA_PATH, "--config", "oql.json"],
          None),
+    ]),
+    # two queries printed as tables, then one that fails validation
+    "repl queries": ({}, [
+        (["repl", "--chain", TSLA_PATH], REPL_SESSION),
     ]),
 }
 
@@ -304,15 +326,18 @@ def test_pins_cover_every_family_and_outcome(pins):
 
 
 def record() -> None:
+    """Pin every run that has no pin yet; the pins already there stay."""
     os.environ.pop("OQL_CONFIG", None)
-    doc = {
-        "cli": [{"query": q, **cli_run(c, q, f)} for c, q, f in CLI_RUNS],
-        "engine": [{"query": q, **engine_run(q, k, g)} for q, k, g in ENGINE_RUNS],
-        "documents": {},
-    }
+    doc = (_load_pins() if os.path.exists(PIN_FILE)
+           else {"cli": [], "engine": [], "documents": {}})
+    for c, q, f in CLI_RUNS[len(doc["cli"]):]:
+        doc["cli"].append({"query": q, **cli_run(c, q, f)})
+    for q, k, g in ENGINE_RUNS[len(doc["engine"]):]:
+        doc["engine"].append({"query": q, **engine_run(q, k, g)})
     for name in DOC_RUNS:
-        with tempfile.TemporaryDirectory() as workdir:
-            doc["documents"][name] = doc_run(name, workdir)
+        if name not in doc["documents"]:
+            with tempfile.TemporaryDirectory() as workdir:
+                doc["documents"][name] = doc_run(name, workdir)
     with open(PIN_FILE, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
