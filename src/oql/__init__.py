@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 # name -> the submodule that defines it, imported by __getattr__
 _LAZY = {
     "ResultSet": "engine",
-    "StrategyInstance": "engine",
     "execute": "engine",
     "result_to_json": "engine",
     "CaseOutcome": "evalkit",
@@ -74,7 +73,6 @@ __all__ = [
     "ResultSet",
     "RoleSpec",
     "RunConfig",
-    "StrategyInstance",
     "StrategySchema",
     "StructuralRule",
     "ValidatedQuery",

@@ -5,11 +5,12 @@ aggregate -> having -> order/limit. Between filter and order it runs on
 one row space, the rows of snapshot.columns in (expiry, strike, ticker)
 order: WHERE is a mask over the columns, a role's candidates are the rows
 it keeps, assembly joins them into an (m, n_roles) array of rows, one
-batch kernel computes the aggregates HAVING and ORDER BY name over every
-row, HAVING is a boolean mask, and ORDER BY + LIMIT ranks the survivor
-columns once. The returned rows get all twelve aggregates only when
-ResultSet.aggregates is first read, and StrategyInstance objects only when
-ResultSet.strategies is; result_to_json renders from those columns.
+batch kernel computes the aggregate groups HAVING and ORDER BY read over
+every row, HAVING is a boolean mask, and ORDER BY + LIMIT ranks the
+surviving rows once. A result exists only as columns: a ResultSet holds
+its snapshot rows and the aggregate columns computed for them, and the
+first read of ResultSet.aggregates computes the groups still missing.
+result_to_json and result_to_table render rows from those columns.
 Execution is fully deterministic: results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
 byte-stable under permutation of input records.
@@ -39,24 +40,6 @@ from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_p
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class StrategyLeg:
-    role: str
-    record: ContractRecord
-    direction: int
-    quantity: int
-
-
-@dataclass(frozen=True)
-class StrategyInstance:
-    strategy_type: str
-    legs: tuple[StrategyLeg, ...]
-    aggregates: dict[str, float | None]
-
-    def ticker_key(self) -> str:
-        return "".join(leg.record.ticker for leg in self.legs)
-
-
 @dataclass
 class ExecutionStats:
     candidates: dict[str, int]
@@ -69,10 +52,13 @@ class ExecutionStats:
 
 @dataclass
 class ResultSet:
-    """A query's returned rows, kept as snapshot rows in result order.
+    """A query's rows, kept as snapshot rows: every row that passed HAVING
+    in assembly order (`survivors`), or the returned rows in result order
+    (`execute`).
 
-    Their record positions, aggregates and StrategyInstances are built on
-    first read, so a caller that reads only `stats` computes none of them.
+    `computed` holds the aggregate columns already computed for the rows;
+    the record positions and the other aggregates are computed on first
+    read, so a caller that reads only `stats` computes none of them.
     """
 
     query: ValidatedQuery
@@ -82,26 +68,26 @@ class ResultSet:
     stats: ExecutionStats
     records: tuple[ContractRecord, ...]  # the snapshot's records
     columns: dict[str, np.ndarray]       # the snapshot's columns
-    column_rows: np.ndarray  # (returned, n_roles) int32 rows of `columns`
+    column_rows: np.ndarray  # (k, n_roles) int32 rows of `columns`
     config: RunConfig        # the config the query ran under
+    computed: dict  # field -> (values, available), (k,) each
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """(returned, n_roles) positions in `records`."""
+        """(k, n_roles) positions in `records`."""
         return self.columns["record"][self.column_rows]
 
     @cached_property
     def aggregates(self) -> dict:
-        """field -> (values, available), (returned,) each, for all twelve
-        fields, computed on first access."""
-        return compute_aggregates(self.query.schema, self.columns,
-                                  self.column_rows, self.config)
-
-    @cached_property
-    def strategies(self) -> list[StrategyInstance]:
-        """The returned rows as StrategyInstances, built on first access."""
-        return _instances(self.query.schema, self.records, self.rows,
-                          self.aggregates)
+        """field -> (values, available), (k,) each, for all twelve fields
+        in AGGREGATE_FIELDS order; the first read computes only the fields
+        missing from `computed`."""
+        missing = [field for field in AGGREGATE_FIELDS
+                   if field not in self.computed]
+        known = {**self.computed, **compute_aggregates(
+            self.query.schema, self.columns, self.column_rows, self.config,
+            missing)}
+        return {field: known[field] for field in AGGREGATE_FIELDS}
 
 
 # ============================================================
@@ -392,75 +378,65 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
 # ============================================================
 
 
-@dataclass
-class Survivors:
-    """The rows that passed HAVING, kept as columns."""
-
-    schema: StrategySchema
-    records: tuple[ContractRecord, ...]  # the snapshot's records
-    columns: dict[str, np.ndarray]       # the snapshot's columns
-    rows: np.ndarray              # (k, n_roles) int32 rows of `columns`
-    aggregates: dict  # ORDER BY field -> (values, available), (k,) each
-    stats: ExecutionStats
-
-
 def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
-              config: RunConfig) -> Survivors:
-    """Filter, assemble and apply HAVING, block by block.
+              config: RunConfig) -> ResultSet:
+    """Filter, assemble and apply HAVING, block by block: every row that
+    passes, in assembly order.
 
-    Per block only the aggregates HAVING and ORDER BY name are computed,
-    and only the ORDER BY columns of the rows that pass are kept.
+    Per block only the kernel groups HAVING and ORDER BY read run, and
+    every field of those groups is kept for the rows that pass, so the
+    result's aggregates later compute only the groups still missing.
     """
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
-    order = {item.field for item in vq.ast.order_by}
-    read = order | {cond.field for cond in vq.strategy_conditions}
+    read = ({item.field for item in vq.ast.order_by}
+            | {cond.field for cond in vq.strategy_conditions})
+    groups = {_GROUP[field] for field in read}
+    fields = [field for field in AGGREGATE_FIELDS if _GROUP[field] in groups]
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
         aggregates = compute_aggregates(vq.schema, candidates.columns, block,
-                                        config, read)
+                                        config, fields)
         keep = np.ones(len(block), dtype=bool)
         for cond in vq.strategy_conditions:
             keep &= eval_strat_condition(cond, aggregates, config)
         kept_rows.append(block[keep])
         kept.append({field: (values[keep], available[keep])
-                     for field, (values, available) in aggregates.items()
-                     if field in order})
+                     for field, (values, available) in aggregates.items()})
     passed = np.concatenate(kept_rows)
-    stats = ExecutionStats(
-        candidates=counts,
-        filtered=sum(counts.values()),
-        raw_product=raw,
-        assembled=len(rows),
-        having_passed=len(passed),
-        returned=0,
-    )
-    aggregates = {
+    stats = ExecutionStats(candidates=counts, filtered=sum(counts.values()),
+                           raw_product=raw, assembled=len(rows),
+                           having_passed=len(passed), returned=len(passed))
+    computed = {
         field: (np.concatenate([part[field][0] for part in kept]),
                 np.concatenate([part[field][1] for part in kept]))
-        for field in kept[0]
+        for field in fields
     }
-    return Survivors(vq.schema, snapshot.records, candidates.columns, passed,
-                     aggregates, stats)
+    return ResultSet(query=vq, text=pretty_print(vq.ast),
+                     underlying=snapshot.underlying,
+                     as_of=format_date(snapshot.as_of), stats=stats,
+                     records=snapshot.records, columns=candidates.columns,
+                     column_rows=passed, config=config, computed=computed)
 
 
-def _ticker_ranks(surv: Survivors) -> list[np.ndarray] | None:
-    """Per-role ticker ranks of every survivor row, or None when the
-    snapshot's tickers differ in length.
+def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
+    """Per-role ticker ranks of every row, or None when the snapshot's
+    tickers differ in length.
 
     When all tickers share one length, comparing rows rank by rank orders
     them exactly as comparing their concatenated ticker strings.
     """
-    lengths = surv.columns["ticker_len"]
+    lengths = result.columns["ticker_len"]
     if len(lengths) and lengths.min() != lengths.max():
         return None
-    return [surv.columns["ticker_rank"][row] for row in surv.rows.T]
+    return [result.columns["ticker_rank"][row] for row in result.column_rows.T]
 
 
-def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
-    """Survivor positions in result order: a stable multi-key sort
+def order_and_limit(result: ResultSet, order_by,
+                    limit: int | None) -> np.ndarray:
+    """Row positions of `result` in result order: a stable multi-key sort
     (default ASC), then LIMIT.
 
     Each ORDER BY item keys on a missing flag, then the signed value, so
@@ -473,14 +449,14 @@ def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
     """
     keys: list[np.ndarray] = []
     for item in order_by:
-        values, available = surv.aggregates[item.field]
+        values, available = result.computed[item.field]
         keys.append(~available)
         signed = values if item.direction == "ASC" else -values
         keys.append(np.where(available, signed, 0.0))
-    ranks = _ticker_ranks(surv)
+    ranks = _ticker_ranks(result)
     if ranks is not None:
         return np.lexsort((keys + ranks)[::-1])[:limit]
-    k = len(surv.rows)
+    k = len(result.column_rows)
     picks = np.arange(k)
     if keys and limit is not None and limit < k:
         pivot = np.lexsort(keys[::-1])[limit - 1]
@@ -490,8 +466,8 @@ def order_and_limit(surv: Survivors, order_by, limit: int | None) -> np.ndarray:
             before |= tied & (key < key[pivot])
             tied &= key == key[pivot]
         picks = np.nonzero(before | tied)[0]
-    positions = surv.columns["record"][surv.rows[picks]]
-    tickers = ["".join(surv.records[i].ticker for i in row)
+    positions = result.columns["record"][result.column_rows[picks]]
+    tickers = ["".join(result.records[i].ticker for i in row)
                for row in positions.tolist()]
     columns = [key[picks].tolist() for key in keys]
     ranked = sorted(range(len(picks)),
@@ -504,28 +480,13 @@ def _or_none(values: np.ndarray, available: np.ndarray) -> list:
     return [v if ok else None for v, ok in zip(values.tolist(), available.tolist())]
 
 
-def _instances(schema: StrategySchema, records, rows: np.ndarray,
-               aggregates: dict) -> list[StrategyInstance]:
-    """One StrategyInstance per row of record positions, in row order."""
-    columns = [_or_none(values, available)
-               for values, available in aggregates.values()]
-    out = []
-    for row, agg in zip(rows.tolist(), zip(*columns)):
-        legs = tuple(
-            StrategyLeg(role=role.id, record=records[i],
-                        direction=role.direction, quantity=role.quantity)
-            for role, i in zip(schema.roles, row))
-        out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
-                                    aggregates=dict(zip(aggregates, agg))))
-    return out
-
-
 def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
     """Run a query against a snapshot end to end.
 
-    The result holds the snapshot rows of the returned rows only; their
-    aggregates are computed when ResultSet.aggregates is first read.
+    The result holds the returned rows only, with the aggregate columns
+    HAVING and ORDER BY computed for them; the rest are computed when
+    ResultSet.aggregates is first read.
     """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
@@ -535,15 +496,14 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             f"query is FROM {ast.underlying} but the snapshot holds "
             f"{snapshot.underlying}")
     snapshot = chain_mod.enrich(snapshot)
-    surv = survivors(vq, snapshot, config)
-    picks = order_and_limit(surv, ast.order_by, ast.limit)
-    stats = surv.stats
-    stats.returned = len(picks)
-    return ResultSet(query=vq, text=pretty_print(ast),
-                     underlying=snapshot.underlying,
-                     as_of=format_date(snapshot.as_of), stats=stats,
-                     records=surv.records, columns=surv.columns,
-                     column_rows=surv.rows[picks], config=config)
+    result = survivors(vq, snapshot, config)
+    picks = order_and_limit(result, ast.order_by, ast.limit)
+    # narrowed in place: nothing has read its rows or aggregates yet
+    result.column_rows = result.column_rows[picks]
+    result.computed = {field: (values[picks], available[picks])
+                       for field, (values, available) in result.computed.items()}
+    result.stats.returned = len(picks)
+    return result
 
 
 # ============================================================
@@ -622,29 +582,33 @@ def result_to_json(result: ResultSet, config: RunConfig) -> dict:
     }
 
 
+# the aggregates a table row shows, in column order
+_TABLE_FIELDS = ("net_debit", "net_credit", "max_loss", "max_profit",
+                 "rr_ratio", "net_delta", "net_theta")
+
+
+def _cell(value: float | None) -> str:
+    if value is None:
+        return "-"
+    if math.isinf(value):
+        return "unbounded"
+    return f"{value:.4g}"
+
+
 def result_to_table(result: ResultSet) -> str:
-    """Fixed-width human-readable listing of a result set."""
-    header = (f"{result.query.schema.name} on {result.underlying} "
-              f"as of {result.as_of}: {len(result.strategies)} result(s)")
-    lines = [header]
-    for rank, inst in enumerate(result.strategies, start=1):
-        legs = " ".join(
-            f"{leg.role}={leg.record.ticker}@{leg.record.price:g}"
-            for leg in inst.legs)
-        agg = inst.aggregates
-
-        def cell(key: str) -> str:
-            value = agg[key]
-            if value is None:
-                return "-"
-            if math.isinf(value):
-                return "unbounded"
-            return f"{value:.4g}"
-
+    """Fixed-width human-readable listing of a result set, rendered from
+    its columns as result_to_json renders it."""
+    schema = result.query.schema
+    records = result.records
+    rows = result.rows.tolist()
+    lines = [f"{schema.name} on {result.underlying} as of {result.as_of}: "
+             f"{len(rows)} result(s)"]
+    cells = [[f"{field}={_cell(value)}"
+              for value in _or_none(*result.aggregates[field])]
+             for field in _TABLE_FIELDS]
+    for rank, (row, row_cells) in enumerate(zip(rows, zip(*cells)), start=1):
+        legs = " ".join(f"{role.id}={records[i].ticker}@{records[i].price:g}"
+                        for role, i in zip(schema.roles, row))
         lines.append(f"#{rank} {legs}")
-        lines.append(
-            f"    net_debit={cell('net_debit')} net_credit={cell('net_credit')} "
-            f"max_loss={cell('max_loss')} max_profit={cell('max_profit')} "
-            f"rr_ratio={cell('rr_ratio')} net_delta={cell('net_delta')} "
-            f"net_theta={cell('net_theta')}")
+        lines.append("    " + " ".join(row_cells))
     return "\n".join(lines)

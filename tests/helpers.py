@@ -18,8 +18,12 @@ package against code that shares no logic with it:
   match token for token and error for error.
 
 It also holds one-row and one-basket views of the batch kernels
-(``basket_payoff``, ``row_aggregates``, ``survivor_instances``) for tests
-that check a single structure by hand.
+(``basket_payoff``, ``row_aggregates``) for tests that check a single
+structure by hand, and the per-instance view of a result: the engine keeps
+a result only as columns, and ``result_instances`` builds one
+``StrategyInstance`` per row, which ``instance_to_json`` and
+``oracle_table`` render one at a time as the oracle of the column
+renderers.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from oql.catalog import StrategySchema, ValidatedQuery, build_catalog
 from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_columns
 from oql.cli import main as cli_main
 from oql.config import RunConfig
-from oql.engine import StrategyInstance, Survivors
+from oql.engine import ResultSet
 from oql.errors import LexError
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
 from oql.pricing import MarketParams, bsm_price
@@ -696,23 +700,45 @@ def row_aggregates(schema: StrategySchema,
             in engine.compute_aggregates(schema, columns, rows, config).items()}
 
 
-def survivor_instances(surv: Survivors,
-                       config: RunConfig) -> list[StrategyInstance]:
-    """Every survivor row as a StrategyInstance with all twelve aggregates,
-    in assembly order.
-
-    Survivors keep only the ORDER BY columns, so the twelve are computed
-    here from the survivor rows.
-    """
-    rows = surv.columns["record"][surv.rows]
-    aggregates = engine.compute_aggregates(surv.schema, surv.columns,
-                                           surv.rows, config)
-    return engine._instances(surv.schema, surv.records, rows, aggregates)
-
-
 # ============================================================
-# Per-instance rendering oracle
+# Per-instance oracle: one object per strategy, rendered one at a time
 # ============================================================
+
+
+@dataclass(frozen=True)
+class StrategyLeg:
+    role: str
+    record: ContractRecord
+    direction: int
+    quantity: int
+
+
+@dataclass(frozen=True)
+class StrategyInstance:
+    strategy_type: str
+    legs: tuple[StrategyLeg, ...]
+    aggregates: dict[str, float | None]
+
+    def ticker_key(self) -> str:
+        return "".join(leg.record.ticker for leg in self.legs)
+
+
+def result_instances(result: ResultSet) -> list[StrategyInstance]:
+    """Every row of a result as a StrategyInstance with all twelve
+    aggregates (None where unavailable), in row order."""
+    schema = result.query.schema
+    columns = [[v if ok else None
+                for v, ok in zip(values.tolist(), available.tolist())]
+               for values, available in result.aggregates.values()]
+    out = []
+    for row, agg in zip(result.rows.tolist(), zip(*columns)):
+        legs = tuple(
+            StrategyLeg(role=role.id, record=result.records[i],
+                        direction=role.direction, quantity=role.quantity)
+            for role, i in zip(schema.roles, row))
+        out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
+                                    aggregates=dict(zip(AGGREGATE_FIELDS, agg))))
+    return out
 
 
 def aggregates_to_json(agg: dict[str, float | None]) -> dict:
@@ -755,6 +781,35 @@ def instance_to_json(inst: StrategyInstance, mode: str) -> dict:
         ],
         "aggregates": aggregates_to_json(inst.aggregates),
     }
+
+
+def oracle_table(result: ResultSet) -> str:
+    """engine.result_to_table, one StrategyInstance at a time."""
+    strategies = result_instances(result)
+    header = (f"{result.query.schema.name} on {result.underlying} "
+              f"as of {result.as_of}: {len(strategies)} result(s)")
+    lines = [header]
+    for rank, inst in enumerate(strategies, start=1):
+        legs = " ".join(
+            f"{leg.role}={leg.record.ticker}@{leg.record.price:g}"
+            for leg in inst.legs)
+        agg = inst.aggregates
+
+        def cell(key: str) -> str:
+            value = agg[key]
+            if value is None:
+                return "-"
+            if math.isinf(value):
+                return "unbounded"
+            return f"{value:.4g}"
+
+        lines.append(f"#{rank} {legs}")
+        lines.append(
+            f"    net_debit={cell('net_debit')} net_credit={cell('net_credit')} "
+            f"max_loss={cell('max_loss')} max_profit={cell('max_profit')} "
+            f"rr_ratio={cell('rr_ratio')} net_delta={cell('net_delta')} "
+            f"net_theta={cell('net_theta')}")
+    return "\n".join(lines)
 
 
 # ============================================================

@@ -37,9 +37,9 @@ from helpers import (
     random_ast,
     random_snapshot,
     random_valid_query,
+    result_instances,
     run_cli,
     strategy_payoff,
-    survivor_instances,
 )
 from oql import serialize
 from oql.backtest import (
@@ -337,7 +337,7 @@ def test_engine_matches_exhaustive_enumeration(capfd):
             vq = validate(tree)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
             surv = survivors(vq, snapshot, config)
-            instances, stats = survivor_instances(surv, config), surv.stats
+            instances, stats = result_instances(surv), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -395,10 +395,9 @@ def test_engine_matches_exhaustive_enumeration(capfd):
                         StratCondition("max_loss", "<", 1000.0),
                         StratCondition("net_debit", "<", 800.0),
                     )),))
-            wide = survivor_instances(
-                survivors(validate(base), snapshot, config), config)
-            narrow = survivor_instances(
-                survivors(validate(tighter), snapshot, config), config)
+            wide = result_instances(survivors(validate(base), snapshot, config))
+            narrow = result_instances(
+                survivors(validate(tighter), snapshot, config))
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             c.check(narrow_keys <= wide_keys,
@@ -436,7 +435,7 @@ def test_soft_match_windows(capfd):
         result = execute("SELECT LONG_CALL FROM SYN WHERE Dte ~ 30",
                          ladder, RunConfig())
         days = sorted((inst.legs[0].record.expiry - AS_OF).days
-                      for inst in result.strategies)
+                      for inst in result_instances(result))
         c.check(days == list(range(26, 35)),
                 f"Dte ~ 30 kept {days}, wanted 26..34")
         c.detail = "band edges inclusive; 21-rung ladder kept 26..34"

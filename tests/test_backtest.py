@@ -29,7 +29,7 @@ from oql.backtest import (
     run_cohorts,
 )
 from helpers import backtest_hand_fixture as hand_fixture
-from helpers import Leg, strategy_payoff
+from helpers import Leg, result_instances, strategy_payoff
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
@@ -421,7 +421,7 @@ class TestPositionAdapters:
                         strike=leg.record.strike, expiry=leg.record.expiry,
                         quantity=leg.quantity, entry_price=leg.record.price,
                         entry_iv=leg.record.iv)
-            for leg in result.strategies[0].legs)
+            for leg in result_instances(result)[0].legs)
         assert positions[0].legs == direct
         assert positions[0].label == "BULL_CALL_SPREAD#1"
 

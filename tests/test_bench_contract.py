@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from helpers import oracle_survivors
+from helpers import oracle_survivors, result_instances
 from oql import backtest, chain, engine, evalkit, pricing, serialize  # noqa: F401
 from oql.catalog import validate
 from oql.config import RunConfig
@@ -76,7 +76,7 @@ def test_traced_query_records_every_engine_stage(spans):
     with spans.Patched(spans.wrap_points(tracer)):
         result = engine.execute(query, snap, RunConfig())
         # the breakevens are computed only when the result is rendered
-        assert len(result.strategies) == 5
+        assert len(result_instances(result)) == 5
     calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
     for name in ("engine.filter_legs", "engine.assemble", "engine.survivors",
                  "engine.compute_aggregates", "pricing.payoff_extremes",

@@ -26,7 +26,7 @@ from oql.chain import (ChainSnapshot, ContractRecord, generate_synthetic,
 from oql.config import RunConfig
 from oql.engine import (
     Candidates,
-    Survivors,
+    ResultSet,
     assemble,
     execute,
     filter_legs,
@@ -48,11 +48,11 @@ from helpers import (
     oracle_moneyness,
     oracle_order,
     oracle_survivors,
+    oracle_table,
     random_snapshot as _random_snapshot,
     random_valid_query,
+    result_instances,
     row_aggregates,
-    run_cli,
-    survivor_instances,
 )
 
 AS_OF = dt.date(2025, 6, 2)
@@ -123,7 +123,8 @@ class TestSoftMatch:
         records = [rec("SPY", 100.0, "call", 2.0, d) for d in range(20, 41)]
         result = execute("SELECT LONG_CALL FROM SPY WHERE Dte ~ 30",
                          snap(records))
-        got = sorted(inst.legs[0].record.dte() for inst in result.strategies)
+        got = sorted(inst.legs[0].record.dte()
+                     for inst in result_instances(result))
         assert got == list(range(26, 35))
 
     def test_delta_band_uses_magnitude_of_target(self):
@@ -134,7 +135,8 @@ class TestSoftMatch:
         ]
         result = execute("SELECT LONG_PUT FROM SPY WHERE Delta ~ -0.30",
                          snap(records))
-        got = sorted(inst.legs[0].record.delta for inst in result.strategies)
+        got = sorted(inst.legs[0].record.delta
+                     for inst in result_instances(result))
         assert got == [-0.345, -0.30, -0.255]
 
     def test_epsilon_override_widens_the_band(self):
@@ -142,7 +144,8 @@ class TestSoftMatch:
         config = RunConfig(epsilon=0.30)
         result = execute("SELECT LONG_CALL FROM SPY WHERE Dte ~ 30",
                          snap(records), config)
-        got = sorted(inst.legs[0].record.dte() for inst in result.strategies)
+        got = sorted(inst.legs[0].record.dte()
+                     for inst in result_instances(result))
         assert got == list(range(21, 40))  # [21, 39]
 
 
@@ -265,7 +268,8 @@ class TestFiltering:
                    rec("SPY", 105.0, "call", 1.0, 30, volume=10)]
         result = execute("SELECT LONG_CALL FROM SPY WHERE Volume > 1000000",
                          snap(records))
-        assert [i.legs[0].record.strike for i in result.strategies] == [100.0]
+        assert [i.legs[0].record.strike
+                for i in result_instances(result)] == [100.0]
 
     def test_matches_the_oracle_record_for_record(self):
         rng = random.Random(977)
@@ -436,7 +440,7 @@ class TestHaving:
         records = [rec("SPY", k, "call", 2.0, 30) for k in (100.0, 105.0)]
         result = execute("SELECT LONG_CALL FROM SPY HAVING rr_ratio > 0",
                          snap(records))
-        assert result.strategies == []
+        assert result_instances(result) == []
         assert result.stats.assembled == 2
         assert result.stats.having_passed == 0
 
@@ -454,16 +458,16 @@ class TestHaving:
         ]:
             result = execute(f"SELECT BULL_CALL_SPREAD FROM SPY {text}",
                              snapshot)
-            assert len(result.strategies) == expect, text
+            assert len(result_instances(result)) == expect, text
 
     def test_soft_match_applies_to_aggregates(self):
         lo = rec("SPY", 95.0, "call", 5.0, 30)
         hi = rec("SPY", 105.0, "call", 2.0, 30)
         snapshot = snap([lo, hi], rate=0.0)
-        assert len(execute("SELECT BULL_CALL_SPREAD FROM SPY "
-                           "HAVING net_debit ~ 330", snapshot).strategies) == 1
-        assert len(execute("SELECT BULL_CALL_SPREAD FROM SPY "
-                           "HAVING net_debit ~ 360", snapshot).strategies) == 0
+        for target, expect in ((330, 1), (360, 0)):
+            result = execute("SELECT BULL_CALL_SPREAD FROM SPY "
+                             f"HAVING net_debit ~ {target}", snapshot)
+            assert len(result_instances(result)) == expect
 
     def test_conditions_conjoin(self):
         lo = rec("SPY", 95.0, "call", 5.0, 30)
@@ -472,7 +476,7 @@ class TestHaving:
         result = execute(
             "SELECT BULL_CALL_SPREAD FROM SPY "
             "HAVING net_debit > 100 AND width < 5", snapshot)
-        assert result.strategies == []
+        assert result_instances(result) == []
 
 
 # ============================================================
@@ -480,21 +484,23 @@ class TestHaving:
 # ============================================================
 
 
-def _survivors(*rows: tuple[str, dict]) -> Survivors:
+def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     """One-role survivor columns for (ticker, aggregate overrides) rows."""
     records = tuple(dataclasses.replace(rec("SPY", 100.0, "call", 2.0, 30),
                                         ticker=ticker) for ticker, _ in rows)
-    aggregates = {}
+    computed = {}
     for field in AGGREGATE_FIELDS:
         values = [agg.get(field) for _, agg in rows]
-        aggregates[field] = (np.array([v or 0.0 for v in values]),
-                             np.array([v is not None for v in values]))
+        computed[field] = (np.array([v or 0.0 for v in values]),
+                           np.array([v is not None for v in values]))
     columns = record_columns(records)
     # survivor i holds record i, so surv.records reads survivor positions
-    rows = np.argsort(columns["record"]).astype(np.int32)[:, None]
-    return Survivors(schema=CATALOG["LONG_CALL"], records=records,
-                     columns=columns, rows=rows, aggregates=aggregates,
-                     stats=None)
+    column_rows = np.argsort(columns["record"]).astype(np.int32)[:, None]
+    return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
+                     text="", underlying="SPY", as_of="", stats=None,
+                     records=records, columns=columns,
+                     column_rows=column_rows, config=RunConfig(),
+                     computed=computed)
 
 
 class TestOrdering:
@@ -586,9 +592,9 @@ class TestGuards:
         vq = validate(parse_text("SELECT STRADDLE FROM SPY"))
         put_twin = rec("SPY", 100.0, "put", 2.0, 30, delta=-0.5)
         result = execute("SELECT STRADDLE FROM SPY", snap([only, put_twin]))
-        assert len(result.strategies) == 1
+        assert len(result_instances(result)) == 1
         roles = {leg.role: leg.record.option_type
-                 for leg in result.strategies[0].legs}
+                 for leg in result_instances(result)[0].legs}
         assert roles == {"C": "call", "P": "put"}
         del vq
 
@@ -713,7 +719,7 @@ class TestOracleEquivalence:
             vq = validate(ast)
             expected, want_stats = oracle_survivors(vq, snapshot, config)
             surv = survivors(vq, snapshot, config)
-            instances, stats = survivor_instances(surv, config), surv.stats
+            instances, stats = result_instances(surv), surv.stats
 
             got = {
                 tuple(leg.record.ticker for leg in inst.legs): inst.aggregates
@@ -782,10 +788,9 @@ class TestOracleEquivalence:
                 ))
                 tighter = dataclasses.replace(
                     base, having=base.having + (extra_having,))
-            wide = survivor_instances(
-                survivors(validate(base), snapshot, config), config)
-            narrow = survivor_instances(
-                survivors(validate(tighter), snapshot, config), config)
+            wide = result_instances(survivors(validate(base), snapshot, config))
+            narrow = result_instances(
+                survivors(validate(tighter), snapshot, config))
             wide_keys = {inst.ticker_key() for inst in wide}
             narrow_keys = {inst.ticker_key() for inst in narrow}
             assert narrow_keys <= wide_keys
@@ -862,13 +867,13 @@ class TestPipelineStats:
         assert set(s.candidates) == {"SC", "LC", "SP", "LP"}
         assert s.filtered == sum(s.candidates.values())
         assert s.raw_product > s.assembled > s.having_passed > s.returned
-        assert s.returned == len(result.strategies) == 10
+        assert s.returned == len(result_instances(result)) == 10
 
     def test_empty_result_keeps_stats(self):
         records = [rec("SPY", 100.0, "call", 2.0, 30)]
         result = execute("SELECT LONG_CALL FROM SPY WHERE Dte > 99",
                          snap(records))
-        assert result.strategies == []
+        assert result_instances(result) == []
         assert result.stats.candidates == {"L": 0}
         assert result.stats.raw_product == 0
         assert result.stats.assembled == 0
@@ -884,7 +889,7 @@ class TestPipelineStats:
         records = [rec("SPY", 100.0, "call", 2.0, 30)]
         ast = parse_text("SELECT LONG_CALL FROM SPY")
         result = execute(ast, snap(records))
-        assert len(result.strategies) == 1
+        assert len(result_instances(result)) == 1
 
 
 # ============================================================
@@ -933,9 +938,10 @@ class TestColumnarCore:
         snapshot = snap(records)
         result = execute("SELECT BULL_CALL_SPREAD FROM SPY "
                          "ORDER BY width DESC LIMIT 2", snapshot)
-        assert [inst.ticker_key() for inst in result.strategies] == ["AC", "ABC"]
+        assert ([inst.ticker_key() for inst in result_instances(result)]
+                == ["AC", "ABC"])
         result = execute("SELECT BULL_CALL_SPREAD FROM SPY LIMIT 3", snapshot)
-        assert ([inst.ticker_key() for inst in result.strategies]
+        assert ([inst.ticker_key() for inst in result_instances(result)]
                 == ["AAB", "ABBZ", "ABC"])
         assert result.stats.having_passed == 6
 
@@ -963,7 +969,7 @@ class TestColumnarCore:
             expected, _ = oracle_survivors(validate(ast), snapshot, config)
             want = [row[0] for row in oracle_order(expected, order_by, ast.limit)]
             got = [tuple(leg.record.ticker for leg in inst.legs)
-                   for inst in execute(ast, snapshot, config).strategies]
+                   for inst in result_instances(execute(ast, snapshot, config))]
             assert got == want
             compared += len(expected) > ast.limit
         assert compared >= 40  # LIMIT must actually cut most of the time
@@ -999,7 +1005,7 @@ class TestColumnarCore:
             for r in base.records))
         assert not bare.enriched
         result = execute("SELECT BULL_CALL_SPREAD FROM SPY", bare)
-        agg = result.strategies[0].aggregates
+        agg = result_instances(result)[0].aggregates
         assert agg["net_delta"] is not None and agg["net_vega"] is not None
 
 
@@ -1009,9 +1015,9 @@ class TestColumnarCore:
 
 
 class TestColumnRendering:
-    """result_to_json renders the returned rows from the result's columns;
-    helpers.instance_to_json renders one StrategyInstance at a time and is
-    its oracle."""
+    """result_to_json and result_to_table render the returned rows from the
+    result's columns; helpers.instance_to_json and helpers.oracle_table
+    render one StrategyInstance at a time and are their oracles."""
 
     @pytest.mark.parametrize("mode", ["standard", "blueprint"])
     def test_matches_the_per_instance_oracle(self, mode):
@@ -1024,8 +1030,10 @@ class TestColumnRendering:
             result = execute(random_valid_query(rng, snapshot), snapshot, config)
             doc = result_to_json(result, config)
             got = doc["strategies"]
-            want = [instance_to_json(inst, mode) for inst in result.strategies]
+            want = [instance_to_json(inst, mode)
+                    for inst in result_instances(result)]
             assert got == want
+            assert result_to_table(result) == oracle_table(result)
             assert serialize.dumps(got) == serialize.dumps(want)
             assert json.loads(serialize.dumps(doc)) == doc
             seen["empty"] += not want
@@ -1064,7 +1072,8 @@ class TestColumnRendering:
         for result in (long_call, calendar):
             got = result_to_json(result, config)["strategies"]
             assert got == [instance_to_json(inst, "standard")
-                           for inst in result.strategies]
+                           for inst in result_instances(result)]
+            assert result_to_table(result) == oracle_table(result)
         agg = result_to_json(long_call, config)["strategies"][0]["aggregates"]
         assert agg["max_profit"] is None and agg["max_profit_unbounded"] is True
         assert agg["max_loss"] == 300.0 and agg["max_loss_unbounded"] is False
@@ -1081,64 +1090,28 @@ class TestColumnRendering:
                          s, config)
         assert result.rows.shape == (0, 1)
         assert result_to_json(result, config)["strategies"] == []
-        assert result.strategies == []
+        assert result_instances(result) == []
 
-
-class TestLateMaterialization:
-    """The query path builds no StrategyInstance; reading
-    ResultSet.strategies builds one per returned row, once."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        calls = []
-        real = engine.StrategyInstance
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "StrategyInstance", counted)
-        return calls
-
-    def test_execute_builds_none_until_strategies_is_read(self, built,
-                                                          tsla_snapshot):
+    def test_rendering_computes_the_aggregates_once(self, monkeypatch,
+                                                    tsla_snapshot):
         from conftest import CONDOR_QUERY_TSLA
+        calls = []
+        real = engine.compute_aggregates
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
         config = RunConfig()
         result = execute(CONDOR_QUERY_TSLA, tsla_snapshot, config)
+        monkeypatch.setattr(engine, "compute_aggregates", counted)
         serialize.dumps(result_to_json(result, config))
-        assert built == []
-        assert len(result.rows) == len(result.aggregates["net_debit"][0]) == 10
-        strategies = result.strategies
-        assert len(built) == len(strategies) == result.stats.returned == 10
-        assert result.strategies is strategies
-        assert len(built) == 10
-
-    def test_run_case_builds_none(self, built, tsla_snapshot):
-        case = evalkit.EvalCase(
-            id="c1", intent="", gold_strategy="BULL_CALL_SPREAD", chain="",
-            attempts=("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30",))
-        outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
-        assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
-        assert built == []
-
-    def test_cli_run_builds_none_unless_the_table_is_printed(self, built,
-                                                             tmp_path):
-        chain = str(tmp_path / "chain.csv")
-        code, _, err = run_cli([
-            "gen-chain", "--out", chain, "--underlying", "SPY",
-            "--as-of", "2025-06-02", "--spot", "100", "--dtes", "30",
-            "--strikes", "95,100,105", "--seed", "1"])
-        assert code == 0, err
-        query = "SELECT BULL_CALL_SPREAD FROM SPY"
-        code, out, _ = run_cli(["run", query, "--chain", chain])
-        assert code == 0 and '"returned": 3' in out
-        code, _, _ = run_cli(["run", f"{query} HAVING net_debit > 1000000",
-                              "--chain", chain])
-        assert code == 2  # empty, read from stats.returned
-        assert built == []
-        code, _, _ = run_cli(["run", query, "--chain", chain,
-                              "--format", "table"])
-        assert code == 0 and len(built) == 3
+        aggregates = result.aggregates
+        result_to_table(result)
+        assert result.aggregates is aggregates
+        # one call, over the returned rows only
+        assert calls == [result.stats.returned] == [10]
+        assert len(result.rows) == len(aggregates["net_debit"][0]) == 10
 
 
 @functools.cache
@@ -1165,9 +1138,10 @@ def _selection_pool() -> dict:
 
 
 class TestFieldSelection:
-    """survivors computes only the aggregates HAVING and ORDER BY name;
-    the twelve are computed for the returned rows when
-    ResultSet.aggregates is first read."""
+    """survivors runs only the kernel groups HAVING and ORDER BY read and
+    keeps their columns for the rows that pass; the first read of
+    ResultSet.aggregates computes the groups still missing for the
+    returned rows."""
 
     CONDOR = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
               "AND LC.Delta < 0.15 AND SP.Delta > -0.3 AND LP.Delta > -0.15")
@@ -1183,13 +1157,18 @@ class TestFieldSelection:
             monkeypatch.setattr(pricing, name, counted)
         return calls
 
+    # called: (the payoff kernels execute runs, those the first read of
+    # ResultSet.aggregates runs after it)
     @pytest.mark.parametrize("clauses, called", [
-        ("", set()),
-        (" HAVING net_credit > 0", set()),
-        (" HAVING net_theta > 0 ORDER BY width DESC LIMIT 5", set()),
+        ("", (set(), PAYOFF)),
+        (" HAVING net_credit > 0", (set(), PAYOFF)),
+        (" HAVING net_theta > 0 ORDER BY width DESC LIMIT 5", (set(), PAYOFF)),
         (" ORDER BY rr_ratio DESC LIMIT 5",
-         {"payoff_at_knots", "payoff_extremes"}),
-        (" HAVING breakeven_low > 0", {"payoff_at_knots", "breakevens"}),
+         ({"payoff_at_knots", "payoff_extremes"},
+          {"payoff_at_knots", "breakevens"})),
+        (" HAVING breakeven_low > 0",
+         ({"payoff_at_knots", "breakevens"},
+          {"payoff_at_knots", "payoff_extremes"})),
     ])
     def test_execute_computes_only_the_fields_read(self, kernels,
                                                    tsla_snapshot, clauses,
@@ -1197,10 +1176,10 @@ class TestFieldSelection:
         config = RunConfig()
         result = execute(self.CONDOR + clauses, tsla_snapshot, config)
         assert result.stats.returned > 0
-        assert set(kernels) == called
+        assert set(kernels) == called[0]
         kernels.clear()
         aggregates = result.aggregates
-        assert set(kernels) == self.PAYOFF
+        assert set(kernels) == called[1]
         assert result.aggregates is aggregates
         # the twelve of the returned rows equal those of the same rows
         # computed with every other assembled row
@@ -1214,6 +1193,21 @@ class TestFieldSelection:
         for field, (values, available) in full.items():
             assert aggregates[field][0].tobytes() == values[picks].tobytes()
             assert aggregates[field][1].tobytes() == available[picks].tobytes()
+
+    @pytest.mark.parametrize("having, kernel", [
+        ("breakeven_low > 0", "breakevens"),
+        ("max_loss < 500", "payoff_extremes"),
+    ])
+    def test_a_payoff_kernel_having_ran_does_not_run_again(
+            self, kernels, tsla_snapshot, having, kernel):
+        # no LIMIT: the rows HAVING keeps are the returned rows, and they
+        # keep the payoff columns HAVING computed for them
+        result = execute(f"{self.CONDOR} HAVING {having}", tsla_snapshot,
+                         RunConfig())
+        assert 0 < result.stats.returned == result.stats.having_passed
+        assert result.stats.assembled <= engine._BLOCK  # one block
+        result.aggregates
+        assert kernels[kernel] == 1
 
     def test_run_case_calls_no_payoff_kernel(self, kernels, tsla_snapshot):
         case = evalkit.EvalCase(id="c1", intent="", chain="",

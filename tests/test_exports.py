@@ -1,6 +1,7 @@
 """Every exported name resolves, so removing an API cannot leave a
-dangling entry in a package's __all__; and importing the package pulls
-in no runtime dependency beyond numpy."""
+dangling entry in a package's __all__; importing the package pulls in no
+runtime dependency beyond numpy; and the README's Python API example
+runs as written."""
 
 import os
 import pathlib
@@ -12,7 +13,8 @@ import pytest
 import oql
 import oql.syntax
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("package", [oql, oql.syntax],
@@ -51,3 +53,17 @@ def test_engine_names_load_on_first_use():
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False True\n"
+
+
+def test_readme_python_api_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    # one line per strategy: the ATM straddle's two legs and its debit
+    lines = done.stdout.splitlines()
+    assert lines and all(line.startswith("O:SPY") and len(line.split()) == 3
+                         for line in lines)

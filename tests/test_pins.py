@@ -14,7 +14,8 @@ eval, backtest, the gen-chain and gen-path summaries, the repl's
 commands in a fresh working directory, so relative --out paths echo the
 same text wherever the suite runs; every step's output is pinned. They
 were recorded before the JSON views became derived from their
-dataclasses.
+dataclasses; the repl session of queries and the --format table runs
+were recorded before the table was rendered from columns.
 
 The engine-level pins run execute() on the edge chain with one Greek
 removed, on a snapshot marked enriched so enrich leaves it as it is:
