@@ -1114,6 +1114,49 @@ class TestColumnRendering:
         assert len(result.rows) == len(aggregates["net_debit"][0]) == 10
 
 
+class TestLateMaterialization:
+    """The query path builds nothing per returned row: no leg object, no
+    record positions and no aggregate beyond those HAVING and ORDER BY
+    read; rendering builds them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = engine._leg_to_json
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_leg_to_json", counted)
+        return calls
+
+    def test_run_case_builds_none(self, built, tsla_snapshot, monkeypatch):
+        results = []
+
+        def kept(*args):
+            results.append(evalkit_execute(*args))
+            return results[-1]
+
+        evalkit_execute = evalkit.execute
+        monkeypatch.setattr(evalkit, "execute", kept)
+        case = evalkit.EvalCase(
+            id="c1", intent="", gold_strategy="BULL_CALL_SPREAD", chain="",
+            attempts=("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30",))
+        outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
+        assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
+        assert built == []
+        [result] = results
+        # neither lazy per-row view was read
+        assert "rows" not in vars(result) and "aggregates" not in vars(result)
+        assert result.computed == {}
+        # rendering the same result builds one leg object per distinct
+        # (role, record) of the returned rows
+        result_to_json(result, RunConfig())
+        assert 0 < len(built) <= 2 * outcome.rows_at_success
+        assert "rows" in vars(result) and "aggregates" in vars(result)
+
+
 @functools.cache
 def _selection_pool() -> dict:
     """Per catalog family: (schema, columns, assembled rows) on a two-expiry
