@@ -8,7 +8,7 @@ type-checks every condition against the field vocabulary.
 """
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import TypeMismatch, UnknownField, UnknownRole, UnknownStrategy
 from .fields import (
@@ -58,6 +58,8 @@ class StructuralRule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if len(self.roles) < 2:
             raise ValueError("a structural rule needs at least two roles")
+        if len(set(self.roles)) != len(self.roles):
+            raise ValueError(f"a structural rule names a role twice: {self.roles}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class StrategySchema:
                 if rid not in ids:
                     raise ValueError(f"rule references unknown role {rid!r}")
 
-    @property
+    @cached_property
     def role_ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.roles)
 

@@ -29,6 +29,7 @@ from .syntax import QueryAst, parse_text, pretty_print
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
+_MAX_RANGE_STRIKES = 100_000  # points one --strike-range may hold
 
 
 def _diag(message: str) -> None:
@@ -213,6 +214,9 @@ def _parse_strikes(args: argparse.Namespace) -> list[float]:
         if step < 0.001:
             raise OqlError(f"bad strike range {args.strike_range!r}: strikes "
                            "under 0.001 apart share a ticker")
+        if (hi - lo) / step + 1 > _MAX_RANGE_STRIKES:
+            raise OqlError(f"bad strike range {args.strike_range!r}: more than "
+                           f"{_MAX_RANGE_STRIKES} strikes")
         strikes = []
         k = lo
         while k <= hi + 1e-9:

@@ -57,12 +57,12 @@ class ResultSet:
     (`execute`).
 
     `computed` holds the aggregate columns already computed for the rows;
-    the record positions and the other aggregates are computed on first
-    read, so a caller that reads only `stats` computes none of them.
+    the query text, the record positions and the other aggregates are
+    computed on first read, so a caller that reads only `stats` computes
+    none of them.
     """
 
     query: ValidatedQuery
-    text: str
     underlying: str
     as_of: str
     stats: ExecutionStats
@@ -71,6 +71,11 @@ class ResultSet:
     column_rows: np.ndarray  # (k, n_roles) int32 rows of `columns`
     config: RunConfig        # the config the query ran under
     computed: dict  # field -> (values, available), (k,) each
+
+    @cached_property
+    def text(self) -> str:
+        """The query's canonical text (pretty_print of its AST)."""
+        return pretty_print(self.query.ast)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -156,7 +161,6 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
     """
     columns = snapshot.columns
 
-    @functools.cache
     def mask(cond: LegCondition) -> np.ndarray:
         if cond.field == "Moneyness":
             return _COMPARE[cond.op](snapshot.moneyness(config.atm_band),
@@ -165,11 +169,12 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
         known = columns.get(f"{name}_ok", True)
         return known & _test(cond, config)(columns[name])
 
+    masks = {cond: mask(cond) for cond in vq.ast.where}  # one per condition
     rows: dict[str, np.ndarray] = {}
     for role in vq.schema.roles:
         keep = columns["is_call"] == (role.option_type == "call")
         for cond in vq.per_role_conditions[role.id]:
-            keep &= mask(cond)
+            keep &= masks[cond]
         rows[role.id] = np.flatnonzero(keep)
     return Candidates(columns, rows)
 
@@ -186,14 +191,16 @@ _PAIR_CHECKS = {
 }
 
 
+@functools.cache
 def _depth_checks(schema: StrategySchema) -> dict[int, list]:
     """Per-depth checks, as (rule kind, role positions), equivalent to full
-    rule evaluation.
+    rule evaluation; computed once per schema.
 
     Rules decompose into adjacent-pair comparisons (orderings and equalities
     are transitive over the rule's role list); each check fires at the depth
     where its last participating role is bound, which prunes the product
-    without changing the surviving set or its order.
+    without changing the surviving set or its order. A rule names distinct
+    roles, so no check fires at depth 0.
     """
     index = {rid: i for i, rid in enumerate(schema.role_ids)}
     checks: dict[int, list] = {i: [] for i in range(len(schema.role_ids))}
@@ -263,9 +270,9 @@ def assemble(vq: ValidatedQuery, candidates: Candidates,
         raise CombinatorialBudgetExceeded(
             f"raw candidate product {raw} exceeds cap {config.combinatorial_cap}")
     checks = _depth_checks(vq.schema)
-    rows = np.zeros((1, 0), dtype=np.int32)  # the empty assignment
-    for depth, new in enumerate(cols):
-        rows = _join(rows, new, candidates.columns, checks[depth])
+    rows = cols[0].astype(np.int32)[:, None]  # no check fires at depth 0
+    for depth in range(1, len(cols)):
+        rows = _join(rows, cols[depth], candidates.columns, checks[depth])
     return rows, raw
 
 
@@ -307,10 +314,13 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
     index = rows.T.astype(np.intp)
     groups = {_GROUP[field] for field in fields}
 
-    @functools.cache
+    gathered: dict[str, list[np.ndarray]] = {}
+
     def gather(name: str) -> list[np.ndarray]:
         """Column `name` of every role, one (m,) array per role."""
-        return [columns[name][index[j]] for j in range(n)]
+        if name not in gathered:
+            gathered[name] = [columns[name][index[j]] for j in range(n)]
+        return gathered[name]
 
     every = np.ones(m, dtype=bool)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -414,8 +424,7 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
                 np.concatenate([part[field][1] for part in kept]))
         for field in fields
     }
-    return ResultSet(query=vq, text=pretty_print(vq.ast),
-                     underlying=snapshot.underlying,
+    return ResultSet(query=vq, underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
                      records=snapshot.records, columns=candidates.columns,
                      column_rows=passed, config=config, computed=computed)

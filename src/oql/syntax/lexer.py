@@ -12,8 +12,8 @@ operators win over one-character ones (`<=` is one token).
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -33,8 +33,7 @@ class TokenKind(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int    # 1-based
@@ -45,6 +44,7 @@ class Token:
 
 
 # group names other than skip, word and bad are TokenKind names
+_KINDS = {kind.name: kind for kind in TokenKind}
 _TOKEN_RE = re.compile(r"""
       (?P<skip>   [ \t\r\n]+ | --[^\n]* )
     | (?P<NUMBER> [+-]? (?: \d+\.\d* | \d+ | \.\d+ ) )  # a lone sign is not a token
@@ -73,6 +73,6 @@ def tokenize(source: str) -> list[Token]:
             raise LexError(f"unexpected character {text!r}", line, col)
         if kind == "word":
             kind = "KEYWORD" if text.upper() in KEYWORDS else "IDENT"
-        tokens.append(Token(TokenKind[kind], text, line, col))
+        tokens.append(Token(_KINDS[kind], text, line, col))
     tokens.append(Token(TokenKind.END, "", line, len(source) - line_start + 1))
     return tokens

@@ -53,7 +53,7 @@ class _Parser:
         return ParseError(f"{message}, got {got!r}", tok.line, tok.column, expected)
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.current
+        tok = self.tokens[self.pos]
         return tok.kind is TokenKind.KEYWORD and tok.upper() == word
 
     def expect_keyword(self, word: str) -> Token:
@@ -62,7 +62,7 @@ class _Parser:
         return self.advance()
 
     def expect_identifier(self, what: str) -> Token:
-        if self.current.kind is not TokenKind.IDENT:
+        if self.tokens[self.pos].kind is not TokenKind.IDENT:
             raise self.fail(f"expected {what}", ("identifier",))
         return self.advance()
 

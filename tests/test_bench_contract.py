@@ -85,6 +85,24 @@ def test_traced_query_records_every_engine_stage(spans):
         assert calls.get(name, 0) >= 1, name
 
 
+def test_rendering_prints_the_query_through_the_engine_module(spans):
+    # ResultSet.text is printed on first read, so the traced
+    # syntax.pretty_print span counts a call only if the engine looks
+    # pretty_print up as a module global when it is read
+    tracer = spans.Tracer()
+    snap = chain.load_snapshot(CHAIN)
+    with spans.Patched(spans.wrap_points(tracer)):
+        result = engine.execute("select bull_call_spread from tsla limit 2",
+                                snap, RunConfig())
+        before = spans.summarize(tracer.names, **tracer.arrays())["calls"]
+        doc = engine.result_to_json(result, RunConfig())
+        serialize.dumps(doc)
+    calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
+    assert before.get("syntax.pretty_print", 0) == 0
+    assert calls["syntax.pretty_print"] == 1
+    assert doc["query"] == "SELECT BULL_CALL_SPREAD FROM TSLA LIMIT 2"
+
+
 @pytest.mark.parametrize("workload", ["scan", "attempts", "backtest"])
 def test_seed_one_ops_give_their_golden_outcomes(perfbench, workload, tmp_path):
     import golden

@@ -126,6 +126,8 @@ def test_schema_invariants_enforced_at_construction():
     with pytest.raises(ValueError):
         StructuralRule("strike_order", ("A",))
     with pytest.raises(ValueError):
+        StructuralRule("strike_order", ("A", "B", "A"))
+    with pytest.raises(ValueError):
         StrategySchema("X", (RoleSpec("A", "call", 1),),
                        (StructuralRule("strike_order", ("A", "B")),))
 

@@ -918,6 +918,10 @@ BAD_INPUT = [
      _gen_chain(strikes=",") + ["--strike-range", "1:2:0.0005"], "execute",
      "bad strike range '1:2:0.0005': strikes under 0.001 apart share a "
      "ticker"),
+    ("gen-chain-strike-range-too-many-strikes", {},
+     _gen_chain(strikes=",") + ["--strike-range", "0.001:99999.999:0.001"],
+     "execute", "bad strike range '0.001:99999.999:0.001': more than 100000 "
+     "strikes"),
     ("gen-chain-strike-range-zero", {},
      _gen_chain(strikes=",") + ["--strike-range", "0:10:5"], "execute",
      "strike must be > 0, got 0.0"),

@@ -497,7 +497,7 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     # survivor i holds record i, so surv.records reads survivor positions
     column_rows = np.argsort(columns["record"]).astype(np.int32)[:, None]
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
-                     text="", underlying="SPY", as_of="", stats=None,
+                     underlying="SPY", as_of="", stats=None,
                      records=records, columns=columns,
                      column_rows=column_rows, config=RunConfig(),
                      computed=computed)
@@ -920,6 +920,25 @@ class TestColumnarCore:
             assert lo in lows and hi in highs
             assert lo.strike < hi.strike and lo.expiry == hi.expiry
 
+    def test_no_check_fires_at_depth_zero(self):
+        # assemble starts from the first role's candidates, unchecked
+        for symmetric_wings in (False, True):
+            for schema in build_catalog(symmetric_wings).values():
+                assert engine._depth_checks(schema)[0] == [], schema.name
+
+    def test_depth_checks_are_planned_once_per_schema(self):
+        snapshot = snap([rec("SPY", k, "call", 2.0, d)
+                         for k in (100.0, 105.0, 110.0) for d in (30, 60)])
+        engine._depth_checks.cache_clear()
+        for _ in range(3):
+            for name in ("BULL_CALL_SPREAD", "BUTTERFLY_CALL"):
+                for wings in (False, True):
+                    execute(f"SELECT {name} FROM SPY", snapshot,
+                            RunConfig(symmetric_wings=wings))
+        # the wing rule changes only the butterfly's schema
+        info = engine._depth_checks.cache_info()
+        assert (info.misses, info.hits) == (3, 9)
+
     def test_budget_refused_before_building_any_row(self):
         # a raw product of 1e18: anything beyond len() would never finish
         vq = validate(parse_text("SELECT BULL_CALL_SPREAD FROM SPY"))
@@ -1150,11 +1169,14 @@ class TestLateMaterialization:
         # neither lazy per-row view was read
         assert "rows" not in vars(result) and "aggregates" not in vars(result)
         assert result.computed == {}
+        # nor was the query text printed
+        assert "text" not in vars(result)
         # rendering the same result builds one leg object per distinct
         # (role, record) of the returned rows
         result_to_json(result, RunConfig())
         assert 0 < len(built) <= 2 * outcome.rows_at_success
         assert "rows" in vars(result) and "aggregates" in vars(result)
+        assert vars(result)["text"] == case.attempts[0]
 
 
 @functools.cache

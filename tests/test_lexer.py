@@ -66,6 +66,21 @@ def test_every_comparison_operator_is_one_token(op):
     assert tokens[1] == Token(TokenKind.OP, op, 1, 3)
 
 
+def test_token_is_a_four_field_tuple():
+    tok = Token(TokenKind.KEYWORD, "select", 2, 5)
+    assert (tok.kind, tok.text, tok.line, tok.column) == (
+        TokenKind.KEYWORD, "select", 2, 5)
+    assert repr(tok) == ("Token(kind=<TokenKind.KEYWORD: 'keyword'>, "
+                         "text='select', line=2, column=5)")
+    assert tok.upper() == "SELECT"
+    assert tok == Token(TokenKind.KEYWORD, "select", 2, 5)
+    assert tok != Token(TokenKind.KEYWORD, "select", 2, 6)
+    # a tuple: it unpacks and equals the plain 4-tuple of its fields
+    kind, text, line, column = tok
+    assert tok == (kind, text, line, column)
+    assert tokenize("select")[0] == (TokenKind.KEYWORD, "select", 1, 1)
+
+
 def test_two_character_operators_win_over_one_character():
     # no space between operator and number: ">=" must not split into > and =
     tokens = kinds_and_texts("a>=1")
