@@ -423,6 +423,22 @@ def _load_csv(lines: list[str]) -> ChainSnapshot:
     return _snapshot(meta, numbered())
 
 
+_TEXT_KEYS = frozenset(("ticker", "underlying", "as_of", "expiry"))
+
+
+def _check_json_type(key: str, value, row: int) -> None:
+    """Refuse a JSON value of the wrong kind for its key: a text field
+    that is not a string, a number field that is a bool, or a volume that
+    is not a whole number. The type code is checked with the record."""
+    if key in _TEXT_KEYS:
+        if not isinstance(value, str):
+            raise FormatError(f"bad {key} {value!r}", row)
+    elif key != "type" and (isinstance(value, bool) or (
+            key == "volume" and isinstance(value, float)
+            and not value.is_integer())):
+        raise FormatError(f"bad {key} {value!r}", row)
+
+
 def _load_jsonl(lines: list[str]) -> ChainSnapshot:
     if not lines:
         raise FormatError("empty file; first line must be the meta object", 1)
@@ -443,6 +459,8 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
     missing = {"underlying", "as_of", "spot", "rate"} - set(meta)
     if missing:
         raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
+    for key in ("underlying", "as_of", "spot", "rate"):
+        _check_json_type(key, meta[key], 1)
 
     def numbered():
         for idx, line in enumerate(lines[1:], start=2):
@@ -456,6 +474,8 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
             if missing_keys:
                 raise FormatError(
                     f"missing keys: {', '.join(sorted(missing_keys))}", idx)
+            for key in _KEYS:
+                _check_json_type(key, obj[key], idx)
             yield idx, _record(obj, idx, finite_number, _opt_json)
 
     return _snapshot(meta, numbered())

@@ -90,8 +90,11 @@ def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
     d_plus, d_minus = d_plus_minus(m, strike)
     discounted_strike = strike * math.exp(-m.rate * m.tau)
     if option_type == "call":
-        return m.spot * norm_cdf(d_plus) - discounted_strike * norm_cdf(d_minus)
-    return discounted_strike * norm_cdf(-d_minus) - m.spot * norm_cdf(-d_plus)
+        price = m.spot * norm_cdf(d_plus) - discounted_strike * norm_cdf(d_minus)
+    else:
+        price = discounted_strike * norm_cdf(-d_minus) - m.spot * norm_cdf(-d_plus)
+    # far from the money the difference can cancel to a tiny negative
+    return 0.0 if price < 0.0 else price
 
 
 @dataclass(frozen=True)

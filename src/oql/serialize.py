@@ -7,6 +7,7 @@ so every number that reaches a file or stdout goes through one formatter.
 import datetime as _dt
 import functools
 import math
+import re
 from json.encoder import c_make_encoder, encode_basestring
 
 
@@ -23,8 +24,19 @@ def format_number(x: float) -> str:
     return repr(f)
 
 
+_DATE_FORM = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_date(text: str) -> _dt.date:
-    return _dt.date.fromisoformat(text.strip())
+    """A date written exactly YYYY-MM-DD, surrounding whitespace aside.
+
+    ValueError otherwise: fromisoformat alone also takes 20250602 and
+    2025-W23-1 on Python 3.11 and later, but not on 3.10.
+    """
+    text = text.strip()
+    if not _DATE_FORM.fullmatch(text):
+        raise ValueError(f"date must be YYYY-MM-DD, got {text!r}")
+    return _dt.date.fromisoformat(text)
 
 
 def format_date(d: _dt.date) -> str:

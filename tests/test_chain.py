@@ -348,6 +348,89 @@ def test_jsonl_type_that_is_not_a_code_rejected(tmp_path, value):
     assert exc_info.value.row == 3
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("volume", True, "bad volume True"),
+    ("volume", False, "bad volume False"),
+    ("volume", 12.9, "bad volume 12.9"),
+    ("strike", True, "bad strike True"),
+    ("price", False, "bad price False"),
+    ("iv", True, "bad iv True"),
+    ("theta", False, "bad theta False"),
+    ("ticker", 12345, "bad ticker 12345"),
+    ("ticker", None, "bad ticker None"),
+    ("underlying", ["SPY"], "bad underlying ['SPY']"),
+    ("as_of", 20250602, "bad as_of 20250602"),
+    ("expiry", {"y": 2025}, "bad expiry {'y': 2025}"),
+])
+def test_jsonl_value_of_the_wrong_kind_rejected(tmp_path, key, value, message):
+    lines = _jsonl_lines(small_snapshot())
+    obj = json.loads(lines[3])
+    obj[key] = value
+    lines[3] = json.dumps(obj)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc_info:
+        load_snapshot(str(path))
+    assert str(exc_info.value) == f"row 4: {message}"
+    assert exc_info.value.row == 4
+
+
+@pytest.mark.parametrize("value,want", [(1200.0, 1200), ("1200", 1200)])
+def test_jsonl_whole_volume_as_float_or_text_loads(tmp_path, value, want):
+    lines = _jsonl_lines(small_snapshot())
+    obj = json.loads(lines[3])
+    obj["volume"] = value
+    lines[3] = json.dumps(obj)
+    path = tmp_path / "ok.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_snapshot(str(path))
+    assert loaded.records[2].volume == want
+    assert type(loaded.records[2].volume) is int
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("underlying", 12345, "bad underlying 12345"),
+    ("as_of", 20250602, "bad as_of 20250602"),
+    ("spot", True, "bad spot True"),
+    ("rate", False, "bad rate False"),
+])
+def test_jsonl_metadata_value_of_the_wrong_kind_rejected(tmp_path, key, value,
+                                                         message):
+    lines = _jsonl_lines(small_snapshot())
+    head = json.loads(lines[0])
+    head["meta"][key] = value
+    lines[0] = json.dumps(head)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc_info:
+        load_snapshot(str(path))
+    assert str(exc_info.value) == f"row 1: {message}"
+
+
+@pytest.mark.parametrize("column,text", [
+    (2, "20250602"), (3, "20250702"), (3, "2025-W27-3"), (2, "2025-153"),
+    (3, "2025-7-2"),
+])
+def test_dates_other_than_yyyy_mm_dd_rejected(tmp_path, column, text):
+    parts = GOOD_ROW.split(",")
+    parts[column] = text
+    path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, ",".join(parts)])
+    field = CSV_HEADER.split(",")[column]
+    with pytest.raises(FormatError) as exc_info:
+        load_snapshot(path)
+    assert str(exc_info.value) == (
+        f"row 3: bad {field} {text!r}; want YYYY-MM-DD")
+
+
+def test_metadata_date_other_than_yyyy_mm_dd_rejected(tmp_path):
+    path = write_csv(tmp_path, [GOOD_META.replace("2025-06-02", "20250602"),
+                                CSV_HEADER, GOOD_ROW])
+    with pytest.raises(FormatError) as exc_info:
+        load_snapshot(path)
+    assert str(exc_info.value) == (
+        "row 1: bad as_of '20250602'; want YYYY-MM-DD")
+
+
 def test_jsonl_metadata_spot_zero_rejected(tmp_path):
     lines = _jsonl_lines(small_snapshot())
     lines[0] = lines[0].replace('"spot": 100.0', '"spot": 0')

@@ -19,7 +19,7 @@ import pytest
 
 from helpers import run_cli
 from oql.backtest import load_spots
-from oql.chain import load_snapshot
+from oql.chain import load_snapshot, snapshot_to_text
 from oql.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK
 
 AS_OF = "2025-06-02"
@@ -243,6 +243,20 @@ class TestGenChain:
         assert code == EXIT_OK
         strikes = sorted({r.strike for r in load_snapshot(out_file).records})
         assert strikes == [90.0, 95.0, 100.0, 105.0, 110.0]
+
+    def test_deep_out_of_the_money_call_prices_at_zero(self, tmp_path):
+        # S N(d+) - K e^(-r tau) N(d-) cancels to -1.5e-323 at strike 903
+        out_file = tmp_path / "c.csv"
+        code, _, err = run_cli([
+            "gen-chain", "--underlying", "SPY", "--as-of", AS_OF,
+            "--spot", "100", "--dtes", "30", "--strikes", "903",
+            "--out", str(out_file)])
+        assert code == EXIT_OK, err
+        text = out_file.read_text(encoding="utf-8")
+        snapshot = load_snapshot(str(out_file))
+        assert [r.price for r in snapshot.records
+                if r.option_type == "call"] == [0.0]
+        assert snapshot_to_text(snapshot, "csv") == text
 
 
 class TestGenPath:
@@ -723,6 +737,30 @@ def _backtest(results="{d}/results.json", spots="{d}/spots.csv",
             "--entry", entry, "--exit", exit]
 
 
+def _jsonl_chain(**changes):
+    """The fixture's chain as JSONL, its first record changed."""
+    def text(cli_dir):
+        lines = snapshot_to_text(load_snapshot(str(cli_dir / "chain.csv")),
+                                 "jsonl").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **changes})
+        return "\n".join(lines) + "\n"
+    return text
+
+
+def _csv_chain(old, new):
+    """The fixture's chain file, its first record's text `old` made `new`."""
+    def text(cli_dir):
+        lines = (cli_dir / "chain.csv").read_text().splitlines()
+        assert old in lines[2]
+        lines[2] = lines[2].replace(old, new, 1)
+        return "\n".join(lines) + "\n"
+    return text
+
+
+def _run_chain(name):
+    return ["run", SPREAD_QUERY, "--chain", "{tmp}/" + name]
+
+
 def _case(**changes):
     case = {"id": "c1", "intent": "a call", "gold_strategy": "LONG_CALL",
             "chain": "{d}/chain.csv", "attempts": ["SELECT LONG_CALL FROM SPY"]}
@@ -865,6 +903,31 @@ BAD_INPUT = [
      "argument --dtes: bad days-to-expiry list '30,x'"),
     ("list-strikes", {}, _gen_chain(strikes="95,abc"), None,
      "argument --strikes: bad strike list '95,abc'"),
+    ("chain-jsonl-volume-true", {"c.jsonl": _jsonl_chain(volume=True)},
+     _run_chain("c.jsonl"), "load", "row 2: bad volume True"),
+    ("chain-jsonl-volume-fraction", {"c.jsonl": _jsonl_chain(volume=12.9)},
+     _run_chain("c.jsonl"), "load", "row 2: bad volume 12.9"),
+    ("chain-jsonl-strike-true", {"c.jsonl": _jsonl_chain(strike=True)},
+     _run_chain("c.jsonl"), "load", "row 2: bad strike True"),
+    ("chain-jsonl-ticker-number", {"c.jsonl": _jsonl_chain(ticker=12345)},
+     _run_chain("c.jsonl"), "load", "row 2: bad ticker 12345"),
+    ("chain-csv-expiry-basic-form",
+     {"c.csv": _csv_chain(",2025-07-02,", ",20250702,")}, _run_chain("c.csv"),
+     "load", "row 3: bad expiry '20250702'; want YYYY-MM-DD"),
+    ("chain-csv-as-of-week-form",
+     {"c.csv": _csv_chain(",2025-06-02,", ",2025-W23-1,")},
+     _run_chain("c.csv"), "load",
+     "row 3: bad as_of '2025-W23-1'; want YYYY-MM-DD"),
+    ("spots-date-basic-form", {"s.csv": "date,close\n20250602,100\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest",
+     "row 2: bad date '20250602'; want YYYY-MM-DD"),
+    ("leg-expiry-basic-form", {"r.json": _first_leg(expiry="20250702")},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "bad expiry '20250702'; want YYYY-MM-DD"),
+    ("date-entry-basic-form", {}, _backtest(entry="20250602"), None,
+     "argument --entry: bad date '20250602'; want YYYY-MM-DD"),
+    ("date-as-of-week-form", {}, _gen_chain(as_of="2025-W23-1"), None,
+     "argument --as-of: bad date '2025-W23-1'; want YYYY-MM-DD"),
     ("io-chain-not-utf8", {"bin.csv": b"\xff\xfe\x00"},
      ["run", SPREAD_QUERY, "--chain", "{tmp}/bin.csv"], "io",
      "can't decode byte 0xff"),

@@ -5,9 +5,12 @@ fails where it fails.
 The reference is json's own pure-Python indenting encoder; dumps hands
 each container of scalars to json's C encoder, so the trees below mix
 scalar-only and nested containers at every depth.
+
+parse_date reads exactly YYYY-MM-DD on every supported Python.
 """
 
 import collections
+import datetime as dt
 import json
 import math
 
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oql import serialize
-from oql.serialize import dumps
+from oql.serialize import dumps, parse_date
 
 
 def reference(obj) -> str:
@@ -189,3 +192,25 @@ def test_a_leg_in_many_rows_is_encoded_once(monkeypatch):
     # doc 0, strategies 1, a strategy 2, its legs list 3, the leg 4
     assert calls[id(leg), 4] == 1
     assert sum(calls.values()) == 1 + 1000
+
+
+@pytest.mark.parametrize("text,want", [
+    ("2025-06-02", dt.date(2025, 6, 2)),
+    (" 2025-06-02\n", dt.date(2025, 6, 2)),
+    ("0001-01-01", dt.date(1, 1, 1)),
+    ("9999-12-31", dt.date(9999, 12, 31)),
+])
+def test_parse_date_reads_the_iso_calendar_form(text, want):
+    assert parse_date(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    # forms fromisoformat accepts from Python 3.11 on, but not on 3.10
+    "20250602", "2025-W23-1", "2025W231", "2025-153", "2025153",
+    "2025-06-02T00:00", "2025-06-02x", "2025-06-0\uff12",
+    "2025-6-2", "25-06-02", "+2025-06-02", "2025/06/02", "",
+    "2025-13-02", "2025-02-30",
+])
+def test_parse_date_refuses_every_other_form(text):
+    with pytest.raises(ValueError):
+        parse_date(text)
