@@ -33,11 +33,13 @@ CSV_HEADER = ("ticker,underlying,as_of,expiry,strike,type,"
 _KEYS = tuple(CSV_HEADER.split(","))
 
 _META_PREFIX = "# oql-chain "
+_META_KEYS = ("underlying", "as_of", "spot", "rate")
 
 DAYS_PER_YEAR = 365.0
 
 _TYPE_CODES = {"call": "C", "put": "P"}
 _CODE_TYPES = {"C": "call", "P": "put"}
+_CODES = tuple(_CODE_TYPES)
 
 GREEK_FIELDS = ("delta", "gamma", "vega", "theta")
 
@@ -89,6 +91,9 @@ class ChainSnapshot:
     # set by enrich() on the snapshot it returns; dataclasses.replace
     # yields an un-enriched copy, so the flag never outlives its records
     enriched: bool = field(default=False, init=False, compare=False, repr=False)
+    # set by load on the snapshot it checked, so enrich does not check it
+    # again; not a field, so dataclasses.replace makes a copy without it
+    _load_checked = False
 
     @cached_property
     def columns(self) -> dict[str, np.ndarray]:
@@ -256,23 +261,33 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
     Enrichment is idempotent: an already enriched snapshot is returned as is.
 
     First every record passes the load checks, with its position as the
-    row, as a snapshot built in memory never passed them at load.
+    row, unless load_snapshot checked this very snapshot with file rows: a
+    snapshot built in memory, or a copy made with dataclasses.replace,
+    never passed them.
     """
     if snapshot.enriched:
         return snapshot
-    for row, rec in enumerate(snapshot.records):
-        _validate_record(rec, snapshot.underlying, snapshot.as_of, row)
-    _check_duplicates(snapshot.records, range(len(snapshot.records)))
+    if not snapshot._load_checked:
+        for row, rec in enumerate(snapshot.records):
+            _validate_record(rec, snapshot.underlying, snapshot.as_of, row)
+        _check_duplicates(snapshot.records, range(len(snapshot.records)))
+    spot, rate = snapshot.spot, snapshot.rate
     kept: list[ContractRecord] = []
     excluded = list(snapshot.excluded)
+    # expiry -> (tau, the zero-vol MarketParams of the floor); every
+    # record's as_of is the snapshot's, so tau depends on expiry alone
+    by_expiry: dict[_dt.date, tuple] = {}
     for rec in snapshot.records:
-        tau = rec.tau()
+        at = by_expiry.get(rec.expiry)
+        if at is None:
+            tau = rec.tau()
+            at = by_expiry[rec.expiry] = (tau, pricing.MarketParams(
+                spot, rate, 0.0, tau) if tau else None)
+        tau, floor_params = at
         if tau == 0.0:
             excluded.append(ExcludedRecord(rec, "expires on as_of; model values undefined"))
             continue
-        floor = pricing.bsm_price(
-            pricing.MarketParams(snapshot.spot, snapshot.rate, 0.0, tau),
-            rec.strike, rec.option_type)
+        floor = pricing.bsm_price(floor_params, rec.strike, rec.option_type)
         if rec.price < floor - 1e-9:
             excluded.append(ExcludedRecord(
                 rec, f"price {format_number(rec.price)} below the no-arbitrage "
@@ -281,23 +296,21 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
         iv = rec.iv
         if iv is None:
             try:
-                iv = pricing.implied_vol(snapshot.spot, snapshot.rate, tau,
-                                         rec.strike, rec.option_type, rec.price)
+                iv = pricing.implied_vol(spot, rate, tau, rec.strike,
+                                         rec.option_type, rec.price)
             except (NoSolution, NonConvergence) as exc:
                 excluded.append(ExcludedRecord(rec, f"iv inversion failed: {exc}"))
                 continue
         if iv == 0.0:
             excluded.append(ExcludedRecord(rec, "zero iv; Greeks undefined"))
             continue
-        missing = [g for g in GREEK_FIELDS if getattr(rec, g) is None]
-        updates: dict = {}
-        if iv != rec.iv:
-            updates["iv"] = iv
-        if missing:
-            vec = pricing.greeks(
-                pricing.MarketParams(snapshot.spot, snapshot.rate, iv, tau),
-                rec.strike, rec.option_type)
-            updates.update((g, getattr(vec, g)) for g in missing)
+        updates: dict = {"iv": iv} if iv != rec.iv else {}
+        if (rec.delta is None or rec.gamma is None or rec.vega is None
+                or rec.theta is None):
+            vec = pricing.greeks(pricing.MarketParams(spot, rate, iv, tau),
+                                 rec.strike, rec.option_type)
+            updates.update((g, getattr(vec, g)) for g in GREEK_FIELDS
+                           if getattr(rec, g) is None)
         kept.append(replace(rec, **updates) if updates else rec)
     out = replace(snapshot, records=tuple(kept), excluded=tuple(excluded))
     object.__setattr__(out, "enriched", True)
@@ -316,7 +329,7 @@ def _parse_meta_pairs(text: str, row: int) -> dict:
             raise FormatError(f"bad metadata entry {pair!r}", row)
         key, _, value = pair.partition("=")
         meta[key] = value
-    missing = {"underlying", "as_of", "spot", "rate"} - set(meta)
+    missing = set(_META_KEYS) - set(meta)
     if missing:
         raise FormatError(f"metadata missing {', '.join(sorted(missing))}", row)
     return meta
@@ -333,18 +346,17 @@ def finite_number(value, what: str, row: int | None = None) -> float:
     return number
 
 
-def _opt_float(text: str, what: str, row: int) -> float | None:
-    return None if text == "" else finite_number(text, what, row)
-
-
-def _req_float(text: str, what: str, row: int) -> float:
-    if text == "":
-        raise FormatError(f"missing {what}", row)
-    return finite_number(text, what, row)
-
-
-def _opt_json(value, what: str, row: int) -> float | None:
-    return None if value is None else finite_number(value, what, row)
+def _req_float(value, what: str, row: int) -> float:
+    """finite_number in one call, but "missing" for an empty text: a CSV
+    cell or a metadata spot or rate."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"missing {what}" if value == ""
+                          else f"bad {what} {value!r}", row) from None
+    if not math.isfinite(number):
+        raise FormatError(f"{what} must be finite, got {value!r}", row)
+    return number
 
 
 def _spot_rate(meta: dict) -> tuple[float, float]:
@@ -362,35 +374,44 @@ def required_date(text: str, what: str, row: int | None = None) -> _dt.date:
         raise FormatError(f"bad {what} {text!r}; want YYYY-MM-DD", row) from None
 
 
-def _record(raw: dict, row: int, number, optional) -> ContractRecord:
-    """One record from its raw values, keyed like the CSV header.
+def _record(values, row: int, number, empty, dates: dict) -> ContractRecord:
+    """One record from its 13 values in _KEYS order.
 
-    number(value, what, row) reads a required numeric value and
-    optional(value, what, row) one that may be missing.
+    number(value, what, row) reads a numeric value; an optional model
+    value equal to `empty` ("" in CSV, null in JSONL) is missing. dates
+    maps each date text already read from the file to its date, so a
+    file's dates are parsed once per distinct text.
     """
+    (ticker, underlying, as_of, expiry, strike, code, price, volume,
+     iv, delta, gamma, vega, theta) = values
     # a tuple compares by ==, so a JSON list or object is refused, not hashed
-    if raw["type"] not in tuple(_CODE_TYPES):
-        raise FormatError(f"bad type code {raw['type']!r}; want C or P", row)
+    if code not in _CODES:
+        raise FormatError(f"bad type code {code!r}; want C or P", row)
     try:
-        volume = int(raw["volume"])
+        volume = int(volume)
     except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"bad volume {raw['volume']!r}", row) from None
+        raise FormatError(f"bad volume {volume!r}", row) from None
+    # a date is never false, so `or` parses only a text not seen before
     return ContractRecord(
-        ticker=str(raw["ticker"]),
-        underlying=str(raw["underlying"]),
-        as_of=required_date(str(raw["as_of"]), "as_of", row),
-        expiry=required_date(str(raw["expiry"]), "expiry", row),
-        strike=number(raw["strike"], "strike", row),
-        option_type=_CODE_TYPES[raw["type"]],
-        price=number(raw["price"], "price", row),
-        volume=volume,
-        **{name: optional(raw[name], name, row) for name in _OPTIONAL_FIELDS})
+        ticker, underlying,
+        dates.get(as_of) or dates.setdefault(
+            as_of, required_date(as_of, "as_of", row)),
+        dates.get(expiry) or dates.setdefault(
+            expiry, required_date(expiry, "expiry", row)),
+        number(strike, "strike", row), _CODE_TYPES[code],
+        number(price, "price", row), volume,
+        None if iv == empty else number(iv, "iv", row),
+        None if delta == empty else number(delta, "delta", row),
+        None if gamma == empty else number(gamma, "gamma", row),
+        None if vega == empty else number(vega, "vega", row),
+        None if theta == empty else number(theta, "theta", row))
 
 
 def _snapshot(meta: dict, numbered) -> ChainSnapshot:
-    """The snapshot of (row, record) pairs, each validated as it comes."""
-    underlying = str(meta["underlying"])
-    as_of = required_date(str(meta["as_of"]), "as_of", 1)
+    """The snapshot of (row, record) pairs, each validated as it comes,
+    marked so that enrich does not check its records again."""
+    underlying = meta["underlying"]
+    as_of = required_date(meta["as_of"], "as_of", 1)
     spot, rate = _spot_rate(meta)
     records: list[ContractRecord] = []
     rows: list[int] = []
@@ -399,8 +420,10 @@ def _snapshot(meta: dict, numbered) -> ChainSnapshot:
         records.append(rec)
         rows.append(row)
     _check_duplicates(records, rows)
-    return ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
-                         rate=rate, records=tuple(records))
+    snapshot = ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
+                             rate=rate, records=tuple(records))
+    object.__setattr__(snapshot, "_load_checked", True)
+    return snapshot
 
 
 def _load_csv(lines: list[str]) -> ChainSnapshot:
@@ -409,34 +432,37 @@ def _load_csv(lines: list[str]) -> ChainSnapshot:
     meta = _parse_meta_pairs(lines[0][len(_META_PREFIX):], 1)
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise FormatError(f"second line must be the header {CSV_HEADER!r}", 2)
+    dates: dict = {}
 
     def numbered():
         for idx, line in enumerate(lines[2:], start=3):
             if line == "":
                 continue
-            parts = line.split(",")
-            if len(parts) != len(_KEYS):
-                raise FormatError(f"expected 13 fields, got {len(parts)}", idx)
-            yield idx, _record(dict(zip(_KEYS, parts)), idx, _req_float,
-                               _opt_float)
+            values = line.split(",")
+            if len(values) != len(_KEYS):
+                raise FormatError(f"expected 13 fields, got {len(values)}", idx)
+            yield idx, _record(values, idx, _req_float, "", dates)
 
     return _snapshot(meta, numbered())
 
 
 _TEXT_KEYS = frozenset(("ticker", "underlying", "as_of", "expiry"))
+_KEY_SET = frozenset(_KEYS)
 
 
-def _check_json_type(key: str, value, row: int) -> None:
+def _check_json_kinds(keys, values, row: int) -> None:
     """Refuse a JSON value of the wrong kind for its key: a text field
     that is not a string, a number field that is a bool, or a volume that
     is not a whole number. The type code is checked with the record."""
-    if key in _TEXT_KEYS:
-        if not isinstance(value, str):
+    for key, value in zip(keys, values):
+        if key in _TEXT_KEYS:
+            wrong = not isinstance(value, str)
+        else:
+            wrong = key != "type" and (isinstance(value, bool) or (
+                key == "volume" and isinstance(value, float)
+                and not value.is_integer()))
+        if wrong:
             raise FormatError(f"bad {key} {value!r}", row)
-    elif key != "type" and (isinstance(value, bool) or (
-            key == "volume" and isinstance(value, float)
-            and not value.is_integer())):
-        raise FormatError(f"bad {key} {value!r}", row)
 
 
 def _load_jsonl(lines: list[str]) -> ChainSnapshot:
@@ -456,27 +482,27 @@ def _load_jsonl(lines: list[str]) -> ChainSnapshot:
     if "meta" not in head or not isinstance(head["meta"], dict):
         raise FormatError('first line must be {"meta": {...}}', 1)
     meta = head["meta"]
-    missing = {"underlying", "as_of", "spot", "rate"} - set(meta)
+    missing = set(_META_KEYS) - set(meta)
     if missing:
         raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
-    for key in ("underlying", "as_of", "spot", "rate"):
-        _check_json_type(key, meta[key], 1)
+    _check_json_kinds(_META_KEYS, [meta[key] for key in _META_KEYS], 1)
+    dates: dict = {}
 
     def numbered():
         for idx, line in enumerate(lines[1:], start=2):
             if line == "":
                 continue
             obj = parse_obj(line, idx)
-            extra = set(obj) - set(_KEYS)
+            extra = obj.keys() - _KEY_SET
             if extra:
                 raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", idx)
-            missing_keys = set(_KEYS) - set(obj)
+            missing_keys = _KEY_SET - obj.keys()
             if missing_keys:
                 raise FormatError(
                     f"missing keys: {', '.join(sorted(missing_keys))}", idx)
-            for key in _KEYS:
-                _check_json_type(key, obj[key], idx)
-            yield idx, _record(obj, idx, finite_number, _opt_json)
+            values = [obj[key] for key in _KEYS]
+            _check_json_kinds(_KEYS, values, idx)
+            yield idx, _record(values, idx, finite_number, None, dates)
 
     return _snapshot(meta, numbered())
 

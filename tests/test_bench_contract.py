@@ -85,6 +85,19 @@ def test_traced_query_records_every_engine_stage(spans):
         assert calls.get(name, 0) >= 1, name
 
 
+def test_traced_load_records_an_enrich_span(spans):
+    # load_snapshot reaches enrich through the module attribute, so the
+    # traced chain.enrich span keeps timing enrichment of every load
+    tracer = spans.Tracer()
+    with spans.Patched(spans.wrap_points(tracer)):
+        snap = chain.load_snapshot(CHAIN)
+    calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
+    assert calls["chain.load_snapshot"] == 1
+    assert calls["chain.enrich"] == 1
+    # one floor price per record, none expiring on as_of
+    assert calls["pricing.bsm_price"] == len(snap.records) + len(snap.excluded)
+
+
 def test_rendering_prints_the_query_through_the_engine_module(spans):
     # ResultSet.text is printed on first read, so the traced
     # syntax.pretty_print span counts a call only if the engine looks

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oql import chain
 from oql.chain import (CSV_HEADER, GREEK_FIELDS, ChainSnapshot,
                        ContractRecord, enrich, generate_path,
                        generate_synthetic, load_snapshot, moneyness_codes,
@@ -514,6 +515,61 @@ def test_load_snapshot_is_enriched(tmp_path):
     snap = load_snapshot(str(path))
     assert snap.enriched
     assert enrich(snap) is snap
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list of its calls' args."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt,first_row", [("csv", 3), ("jsonl", 2)])
+def test_load_checks_each_record_once_with_its_file_row(tmp_path, monkeypatch,
+                                                         fmt, first_row):
+    snapshot = small_snapshot(expiries=[EXPIRY, dt.date(2025, 8, 1)])
+    path = tmp_path / f"chain.{fmt}"
+    save_snapshot(snapshot, str(path))
+    validated = _counted(monkeypatch, chain, "_validate_record")
+    duplicates = _counted(monkeypatch, chain, "_check_duplicates")
+    loaded = load_snapshot(str(path))
+    rows = list(range(first_row, first_row + len(snapshot.records)))
+    assert [args[3] for args in validated] == rows
+    assert [list(args[1]) for args in duplicates] == [rows]
+    assert loaded == snapshot
+
+
+def test_a_copy_of_a_loaded_snapshot_is_checked_again(tmp_path):
+    from dataclasses import replace
+    path = tmp_path / "chain.csv"
+    save_snapshot(small_snapshot(), str(path))
+    loaded = load_snapshot(str(path))
+    first = loaded.records[0]
+    copy = replace(loaded, records=(first, replace(first, ticker=first.ticker + "X")))
+    assert not copy.enriched and not copy._load_checked
+    with pytest.raises(InvariantViolation, match="duplicate contract") as exc_info:
+        enrich(copy)
+    assert exc_info.value.row == 1
+    assert exc_info.value.stage == "load"
+
+
+def test_enrich_builds_one_floor_per_expiry_and_prices_each_record(monkeypatch):
+    base = small_snapshot(expiries=[EXPIRY, dt.date(2025, 8, 1)])
+    bare = ChainSnapshot(base.underlying, base.as_of, base.spot, base.rate,
+                         base.records)
+    params = _counted(monkeypatch, chain.pricing, "MarketParams")
+    prices = _counted(monkeypatch, chain.pricing, "bsm_price")
+    out = enrich(bare)
+    # every record carries its iv and Greeks: no inversion, no backfill
+    assert [args[2:] for args in params] == [
+        (0.0, (EXPIRY - AS_OF).days / 365.0), (0.0, 60 / 365.0)]
+    assert len(prices) == len(base.records) == 12
+    assert out.records == base.records
 
 
 def test_enriched_greeks_are_model_consistent():
