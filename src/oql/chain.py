@@ -322,33 +322,11 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
 # ============================================================
 
 
-def _parse_meta_pairs(text: str, row: int) -> dict:
-    meta: dict = {}
-    for pair in text.split():
-        if "=" not in pair:
-            raise FormatError(f"bad metadata entry {pair!r}", row)
-        key, _, value = pair.partition("=")
-        meta[key] = value
-    missing = set(_META_KEYS) - set(meta)
-    if missing:
-        raise FormatError(f"metadata missing {', '.join(sorted(missing))}", row)
-    return meta
-
-
 def finite_number(value, what: str, row: int | None = None) -> float:
-    """A number from CSV text or a JSON value; nan and inf are rejected."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise FormatError(f"bad {what} {value!r}", row) from None
-    if not math.isfinite(number):
-        raise FormatError(f"{what} must be finite, got {value!r}", row)
-    return number
-
-
-def _req_float(value, what: str, row: int) -> float:
-    """finite_number in one call, but "missing" for an empty text: a CSV
-    cell or a metadata spot or rate."""
+    """A number from CSV text or a JSON value; nan, inf and booleans are
+    refused, and an empty text is reported missing."""
+    if type(value) is bool:  # isinstance costs more per loaded cell
+        raise FormatError(f"bad {what} {value!r}", row)
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -359,14 +337,6 @@ def _req_float(value, what: str, row: int) -> float:
     return number
 
 
-def _spot_rate(meta: dict) -> tuple[float, float]:
-    """Metadata spot (finite, > 0) and rate (finite), reported at row 1."""
-    spot = _req_float(meta["spot"], "spot", 1)
-    if not spot > 0.0:
-        raise FormatError(f"spot must be > 0, got {meta['spot']!r}", 1)
-    return spot, _req_float(meta["rate"], "rate", 1)
-
-
 def required_date(text: str, what: str, row: int | None = None) -> _dt.date:
     try:
         return parse_date(text)
@@ -374,13 +344,12 @@ def required_date(text: str, what: str, row: int | None = None) -> _dt.date:
         raise FormatError(f"bad {what} {text!r}; want YYYY-MM-DD", row) from None
 
 
-def _record(values, row: int, number, empty, dates: dict) -> ContractRecord:
+def _record(values, row: int, empty, dates: dict) -> ContractRecord:
     """One record from its 13 values in _KEYS order.
 
-    number(value, what, row) reads a numeric value; an optional model
-    value equal to `empty` ("" in CSV, null in JSONL) is missing. dates
-    maps each date text already read from the file to its date, so a
-    file's dates are parsed once per distinct text.
+    An optional model value equal to `empty` ("" in CSV, null in JSONL) is
+    missing. dates maps each date text already read from the file to its
+    date, so a file's dates are parsed once per distinct text.
     """
     (ticker, underlying, as_of, expiry, strike, code, price, volume,
      iv, delta, gamma, vega, theta) = values
@@ -398,52 +367,42 @@ def _record(values, row: int, number, empty, dates: dict) -> ContractRecord:
             as_of, required_date(as_of, "as_of", row)),
         dates.get(expiry) or dates.setdefault(
             expiry, required_date(expiry, "expiry", row)),
-        number(strike, "strike", row), _CODE_TYPES[code],
-        number(price, "price", row), volume,
-        None if iv == empty else number(iv, "iv", row),
-        None if delta == empty else number(delta, "delta", row),
-        None if gamma == empty else number(gamma, "gamma", row),
-        None if vega == empty else number(vega, "vega", row),
-        None if theta == empty else number(theta, "theta", row))
+        finite_number(strike, "strike", row), _CODE_TYPES[code],
+        finite_number(price, "price", row), volume,
+        None if iv == empty else finite_number(iv, "iv", row),
+        None if delta == empty else finite_number(delta, "delta", row),
+        None if gamma == empty else finite_number(gamma, "gamma", row),
+        None if vega == empty else finite_number(vega, "vega", row),
+        None if theta == empty else finite_number(theta, "theta", row))
 
 
-def _snapshot(meta: dict, numbered) -> ChainSnapshot:
-    """The snapshot of (row, record) pairs, each validated as it comes,
-    marked so that enrich does not check its records again."""
-    underlying = meta["underlying"]
-    as_of = required_date(meta["as_of"], "as_of", 1)
-    spot, rate = _spot_rate(meta)
-    records: list[ContractRecord] = []
-    rows: list[int] = []
-    for row, rec in numbered:
-        _validate_record(rec, underlying, as_of, row)
-        records.append(rec)
-        rows.append(row)
-    _check_duplicates(records, rows)
-    snapshot = ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
-                             rate=rate, records=tuple(records))
-    object.__setattr__(snapshot, "_load_checked", True)
-    return snapshot
+def _check_meta_keys(meta: dict) -> None:
+    missing = set(_META_KEYS) - set(meta)
+    if missing:
+        raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
 
 
-def _load_csv(lines: list[str]) -> ChainSnapshot:
-    if not lines or not lines[0].startswith(_META_PREFIX):
+def _csv_head(lines: list[str]) -> dict:
+    """The metadata of a CSV chain whose first two lines check out."""
+    if not lines[0].startswith(_META_PREFIX):
         raise FormatError(f"first line must start with {_META_PREFIX!r}", 1)
-    meta = _parse_meta_pairs(lines[0][len(_META_PREFIX):], 1)
+    meta: dict = {}
+    for pair in lines[0][len(_META_PREFIX):].split():
+        if "=" not in pair:
+            raise FormatError(f"bad metadata entry {pair!r}", 1)
+        key, _, value = pair.partition("=")
+        meta[key] = value
+    _check_meta_keys(meta)
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise FormatError(f"second line must be the header {CSV_HEADER!r}", 2)
-    dates: dict = {}
+    return meta
 
-    def numbered():
-        for idx, line in enumerate(lines[2:], start=3):
-            if line == "":
-                continue
-            values = line.split(",")
-            if len(values) != len(_KEYS):
-                raise FormatError(f"expected 13 fields, got {len(values)}", idx)
-            yield idx, _record(values, idx, _req_float, "", dates)
 
-    return _snapshot(meta, numbered())
+def _csv_values(line: str, row: int) -> list[str]:
+    values = line.split(",")
+    if len(values) != len(_KEYS):
+        raise FormatError(f"expected 13 fields, got {len(values)}", row)
+    return values
 
 
 _TEXT_KEYS = frozenset(("ticker", "underlying", "as_of", "expiry"))
@@ -465,46 +424,37 @@ def _check_json_kinds(keys, values, row: int) -> None:
             raise FormatError(f"bad {key} {value!r}", row)
 
 
-def _load_jsonl(lines: list[str]) -> ChainSnapshot:
-    if not lines:
-        raise FormatError("empty file; first line must be the meta object", 1)
+def _json_object(line: str, row: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}", row) from None
+    if not isinstance(obj, dict):
+        raise FormatError("each line must hold a JSON object", row)
+    return obj
 
-    def parse_obj(line: str, row: int) -> dict:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}", row) from None
-        if not isinstance(obj, dict):
-            raise FormatError("each line must hold a JSON object", row)
-        return obj
 
-    head = parse_obj(lines[0], 1)
-    if "meta" not in head or not isinstance(head["meta"], dict):
+def _jsonl_head(lines: list[str]) -> dict:
+    """The metadata object on the first line of a JSONL chain."""
+    meta = _json_object(lines[0], 1).get("meta")
+    if not isinstance(meta, dict):
         raise FormatError('first line must be {"meta": {...}}', 1)
-    meta = head["meta"]
-    missing = set(_META_KEYS) - set(meta)
-    if missing:
-        raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
+    _check_meta_keys(meta)
     _check_json_kinds(_META_KEYS, [meta[key] for key in _META_KEYS], 1)
-    dates: dict = {}
+    return meta
 
-    def numbered():
-        for idx, line in enumerate(lines[1:], start=2):
-            if line == "":
-                continue
-            obj = parse_obj(line, idx)
-            extra = obj.keys() - _KEY_SET
-            if extra:
-                raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", idx)
-            missing_keys = _KEY_SET - obj.keys()
-            if missing_keys:
-                raise FormatError(
-                    f"missing keys: {', '.join(sorted(missing_keys))}", idx)
-            values = [obj[key] for key in _KEYS]
-            _check_json_kinds(_KEYS, values, idx)
-            yield idx, _record(values, idx, finite_number, None, dates)
 
-    return _snapshot(meta, numbered())
+def _jsonl_values(line: str, row: int) -> list:
+    obj = _json_object(line, row)
+    extra = obj.keys() - _KEY_SET
+    if extra:
+        raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", row)
+    missing = _KEY_SET - obj.keys()
+    if missing:
+        raise FormatError(f"missing keys: {', '.join(sorted(missing))}", row)
+    values = [obj[key] for key in _KEYS]
+    _check_json_kinds(_KEYS, values, row)
+    return values
 
 
 def _detect_format(path: str) -> str:
@@ -520,8 +470,10 @@ def _detect_format(path: str) -> str:
 def load_snapshot(path: str) -> ChainSnapshot:
     """Read, validate, and backfill a snapshot file.
 
-    Stored Greeks are kept as-is; only missing model fields are filled in
-    (see enrich). Unresolvable records land in snapshot.excluded.
+    The metadata is checked first, then each record as it is read, with
+    its file row, then duplicates across records. Stored Greeks are kept
+    as-is; only missing model fields are filled in (see enrich).
+    Unresolvable records land in snapshot.excluded.
     """
     fmt = _detect_format(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -531,7 +483,30 @@ def load_snapshot(path: str) -> ChainSnapshot:
         lines.pop()
     if not lines:
         raise FormatError("empty file; missing header", 1)
-    snapshot = _load_csv(lines) if fmt == "csv" else _load_jsonl(lines)
+    if fmt == "csv":
+        meta, first, values_of, empty = _csv_head(lines), 3, _csv_values, ""
+    else:
+        meta, first, values_of, empty = _jsonl_head(lines), 2, _jsonl_values, None
+    underlying = meta["underlying"]
+    as_of = required_date(meta["as_of"], "as_of", 1)
+    spot = finite_number(meta["spot"], "spot", 1)
+    if not spot > 0.0:
+        raise FormatError(f"spot must be > 0, got {meta['spot']!r}", 1)
+    rate = finite_number(meta["rate"], "rate", 1)
+    records: list[ContractRecord] = []
+    rows: list[int] = []
+    dates: dict = {}
+    for row, line in enumerate(lines[first - 1:], start=first):
+        if line:
+            rec = _record(values_of(line, row), row, empty, dates)
+            _validate_record(rec, underlying, as_of, row)
+            records.append(rec)
+            rows.append(row)
+    _check_duplicates(records, rows)
+    # marked so that enrich does not check these records again
+    snapshot = ChainSnapshot(underlying=underlying, as_of=as_of, spot=spot,
+                             rate=rate, records=tuple(records))
+    object.__setattr__(snapshot, "_load_checked", True)
     return enrich(snapshot)
 
 

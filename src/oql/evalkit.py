@@ -20,6 +20,7 @@ from .chain import ChainSnapshot, finite_number, load_snapshot
 from .config import RunConfig
 from .engine import execute
 from .errors import (
+    ChainError,
     EmptyInput,
     EvalError,
     FormatError,
@@ -59,8 +60,11 @@ class CaseOutcome:
         return self.k_first_success is not None
 
 
+_CASE_TEXT_KEYS = ("id", "intent", "gold_strategy", "chain")
+
+
 def load_cases(path: str) -> list[EvalCase]:
-    """Cases from JSONL, one object per line."""
+    """Cases from JSONL, one object per line; the text fields are strings."""
     cases: list[EvalCase] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -78,19 +82,19 @@ def load_cases(path: str) -> list[EvalCase]:
                 attempts = obj["attempts"]
                 if not (isinstance(attempts, list)
                         and all(isinstance(a, str) for a in attempts)):
-                    raise EvalError(f"{where}: attempts must be a list of strings")
+                    raise EvalError("attempts must be a list of strings")
+                text = {key: obj[key] for key in _CASE_TEXT_KEYS}
+                for key, value in text.items():
+                    if not isinstance(value, str):
+                        raise EvalError(f"bad {key} {value!r}")
                 cases.append(EvalCase(
-                    id=str(obj["id"]),
-                    intent=str(obj["intent"]),
-                    gold_strategy=str(obj["gold_strategy"]),
-                    chain=str(obj["chain"]),
-                    attempts=tuple(attempts),
+                    **text, attempts=tuple(attempts),
                     sa_grade=(None if obj.get("sa_grade") is None
                               else finite_number(obj["sa_grade"], "sa_grade")),
                 ))
             except KeyError as exc:
                 raise EvalError(f"{where}: missing key {exc}") from None
-            except FormatError as exc:
+            except (EvalError, FormatError) as exc:
                 raise EvalError(f"{where}: {exc}") from None
     if not cases:
         raise EmptyInput(f"{path} holds no cases")
@@ -201,8 +205,9 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
     """Run every case and build the metrics report.
 
     Chain paths resolve relative to base_dir; snapshots are cached per
-    path. The report always carries the same keys; solved-only metrics are
-    None when nothing was solved.
+    path, and a chain that fails to load is named in its error. The report
+    always carries the same keys; solved-only metrics are None when
+    nothing was solved.
     """
     if not cases:
         raise EmptyInput("no cases")
@@ -216,7 +221,11 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
             path = os.path.join(base_dir, path)
         path = os.path.normpath(path)
         if path not in cache:
-            cache[path] = load_snapshot(path)
+            try:
+                cache[path] = load_snapshot(path)
+            except ChainError as exc:
+                exc.args = (f"{path}: {exc}",)  # stage and row stay
+                raise
         outcomes.append(run_case(case, cache[path], config, k))
     try:
         sm_cond = strategy_match(outcomes, "solved")

@@ -818,6 +818,8 @@ BAD_INPUT = [
      _backtest(spots="{tmp}/s.csv"), "backtest", "close must be finite"),
     ("spots-inf-close", {"s.csv": "date,close\n2025-06-02,inf\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest", "close must be finite"),
+    ("spots-empty-close", {"s.csv": "date,close\n2025-06-02,\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: row 2: missing close"),
     ("results-not-json", {"r.json": "{not json"},
      _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
     ("results-not-utf8", {"r.json": b"\xff\xfe{}"},
@@ -860,6 +862,14 @@ BAD_INPUT = [
     ("leg-fractional-quantity", {"r.json": _first_leg(quantity=1.5)},
      _backtest(results="{tmp}/r.json"), "backtest",
      "quantity must be a whole number >= 1, got 1.5"),
+    ("leg-quantity-true", {"r.json": _first_leg(quantity=True)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: bad quantity True"),
+    ("leg-direction-true", {"r.json": _first_leg(direction=True)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: bad direction True"),
+    ("leg-iv-true", {"r.json": _first_leg(iv=True)},
+     _backtest(results="{tmp}/r.json"), "backtest", "strategy 1: bad iv True"),
     ("eval-line-not-object", {"cases.jsonl": "[1]\n"}, _EVAL,
      "eval", "cases.jsonl:1: a case must be a JSON object"),
     ("eval-attempts-string",
@@ -869,6 +879,23 @@ BAD_INPUT = [
      "eval", "cases.jsonl:1: attempts must be a list of strings"),
     ("eval-sa-grade-text", {"cases.jsonl": _case(sa_grade="high")}, _EVAL,
      "eval", "cases.jsonl:1: bad sa_grade 'high'"),
+    ("eval-sa-grade-true", {"cases.jsonl": _case(sa_grade=True)}, _EVAL,
+     "eval", "cases.jsonl:1: bad sa_grade True"),
+    ("eval-id-null", {"cases.jsonl": _case(id=None)}, _EVAL,
+     "eval", "cases.jsonl:1: bad id None"),
+    ("eval-intent-number", {"cases.jsonl": _case(intent=5)}, _EVAL,
+     "eval", "cases.jsonl:1: bad intent 5"),
+    ("eval-gold-strategy-list",
+     {"cases.jsonl": _case(gold_strategy=["LONG_CALL"])}, _EVAL,
+     "eval", "cases.jsonl:1: bad gold_strategy ['LONG_CALL']"),
+    ("eval-chain-list", {"cases.jsonl": _case(chain=["c.csv"])}, _EVAL,
+     "eval", "cases.jsonl:1: bad chain ['c.csv']"),
+    ("eval-attempts-empty", {"cases.jsonl": _case(attempts=[])}, _EVAL,
+     "eval", "cases.jsonl:1: case 'c1' has no attempts"),
+    ("eval-chain-load-names-the-file",
+     {"bad.csv": _csv_chain(",80,C,", ",abc,C,"),
+      "cases.jsonl": _case(chain="bad.csv")}, _EVAL,
+     "load", "bad.csv: row 3: bad strike 'abc'"),
     ("eval-k-negative", {"cases.jsonl": _case()}, _EVAL + ["--k", "-1"],
      "eval", "k must be >= 1, got -1"),
     ("eval-k-zero", {"cases.jsonl": _case()}, _EVAL + ["--k", "0"],
@@ -909,6 +936,12 @@ BAD_INPUT = [
      _run_chain("c.jsonl"), "load", "row 2: bad volume 12.9"),
     ("chain-jsonl-strike-true", {"c.jsonl": _jsonl_chain(strike=True)},
      _run_chain("c.jsonl"), "load", "row 2: bad strike True"),
+    # the kind pre-pass runs before the record's own checks
+    ("chain-jsonl-strike-true-before-type-code",
+     {"c.jsonl": _jsonl_chain(strike=True, type="X")},
+     _run_chain("c.jsonl"), "load", "row 2: bad strike True"),
+    ("chain-jsonl-strike-empty", {"c.jsonl": _jsonl_chain(strike="")},
+     _run_chain("c.jsonl"), "load", "row 2: missing strike"),
     ("chain-jsonl-ticker-number", {"c.jsonl": _jsonl_chain(ticker=12345)},
      _run_chain("c.jsonl"), "load", "row 2: bad ticker 12345"),
     ("chain-csv-expiry-basic-form",
