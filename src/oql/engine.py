@@ -68,6 +68,7 @@ class ResultSet:
     stats: ExecutionStats
     records: tuple[ContractRecord, ...]  # the snapshot's records
     columns: dict[str, np.ndarray]       # the snapshot's columns
+    one_ticker_length: bool  # the snapshot's one_ticker_length
     column_rows: np.ndarray  # (k, n_roles) int32 rows of `columns`
     config: RunConfig        # the config the query ran under
     computed: dict  # field -> (values, available), (k,) each
@@ -226,8 +227,8 @@ def _join(rows: np.ndarray, new: np.ndarray, columns: dict[str, np.ndarray],
     depth = rows.shape[1]
     width = len(new)
     step = max(1, _BLOCK // max(width, 1))
-    parts = [np.empty((0, depth + 1), dtype=np.int32)]
-    for lo in range(0, len(rows), step):
+    parts = []
+    for lo in range(0, max(len(rows), 1), step):
         block = rows[lo:lo + step]
 
         def value(j: int, name: str) -> np.ndarray:
@@ -250,7 +251,12 @@ def _join(rows: np.ndarray, new: np.ndarray, columns: dict[str, np.ndarray],
         out[:, :depth] = block[at]
         out[:, depth] = new[pick]
         parts.append(out)
-    return np.concatenate(parts)
+    return _concat(parts)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a lone part is returned as is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def assemble(vq: ValidatedQuery, candidates: Candidates,
@@ -395,7 +401,8 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
 
     Per block only the kernel groups HAVING and ORDER BY read run, and
     every field of those groups is kept for the rows that pass, so the
-    result's aggregates later compute only the groups still missing.
+    result's aggregates later compute only the groups still missing. A
+    query whose HAVING and ORDER BY read nothing computes no aggregate.
     """
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
@@ -407,26 +414,30 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
-        aggregates = compute_aggregates(vq.schema, candidates.columns, block,
-                                        config, fields)
-        keep = np.ones(len(block), dtype=bool)
-        for cond in vq.strategy_conditions:
-            keep &= eval_strat_condition(cond, aggregates, config)
-        kept_rows.append(block[keep])
-        kept.append({field: (values[keep], available[keep])
-                     for field, (values, available) in aggregates.items()})
-    passed = np.concatenate(kept_rows)
+        aggregates = (compute_aggregates(vq.schema, candidates.columns, block,
+                                         config, fields) if fields else {})
+        if vq.strategy_conditions:
+            keep = functools.reduce(operator.and_, (
+                eval_strat_condition(cond, aggregates, config)
+                for cond in vq.strategy_conditions))
+            block = block[keep]
+            aggregates = {field: (values[keep], available[keep])
+                          for field, (values, available) in aggregates.items()}
+        kept_rows.append(block)
+        kept.append(aggregates)
+    passed = _concat(kept_rows)
     stats = ExecutionStats(candidates=counts, filtered=sum(counts.values()),
                            raw_product=raw, assembled=len(rows),
                            having_passed=len(passed), returned=len(passed))
     computed = {
-        field: (np.concatenate([part[field][0] for part in kept]),
-                np.concatenate([part[field][1] for part in kept]))
+        field: (_concat([part[field][0] for part in kept]),
+                _concat([part[field][1] for part in kept]))
         for field in fields
     }
     return ResultSet(query=vq, underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
                      records=snapshot.records, columns=candidates.columns,
+                     one_ticker_length=snapshot.one_ticker_length,
                      column_rows=passed, config=config, computed=computed)
 
 
@@ -437,8 +448,7 @@ def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
     When all tickers share one length, comparing rows rank by rank orders
     them exactly as comparing their concatenated ticker strings.
     """
-    lengths = result.columns["ticker_len"]
-    if len(lengths) and lengths.min() != lengths.max():
+    if not result.one_ticker_length:
         return None
     return [result.columns["ticker_rank"][row] for row in result.column_rows.T]
 

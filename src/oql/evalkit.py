@@ -205,9 +205,9 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
     """Run every case and build the metrics report.
 
     Chain paths resolve relative to base_dir; snapshots are cached per
-    path, and a chain that fails to load is named in its error. The report
-    always carries the same keys; solved-only metrics are None when
-    nothing was solved.
+    path, and a chain that fails to load, or is not UTF-8 text (an
+    OSError), is named in its error. The report always carries the same
+    keys; solved-only metrics are None when nothing was solved.
     """
     if not cases:
         raise EmptyInput("no cases")
@@ -226,6 +226,8 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
             except ChainError as exc:
                 exc.args = (f"{path}: {exc}",)  # stage and row stay
                 raise
+            except UnicodeDecodeError as exc:  # its text cannot be rewritten
+                raise OSError(f"{path}: {exc}") from exc
         outcomes.append(run_case(case, cache[path], config, k))
     try:
         sm_cond = strategy_match(outcomes, "solved")

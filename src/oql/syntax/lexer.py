@@ -5,10 +5,14 @@ operators (= != < > <= >= ~), dot, comma. `--` starts a line comment.
 Keywords are recognized case-insensitively. Anything else is a LexError
 pointing at the offending character.
 
-One pattern scans the text; at each position the first alternative that
-matches wins. So `--` always opens a comment (`--5` is never `-` then
-`-5`), a number wins over a dot (`.5` is one literal), and two-character
-operators win over one-character ones (`<=` is one token).
+One pattern match per token: the whitespace and comments before a token
+fold into its match, and the first alternative that matches after them
+wins. So `--` always opens a comment (`--5` is never `-` then `-5`), a
+number wins over a dot (`.5` is one literal), a keyword wins over an
+identifier only when no word character follows it, and two-character
+operators win over one-character ones (`<=` is one token). The skipped
+prefix is possessive, so a long run of spaces or comments is scanned
+once, never backtracked into.
 """
 
 import re
@@ -43,17 +47,26 @@ class Token(NamedTuple):
         return self.text.upper()
 
 
-# group names other than skip, word and bad are TokenKind names
-_KINDS = {kind.name: kind for kind in TokenKind}
+# one group per token kind, named after it, and `bad` for any other
+# character; keywords match ASCII letters in either case
 _TOKEN_RE = re.compile(r"""
-      (?P<skip>   [ \t\r\n]+ | --[^\n]* )
-    | (?P<NUMBER> [+-]? (?: \d+\.\d* | \d+ | \.\d+ ) )  # a lone sign is not a token
-    | (?P<word>   [A-Za-z_][A-Za-z0-9_]* )
-    | (?P<OP>     <= | >= | != | [=<>~] )
-    | (?P<DOT>    \. )
-    | (?P<COMMA>  , )
-    | (?P<bad>    . )
-""", re.VERBOSE | re.DOTALL)
+    (?: [ \t\r\n]++ | --[^\n]*+ )*+
+    (?: (?P<NUMBER>  [+-]? (?: \d+\.\d* | \d+ | \.\d+ ) )  # a lone sign is not a token
+      | (?P<KEYWORD> (?ai: %s ) (?![A-Za-z0-9_]) )
+      | (?P<IDENT>   [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<OP>      <= | >= | != | [=<>~] )
+      | (?P<DOT>     \. )
+      | (?P<COMMA>   , )
+      | (?P<END>     \Z )
+      | (?P<bad>     . ) )
+""" % " | ".join(sorted(KEYWORDS)), re.VERBOSE | re.DOTALL)
+_NAMES = {index: name for name, index in _TOKEN_RE.groupindex.items()}
+# group number -> token kind, None for `bad`; a match's kind is the kind of
+# its last matched group
+_KINDS = [TokenKind.__members__.get(_NAMES.get(group))
+          for group in range(_TOKEN_RE.groups + 1)]
+_END = TokenKind.END
+_tuple_new = tuple.__new__  # builds a Token without its Python-level __new__
 
 
 def tokenize(source: str) -> list[Token]:
@@ -61,18 +74,19 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":  # the only text that can hold a newline
-            newlines = text.count("\n")
+        group = m.lastindex
+        start = m.start(group)
+        if start != m.start():  # skipped text, the only text with newlines
+            newlines = source.count("\n", m.start(), start)
             if newlines:
                 line += newlines
-                line_start = m.start() + text.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "bad":
-            raise LexError(f"unexpected character {text!r}", line, col)
-        if kind == "word":
-            kind = "KEYWORD" if text.upper() in KEYWORDS else "IDENT"
-        tokens.append(Token(_KINDS[kind], text, line, col))
-    tokens.append(Token(TokenKind.END, "", line, len(source) - line_start + 1))
+                line_start = source.rindex("\n", 0, start) + 1
+        kind = _KINDS[group]
+        if kind is None:
+            raise LexError(f"unexpected character {m[group]!r}", line,
+                           start - line_start + 1)
+        tokens.append(_tuple_new(Token, (kind, m[group], line,
+                                         start - line_start + 1)))
+        if kind is _END:  # trailing skipped text ends in it
+            break
     return tokens

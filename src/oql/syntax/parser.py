@@ -54,7 +54,7 @@ class _Parser:
 
     def at_keyword(self, word: str) -> bool:
         tok = self.tokens[self.pos]
-        return tok.kind is TokenKind.KEYWORD and tok.upper() == word
+        return tok.kind is TokenKind.KEYWORD and tok.text.upper() == word
 
     def expect_keyword(self, word: str) -> Token:
         if not self.at_keyword(word):

@@ -896,6 +896,9 @@ BAD_INPUT = [
      {"bad.csv": _csv_chain(",80,C,", ",abc,C,"),
       "cases.jsonl": _case(chain="bad.csv")}, _EVAL,
      "load", "bad.csv: row 3: bad strike 'abc'"),
+    ("eval-chain-not-utf8-names-the-file",
+     {"bin.csv": b"\xff\xfe\x00", "cases.jsonl": _case(chain="bin.csv")},
+     _EVAL, "io", "/bin.csv: 'utf-8' codec can't decode byte 0xff"),
     ("eval-k-negative", {"cases.jsonl": _case()}, _EVAL + ["--k", "-1"],
      "eval", "k must be >= 1, got -1"),
     ("eval-k-zero", {"cases.jsonl": _case()}, _EVAL + ["--k", "0"],

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oql import chain as chain_mod
 from oql import engine, evalkit, pricing, serialize
 from oql.catalog import build_catalog, validate
 from oql.chain import (ChainSnapshot, ContractRecord, generate_synthetic,
@@ -499,6 +500,7 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
                      underlying="SPY", as_of="", stats=None,
                      records=records, columns=columns,
+                     one_ticker_length=len({len(r.ticker) for r in records}) == 1,
                      column_rows=column_rows, config=RunConfig(),
                      computed=computed)
 
@@ -964,6 +966,69 @@ class TestColumnarCore:
                 == ["AAB", "ABBZ", "ABC"])
         assert result.stats.having_passed == 6
 
+    def test_ticker_length_is_decided_once_per_snapshot(self, monkeypatch):
+        calls = []
+        decide = ChainSnapshot.one_ticker_length.func
+
+        def counted(snapshot):
+            calls.append(snapshot)
+            return decide(snapshot)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ChainSnapshot, "one_ticker_length")
+        monkeypatch.setattr(ChainSnapshot, "one_ticker_length", prop)
+        snapshot = chain_mod.enrich(snap(_renamed(
+            [rec("SPY", k, "call", 2.0, 30) for k in (100.0, 105.0, 110.0)],
+            ("A", "AB", "BZ"))))
+        for query in ("SELECT BULL_CALL_SPREAD FROM SPY ORDER BY width LIMIT 1",
+                      "SELECT LONG_CALL FROM SPY LIMIT 2"):
+            execute(query, snapshot)
+        assert calls == [snapshot]
+        assert snapshot.one_ticker_length is False
+
+    def test_heavy_ties_of_mixed_length_tickers_match_the_oracle_order(self):
+        # every delta is 0.5, so net_delta ties on every row and width on
+        # most; LIMIT cuts inside those ties, where only the concatenated
+        # tickers order the rows
+        rng = random.Random(606)
+        config = RunConfig()
+        cut_inside_a_tie = 0
+        for trial in range(40):
+            taken: set[str] = set()
+            records = []
+            for k in range(rng.randint(4, 9)):
+                for days in (30, 60):
+                    ticker = ""
+                    while not ticker or ticker in taken:
+                        ticker = "".join(rng.choice("ABZ")
+                                         for _ in range(rng.randint(1, 4)))
+                    taken.add(ticker)
+                    records.append(dataclasses.replace(
+                        rec("SPY", 100.0 + 5.0 * k, "call", 2.0, days),
+                        ticker=ticker))
+            snapshot = chain_mod.enrich(snap(records))
+            assert not snapshot.one_ticker_length
+            fields = rng.sample(("net_delta", "width"), 2)
+            order_by = tuple(OrderItem(field, rng.choice(("ASC", "DESC")))
+                             for field in fields[:trial % 3])
+            ast = parse_text(f"SELECT BULL_CALL_SPREAD FROM SPY "
+                             f"LIMIT {rng.randint(1, 12)}")
+            ast = dataclasses.replace(ast, order_by=order_by)
+            expected, _ = oracle_survivors(validate(ast), snapshot, config)
+            want = oracle_order(expected, ast.order_by, ast.limit)
+            got = [tuple(leg.record.ticker for leg in inst.legs)
+                   for inst in result_instances(execute(ast, snapshot, config))]
+            assert got == [tickers for tickers, _ in want]
+            if ast.limit < len(expected):
+                last = want[-1][1]
+                ties = [agg for _, agg in expected
+                        if all(agg[item.field] == last[item.field]
+                               for item in ast.order_by)]
+                cut_inside_a_tie += len(ties) > sum(
+                    all(agg[item.field] == last[item.field]
+                        for item in ast.order_by) for _, agg in want)
+        assert cut_inside_a_tie >= 25
+
     def test_top_k_matches_the_oracle_order(self):
         rng = random.Random(4242)
         config = RunConfig()
@@ -1177,6 +1242,35 @@ class TestLateMaterialization:
         assert 0 < len(built) <= 2 * outcome.rows_at_success
         assert "rows" in vars(result) and "aggregates" in vars(result)
         assert vars(result)["text"] == case.attempts[0]
+
+    def test_no_having_or_order_by_computes_no_aggregate(self, monkeypatch,
+                                                         tsla_snapshot):
+        calls = []
+        real = engine.compute_aggregates
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(engine, "compute_aggregates", counted)
+        config = RunConfig()
+        query = "SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 LIMIT 7"
+        result = execute(query, tsla_snapshot, config)
+        assert calls == [] and result.computed == {}
+        # rendering computes every aggregate once, over the returned rows,
+        # and still gives the oracle's rows, order and values
+        doc = result_to_json(result, config)
+        instances = result_instances(result)
+        assert calls == [result.stats.returned] == [7]
+        expected, _ = oracle_survivors(validate(parse_text(query)),
+                                       tsla_snapshot, config)
+        want = oracle_order(expected, (), 7)
+        assert ([tuple(leg.record.ticker for leg in inst.legs)
+                 for inst in instances] == [tickers for tickers, _ in want])
+        for inst, (_, agg) in zip(instances, want):
+            assert aggregates_equal(inst.aggregates, agg)
+        assert doc["strategies"] == [instance_to_json(inst, "standard")
+                                     for inst in instances]
 
 
 @functools.cache

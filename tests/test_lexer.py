@@ -1,6 +1,7 @@
 """Tokenizer behavior: token stream shape, positions, and rejections."""
 
 import random
+import time
 
 import pytest
 
@@ -171,3 +172,21 @@ def test_tokenize_matches_the_probe_by_probe_oracle():
     for _ in range(20_000):
         source = random_query_text(rng)
         assert scan(tokenize, source) == scan(oracle_tokenize, source), source
+
+
+@pytest.mark.parametrize("source", [
+    " " * 10 ** 5,
+    "-- note\n" * 5 * 10 ** 4,
+    "SELECT" + " \t\r\n" * 25_000 + "@",
+    "-" * 10 ** 5,
+    "x" + "\n-- a -- b" * 20_000 + "\n  ",
+], ids=["spaces", "comment-lines", "junk-after-spaces", "dashes",
+        "comments-then-spaces"])
+def test_long_skipped_text_lexes_in_linear_time(source):
+    start = time.perf_counter()
+    got = scan(tokenize, source)
+    elapsed = time.perf_counter() - start
+    assert got == scan(oracle_tokenize, source)
+    # linear is about a millisecond; a scan that backtracked into the
+    # skipped text, or started again inside it, would take seconds
+    assert elapsed < 0.5
