@@ -500,7 +500,7 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
                      underlying="SPY", as_of="", stats=None,
                      records=records, columns=columns,
-                     one_ticker_length=len({len(r.ticker) for r in records}) == 1,
+                     one_ticker_length=len({len(t) for t, _ in rows}) == 1,
                      column_rows=column_rows, config=RunConfig(),
                      computed=computed)
 
@@ -1020,13 +1020,13 @@ class TestColumnarCore:
                    for inst in result_instances(execute(ast, snapshot, config))]
             assert got == [tickers for tickers, _ in want]
             if ast.limit < len(expected):
-                last = want[-1][1]
-                ties = [agg for _, agg in expected
-                        if all(agg[item.field] == last[item.field]
-                               for item in ast.order_by)]
-                cut_inside_a_tie += len(ties) > sum(
-                    all(agg[item.field] == last[item.field]
-                        for item in ast.order_by) for _, agg in want)
+                def keys(agg):
+                    return [agg[item.field] for item in ast.order_by]
+
+                last = keys(want[-1][1])
+                cut_inside_a_tie += (
+                    sum(keys(agg) == last for _, agg in expected)
+                    > sum(keys(agg) == last for _, agg in want))
         assert cut_inside_a_tie >= 25
 
     def test_top_k_matches_the_oracle_order(self):
