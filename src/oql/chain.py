@@ -101,12 +101,6 @@ class ChainSnapshot:
         return record_columns(self.records)
 
     @cached_property
-    def one_ticker_length(self) -> bool:
-        """Whether every ticker has one length: then comparing rows' ticker
-        ranks role by role orders them as their concatenated tickers."""
-        return len({len(rec.ticker) for rec in self.records}) <= 1
-
-    @cached_property
     def _moneyness_by_band(self) -> dict[float, np.ndarray]:
         return {}
 
@@ -174,15 +168,16 @@ def record_columns(records) -> dict[str, np.ndarray]:
 
     Rows are in (expiry, strike, ticker) order, whatever the record order.
     Columns: `record` (the row's position in records), `ticker_rank` (the
-    ticker's rank in Python string order), `expiry` (date ordinal), `dte`,
-    `strike`, `price`, `volume`, `is_call`, and iv and each Greek with a
-    `<name>_ok` mask. A missing value reads 0.0 with `_ok` False, so no
-    column holds NaN.
+    ticker's rank in Python string order) and `ticker_len`, `expiry` (date
+    ordinal), `dte`, `strike`, `price`, `volume`, `is_call`, and iv and
+    each Greek with a `<name>_ok` mask. A missing value reads 0.0 with
+    `_ok` False, so no column holds NaN.
     """
     tickers = [rec.ticker for rec in records]
     rank = {name: i for i, name in enumerate(sorted(set(tickers)))}
     raw = {
         "ticker_rank": np.array([rank[name] for name in tickers], dtype=np.int64),
+        "ticker_len": np.array([len(name) for name in tickers], dtype=np.int64),
         "expiry": np.array([rec.expiry.toordinal() for rec in records],
                            dtype=np.int64),
         "dte": np.array([rec.dte() for rec in records], dtype=float),
