@@ -68,7 +68,6 @@ class ResultSet:
     stats: ExecutionStats
     records: tuple[ContractRecord, ...]  # the snapshot's records
     columns: dict[str, np.ndarray]       # the snapshot's columns
-    one_ticker_length: bool  # the snapshot's one_ticker_length
     column_rows: np.ndarray  # (k, n_roles) int32 rows of `columns`
     config: RunConfig        # the config the query ran under
     computed: dict  # field -> (values, available), (k,) each
@@ -437,7 +436,6 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     return ResultSet(query=vq, underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
                      records=snapshot.records, columns=candidates.columns,
-                     one_ticker_length=snapshot.one_ticker_length,
                      column_rows=passed, config=config, computed=computed)
 
 
@@ -448,7 +446,8 @@ def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
     When all tickers share one length, comparing rows rank by rank orders
     them exactly as comparing their concatenated ticker strings.
     """
-    if not result.one_ticker_length:
+    lengths = result.columns["ticker_len"]
+    if len(lengths) and lengths.min() != lengths.max():
         return None
     return [result.columns["ticker_rank"][row] for row in result.column_rows.T]
 

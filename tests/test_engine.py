@@ -500,7 +500,6 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
                      underlying="SPY", as_of="", stats=None,
                      records=records, columns=columns,
-                     one_ticker_length=len({len(t) for t, _ in rows}) == 1,
                      column_rows=column_rows, config=RunConfig(),
                      computed=computed)
 
@@ -966,26 +965,6 @@ class TestColumnarCore:
                 == ["AAB", "ABBZ", "ABC"])
         assert result.stats.having_passed == 6
 
-    def test_ticker_length_is_decided_once_per_snapshot(self, monkeypatch):
-        calls = []
-        decide = ChainSnapshot.one_ticker_length.func
-
-        def counted(snapshot):
-            calls.append(snapshot)
-            return decide(snapshot)
-
-        prop = functools.cached_property(counted)
-        prop.__set_name__(ChainSnapshot, "one_ticker_length")
-        monkeypatch.setattr(ChainSnapshot, "one_ticker_length", prop)
-        snapshot = chain_mod.enrich(snap(_renamed(
-            [rec("SPY", k, "call", 2.0, 30) for k in (100.0, 105.0, 110.0)],
-            ("A", "AB", "BZ"))))
-        for query in ("SELECT BULL_CALL_SPREAD FROM SPY ORDER BY width LIMIT 1",
-                      "SELECT LONG_CALL FROM SPY LIMIT 2"):
-            execute(query, snapshot)
-        assert calls == [snapshot]
-        assert snapshot.one_ticker_length is False
-
     def test_heavy_ties_of_mixed_length_tickers_match_the_oracle_order(self):
         # every delta is 0.5, so net_delta ties on every row and width on
         # most; LIMIT cuts inside those ties, where only the concatenated
@@ -1007,7 +986,7 @@ class TestColumnarCore:
                         rec("SPY", 100.0 + 5.0 * k, "call", 2.0, days),
                         ticker=ticker))
             snapshot = chain_mod.enrich(snap(records))
-            assert not snapshot.one_ticker_length
+            assert len({len(r.ticker) for r in records}) > 1
             fields = rng.sample(("net_delta", "width"), 2)
             order_by = tuple(OrderItem(field, rng.choice(("ASC", "DESC")))
                              for field in fields[:trial % 3])
