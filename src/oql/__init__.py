@@ -4,9 +4,9 @@ Compile SELECT/FROM/WHERE/HAVING queries over option-chain snapshots into
 ranked strategy instances, backtest them over spot paths, and score query
 transcripts with retrieval-style metrics.
 
-The engine and the eval kit load on first use of one of their names
-(PEP 562), so importing a module that needs neither, such as
-oql.backtest, does not load them.
+The chain, pricing, engine and eval-kit names load on first use (PEP
+562), so importing the package, or a module that needs none of them such
+as oql.syntax, loads no numpy, and oql.backtest does not load the engine.
 """
 
 import importlib
@@ -20,30 +20,26 @@ from .catalog import (
     lookup,
     validate,
 )
-from .chain import (
-    ChainSnapshot,
-    ContractRecord,
-    generate_path,
-    generate_synthetic,
-    load_snapshot,
-    save_snapshot,
-)
 from .config import RunConfig, load_config
 from .errors import OqlError
-from .pricing import (
-    GreeksVector,
-    MarketParams,
-    bsm_price,
-    d_plus_minus,
-    greeks,
-    implied_vol,
-)
 from .syntax import QueryAst, parse, parse_text, pretty_print, tokenize
 
 __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported by __getattr__
 _LAZY = {
+    "ChainSnapshot": "chain",
+    "ContractRecord": "chain",
+    "generate_path": "chain",
+    "generate_synthetic": "chain",
+    "load_snapshot": "chain",
+    "save_snapshot": "chain",
+    "GreeksVector": "pricing",
+    "MarketParams": "pricing",
+    "bsm_price": "pricing",
+    "d_plus_minus": "pricing",
+    "greeks": "pricing",
+    "implied_vol": "pricing",
     "ResultSet": "engine",
     "execute": "engine",
     "result_to_json": "engine",

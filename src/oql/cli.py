@@ -5,6 +5,8 @@ Machine-readable JSON goes to stdout; diagnostics go to stderr. Exit codes:
 0 success, 1 any error, 2 a valid query that returned zero strategies.
 Configuration precedence is flags > --config file (JSON, same keys as the
 config dataclass) > defaults; $OQL_CONFIG names a default config file.
+Each command imports the chain, engine, backtest and eval modules it
+uses, so parse and check run without numpy.
 """
 
 import argparse
@@ -16,12 +18,8 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, fields
 
-from . import backtest as bt
-from . import chain as chain_mod
-from . import evalkit
 from .catalog import catalog_table, catalog_to_json, lookup, schema_table, validate
 from .config import RunConfig, load_config
-from .engine import execute, result_to_json, result_to_table
 from .errors import BacktestError, OqlError
 from .serialize import dumps, format_date, format_number, parse_date
 from .syntax import QueryAst, parse_text, pretty_print
@@ -161,7 +159,9 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> Outcome:
 
 
 def cmd_run(args: argparse.Namespace, config: RunConfig) -> Outcome:
-    snapshot = chain_mod.load_snapshot(args.chain)
+    from .chain import load_snapshot
+    from .engine import execute, result_to_json, result_to_table
+    snapshot = load_snapshot(args.chain)
     if snapshot.excluded:
         _diag(snapshot.exclusion_summary())
     result = execute(_query_text(args), snapshot, config)
@@ -174,6 +174,7 @@ def cmd_run(args: argparse.Namespace, config: RunConfig) -> Outcome:
 
 
 def cmd_backtest(args: argparse.Namespace, config: RunConfig) -> Outcome:
+    from . import backtest as bt
     with open(args.results, "r", encoding="utf-8") as fh:
         try:
             results_doc = json.load(fh)
@@ -240,10 +241,11 @@ def _refuse_overwrite(path: str, force: bool) -> None:
 
 
 def cmd_gen_chain(args: argparse.Namespace, config: RunConfig) -> Outcome:
+    from .chain import generate_synthetic, save_snapshot
     _refuse_overwrite(args.out, args.force)
     as_of = args.as_of
     try:
-        snapshot = chain_mod.generate_synthetic(
+        snapshot = generate_synthetic(
             underlying=args.underlying.upper(),
             as_of=as_of,
             spot=args.spot,
@@ -257,7 +259,7 @@ def cmd_gen_chain(args: argparse.Namespace, config: RunConfig) -> Outcome:
         )
     except (ValueError, OverflowError) as exc:  # a date or strike past range
         raise OqlError(f"cannot generate the chain: {exc}") from None
-    chain_mod.save_snapshot(snapshot, args.out)
+    save_snapshot(snapshot, args.out)
     return EXIT_OK, {
         "out": args.out,
         "underlying": snapshot.underlying,
@@ -271,13 +273,14 @@ def cmd_gen_chain(args: argparse.Namespace, config: RunConfig) -> Outcome:
 
 
 def cmd_gen_path(args: argparse.Namespace, config: RunConfig) -> Outcome:
+    from .chain import generate_path
     _refuse_overwrite(args.out, args.force)
     start = args.start
     if args.days > (dt.date.max - start).days:
         raise OqlError(f"--days {args.days} runs past {format_date(dt.date.max)}")
     try:
-        levels = chain_mod.generate_path(args.spot, args.mu, args.sigma,
-                                         args.days, args.seed)
+        levels = generate_path(args.spot, args.mu, args.sigma,
+                               args.days, args.seed)
     except ValueError as exc:
         raise OqlError(f"cannot generate the path: {exc}") from None
     lines = ["date,close"]
@@ -297,10 +300,12 @@ def cmd_gen_path(args: argparse.Namespace, config: RunConfig) -> Outcome:
 
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> Outcome:
+    from . import evalkit
     cases = evalkit.load_cases(args.cases)
     base_dir = os.path.dirname(os.path.abspath(args.cases))
-    outcomes, report = evalkit.evaluate(cases, base_dir=base_dir,
-                                        config=config, k=args.k)
+    outcomes, report = evalkit.evaluate(
+        cases, base_dir=base_dir, config=config,
+        k=evalkit.DEFAULT_K if args.k is None else args.k)
     doc = {
         **report,
         "outcomes": [{k: v for k, v in vars(o).items() if k != "attempt_errors"}
@@ -334,7 +339,9 @@ anything else is executed as a query against the loaded chain"""
 
 
 def cmd_repl(args: argparse.Namespace, config: RunConfig) -> Outcome:
-    snapshot = chain_mod.load_snapshot(args.chain)
+    from .chain import load_snapshot
+    from .engine import execute, result_to_table
+    snapshot = load_snapshot(args.chain)
     if snapshot.excluded:
         _diag(snapshot.exclusion_summary())
     print(f"loaded {len(snapshot.records)} contracts for "
@@ -463,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score attempt transcripts (JSONL cases)")
     p.add_argument("--cases", required=True, help="cases file (JSONL)")
-    p.add_argument("--k", type=int, default=evalkit.DEFAULT_K,
-                   help="attempt budget per case")
+    p.add_argument("--k", type=int, help="attempt budget per case")
     _add_config_options(p)
     p.set_defaults(func=cmd_eval)
 

@@ -19,7 +19,7 @@ ENV_CONFIG_VAR = "OQL_CONFIG"
 OUTPUT_MODES = ("standard", "blueprint")
 OUTPUT_FORMATS = ("json", "table")
 
-# a JSON true or false would pass their range checks as 1 or 0
+# JSON numbers only; true or false would pass their range checks as 1 or 0
 _NUMERIC_FIELDS = ("epsilon", "epsilon_abs", "atm_band", "multiplier", "rate",
                    "combinatorial_cap")
 
@@ -39,9 +39,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name in _NUMERIC_FIELDS:
-            if isinstance(getattr(self, name), bool):
-                raise ConfigError(
-                    f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not (0.0 < self.epsilon_abs < math.inf):
@@ -119,7 +119,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     unknown = set(settings) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    try:
-        return RunConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**settings)

@@ -489,6 +489,11 @@ class TestConfigPrecedence:
         ('{"combinatorial_cap": Infinity}', "combinatorial_cap must be finite"),
         ('{"multiplier": Infinity}', "multiplier must be finite"),
         ('{"symmetric_wings": "false"}', "symmetric_wings must be true or false"),
+        ('{"rate": "0.04"}', "rate must be a number, got '0.04'"),
+        ('{"epsilon": "0.5"}', "epsilon must be a number, got '0.5'"),
+        ('{"multiplier": [1]}', "multiplier must be a number, got [1]"),
+        ('{"combinatorial_cap": "5"}', "combinatorial_cap must be a number, got '5'"),
+        ('{"atm_band": null}', "atm_band must be a number, got None"),
     ])
     def test_config_file_value_that_cannot_apply_is_rejected(self, tmp_path,
                                                              text, needle):

@@ -19,6 +19,9 @@ helpers.random_ast, which mostly fails validation or names another
 underlying. Configs vary the soft-match band, the ATM band, the
 multiplier, symmetric wings and the combinatorial cap.
 
+The corpus runs twice: as is, where every case is one block, and with
+engine._BLOCK at 7, so that assembly and HAVING merge many blocks.
+
 Recording (only when the output contract changes on purpose):
 
     PYTHONPATH=src python3 tests/test_corpus.py --record
@@ -38,7 +41,7 @@ from helpers import (
     random_strat_condition,
     random_valid_query,
 )
-from oql import serialize
+from oql import engine, serialize
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
 from oql.errors import OqlError
@@ -133,6 +136,13 @@ def test_every_case_reproduces_its_recorded_hash():
     assert len(got) == len(want) == GROUPS * PER_GROUP
     moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert moved == [], f"{len(moved)} cases moved, first {moved[:20]}"
+
+
+def test_every_case_holds_when_rows_come_in_tiny_blocks(monkeypatch):
+    # every case assembles at most 70 rows, one block at the default size;
+    # blocks of 7 make _join and survivors merge many blocks per case
+    monkeypatch.setattr(engine, "_BLOCK", 7)
+    test_every_case_reproduces_its_recorded_hash()
 
 
 def record() -> None:

@@ -1,7 +1,7 @@
 """Every exported name resolves, so removing an API cannot leave a
-dangling entry in a package's __all__; importing the package pulls in no
-runtime dependency beyond numpy; and the README's Python API example
-runs as written."""
+dangling entry in a package's __all__; importing the package, and the
+parse and check commands, load no numpy (scipy is never loaded); and the
+README's Python API example runs as written."""
 
 import os
 import pathlib
@@ -27,7 +27,8 @@ def test_every_exported_name_resolves(package):
 
 def test_import_loads_no_scipy():
     # a fresh interpreter, since this one may have imported scipy for a test
-    probe = ("import sys, oql, oql.cli; "
+    probe = ("import sys, oql, oql.cli, oql.chain, oql.pricing, oql.engine, "
+             "oql.evalkit, oql.backtest; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -43,6 +44,23 @@ def test_backtester_module_loads_no_engine():
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False False\n"
+
+
+def test_package_and_front_end_commands_load_no_numpy():
+    # a fresh interpreter, since this one has imported numpy
+    probe = ("import io, sys, contextlib, oql; loaded = ['numpy' in sys.modules]\n"
+             "from oql.cli import main\n"
+             "for argv in (['parse', 'SELECT LONG_CALL FROM SPY'],\n"
+             "             ['check', 'SELECT LONG_CALL FROM SPY'],\n"
+             "             ['check', '--schemas']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = main(argv)\n"
+             "    loaded.append((code, 'numpy' in sys.modules))\n"
+             "print(loaded)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[False, (0, False), (0, False), (0, False)]\n"
 
 
 def test_engine_names_load_on_first_use():

@@ -7,13 +7,18 @@ order) and one sha256 per case. A case is a base text with one to three
 seeded defects: a keyword's case flipped; the space between two tokens
 made a newline, a tab, a `--` comment or nothing; a token dropped,
 duplicated or swapped with another; a junk character, a Unicode digit or
-a test_lexer.random_query_text fragment put in.
+a query_text.random_query_text fragment put in.
 
 The hash is of pretty_print(ast) plus the validate outcome when the text
 parses, or of `stage:line:column:message:expected` when lexing or parsing
 refuses it. Every case must reproduce its hash, so a change to what a
 text parses to, or to a syntax error's text, stage, position or expected
 set, fails here; the lexer oracle gates tokens only.
+
+The module needs neither pytest nor numpy, so the check also runs on
+its own, on any supported interpreter:
+
+    PYTHONPATH=src python3 tests/test_query_corpus.py
 
 Recording (only when the syntax contract changes on purpose):
 
@@ -31,7 +36,7 @@ import sys
 from oql.catalog import validate
 from oql.errors import OqlError
 from oql.syntax import parse_text, pretty_print
-from test_lexer import random_query_text
+from query_text import random_query_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_FILE = os.path.join(ROOT, "tests", "data", "query_corpus_sha256.json")
@@ -198,6 +203,10 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_query_corpus.py --record")
-    record()
+    if sys.argv[1:] == ["--record"]:
+        record()
+    elif sys.argv[1:]:
+        sys.exit("usage: test_query_corpus.py [--record]")
+    else:
+        test_every_case_reproduces_its_recorded_hash()
+        print(f"{CASES} cases held on Python {sys.version.split()[0]}")
