@@ -19,9 +19,10 @@ ENV_CONFIG_VAR = "OQL_CONFIG"
 OUTPUT_MODES = ("standard", "blueprint")
 OUTPUT_FORMATS = ("json", "table")
 
+# read as floats, so an integer past the float range cannot apply
+_FLOAT_FIELDS = ("epsilon", "epsilon_abs", "atm_band", "multiplier", "rate")
 # JSON numbers only; true or false would pass their range checks as 1 or 0
-_NUMERIC_FIELDS = ("epsilon", "epsilon_abs", "atm_band", "multiplier", "rate",
-                   "combinatorial_cap")
+_NUMERIC_FIELDS = _FLOAT_FIELDS + ("combinatorial_cap",)
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,12 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if name in _FLOAT_FIELDS:
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"{name} must be finite, got an "
+                                      "integer past the float range") from None
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not (0.0 < self.epsilon_abs < math.inf):
@@ -109,7 +116,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -5,11 +5,13 @@ aggregate -> having -> order/limit. Between filter and order it runs on
 one row space, the rows of snapshot.columns in (expiry, strike, ticker)
 order: WHERE is a mask over the columns, a role's candidates are the rows
 it keeps, assembly joins them into an (m, n_roles) array of rows, one
-batch kernel computes the aggregate groups HAVING and ORDER BY read over
-every row, HAVING is a boolean mask, and ORDER BY + LIMIT ranks the
-surviving rows once. A result exists only as columns: a ResultSet holds
-its snapshot rows and the aggregate columns computed for them, and the
-first read of ResultSet.aggregates computes the groups still missing.
+batch kernel computes the aggregate groups HAVING reads over every row,
+and HAVING is a boolean mask. execute stops there: ORDER BY + LIMIT
+rank the surviving rows once, on the first read of the result's rows or
+aggregates, so a caller that reads only `stats` never ranks. A result
+exists only as columns: a ResultSet holds its snapshot rows and the
+aggregate columns computed for them, and the first read of
+ResultSet.aggregates computes the groups still missing.
 result_to_json and result_to_table render rows from those columns.
 Execution is fully deterministic: results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
@@ -52,14 +54,17 @@ class ExecutionStats:
 
 @dataclass
 class ResultSet:
-    """A query's rows, kept as snapshot rows: every row that passed HAVING
-    in assembly order (`survivors`), or the returned rows in result order
-    (`execute`).
+    """A query's rows, kept as snapshot rows in `passed`: every row that
+    passed HAVING, in assembly order.
 
-    `computed` holds the aggregate columns already computed for the rows;
-    the query text, the record positions and the other aggregates are
-    computed on first read, so a caller that reads only `stats` computes
-    none of them.
+    `ranking` is the (ORDER BY, LIMIT) still to apply to them, or None
+    when they are the result's rows as they stand (`survivors`). `execute`
+    leaves it set: the first read of `column_rows`, `rows` or `aggregates`
+    ranks once (order_and_limit) and narrows `passed` and `computed` to
+    the returned rows in result order. `computed` holds the aggregate
+    columns already computed for `passed`; the query text, the ranking,
+    the record positions and the other aggregates are computed on first
+    read, so a caller that reads only `stats` computes none of them.
     """
 
     query: ValidatedQuery
@@ -68,9 +73,22 @@ class ResultSet:
     stats: ExecutionStats
     records: tuple[ContractRecord, ...]  # the snapshot's records
     columns: dict[str, np.ndarray]       # the snapshot's columns
-    column_rows: np.ndarray  # (k, n_roles) int32 rows of `columns`
+    passed: np.ndarray       # (k, n_roles) int32 rows of `columns`
     config: RunConfig        # the config the query ran under
     computed: dict  # field -> (values, available), (k,) each
+    ranking: tuple | None = None  # (order_by, limit) still to apply
+
+    @property
+    def column_rows(self) -> np.ndarray:
+        """(k, n_roles) int32 rows of `columns` in result order."""
+        if self.ranking is not None:
+            picks = order_and_limit(self, *self.ranking)
+            self.passed = self.passed[picks]
+            self.computed = {field: (values[picks], available[picks])
+                             for field, (values, available)
+                             in self.computed.items()}
+            self.ranking = None
+        return self.passed
 
     @cached_property
     def text(self) -> str:
@@ -87,11 +105,11 @@ class ResultSet:
         """field -> (values, available), (k,) each, for all twelve fields
         in AGGREGATE_FIELDS order; the first read computes only the fields
         missing from `computed`."""
+        rows = self.column_rows
         missing = [field for field in AGGREGATE_FIELDS
                    if field not in self.computed]
         known = {**self.computed, **compute_aggregates(
-            self.query.schema, self.columns, self.column_rows, self.config,
-            missing)}
+            self.query.schema, self.columns, rows, self.config, missing)}
         return {field: known[field] for field in AGGREGATE_FIELDS}
 
 
@@ -393,23 +411,34 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
 # ============================================================
 
 
+def _group_fields(read) -> list[str]:
+    """Every field of the kernel groups the fields in `read` come from,
+    in AGGREGATE_FIELDS order: a group's kernel yields them all at once."""
+    groups = {_GROUP[field] for field in read}
+    return [field for field in AGGREGATE_FIELDS if _GROUP[field] in groups]
+
+
+def _concat_columns(parts: list[dict], fields: list[str]) -> dict:
+    """The aggregate columns `fields` of consecutive blocks, end to end."""
+    return {field: (_concat([part[field][0] for part in parts]),
+                    _concat([part[field][1] for part in parts]))
+            for field in fields}
+
+
 def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
               config: RunConfig) -> ResultSet:
     """Filter, assemble and apply HAVING, block by block: every row that
     passes, in assembly order.
 
-    Per block only the kernel groups HAVING and ORDER BY read run, and
-    every field of those groups is kept for the rows that pass, so the
+    Per block only the kernel groups HAVING reads run, and every field of
+    those groups is kept for the rows that pass, so ranking and the
     result's aggregates later compute only the groups still missing. A
-    query whose HAVING and ORDER BY read nothing computes no aggregate.
+    query whose HAVING reads nothing computes no aggregate.
     """
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
-    read = ({item.field for item in vq.ast.order_by}
-            | {cond.field for cond in vq.strategy_conditions})
-    groups = {_GROUP[field] for field in read}
-    fields = [field for field in AGGREGATE_FIELDS if _GROUP[field] in groups]
+    fields = _group_fields(cond.field for cond in vq.strategy_conditions)
     kept_rows, kept = [], []
     for lo in range(0, max(len(rows), 1), _BLOCK):
         block = rows[lo:lo + _BLOCK]
@@ -428,15 +457,11 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     stats = ExecutionStats(candidates=counts, filtered=sum(counts.values()),
                            raw_product=raw, assembled=len(rows),
                            having_passed=len(passed), returned=len(passed))
-    computed = {
-        field: (_concat([part[field][0] for part in kept]),
-                _concat([part[field][1] for part in kept]))
-        for field in fields
-    }
     return ResultSet(query=vq, underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
                      records=snapshot.records, columns=candidates.columns,
-                     column_rows=passed, config=config, computed=computed)
+                     passed=passed, config=config,
+                     computed=_concat_columns(kept, fields))
 
 
 def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
@@ -449,22 +474,33 @@ def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
     lengths = result.columns["ticker_len"]
     if len(lengths) and lengths.min() != lengths.max():
         return None
-    return [result.columns["ticker_rank"][row] for row in result.column_rows.T]
+    return [result.columns["ticker_rank"][row] for row in result.passed.T]
 
 
 def order_and_limit(result: ResultSet, order_by,
                     limit: int | None) -> np.ndarray:
-    """Row positions of `result` in result order: a stable multi-key sort
-    (default ASC), then LIMIT.
+    """Positions in `result.passed` in result order: a stable multi-key
+    sort (default ASC), then LIMIT.
 
-    Each ORDER BY item keys on a missing flag, then the signed value, so
-    unavailable values go last regardless of direction. Ties always break
+    An ORDER BY field missing from `result.computed` is computed first,
+    with the rest of its kernel group, over `result.passed` block by
+    block, and kept in `result.computed`. Each ORDER BY item keys on a
+    missing flag, then the signed value, so unavailable values go last
+    regardless of direction. Ties always break
     on concatenated leg tickers, so the order is total and independent of
     assembly order. With per-role ticker ranks as the last keys one
     lexsort is that order. Otherwise only the rows tied with the
     limit-th row on the numeric keys, or ahead of it, are sorted with
     their ticker strings.
     """
+    fields = _group_fields(item.field for item in order_by
+                           if item.field not in result.computed)
+    if fields:
+        rows = result.passed
+        result.computed = {**result.computed, **_concat_columns([
+            compute_aggregates(result.query.schema, result.columns,
+                               rows[lo:lo + _BLOCK], result.config, fields)
+            for lo in range(0, max(len(rows), 1), _BLOCK)], fields)}
     keys: list[np.ndarray] = []
     for item in order_by:
         values, available = result.computed[item.field]
@@ -474,7 +510,7 @@ def order_and_limit(result: ResultSet, order_by,
     ranks = _ticker_ranks(result)
     if ranks is not None:
         return np.lexsort((keys + ranks)[::-1])[:limit]
-    k = len(result.column_rows)
+    k = len(result.passed)
     picks = np.arange(k)
     if keys and limit is not None and limit < k:
         pivot = np.lexsort(keys[::-1])[limit - 1]
@@ -484,7 +520,7 @@ def order_and_limit(result: ResultSet, order_by,
             before |= tied & (key < key[pivot])
             tied &= key == key[pivot]
         picks = np.nonzero(before | tied)[0]
-    positions = result.columns["record"][result.column_rows[picks]]
+    positions = result.columns["record"][result.passed[picks]]
     tickers = ["".join(result.records[i].ticker for i in row)
                for row in positions.tolist()]
     columns = [key[picks].tolist() for key in keys]
@@ -500,11 +536,12 @@ def _or_none(values: np.ndarray, available: np.ndarray) -> list:
 
 def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             config: RunConfig | None = None) -> ResultSet:
-    """Run a query against a snapshot end to end.
+    """Run a query against a snapshot up to HAVING.
 
-    The result holds the returned rows only, with the aggregate columns
-    HAVING and ORDER BY computed for them; the rest are computed when
-    ResultSet.aggregates is first read.
+    The result holds the rows HAVING kept, with the aggregate columns
+    HAVING computed for them, and the query's ORDER BY and LIMIT, which
+    the first read of its rows or aggregates applies; `stats.returned` is
+    already the number of rows that ranking returns.
     """
     config = config or RunConfig()
     ast = parse_text(query) if isinstance(query, str) else query
@@ -515,12 +552,9 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
             f"{snapshot.underlying}")
     snapshot = chain_mod.enrich(snapshot)
     result = survivors(vq, snapshot, config)
-    picks = order_and_limit(result, ast.order_by, ast.limit)
-    # narrowed in place: nothing has read its rows or aggregates yet
-    result.column_rows = result.column_rows[picks]
-    result.computed = {field: (values[picks], available[picks])
-                       for field, (values, available) in result.computed.items()}
-    result.stats.returned = len(picks)
+    result.ranking = (ast.order_by, ast.limit)
+    if ast.limit is not None:
+        result.stats.returned = min(ast.limit, result.stats.having_passed)
     return result
 
 

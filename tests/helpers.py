@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Five independent oracles live here so the test modules can cross-check the
+Four independent oracles live here so the test modules can cross-check the
 package against code that shares no logic with it:
 
 * finite-difference Greeks (``fd_greeks``) with calibrated steps and
@@ -12,10 +12,10 @@ package against code that shares no logic with it:
   filter, rule, aggregate, and ordering semantics,
 * the scalar terminal payoff of ``Leg`` baskets (``leg_payoff``,
   ``strategy_payoff``), which ``payoff_at_knots`` must reproduce at every
-  knot,
-* a probe-by-probe scanner (``oracle_tokenize``) that tries each token
-  kind at each position in turn, which the one-pattern ``tokenize`` must
-  match token for token and error for error.
+  knot.
+
+The lexer's oracle, a probe-by-probe scanner, is in ``lexer_oracle.py``,
+which needs neither pytest nor numpy.
 
 It also holds one-row and one-basket views of the batch kernels
 (``basket_payoff``, ``row_aggregates``) for tests that check a single
@@ -35,7 +35,6 @@ import io
 import itertools
 import math
 import random
-import re
 import sys
 from dataclasses import dataclass
 
@@ -48,11 +47,9 @@ from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_
 from oql.cli import main as cli_main
 from oql.config import RunConfig
 from oql.engine import ResultSet
-from oql.errors import LexError
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
 from oql.pricing import MarketParams, bsm_price
-from oql.syntax import (KEYWORDS, LegCondition, OrderItem, QueryAst,
-                        StratCondition, Token, TokenKind)
+from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
 
 AS_OF = dt.date(2025, 6, 2)
 
@@ -73,75 +70,6 @@ def run_cli(argv, stdin_text=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
-
-
-# ============================================================
-# Probe-by-probe scanner
-# ============================================================
-
-_WS_RE = re.compile(r"[ \t\r\n]+")
-_COMMENT_RE = re.compile(r"--[^\n]*")
-# sign binds to the literal; a lone sign is not a token
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\d+|\.\d+)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = ("<=", ">=", "!=", "=", "<", ">", "~")
-
-
-def oracle_tokenize(source: str) -> list[Token]:
-    """Scan source text to a token list ending with an END token."""
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while pos < n:
-        m = _WS_RE.match(source, pos)
-        if m:
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rfind("\n") + 1
-            pos = m.end()
-            continue
-        m = _COMMENT_RE.match(source, pos)
-        if m:
-            pos = m.end()
-            continue
-        col = pos - line_start + 1
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.NUMBER, m.group(), line, col))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            text = m.group()
-            kind = TokenKind.KEYWORD if text.upper() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, col))
-            pos = m.end()
-            continue
-        two = source[pos:pos + 2]
-        if two in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, two, line, col))
-            pos += 2
-            continue
-        one = source[pos]
-        if one in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, one, line, col))
-            pos += 1
-            continue
-        if one == ".":
-            tokens.append(Token(TokenKind.DOT, one, line, col))
-            pos += 1
-            continue
-        if one == ",":
-            tokens.append(Token(TokenKind.COMMA, one, line, col))
-            pos += 1
-            continue
-        raise LexError(f"unexpected character {one!r}", line, col)
-    tokens.append(Token(TokenKind.END, "", line, n - line_start + 1))
-    return tokens
 
 
 # ============================================================

@@ -11,6 +11,7 @@ writes, the other runs `python -m oql`.
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -494,11 +495,18 @@ class TestConfigPrecedence:
         ('{"multiplier": [1]}', "multiplier must be a number, got [1]"),
         ('{"combinatorial_cap": "5"}', "combinatorial_cap must be a number, got '5'"),
         ('{"atm_band": null}', "atm_band must be a number, got None"),
+        # integers no float can hold
+        ('{"rate": <401 digits>}', "rate must be finite, got an integer past"),
+        ('{"multiplier": <401 digits>}', "multiplier must be finite"),
+        ('{"epsilon_abs": <310 digits>}', "epsilon_abs must be finite"),
+        ('{"atm_band": -<500 digits>}', "atm_band must be finite"),
+        ('{"rate": <5000 digits>}', "is not valid JSON: Exceeds the limit"),
     ])
     def test_config_file_value_that_cannot_apply_is_rejected(self, tmp_path,
                                                              text, needle):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
+        cfg.write_text(re.sub(r"<(\d+) digits>",
+                              lambda m: "1" + "0" * (int(m[1]) - 1), text))
         code, out, err = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
                                   "--config", str(cfg)])
         assert code == EXIT_ERROR

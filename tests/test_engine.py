@@ -500,7 +500,7 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
                      underlying="SPY", as_of="", stats=None,
                      records=records, columns=columns,
-                     column_rows=column_rows, config=RunConfig(),
+                     passed=column_rows, config=RunConfig(),
                      computed=computed)
 
 
@@ -892,6 +892,41 @@ class TestPipelineStats:
         result = execute(ast, snap(records))
         assert len(result_instances(result)) == 1
 
+    # (clauses, whether LIMIT cuts the rows HAVING kept)
+    @pytest.mark.parametrize("clauses, cut", [
+        (" HAVING net_theta > 0 ORDER BY rr_ratio DESC LIMIT 5", True),
+        (" HAVING max_loss < 500 ORDER BY width DESC LIMIT 1000", False),
+        (" HAVING net_credit > 0 ORDER BY max_profit DESC", False),
+    ])
+    def test_returned_is_known_before_ranking(self, tsla_snapshot, clauses,
+                                              cut):
+        result = execute(
+            "SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
+            "AND LC.Delta < 0.15 AND SP.Delta > -0.3 AND LP.Delta > -0.15"
+            + clauses, tsla_snapshot)
+        returned = result.stats.returned
+        assert result.ranking is not None  # nothing has ranked yet
+        assert (returned < result.stats.having_passed) == cut
+        assert 0 < len(result.rows) == returned
+        assert result.ranking is None
+
+    def test_returned_is_known_before_ranking_mixed_length_tickers(self):
+        # the string tie-break keeps every row tied with the LIMIT-th one
+        # before it cuts, so returned must not count those extra rows
+        rng = random.Random(707)
+        cut_inside_a_tie = 0
+        for _ in range(20):
+            limit = rng.randint(1, 12)
+            result = execute(f"SELECT BULL_CALL_SPREAD FROM SPY ORDER BY "
+                             f"net_delta DESC LIMIT {limit}",
+                             snap(_heavy_tie_records(rng)))
+            returned = result.stats.returned
+            assert engine._ticker_ranks(result) is None
+            assert len(result.rows) == returned == min(
+                limit, result.stats.having_passed)
+            cut_inside_a_tie += limit < result.stats.having_passed
+        assert cut_inside_a_tie >= 10
+
 
 # ============================================================
 # Columnar core: index rows, top-k and enrich-once
@@ -900,6 +935,23 @@ class TestPipelineStats:
 
 def _renamed(records, tickers):
     return [dataclasses.replace(r, ticker=t) for r, t in zip(records, tickers)]
+
+
+def _heavy_tie_records(rng: random.Random) -> list[ContractRecord]:
+    """Calls at 4-9 strikes and two expiries, every one priced alike, so
+    net_delta ties on every spread; distinct tickers of 1-4 letters."""
+    taken: set[str] = set()
+    records = []
+    for k in range(rng.randint(4, 9)):
+        for days in (30, 60):
+            ticker = ""
+            while not ticker or ticker in taken:
+                ticker = "".join(rng.choice("ABZ")
+                                 for _ in range(rng.randint(1, 4)))
+            taken.add(ticker)
+            records.append(dataclasses.replace(
+                rec("SPY", 100.0 + 5.0 * k, "call", 2.0, days), ticker=ticker))
+    return records
 
 
 class TestColumnarCore:
@@ -973,18 +1025,7 @@ class TestColumnarCore:
         config = RunConfig()
         cut_inside_a_tie = 0
         for trial in range(40):
-            taken: set[str] = set()
-            records = []
-            for k in range(rng.randint(4, 9)):
-                for days in (30, 60):
-                    ticker = ""
-                    while not ticker or ticker in taken:
-                        ticker = "".join(rng.choice("ABZ")
-                                         for _ in range(rng.randint(1, 4)))
-                    taken.add(ticker)
-                    records.append(dataclasses.replace(
-                        rec("SPY", 100.0 + 5.0 * k, "call", 2.0, days),
-                        ticker=ticker))
+            records = _heavy_tie_records(rng)
             snapshot = chain_mod.enrich(snap(records))
             assert len({len(r.ticker) for r in records}) > 1
             fields = rng.sample(("net_delta", "width"), 2)
@@ -1178,9 +1219,9 @@ class TestColumnRendering:
 
 
 class TestLateMaterialization:
-    """The query path builds nothing per returned row: no leg object, no
-    record positions and no aggregate beyond those HAVING and ORDER BY
-    read; rendering builds them."""
+    """The query path builds nothing per returned row: no ranking, no leg
+    object, no record positions and no aggregate beyond those HAVING
+    reads; rendering builds them."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1276,9 +1317,10 @@ def _selection_pool() -> dict:
 
 
 class TestFieldSelection:
-    """survivors runs only the kernel groups HAVING and ORDER BY read and
-    keeps their columns for the rows that pass; the first read of
-    ResultSet.aggregates computes the groups still missing for the
+    """survivors runs only the kernel groups HAVING reads and keeps their
+    columns for the rows that pass; the first read of
+    ResultSet.aggregates ranks those rows, computing the groups ORDER BY
+    reads over them, then computes the groups still missing for the
     returned rows."""
 
     CONDOR = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
@@ -1301,9 +1343,7 @@ class TestFieldSelection:
         ("", (set(), PAYOFF)),
         (" HAVING net_credit > 0", (set(), PAYOFF)),
         (" HAVING net_theta > 0 ORDER BY width DESC LIMIT 5", (set(), PAYOFF)),
-        (" ORDER BY rr_ratio DESC LIMIT 5",
-         ({"payoff_at_knots", "payoff_extremes"},
-          {"payoff_at_knots", "breakevens"})),
+        (" ORDER BY rr_ratio DESC LIMIT 5", (set(), PAYOFF)),
         (" HAVING breakeven_low > 0",
          ({"payoff_at_knots", "breakevens"},
           {"payoff_at_knots", "payoff_extremes"})),
@@ -1354,6 +1394,23 @@ class TestFieldSelection:
         outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
         assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
         assert not kernels
+
+    def test_run_case_ranks_nothing(self, kernels, tsla_snapshot,
+                                    monkeypatch):
+        ranked = []
+        real = engine.order_and_limit
+
+        def counted(*args):
+            ranked.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "order_and_limit", counted)
+        case = evalkit.EvalCase(
+            id="c1", intent="", chain="", gold_strategy="IRON_CONDOR",
+            attempts=(self.CONDOR + " ORDER BY rr_ratio DESC LIMIT 5",))
+        outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
+        assert outcome.k_first_success == 1 and outcome.rows_at_success == 5
+        assert ranked == [] and not kernels
 
     @given(name=st.sampled_from(sorted(CATALOG)),
            fields=st.sets(st.sampled_from(AGGREGATE_FIELDS)),

@@ -1,14 +1,11 @@
 """Tokenizer behavior: token stream shape, positions, and rejections."""
 
-import random
-import time
-
 import pytest
 
-from helpers import oracle_tokenize
+from lexer_oracle import (LONG_SKIPPED_TEXTS, check_long_skipped_text,
+                          check_random_texts)
 from oql.errors import LexError
 from oql.syntax.lexer import Token, TokenKind, tokenize
-from query_text import random_query_text
 
 
 def kinds_and_texts(source):
@@ -139,34 +136,11 @@ def test_lone_sign_is_not_a_token():
         tokenize("a - 5")
 
 
-def scan(scanner, source):
-    """(kind, text, line, column) per token, or the LexError's details."""
-    try:
-        return [(t.kind, t.text, t.line, t.column) for t in scanner(source)]
-    except LexError as exc:
-        return ("LexError", str(exc), exc.line, exc.column)
-
-
 def test_tokenize_matches_the_probe_by_probe_oracle():
-    rng = random.Random(9)
-    for _ in range(20_000):
-        source = random_query_text(rng)
-        assert scan(tokenize, source) == scan(oracle_tokenize, source), source
+    check_random_texts()
 
 
-@pytest.mark.parametrize("source", [
-    " " * 10 ** 5,
-    "-- note\n" * 5 * 10 ** 4,
-    "SELECT" + " \t\r\n" * 25_000 + "@",
-    "-" * 10 ** 5,
-    "x" + "\n-- a -- b" * 20_000 + "\n  ",
-], ids=["spaces", "comment-lines", "junk-after-spaces", "dashes",
-        "comments-then-spaces"])
+@pytest.mark.parametrize("source", list(LONG_SKIPPED_TEXTS.values()),
+                         ids=list(LONG_SKIPPED_TEXTS))
 def test_long_skipped_text_lexes_in_linear_time(source):
-    start = time.perf_counter()
-    got = scan(tokenize, source)
-    elapsed = time.perf_counter() - start
-    assert got == scan(oracle_tokenize, source)
-    # linear is about a millisecond; a scan that backtracked into the
-    # skipped text, or started again inside it, would take seconds
-    assert elapsed < 0.5
+    check_long_skipped_text(source)

@@ -1,9 +1,11 @@
-"""The query-text byte gate under every other CPython the package supports.
+"""The query-text gates under every other CPython the package supports.
 
-tests/test_query_corpus.py needs neither pytest nor numpy, so it runs on
-a bare interpreter. This test finds the other CPythons on PATH or under
-pyenv that pyproject.toml's requires-python admits, runs the gate under
-each, and prints which ran. It skips when there is none.
+tests/test_query_corpus.py (the query-text byte gate) and
+tests/lexer_oracle.py (the lexer-versus-oracle differential) need neither
+pytest nor numpy, so they run on a bare interpreter. These tests find the
+other CPythons on PATH or under pyenv that pyproject.toml's
+requires-python admits, run each gate under each, and print which ran.
+They skip when there is none.
 """
 
 import glob
@@ -18,7 +20,6 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-GATE = ROOT / "tests" / "test_query_corpus.py"
 _PROBE = ("import platform, sys; "
           "print(platform.python_implementation(), *sys.version_info[:3])")
 
@@ -52,18 +53,27 @@ def other_pythons() -> dict[tuple[int, ...], str]:
     return found
 
 
-def test_query_corpus_holds_under_other_pythons(capsys):
+def _run_under_other_pythons(gate: str, capsys) -> None:
+    """Run tests/<gate> under each other supported CPython; all must pass."""
     found = other_pythons()
     if not found:
         pytest.skip(f"no CPython >= {_minimum()} other than "
                     f"{platform.python_version()} found")
     failed = []
     for version, path in sorted(found.items()):
-        done = subprocess.run([path, str(GATE)], cwd=ROOT, capture_output=True,
-                              text=True, timeout=300,
+        done = subprocess.run([path, str(ROOT / "tests" / gate)], cwd=ROOT,
+                              capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         with capsys.disabled():
-            print(f"\nquery corpus under {path}: {done.stdout.strip() or 'failed'}")
+            print(f"\n{gate} under {path}: {done.stdout.strip() or 'failed'}")
         if done.returncode != 0:
             failed.append((path, done.stderr[-2000:]))
     assert failed == []
+
+
+def test_query_corpus_holds_under_other_pythons(capsys):
+    _run_under_other_pythons("test_query_corpus.py", capsys)
+
+
+def test_lexer_matches_its_oracle_under_other_pythons(capsys):
+    _run_under_other_pythons("lexer_oracle.py", capsys)
