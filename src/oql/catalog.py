@@ -240,8 +240,7 @@ def validate(ast: QueryAst, symmetric_wings: bool = False) -> ValidatedQuery:
     per_role: dict[str, list[LegCondition]] = {rid: [] for rid in schema.role_ids}
     for cond in ast.where:
         _check_leg_condition(cond, schema)
-        targets = [cond.role] if cond.role is not None else list(schema.role_ids)
-        for rid in targets:
+        for rid in schema.role_ids if cond.role is None else (cond.role,):
             per_role[rid].append(cond)
     for cond in ast.having:
         _check_strat_condition(cond)

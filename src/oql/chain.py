@@ -329,6 +329,9 @@ def finite_number(value, what: str, row: int | None = None) -> float:
         raise FormatError(f"bad {what} {value!r}", row)
     try:
         number = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise FormatError(f"{what} must be finite, got an integer past the "
+                          "float range", row) from None
     except (TypeError, ValueError):
         raise FormatError(f"missing {what}" if value == ""
                           else f"bad {what} {value!r}", row) from None
@@ -427,7 +430,7 @@ def _check_json_kinds(keys, values, row: int) -> None:
 def _json_object(line: str, row: int) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long
         raise FormatError(f"bad JSON: {exc}", row) from None
     if not isinstance(obj, dict):
         raise FormatError("each line must hold a JSON object", row)

@@ -137,22 +137,17 @@ def soft_match(value, target: float, epsilon: float, epsilon_abs: float):
     return abs(value - target) <= epsilon * abs(target)
 
 
-def _test(cond: LegCondition | StratCondition, config: RunConfig):
-    """cond as a function of an available value: a float, a string or a
-    float array.
-
-    WHERE applies it to a column of snapshot.columns, HAVING to a column
-    of aggregates, so both clauses read one operator table.
-    """
+def _holds(cond: LegCondition | StratCondition, value, config: RunConfig):
+    """cond applied to an available value (a float, a string or a float
+    array): WHERE applies it to a column of snapshot.columns, HAVING to a
+    column of aggregates, so both clauses read one operator table."""
     if cond.op == "BETWEEN":
-        lo, hi = cond.lo, cond.hi
-        return lambda value: (lo <= value) & (value <= hi)
+        return (cond.lo <= value) & (value <= cond.hi)
     target = cond.value if isinstance(cond.value, str) else float(cond.value)
     if cond.op == "~":
-        epsilon, epsilon_abs = config.epsilon_for(cond.field), config.epsilon_abs
-        return lambda value: soft_match(value, target, epsilon, epsilon_abs)
-    op = _COMPARE[cond.op]
-    return lambda value: op(value, target)
+        return soft_match(value, target, config.epsilon_for(cond.field),
+                          config.epsilon_abs)
+    return _COMPARE[cond.op](value, target)
 
 
 # ============================================================
@@ -184,16 +179,19 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
             return _COMPARE[cond.op](snapshot.moneyness(config.atm_band),
                                      MONEYNESS_VALUES.index(cond.value))
         name = cond.field.lower()
-        known = columns.get(f"{name}_ok", True)
-        return known & _test(cond, config)(columns[name])
+        holds = _holds(cond, columns[name], config)
+        known = columns.get(f"{name}_ok")
+        return holds if known is None else known & holds
 
-    masks = {cond: mask(cond) for cond in vq.ast.where}  # one per condition
+    # one mask per condition, by identity: a condition hashes every field
+    masks = {id(cond): mask(cond) for cond in vq.ast.where}
+    is_call = columns["is_call"]
     rows: dict[str, np.ndarray] = {}
     for role in vq.schema.roles:
-        keep = columns["is_call"] == (role.option_type == "call")
+        keep = is_call if role.option_type == "call" else ~is_call
         for cond in vq.per_role_conditions[role.id]:
-            keep &= masks[cond]
-        rows[role.id] = np.flatnonzero(keep)
+            keep = keep & masks[id(cond)]
+        rows[role.id] = keep.nonzero()[0]
     return Candidates(columns, rows)
 
 
@@ -201,34 +199,45 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
 # Assembly: an index join under structural rules
 # ============================================================
 
-_PAIR_CHECKS = {
+_RULE_CHECKS = {
     "strike_order": ("strike", operator.lt),
     "strike_equal": ("strike", operator.eq),
     "expiry_equal": ("expiry", operator.eq),
     "expiry_order": ("expiry", operator.lt),
+    "symmetric_wings": ("strike", lambda lo, body, hi: body - lo == hi - body),
 }
 
 
 @functools.cache
 def _depth_checks(schema: StrategySchema) -> dict[int, list]:
-    """Per-depth checks, as (rule kind, role positions), equivalent to full
-    rule evaluation; computed once per schema.
+    """Per-depth checks, as (column, comparison, role positions), equivalent
+    to full rule evaluation; computed once per schema.
 
     Rules decompose into adjacent-pair comparisons (orderings and equalities
-    are transitive over the rule's role list); each check fires at the depth
-    where its last participating role is bound, which prunes the product
-    without changing the surviving set or its order. A rule names distinct
-    roles, so no check fires at depth 0.
+    are transitive over the rule's role list; symmetric wings is one check);
+    each fires at the depth where its last role is bound, which prunes the
+    product without changing the surviving set or its order. No contract
+    fills two roles: column None compares row numbers with `!=` where no
+    other check rejects equal rows (roles of one option type and no strict
+    order between them), and at least once per depth but depth 0.
     """
+    roles = schema.roles
     index = {rid: i for i, rid in enumerate(schema.role_ids)}
-    checks: dict[int, list] = {i: [] for i in range(len(schema.role_ids))}
+    checks: dict[int, list] = {i: [] for i in range(len(roles))}
     for rule in schema.rules:
         positions = tuple(index[r] for r in rule.roles)
-        if rule.kind == "symmetric_wings":
-            checks[max(positions)].append((rule.kind, positions))
-            continue
-        for pair in zip(positions, positions[1:]):
-            checks[max(pair)].append((rule.kind, pair))
+        name, op = _RULE_CHECKS[rule.kind]
+        for group in ([positions] if rule.kind == "symmetric_wings"
+                      else zip(positions, positions[1:])):
+            checks[max(group)].append((name, op, group))
+    for depth in range(1, len(roles)):
+        ordered = {min(group) for _, op, group in checks[depth]
+                   if op is operator.lt}
+        distinct = [(None, operator.ne, (j, depth)) for j in range(depth)
+                    if roles[j].option_type == roles[depth].option_type
+                    and j not in ordered]
+        checks[depth] = distinct + checks[depth] or [
+            (None, operator.ne, (0, depth))]
     return checks
 
 
@@ -237,32 +246,26 @@ def _join(rows: np.ndarray, new: np.ndarray, columns: dict[str, np.ndarray],
     """Extend each row by every candidate row in `new` that may follow it.
 
     Per block of rows the outer product rows x candidates is one boolean
-    mask: the new row differs from every bound one and each check firing
-    at this depth holds. np.nonzero reads the mask row-major, which keeps
-    the lexicographic product order.
+    mask: the checks at this depth over (rows, 1) bound values and the
+    (candidates,) new ones, gathered once. np.nonzero reads it row-major,
+    which keeps the lexicographic product order.
     """
     depth = rows.shape[1]
-    width = len(new)
-    step = max(1, _BLOCK // max(width, 1))
+    step = max(1, _BLOCK // max(len(new), 1))
+    gathered = {name: new if name is None else columns[name][new]
+                for name, _, _ in checks}
     parts = []
     for lo in range(0, max(len(rows), 1), step):
         block = rows[lo:lo + step]
 
-        def value(j: int, name: str) -> np.ndarray:
+        def value(j: int, name: str | None) -> np.ndarray:
             if j == depth:
-                return columns[name][new][None, :]
-            return columns[name][block[:, j]][:, None]
+                return gathered[name]
+            bound = block[:, j, None]
+            return bound if name is None else columns[name][bound]
 
-        keep = np.ones((len(block), width), dtype=bool)
-        for j in range(depth):
-            keep &= block[:, j, None] != new[None, :]
-        for kind, positions in checks:
-            if kind == "symmetric_wings":
-                wing_lo, body, wing_hi = (value(j, "strike") for j in positions)
-                keep &= (body - wing_lo) == (wing_hi - body)
-            else:
-                name, op = _PAIR_CHECKS[kind]
-                keep &= op(value(positions[0], name), value(positions[1], name))
+        keep = functools.reduce(operator.and_, [
+            op(*[value(j, name) for j in group]) for name, op, group in checks])
         at, pick = np.nonzero(keep)
         out = np.empty((len(at), depth + 1), dtype=np.int32)
         out[:, :depth] = block[at]
@@ -403,7 +406,7 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
     """One HAVING predicate as a mask over aggregate columns; an
     unavailable aggregate rejects."""
     values, available = aggregates[cond.field]
-    return available & _test(cond, config)(values)
+    return available & _holds(cond, values, config)
 
 
 # ============================================================

@@ -74,7 +74,7 @@ def load_cases(path: str) -> list[EvalCase]:
             where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int too long
                 raise EvalError(f"{where}: bad JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise EvalError(f"{where}: a case must be a JSON object")
@@ -122,6 +122,8 @@ def run_case(case: EvalCase, snapshot: ChainSnapshot,
     fails; the first attempt returning >= 1 strategies sets k and the row
     count.
     """
+    if k < 1:
+        raise EvalError(f"attempt budget k must be >= 1, got {k}")
     errors: list[str] = []
     for idx, attempt in enumerate(case.attempts[:k], start=1):
         try:

@@ -23,6 +23,7 @@ from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratConditi
 from .lexer import Token, TokenKind, tokenize
 
 _LIMIT_RE = re.compile(r"\+?0*[1-9][0-9]*")
+_END, _IDENT, _KEYWORD = TokenKind.END, TokenKind.IDENT, TokenKind.KEYWORD
 
 
 def _shown(text: str, width: int = 24) -> str:
@@ -31,38 +32,36 @@ def _shown(text: str, width: int = 24) -> str:
 
 
 class _Parser:
+    """`tok` is the current token and `word` its keyword spelling in upper
+    case, None when it is no keyword; `advance` moves both."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens, self.pos = tokens, 0
+        tok = self.tok = tokens[0]
+        self.word = tok.text.upper() if tok.kind is _KEYWORD else None
 
     # ---- token plumbing ----
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.END:
-            self.pos += 1
+        """Consume the current token; its caller checked it is no END."""
+        tok = self.tok
+        self.pos += 1
+        new = self.tok = self.tokens[self.pos]
+        self.word = new.text.upper() if new.kind is _KEYWORD else None
         return tok
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.current
-        got = tok.text if tok.kind is not TokenKind.END else "end of query"
+        tok = self.tok
+        got = tok.text if tok.kind is not _END else "end of query"
         return ParseError(f"{message}, got {got!r}", tok.line, tok.column, expected)
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind is TokenKind.KEYWORD and tok.text.upper() == word
-
     def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
+        if self.word != word:
             raise self.fail(f"expected keyword {word}", (word,))
         return self.advance()
 
     def expect_identifier(self, what: str) -> Token:
-        if self.tokens[self.pos].kind is not TokenKind.IDENT:
+        if self.tok.kind is not _IDENT:
             raise self.fail(f"expected {what}", ("identifier",))
         return self.advance()
 
@@ -70,7 +69,7 @@ class _Parser:
 
     def parse_number(self, what: str) -> float:
         """The current NUMBER token's value; one past the float range fails."""
-        tok = self.current
+        tok = self.tok
         if tok.kind is not TokenKind.NUMBER:
             raise self.fail(f"expected {what}", ("number",))
         value = float(tok.text)
@@ -81,10 +80,10 @@ class _Parser:
         return value
 
     def parse_value(self) -> float | str:
-        tok = self.current
+        tok = self.tok
         if tok.kind is TokenKind.NUMBER:
             return self.parse_number("a value")
-        if tok.kind is TokenKind.IDENT and tok.upper() in MONEYNESS_VALUES:
+        if tok.kind is _IDENT and tok.upper() in MONEYNESS_VALUES:
             return self.advance().upper()
         raise self.fail("expected a value", ("number", *MONEYNESS_VALUES))
 
@@ -92,11 +91,11 @@ class _Parser:
 
     def clause(self, keyword: str, item) -> list:
         """`keyword item {AND item}`; empty when keyword is absent."""
-        if not self.at_keyword(keyword):
+        if self.word != keyword:
             return []
         self.advance()
         items = [item()]
-        while self.at_keyword("AND"):
+        while self.word == "AND":
             self.advance()
             items.append(item())
         return items
@@ -105,8 +104,8 @@ class _Parser:
         self.expect_keyword("SELECT")
         strategy = self.expect_identifier("a strategy name").upper()
         self.expect_keyword("FROM")
-        underlying_tok = self.current
-        underlying = self.expect_identifier("an underlying ticker").upper()
+        underlying_tok = self.expect_identifier("an underlying ticker")
+        underlying = underlying_tok.upper()
         if not underlying.isalpha():
             raise ParseError(
                 f"underlying must be alphabetic, got {underlying!r}",
@@ -116,20 +115,20 @@ class _Parser:
         having = self.clause("HAVING", self.parse_strat_condition)
 
         order_by: list[OrderItem] = []
-        if self.at_keyword("ORDER"):
+        if self.word == "ORDER":
             self.advance()
             self.expect_keyword("BY")
             order_by.append(self.parse_order_item())
-            while self.current.kind is TokenKind.COMMA:
+            while self.tok.kind is TokenKind.COMMA:
                 self.advance()
                 order_by.append(self.parse_order_item())
 
         limit: int | None = None
-        if self.at_keyword("LIMIT"):
+        if self.word == "LIMIT":
             self.advance()
             limit = self.parse_limit()
 
-        if self.current.kind is not TokenKind.END:
+        if self.tok.kind is not _END:
             raise self.fail("trailing input after query", ("end of query",))
         return QueryAst(strategy=strategy, underlying=underlying,
                         where=where, having=having, order_by=order_by,
@@ -138,27 +137,27 @@ class _Parser:
     def parse_leg_condition(self) -> LegCondition:
         first = self.expect_identifier("a role or leg field")
         role: str | None = None
-        if self.current.kind is TokenKind.DOT:
+        if self.tok.kind is TokenKind.DOT:
             self.advance()
             field_tok = self.expect_identifier("a leg field")
             role = first.upper()
             field = canonical_leg_field(field_tok.text)
         else:
             field = canonical_leg_field(first.text)
-        if self.at_keyword("BETWEEN"):
-            raise self.fail("BETWEEN is only valid in HAVING", COMPARISON_OPS)
-        if self.current.kind is not TokenKind.OP:
+        if self.tok.kind is not TokenKind.OP:
+            if self.word == "BETWEEN":
+                raise self.fail("BETWEEN is only valid in HAVING", COMPARISON_OPS)
             raise self.fail("expected a comparison operator", COMPARISON_OPS)
         op = self.advance().text
         value = self.parse_value()
-        return LegCondition(role=role, field=field, op=op, value=value)
+        return LegCondition(role, field, op, value)
 
     def parse_strat_condition(self) -> StratCondition:
         field = canonical_aggregate_field(
             self.expect_identifier("an aggregate field").text)
-        if self.at_keyword("BETWEEN"):
+        if self.word == "BETWEEN":
             self.advance()
-            lo_tok = self.current
+            lo_tok = self.tok
             lo = self.parse_number("a numeric lower bound")
             self.expect_keyword("AND")
             hi = self.parse_number("a numeric upper bound")
@@ -167,26 +166,26 @@ class _Parser:
                     f"BETWEEN bounds out of order: {lo} > {hi}",
                     lo_tok.line, lo_tok.column)
             return StratCondition(field=field, op="BETWEEN", lo=lo, hi=hi)
-        if self.current.kind is not TokenKind.OP:
+        if self.tok.kind is not TokenKind.OP:
             raise self.fail("expected a comparison operator or BETWEEN",
                             COMPARISON_OPS + ("BETWEEN",))
         op = self.advance().text
         value = self.parse_value()
-        return StratCondition(field=field, op=op, value=value)
+        return StratCondition(field, op, value)
 
     def parse_order_item(self) -> OrderItem:
         field = canonical_aggregate_field(
             self.expect_identifier("a sort field").text)
         direction = "ASC"
-        if self.at_keyword("ASC"):
+        if self.word == "ASC":
             self.advance()
-        elif self.at_keyword("DESC"):
+        elif self.word == "DESC":
             self.advance()
             direction = "DESC"
-        return OrderItem(field=field, direction=direction)
+        return OrderItem(field, direction)
 
     def parse_limit(self) -> int:
-        tok = self.current
+        tok = self.tok
         if tok.kind is not TokenKind.NUMBER:
             raise self.fail("expected a positive integer LIMIT", ("integer",))
         if not _LIMIT_RE.fullmatch(tok.text):

@@ -780,6 +780,21 @@ def _case(**changes):
     return json.dumps({**case, **changes}) + "\n"
 
 
+# a JSON integer past Python's 4,300-digit limit for int(text); json.dumps
+# refuses to write one, so it is spliced into the text in place of 0
+_HUGE_INT = "1" + "0" * 5000
+
+
+def _huge(key: str, text):
+    """`text` (a string or a function of the fixture directory) with the
+    value 0 of `key` written as _HUGE_INT."""
+    def huge(cli_dir):
+        content = text(cli_dir) if callable(text) else text
+        assert f'"{key}": 0' in content
+        return content.replace(f'"{key}": 0', f'"{key}": {_HUGE_INT}', 1)
+    return huge
+
+
 _PARSE = ["parse", "SELECT LONG_CALL FROM SPY", "--config", "{tmp}/cfg.json"]
 _EVAL = ["eval", "--cases", "{tmp}/cases.jsonl"]
 
@@ -881,6 +896,9 @@ BAD_INPUT = [
     ("leg-direction-true", {"r.json": _first_leg(direction=True)},
      _backtest(results="{tmp}/r.json"), "backtest",
      "strategy 1: bad direction True"),
+    ("leg-strike-past-float-range", {"r.json": _first_leg(strike=10 ** 400)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: strike must be finite, got an integer past the float range"),
     ("leg-iv-true", {"r.json": _first_leg(iv=True)},
      _backtest(results="{tmp}/r.json"), "backtest", "strategy 1: bad iv True"),
     ("eval-line-not-object", {"cases.jsonl": "[1]\n"}, _EVAL,
@@ -894,6 +912,12 @@ BAD_INPUT = [
      "eval", "cases.jsonl:1: bad sa_grade 'high'"),
     ("eval-sa-grade-true", {"cases.jsonl": _case(sa_grade=True)}, _EVAL,
      "eval", "cases.jsonl:1: bad sa_grade True"),
+    ("eval-sa-grade-past-int-digits",
+     {"cases.jsonl": _huge("sa_grade", _case(sa_grade=0))}, _EVAL,
+     "eval", "cases.jsonl:1: bad JSON: Exceeds the limit (4300 digits)"),
+    ("eval-sa-grade-past-float-range",
+     {"cases.jsonl": _case(sa_grade=10 ** 400)}, _EVAL,
+     "eval", "cases.jsonl:1: sa_grade must be finite, got an integer past"),
     ("eval-id-null", {"cases.jsonl": _case(id=None)}, _EVAL,
      "eval", "cases.jsonl:1: bad id None"),
     ("eval-intent-number", {"cases.jsonl": _case(intent=5)}, _EVAL,
@@ -958,6 +982,14 @@ BAD_INPUT = [
      _run_chain("c.jsonl"), "load", "row 2: bad strike True"),
     ("chain-jsonl-strike-empty", {"c.jsonl": _jsonl_chain(strike="")},
      _run_chain("c.jsonl"), "load", "row 2: missing strike"),
+    ("chain-jsonl-volume-past-int-digits",
+     {"c.jsonl": _huge("volume", _jsonl_chain(volume=0))},
+     _run_chain("c.jsonl"), "load",
+     "row 2: bad JSON: Exceeds the limit (4300 digits)"),
+    ("chain-jsonl-strike-past-float-range",
+     {"c.jsonl": _jsonl_chain(strike=10 ** 400)},
+     _run_chain("c.jsonl"), "load",
+     "row 2: strike must be finite, got an integer past the float range"),
     ("chain-jsonl-ticker-number", {"c.jsonl": _jsonl_chain(ticker=12345)},
      _run_chain("c.jsonl"), "load", "row 2: bad ticker 12345"),
     ("chain-csv-expiry-basic-form",

@@ -218,6 +218,18 @@ class TestRunCase:
         assert not out.solved
         assert len(out.attempt_errors) == 1
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_budget_below_one_is_refused(self, k):
+        # k=0 once scored an unsolved case with no attempt errors, and
+        # k=-1 dropped the last attempt through the slice attempts[:k]
+        case = EvalCase(id="a", intent="i", gold_strategy="LONG_CALL",
+                        chain="x", attempts=(
+                            "SELECT LONG_CALL FROM SYN WHERE Dte > 900",
+                            "SELECT LONG_CALL FROM SYN"))
+        with pytest.raises(EvalError) as exc_info:
+            run_case(case, tiny_snapshot(), k=k)
+        assert str(exc_info.value) == f"attempt budget k must be >= 1, got {k}"
+
     def test_validation_failures_are_labelled(self):
         case = EvalCase(id="a", intent="i", gold_strategy="LONG_CALL",
                         chain="x", attempts=(

@@ -4,7 +4,8 @@ import pytest
 
 from lexer_oracle import (LONG_SKIPPED_TEXTS, check_long_skipped_text,
                           check_random_texts)
-from oql.errors import LexError
+from oql.errors import LexError, ParseError
+from oql.syntax import parse_text
 from oql.syntax.lexer import Token, TokenKind, tokenize
 
 
@@ -110,6 +111,60 @@ def test_line_and_column_are_one_based_and_track_newlines():
     assert (by_text["X"].line, by_text["X"].column) == (1, 8)
     assert (by_text["FROM"].line, by_text["FROM"].column) == (2, 1)
     assert (by_text["YY"].line, by_text["YY"].column) == (2, 7)
+
+
+def positions(source):
+    return [(t.text, t.line, t.column) for t in tokenize(source)]
+
+
+def test_one_line_text_positions():
+    # no newline at all: every token is on line 1, its column its offset + 1
+    assert positions("  SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ -30 LIMIT 5") == [
+        ("SELECT", 1, 3), ("IRON_CONDOR", 1, 10), ("FROM", 1, 22),
+        ("TSLA", 1, 27), ("WHERE", 1, 32), ("Dte", 1, 38), ("~", 1, 42),
+        ("-30", 1, 44), ("LIMIT", 1, 48), ("5", 1, 54), ("", 1, 55)]
+
+
+def test_positions_after_a_newline_that_ends_a_comment():
+    # the text's only newline ends a `--` comment
+    assert positions("SELECT X -- a comment\n  FROM Y") == [
+        ("SELECT", 1, 1), ("X", 1, 8), ("FROM", 2, 3), ("Y", 2, 8),
+        ("", 2, 9)]
+    # a comment that ends the text: END sits after its newline
+    assert positions("SELECT X -- done\n") == [
+        ("SELECT", 1, 1), ("X", 1, 8), ("", 2, 1)]
+
+
+def test_positions_across_crlf_gaps():
+    # \r is whitespace; only \n starts a line
+    assert positions("SELECT X\r\nFROM Y\r\n\r\n WHERE Dte ~ 30") == [
+        ("SELECT", 1, 1), ("X", 1, 8), ("FROM", 2, 1), ("Y", 2, 6),
+        ("WHERE", 4, 2), ("Dte", 4, 8), ("~", 4, 12), ("30", 4, 14),
+        ("", 4, 16)]
+
+
+@pytest.mark.parametrize("source,line,column", [
+    ("SELECT X FROM @", 1, 15),
+    ("SELECT X -- a comment\nFROM $Y", 2, 6),
+    ("SELECT X\r\n\r\n  FROM Y;", 3, 9),
+])
+def test_lex_error_positions(source, line, column):
+    with pytest.raises(LexError) as exc_info:
+        tokenize(source)
+    assert (exc_info.value.line, exc_info.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("source,line,column", [
+    ("SELECT X FROM Y LIMIT 0", 1, 23),
+    ("SELECT X -- a comment\nFROM 5", 2, 6),
+    ("SELECT X\r\nFROM Y\r\n\r\n  WHERE Dte BETWEEN 1 AND 2", 4, 13),
+])
+def test_parse_error_positions(source, line, column):
+    with pytest.raises(ParseError) as exc_info:
+        parse_text(source)
+    assert (exc_info.value.line, exc_info.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(exc_info.value)
 
 
 def test_end_token_is_always_appended():
