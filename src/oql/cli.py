@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import asdict, fields
 
 from .catalog import catalog_table, catalog_to_json, lookup, schema_table, validate
-from .config import RunConfig, load_config
+from .config import OUTPUT_FORMATS, OUTPUT_MODES, RunConfig, load_config
 from .errors import BacktestError, OqlError
 from .serialize import dumps, format_date, format_number, parse_date
 from .syntax import QueryAst, parse_text, pretty_print
@@ -56,10 +56,10 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
         group.add_argument(flag, dest=dest, type=typ, default=None,
                            help=help_text)
     group.add_argument("--output-mode", dest="output_mode",
-                       choices=("standard", "blueprint"), default=None,
+                       choices=OUTPUT_MODES, default=None,
                        help="results serialization shape")
     group.add_argument("--format", dest="output_format",
-                       choices=("json", "table"), default=None,
+                       choices=OUTPUT_FORMATS, default=None,
                        help="stdout rendering")
     group.add_argument("--symmetric-wings", dest="symmetric_wings",
                        action="store_true", default=None,

@@ -10,8 +10,8 @@ and HAVING is a boolean mask. execute stops there: ORDER BY + LIMIT
 rank the surviving rows once, on the first read of the result's rows or
 aggregates, so a caller that reads only `stats` never ranks. A result
 exists only as columns: a ResultSet holds its snapshot rows and the
-aggregate columns computed for them, and the first read of
-ResultSet.aggregates computes the groups still missing.
+aggregate columns computed for them, and ResultSet.complete computes the
+groups ranking or the aggregates read still miss, block by block.
 result_to_json and result_to_table render rows from those columns.
 Execution is fully deterministic: results are canonically ordered with a
 final tie-break on concatenated leg tickers, and serialized output is
@@ -37,8 +37,8 @@ from .fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
 
-# rows (or row x candidate cells) per block in assembly and aggregation;
-# bounds the temporaries of one step whatever the result size
+# rows (or row x candidate cells) per block in assembly, HAVING and
+# ResultSet.complete: bounds the temporaries of one step whatever the size
 _BLOCK = 1 << 16
 
 
@@ -62,9 +62,8 @@ class ResultSet:
     leaves it set: the first read of `column_rows`, `rows` or `aggregates`
     ranks once (order_and_limit) and narrows `passed` and `computed` to
     the returned rows in result order. `computed` holds the aggregate
-    columns already computed for `passed`; the query text, the ranking,
-    the record positions and the other aggregates are computed on first
-    read, so a caller that reads only `stats` computes none of them.
+    columns HAVING and `complete` computed for `passed`; the rest is
+    computed on first read, so reading only `stats` computes none of it.
     """
 
     query: ValidatedQuery
@@ -100,17 +99,27 @@ class ResultSet:
         """(k, n_roles) positions in `records`."""
         return self.columns["record"][self.column_rows]
 
+    def complete(self, fields) -> dict:
+        """`computed` once it holds `fields`: each missing kernel group
+        they need runs over `passed` in _BLOCK-row blocks and is kept."""
+        missing = _group_fields(field for field in fields
+                                if field not in self.computed)
+        if missing:
+            rows = self.passed
+            self.computed = {**self.computed, **_concat_columns([
+                compute_aggregates(self.query.schema, self.columns,
+                                   rows[lo:lo + _BLOCK], self.config, missing)
+                for lo in range(0, max(len(rows), 1), _BLOCK)], missing)}
+        return self.computed
+
     @cached_property
     def aggregates(self) -> dict:
         """field -> (values, available), (k,) each, for all twelve fields
-        in AGGREGATE_FIELDS order; the first read computes only the fields
-        missing from `computed`."""
-        rows = self.column_rows
-        missing = [field for field in AGGREGATE_FIELDS
-                   if field not in self.computed]
-        known = {**self.computed, **compute_aggregates(
-            self.query.schema, self.columns, rows, self.config, missing)}
-        return {field: known[field] for field in AGGREGATE_FIELDS}
+        in AGGREGATE_FIELDS order: the rows are ranked first, so only the
+        returned rows get the groups still missing."""
+        self.column_rows  # ranks, narrowing `passed` and `computed`
+        computed = self.complete(AGGREGATE_FIELDS)
+        return {field: computed[field] for field in AGGREGATE_FIELDS}
 
 
 # ============================================================
@@ -435,36 +444,34 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
 
     Per block only the kernel groups HAVING reads run, and every field of
     those groups is kept for the rows that pass, so ranking and the
-    result's aggregates later compute only the groups still missing. A
-    query whose HAVING reads nothing computes no aggregate.
+    result's aggregates later compute only the groups still missing.
+    Without HAVING no aggregate runs and every assembled row passes.
     """
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
     fields = _group_fields(cond.field for cond in vq.strategy_conditions)
-    kept_rows, kept = [], []
-    for lo in range(0, max(len(rows), 1), _BLOCK):
-        block = rows[lo:lo + _BLOCK]
-        aggregates = (compute_aggregates(vq.schema, candidates.columns, block,
-                                         config, fields) if fields else {})
-        if vq.strategy_conditions:
+    passed, computed = rows, {}
+    if fields:
+        kept_rows, kept = [], []
+        for lo in range(0, max(len(rows), 1), _BLOCK):
+            block = rows[lo:lo + _BLOCK]
+            aggregates = compute_aggregates(vq.schema, candidates.columns,
+                                            block, config, fields)
             keep = functools.reduce(operator.and_, (
                 eval_strat_condition(cond, aggregates, config)
                 for cond in vq.strategy_conditions))
-            block = block[keep]
-            aggregates = {field: (values[keep], available[keep])
-                          for field, (values, available) in aggregates.items()}
-        kept_rows.append(block)
-        kept.append(aggregates)
-    passed = _concat(kept_rows)
+            kept_rows.append(block[keep])
+            kept.append({field: (values[keep], available[keep])
+                         for field, (values, available) in aggregates.items()})
+        passed, computed = _concat(kept_rows), _concat_columns(kept, fields)
     stats = ExecutionStats(candidates=counts, filtered=sum(counts.values()),
                            raw_product=raw, assembled=len(rows),
                            having_passed=len(passed), returned=len(passed))
     return ResultSet(query=vq, underlying=snapshot.underlying,
                      as_of=format_date(snapshot.as_of), stats=stats,
                      records=snapshot.records, columns=candidates.columns,
-                     passed=passed, config=config,
-                     computed=_concat_columns(kept, fields))
+                     passed=passed, config=config, computed=computed)
 
 
 def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
@@ -485,9 +492,9 @@ def order_and_limit(result: ResultSet, order_by,
     """Positions in `result.passed` in result order: a stable multi-key
     sort (default ASC), then LIMIT.
 
-    An ORDER BY field missing from `result.computed` is computed first,
-    with the rest of its kernel group, over `result.passed` block by
-    block, and kept in `result.computed`. Each ORDER BY item keys on a
+    The ORDER BY fields are read through `result.complete`, which first
+    computes any of their kernel groups `result.computed` misses, over
+    every row of `result.passed`. Each ORDER BY item keys on a
     missing flag, then the signed value, so unavailable values go last
     regardless of direction. Ties always break
     on concatenated leg tickers, so the order is total and independent of
@@ -496,17 +503,10 @@ def order_and_limit(result: ResultSet, order_by,
     limit-th row on the numeric keys, or ahead of it, are sorted with
     their ticker strings.
     """
-    fields = _group_fields(item.field for item in order_by
-                           if item.field not in result.computed)
-    if fields:
-        rows = result.passed
-        result.computed = {**result.computed, **_concat_columns([
-            compute_aggregates(result.query.schema, result.columns,
-                               rows[lo:lo + _BLOCK], result.config, fields)
-            for lo in range(0, max(len(rows), 1), _BLOCK)], fields)}
+    computed = result.complete(item.field for item in order_by)
     keys: list[np.ndarray] = []
     for item in order_by:
-        values, available = result.computed[item.field]
+        values, available = computed[item.field]
         keys.append(~available)
         signed = values if item.direction == "ASC" else -values
         keys.append(np.where(available, signed, 0.0))

@@ -201,7 +201,10 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> QueryAst:
-    """Parse a token list (as produced by tokenize) into a canonical AST."""
+    """Parse a token list ending in END, as tokenize gives, into an AST."""
+    if not tokens or tokens[-1].kind is not _END:
+        line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
+        raise ParseError("token list does not end in an END token", line, column)
     return _Parser(tokens).parse_query()
 
 

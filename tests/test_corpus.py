@@ -20,7 +20,8 @@ underlying. Configs vary the soft-match band, the ATM band, the
 multiplier, symmetric wings and the combinatorial cap.
 
 The corpus runs twice: as is, where every case is one block, and with
-engine._BLOCK at 7, so that assembly and HAVING merge many blocks.
+engine._BLOCK at 7, so that assembly, HAVING, ranking and the
+aggregates read merge many blocks.
 
 Recording (only when the output contract changes on purpose):
 
@@ -140,7 +141,8 @@ def test_every_case_reproduces_its_recorded_hash():
 
 def test_every_case_holds_when_rows_come_in_tiny_blocks(monkeypatch):
     # every case assembles at most 70 rows, one block at the default size;
-    # blocks of 7 make _join and survivors merge many blocks per case
+    # blocks of 7 make _join, survivors and ResultSet.complete merge
+    # many blocks per case
     monkeypatch.setattr(engine, "_BLOCK", 7)
     test_every_case_reproduces_its_recorded_hash()
 

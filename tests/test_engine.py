@@ -1325,6 +1325,8 @@ class TestFieldSelection:
 
     CONDOR = ("SELECT IRON_CONDOR FROM TSLA WHERE Dte ~ 30 AND SC.Delta < 0.3 "
               "AND LC.Delta < 0.15 AND SP.Delta > -0.3 AND LP.Delta > -0.15")
+    SPREAD = ("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30 "
+              "AND L.Delta < 0.6 AND S.Delta > 0.2")  # 45 rows
     PAYOFF = {"payoff_at_knots", "payoff_extremes", "breakevens"}
 
     @pytest.fixture
@@ -1336,6 +1338,19 @@ class TestFieldSelection:
                 return _real(*args)
             monkeypatch.setattr(pricing, name, counted)
         return calls
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The row count of each compute_aggregates call."""
+        sizes = []
+        real = engine.compute_aggregates
+
+        def counted(*args):
+            sizes.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(engine, "compute_aggregates", counted)
+        return sizes
 
     # called: (the payoff kernels execute runs, those the first read of
     # ResultSet.aggregates runs after it)
@@ -1395,7 +1410,7 @@ class TestFieldSelection:
         assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
         assert not kernels
 
-    def test_run_case_ranks_nothing(self, kernels, tsla_snapshot,
+    def test_run_case_ranks_nothing(self, kernels, sizes, tsla_snapshot,
                                     monkeypatch):
         ranked = []
         real = engine.order_and_limit
@@ -1411,6 +1426,38 @@ class TestFieldSelection:
         outcome = evalkit.run_case(case, tsla_snapshot, RunConfig())
         assert outcome.k_first_success == 1 and outcome.rows_at_success == 5
         assert ranked == [] and not kernels
+        # without HAVING, over many blocks, execute runs no aggregate
+        # kernel and passes the assembled rows on in assembly order
+        monkeypatch.setattr(engine, "_BLOCK", 7)
+        config = RunConfig()
+        result = execute(self.SPREAD, tsla_snapshot, config)
+        vq = result.query
+        rows, _ = assemble(vq, filter_legs(vq, tsla_snapshot, config), config)
+        assert result.stats.having_passed == len(rows) > engine._BLOCK
+        assert result.passed.tobytes() == rows.tobytes()
+        assert sizes == [] and result.computed == {}
+        assert ranked == [] and not kernels
+
+    @pytest.mark.parametrize("clauses", [
+        "", " HAVING max_loss < 1000 ORDER BY net_theta DESC"])
+    def test_the_aggregates_read_runs_in_blocks(self, sizes, tsla_snapshot,
+                                                monkeypatch, clauses):
+        config = RunConfig()
+        want = execute(self.SPREAD + clauses, tsla_snapshot, config)
+        want_rows, want_aggregates = want.rows, want.aggregates  # one block
+        sizes.clear()
+        monkeypatch.setattr(engine, "_BLOCK", 7)
+        result = execute(self.SPREAD + clauses, tsla_snapshot, config)
+        aggregates = result.aggregates
+        # no LIMIT: every row HAVING kept is read, seven at most per call
+        # in HAVING, ranking and the aggregates read alike
+        assert result.stats.returned == result.stats.having_passed > 7
+        assert len(sizes) > 1 and max(sizes) <= 7
+        assert result.rows.tobytes() == want_rows.tobytes()
+        assert list(aggregates) == list(want_aggregates) == list(AGGREGATE_FIELDS)
+        for field, (values, available) in want_aggregates.items():
+            assert aggregates[field][0].tobytes() == values.tobytes()
+            assert aggregates[field][1].tobytes() == available.tobytes()
 
     @given(name=st.sampled_from(sorted(CATALOG)),
            fields=st.sets(st.sampled_from(AGGREGATE_FIELDS)),

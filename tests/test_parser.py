@@ -11,7 +11,7 @@ from conftest import CONDOR_QUERY_QQQ, CONDOR_QUERY_TSLA
 from helpers import MANDATORY_KEYWORDS, random_ast
 from oql.errors import ParseError
 from oql.syntax import (LegCondition, OrderItem, QueryAst, StratCondition,
-                        parse_text, pretty_print, tokenize)
+                        parse, parse_text, pretty_print, tokenize)
 from oql.syntax.lexer import TokenKind
 
 # ============================================================
@@ -197,6 +197,17 @@ def test_largest_limit_and_leading_zeros_parse():
                       ).limit == 2 ** 63 - 1
     assert parse_text("SELECT LONG_CALL FROM SPY LIMIT " + "0" * 5000 + "12"
                       ).limit == 12
+
+
+@pytest.mark.parametrize("tokens, position", [
+    ([], (1, 1)),
+    (tokenize("SELECT LONG_CALL FROM SPY")[:-1], (1, 23)),
+], ids=["empty", "no-end"])
+def test_token_list_without_end_is_a_parse_error(tokens, position):
+    with pytest.raises(ParseError, match="does not end in an END token") as exc:
+        parse(tokens)
+    assert exc.value.stage == "parse"
+    assert (exc.value.line, exc.value.column) == position
 
 
 def test_between_rejected_in_where():
