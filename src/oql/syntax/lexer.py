@@ -12,8 +12,13 @@ number wins over a dot (`.5` is one literal), a keyword wins over an
 identifier only when no word character follows it, and two-character
 operators win over one-character ones (`<=` is one token). Some
 alternative always matches where the skipped prefix stops (`bad` takes any
-character, `END` the end of the text), so the prefix is never backtracked
+character, `\\Z` the end of the text), so the prefix is never backtracked
 into and a long run of spaces or comments is scanned once.
+
+`scan` is one C-level call over the whole text: a row per match holds the
+skipped prefix, a slot per kind in ROW_KINDS, then `bad`, and only the
+slot of the token's kind is non-empty (none in END's row). The parser
+reads rows and asks `position` for a line and column only for an error.
 """
 
 import re
@@ -48,51 +53,60 @@ class Token(NamedTuple):
         return self.text.upper()
 
 
-# one group per token kind, named after it, and `bad` for any other
-# character; keywords match ASCII letters in either case
+# the skipped prefix, then one group per token kind but END (`\Z`), named
+# after it, and `bad` for any other character; keywords match ASCII
+# letters in either case
 _TOKEN_RE = re.compile(r"""
-    (?: [ \t\r\n]+ | --[^\n]* )*
+    ( (?: [ \t\r\n]+ | --[^\n]* )* )
     (?: (?P<NUMBER>  [+-]? (?: \d+\.\d* | \d+ | \.\d+ ) )  # a lone sign is not a token
       | (?P<KEYWORD> (?ai: %s ) (?![A-Za-z0-9_]) )
       | (?P<IDENT>   [A-Za-z_][A-Za-z0-9_]* )
       | (?P<OP>      <= | >= | != | [=<>~] )
       | (?P<DOT>     \. )
       | (?P<COMMA>   , )
-      | (?P<END>     \Z )
+      | \Z
       | (?P<bad>     . ) )
 """ % " | ".join(sorted(KEYWORDS)), re.VERBOSE | re.DOTALL)
-_NAMES = {index: name for name, index in _TOKEN_RE.groupindex.items()}
-# group number -> token kind, None for `bad`; a match's kind is the kind of
-# its last matched group
-_KINDS = [TokenKind.__members__.get(_NAMES.get(group))
-          for group in range(_TOKEN_RE.groups + 1)]
-_END = TokenKind.END
-# builds a Token without the Python-level __new__ NamedTuple generates,
-# which checks nothing: over the 720 seed-1 `attempts` texts `tokenize`
-# takes 5.2-5.4 ms this way against 6.3-6.6 ms with Token(...) (2-core
-# AMD EPYC, Python 3.11.7); keep it only while Token defines no __new__
-_tuple_new = tuple.__new__
+scan = _TOKEN_RE.findall
+# the kind of row[1], row[2], ...: the named groups in pattern order;
+# row[-1] is `bad`
+ROW_KINDS = tuple(TokenKind[name] for name in sorted(
+    _TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)[:-1])
+
+
+def position(source: str, rows: list[tuple[str, ...]],
+             index: int) -> tuple[int, int]:
+    """(line, column), 1-based, of the token in rows[index]."""
+    start = len("".join(map("".join, rows[:index]))) + len(rows[index][0])
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+
+
+def lex_error(source: str, rows: list[tuple[str, ...]]) -> LexError | None:
+    """The LexError of the first `bad` row, or None when there is none."""
+    for index, row in enumerate(rows):
+        if row[-1]:
+            return LexError(f"unexpected character {row[-1]!r}",
+                            *position(source, rows, index))
+    return None
 
 
 def tokenize(source: str) -> list[Token]:
     """Scan source text to a token list ending with an END token."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    last = source.rfind("\n")  # newlines lie in skipped text, none past it
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastindex
-        start = m.start(group)
-        if line_start <= last and start != m.start():
-            newlines = source.count("\n", m.start(), start)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", 0, start) + 1
-        kind = _KINDS[group]
-        if kind is None:
-            raise LexError(f"unexpected character {m[group]!r}", line,
-                           start - line_start + 1)
-        tokens.append(_tuple_new(Token, (kind, m[group], line,
-                                         start - line_start + 1)))
-        if kind is _END:  # trailing skipped text ends in it
+    line, line_start, start = 1, 0, 0
+    rows = scan(source)
+    for prefix, *slots in rows:
+        if slots[-1]:
+            raise lex_error(source, rows)
+        if "\n" in prefix:
+            line += prefix.count("\n")
+            line_start = start + prefix.rindex("\n") + 1
+        start += len(prefix)
+        text = "".join(slots)
+        kind = next((kind for kind, slot in zip(ROW_KINDS, slots) if slot),
+                    TokenKind.END)
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+        if kind is TokenKind.END:  # a bare END row may follow it
             break
+        start += len(text)
     return tokens

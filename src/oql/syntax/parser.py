@@ -1,4 +1,4 @@
-"""Recursive-descent parser: token list -> canonical QueryAst.
+"""Recursive-descent parser: lexer rows -> canonical QueryAst.
 
 Clause order is fixed by the grammar:
 
@@ -9,8 +9,9 @@ Clause order is fixed by the grammar:
         [LIMIT n]
 
 BETWEEN is admitted only in HAVING, with numeric bounds in order. Errors are
-ParseError with the current token's position and the expected-token set;
-there is never a silent partial result.
+ParseError with the current token's position, computed only then, and the
+expected-token set; there is never a silent partial result. `parse_text`
+parses the rows of the text's one scan, `parse` rows made from a Token list.
 """
 
 import math
@@ -20,10 +21,15 @@ import sys
 from ..errors import ParseError
 from ..fields import MONEYNESS_VALUES, canonical_aggregate_field, canonical_leg_field
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
-from .lexer import Token, TokenKind, tokenize
+from .lexer import ROW_KINDS, Token, TokenKind, lex_error, position, scan
 
 _LIMIT_RE = re.compile(r"\+?0*[1-9][0-9]*")
-_END, _IDENT, _KEYWORD = TokenKind.END, TokenKind.IDENT, TokenKind.KEYWORD
+_IDENTIFIER = ("identifier",)  # the expected set where a name is due
+# a kind's slot in a lexer row
+_NUMBER, _KEYWORD, _IDENT, _OP, _DOT, _COMMA = (
+    ROW_KINDS.index(kind) + 1 for kind in (
+        TokenKind.NUMBER, TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP,
+        TokenKind.DOT, TokenKind.COMMA))
 
 
 def _shown(text: str, width: int = 24) -> str:
@@ -32,59 +38,59 @@ def _shown(text: str, width: int = 24) -> str:
 
 
 class _Parser:
-    """`tok` is the current token and `word` its keyword spelling in upper
-    case, None when it is no keyword; `advance` moves both."""
+    """Parses lexer rows up to rows[end], the END row. `row` is the current
+    row, `pos` its index and `word` its keyword in upper case, or ''.
+    `locate(index)` is the (line, column) of rows[index], for errors."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens, self.pos = tokens, 0
-        tok = self.tok = tokens[0]
-        self.word = tok.text.upper() if tok.kind is _KEYWORD else None
+    def __init__(self, rows: list[tuple[str, ...]], end: int, locate):
+        self.rows, self.end, self.locate, self.pos = rows, end, locate, 0
+        row = self.row = rows[0]
+        self.word = row[_KEYWORD].upper()
 
     # ---- token plumbing ----
 
-    def advance(self) -> Token:
+    def advance(self) -> None:
         """Consume the current token; its caller checked it is no END."""
-        tok = self.tok
         self.pos += 1
-        new = self.tok = self.tokens[self.pos]
-        self.word = new.text.upper() if new.kind is _KEYWORD else None
-        return tok
+        row = self.row = self.rows[self.pos]
+        self.word = row[_KEYWORD].upper()
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.tok
-        got = tok.text if tok.kind is not _END else "end of query"
-        return ParseError(f"{message}, got {got!r}", tok.line, tok.column, expected)
+        got = "".join(self.row[1:]) if self.pos != self.end else "end of query"
+        return ParseError(f"{message}, got {got!r}", *self.locate(self.pos),
+                          expected)
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str) -> None:
         if self.word != word:
             raise self.fail(f"expected keyword {word}", (word,))
-        return self.advance()
+        self.advance()
 
-    def expect_identifier(self, what: str) -> Token:
-        if self.tok.kind is not _IDENT:
-            raise self.fail(f"expected {what}", ("identifier",))
-        return self.advance()
+    def expect(self, slot: int, what: str, expected: tuple[str, ...]) -> str:
+        """Consume the current token if row[slot] holds it; its text."""
+        text = self.row[slot]
+        if not text:
+            raise self.fail(f"expected {what}", expected)
+        self.advance()
+        return text
 
     # ---- value parsing ----
 
     def parse_number(self, what: str) -> float:
         """The current NUMBER token's value; one past the float range fails."""
-        tok = self.tok
-        if tok.kind is not TokenKind.NUMBER:
-            raise self.fail(f"expected {what}", ("number",))
-        value = float(tok.text)
+        text = self.expect(_NUMBER, what, ("number",))
+        value = float(text)
         if math.isinf(value):
-            raise ParseError(f"number out of range: {_shown(tok.text)}",
-                             tok.line, tok.column)
-        self.advance()
+            raise ParseError(f"number out of range: {_shown(text)}",
+                             *self.locate(self.pos - 1))
         return value
 
     def parse_value(self) -> float | str:
-        tok = self.tok
-        if tok.kind is TokenKind.NUMBER:
+        if self.row[_NUMBER]:
             return self.parse_number("a value")
-        if tok.kind is _IDENT and tok.upper() in MONEYNESS_VALUES:
-            return self.advance().upper()
+        word = self.row[_IDENT].upper()
+        if word in MONEYNESS_VALUES:
+            self.advance()
+            return word
         raise self.fail("expected a value", ("number", *MONEYNESS_VALUES))
 
     # ---- clauses ----
@@ -102,14 +108,13 @@ class _Parser:
 
     def parse_query(self) -> QueryAst:
         self.expect_keyword("SELECT")
-        strategy = self.expect_identifier("a strategy name").upper()
+        strategy = self.expect(_IDENT, "a strategy name", _IDENTIFIER).upper()
         self.expect_keyword("FROM")
-        underlying_tok = self.expect_identifier("an underlying ticker")
-        underlying = underlying_tok.upper()
+        at = self.pos
+        underlying = self.expect(_IDENT, "an underlying ticker", _IDENTIFIER).upper()
         if not underlying.isalpha():
-            raise ParseError(
-                f"underlying must be alphabetic, got {underlying!r}",
-                underlying_tok.line, underlying_tok.column, ("ticker",))
+            raise ParseError(f"underlying must be alphabetic, got {underlying!r}",
+                             *self.locate(at), ("ticker",))
 
         where = self.clause("WHERE", self.parse_leg_condition)
         having = self.clause("HAVING", self.parse_strat_condition)
@@ -119,7 +124,7 @@ class _Parser:
             self.advance()
             self.expect_keyword("BY")
             order_by.append(self.parse_order_item())
-            while self.tok.kind is TokenKind.COMMA:
+            while self.row[_COMMA]:
                 self.advance()
                 order_by.append(self.parse_order_item())
 
@@ -128,54 +133,45 @@ class _Parser:
             self.advance()
             limit = self.parse_limit()
 
-        if self.tok.kind is not _END:
+        if self.pos != self.end:
             raise self.fail("trailing input after query", ("end of query",))
         return QueryAst(strategy=strategy, underlying=underlying,
                         where=where, having=having, order_by=order_by,
                         limit=limit)
 
     def parse_leg_condition(self) -> LegCondition:
-        first = self.expect_identifier("a role or leg field")
+        first = self.expect(_IDENT, "a role or leg field", _IDENTIFIER)
         role: str | None = None
-        if self.tok.kind is TokenKind.DOT:
+        if self.row[_DOT]:
             self.advance()
-            field_tok = self.expect_identifier("a leg field")
             role = first.upper()
-            field = canonical_leg_field(field_tok.text)
-        else:
-            field = canonical_leg_field(first.text)
-        if self.tok.kind is not TokenKind.OP:
-            if self.word == "BETWEEN":
-                raise self.fail("BETWEEN is only valid in HAVING", COMPARISON_OPS)
-            raise self.fail("expected a comparison operator", COMPARISON_OPS)
-        op = self.advance().text
-        value = self.parse_value()
-        return LegCondition(role, field, op, value)
+            first = self.expect(_IDENT, "a leg field", _IDENTIFIER)
+        if self.word == "BETWEEN":
+            raise self.fail("BETWEEN is only valid in HAVING", COMPARISON_OPS)
+        op = self.expect(_OP, "a comparison operator", COMPARISON_OPS)
+        return LegCondition(role, canonical_leg_field(first), op,
+                            self.parse_value())
 
     def parse_strat_condition(self) -> StratCondition:
         field = canonical_aggregate_field(
-            self.expect_identifier("an aggregate field").text)
+            self.expect(_IDENT, "an aggregate field", _IDENTIFIER))
         if self.word == "BETWEEN":
             self.advance()
-            lo_tok = self.tok
+            at = self.pos
             lo = self.parse_number("a numeric lower bound")
             self.expect_keyword("AND")
             hi = self.parse_number("a numeric upper bound")
             if lo > hi:
-                raise ParseError(
-                    f"BETWEEN bounds out of order: {lo} > {hi}",
-                    lo_tok.line, lo_tok.column)
+                raise ParseError(f"BETWEEN bounds out of order: {lo} > {hi}",
+                                 *self.locate(at))
             return StratCondition(field=field, op="BETWEEN", lo=lo, hi=hi)
-        if self.tok.kind is not TokenKind.OP:
-            raise self.fail("expected a comparison operator or BETWEEN",
-                            COMPARISON_OPS + ("BETWEEN",))
-        op = self.advance().text
-        value = self.parse_value()
-        return StratCondition(field, op, value)
+        op = self.expect(_OP, "a comparison operator or BETWEEN",
+                         COMPARISON_OPS + ("BETWEEN",))
+        return StratCondition(field, op, self.parse_value())
 
     def parse_order_item(self) -> OrderItem:
         field = canonical_aggregate_field(
-            self.expect_identifier("a sort field").text)
+            self.expect(_IDENT, "a sort field", _IDENTIFIER))
         direction = "ASC"
         if self.word == "ASC":
             self.advance()
@@ -185,29 +181,46 @@ class _Parser:
         return OrderItem(field, direction)
 
     def parse_limit(self) -> int:
-        tok = self.tok
-        if tok.kind is not TokenKind.NUMBER:
-            raise self.fail("expected a positive integer LIMIT", ("integer",))
-        if not _LIMIT_RE.fullmatch(tok.text):
-            raise ParseError(f"LIMIT must be a positive integer, got {tok.text!r}",
-                             tok.line, tok.column)
-        text = tok.text.lstrip("+0")
+        text = self.expect(_NUMBER, "a positive integer LIMIT", ("integer",))
+        if not _LIMIT_RE.fullmatch(text):
+            raise ParseError(f"LIMIT must be a positive integer, got {text!r}",
+                             *self.locate(self.pos - 1))
+        digits = text.lstrip("+0")
         # checked on the digit count first: int() refuses very long text
-        if len(text) > len(str(sys.maxsize)) or int(text) > sys.maxsize:
+        if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
             raise ParseError(f"LIMIT out of range (at most {sys.maxsize}): "
-                             f"{_shown(tok.text)}", tok.line, tok.column)
-        self.advance()
-        return int(text)
+                             f"{_shown(text)}", *self.locate(self.pos - 1))
+        return int(digits)
 
 
 def parse(tokens: list[Token]) -> QueryAst:
-    """Parse a token list ending in END, as tokenize gives, into an AST."""
-    if not tokens or tokens[-1].kind is not _END:
+    """Parse a token list whose one END token is its last, as tokenize
+    gives, into an AST."""
+    end = next((index for index, tok in enumerate(tokens)
+                if tok.kind is TokenKind.END), len(tokens))
+    if end < len(tokens) - 1:
+        tok = tokens[end + 1]
+        raise ParseError(f"token after the END token, got {tok.text!r}",
+                         tok.line, tok.column)
+    if end == len(tokens):
         line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
         raise ParseError("token list does not end in an END token", line, column)
-    return _Parser(tokens).parse_query()
+    rows = [("", *(tok.text if tok.kind is kind else "" for kind in ROW_KINDS), "")
+            for tok in tokens]
+    return _Parser(rows, end, lambda index: (
+        tokens[index].line, tokens[index].column)).parse_query()
 
 
 def parse_text(source: str) -> QueryAst:
-    """Tokenize and parse query text in one step."""
-    return parse(tokenize(source))
+    """Scan and parse query text in one step. A LexError anywhere in the
+    text wins over a ParseError: the parser stops at a `bad` row, and
+    the rows are searched for one only once it has failed."""
+    rows = scan(source)
+    # the END row is the last, or the one before a bare END row that
+    # follows trailing skipped text
+    end = len(rows) - 1 - (len(rows) > 1 and not any(rows[-2][1:]))
+    parser = _Parser(rows, end, lambda index: position(source, rows, index))
+    try:
+        return parser.parse_query()
+    except ParseError as exc:
+        raise (lex_error(source, rows) or exc) from None

@@ -1,11 +1,15 @@
-"""The lexer's oracle: a probe-by-probe scanner, and the differential
-that holds the one-pattern tokenize to it.
+"""The lexer's oracle: a probe-by-probe scanner, the differential that
+holds the one-pattern tokenize to it, and the differential between the
+two consumers of that pattern's scan.
 
 oracle_tokenize tries each token kind at each position in turn, so it
 shares no pattern with oql.syntax.lexer; tokenize must match it token for
-token and error for error. Like query_text.py, the module imports neither
-pytest nor numpy, so the differential also runs on its own, on any
-supported interpreter:
+token and error for error. parse_text parses the scan's rows directly and
+parse the Token list tokenize builds from them; on the same text both
+must give the same AST, or the same error stage, line, column, message
+and expected set. Like query_text.py, the module imports neither pytest
+nor numpy, so the differentials also run on their own, on any supported
+interpreter:
 
     PYTHONPATH=src python3 tests/lexer_oracle.py
 """
@@ -15,8 +19,9 @@ import re
 import sys
 import time
 
-from oql.errors import LexError
-from oql.syntax import KEYWORDS, Token, TokenKind, tokenize
+import test_query_corpus
+from oql.errors import LexError, OqlError
+from oql.syntax import KEYWORDS, Token, TokenKind, parse, parse_text, tokenize
 from query_text import random_query_text
 
 _WS_RE = re.compile(r"[ \t\r\n]+")
@@ -92,6 +97,27 @@ def scan(scanner, source):
         return ("LexError", str(exc), exc.line, exc.column)
 
 
+def outcome(parser, source):
+    """The AST parser gives for source, or its error's stage, line,
+    column, message and expected set."""
+    try:
+        return parser(source)
+    except OqlError as exc:
+        return (exc.stage, exc.line, exc.column, str(exc),
+                getattr(exc, "expected", None))
+
+
+def parse_tokens(source):
+    return parse(tokenize(source))
+
+
+def check_both_parsers_agree(source: str):
+    """parse_text's outcome on source, which parse's must equal."""
+    got = outcome(parse_text, source)
+    assert got == outcome(parse_tokens, source), source
+    return got
+
+
 RANDOM_TEXTS = 20_000
 
 # skipped text long enough that a scan which backtracked into it, or
@@ -106,11 +132,22 @@ LONG_SKIPPED_TEXTS = {
 
 
 def check_random_texts() -> None:
-    """tokenize matches the oracle on RANDOM_TEXTS seeded query texts."""
+    """tokenize matches the oracle, and parse_text parse, on RANDOM_TEXTS
+    seeded query texts."""
     rng = random.Random(9)
     for _ in range(RANDOM_TEXTS):
         source = random_query_text(rng)
         assert scan(tokenize, source) == scan(oracle_tokenize, source), source
+        check_both_parsers_agree(source)
+
+
+def check_query_corpus_texts() -> int:
+    """parse_text matches parse on every query-corpus case; returns how
+    many of them parse."""
+    parsed = 0
+    for source, _ in test_query_corpus.cases(test_query_corpus._load()["bases"]):
+        parsed += not isinstance(check_both_parsers_agree(source), tuple)
+    return parsed
 
 
 def check_long_skipped_text(source: str) -> None:
@@ -126,5 +163,8 @@ if __name__ == "__main__":
     check_random_texts()
     for text in LONG_SKIPPED_TEXTS.values():
         check_long_skipped_text(text)
+    parsed = check_query_corpus_texts()
     print(f"{RANDOM_TEXTS} random and {len(LONG_SKIPPED_TEXTS)} long texts "
-          f"matched the oracle on Python {sys.version.split()[0]}")
+          f"matched the oracle, and parse_text matched parse on them and on "
+          f"{test_query_corpus.CASES} query-corpus texts ({parsed} parse), "
+          f"on Python {sys.version.split()[0]}")

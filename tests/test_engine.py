@@ -24,7 +24,7 @@ from oql import engine, evalkit, pricing, serialize
 from oql.catalog import build_catalog, validate
 from oql.chain import (ChainSnapshot, ContractRecord, generate_synthetic,
                        occ_ticker, record_columns)
-from oql.config import RunConfig
+from oql.config import OUTPUT_MODES, RunConfig
 from oql.engine import (
     Candidates,
     ResultSet,
@@ -1291,6 +1291,34 @@ class TestLateMaterialization:
             assert aggregates_equal(inst.aggregates, agg)
         assert doc["strategies"] == [instance_to_json(inst, "standard")
                                      for inst in instances]
+
+
+# the ways a caller can read a result before rendering it
+_READS = {
+    "complete": lambda result: result.complete(AGGREGATE_FIELDS),
+    "rows": lambda result: result.rows,
+    "aggregates": lambda result: result.aggregates,
+    "table": result_to_table,
+    "text": lambda result: result.text,
+}
+
+
+@given(seed=st.integers(0, 2 ** 32),
+       reads=st.lists(st.sampled_from(sorted(_READS)), max_size=6),
+       mode=st.sampled_from(OUTPUT_MODES))
+@settings(max_examples=150, deadline=None)
+def test_reads_in_any_order_leave_the_document_unchanged(seed, reads, mode):
+    # ranking and the aggregate columns are computed on the first read and
+    # narrow the result in place: no order of reads may change what renders
+    rng = random.Random(seed)
+    snapshot = _random_snapshot(rng)
+    ast = random_valid_query(rng, snapshot)
+    config = RunConfig(output_mode=mode)
+    want = serialize.dumps(result_to_json(execute(ast, snapshot, config), config))
+    result = execute(ast, snapshot, config)
+    for read in reads:
+        _READS[read](result)
+    assert serialize.dumps(result_to_json(result, config)) == want
 
 
 @functools.cache

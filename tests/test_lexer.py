@@ -3,7 +3,7 @@
 import pytest
 
 from lexer_oracle import (LONG_SKIPPED_TEXTS, check_long_skipped_text,
-                          check_random_texts)
+                          check_query_corpus_texts, check_random_texts)
 from oql.errors import LexError, ParseError
 from oql.syntax import parse_text
 from oql.syntax.lexer import Token, TokenKind, tokenize
@@ -193,6 +193,11 @@ def test_lone_sign_is_not_a_token():
 
 def test_tokenize_matches_the_probe_by_probe_oracle():
     check_random_texts()
+
+
+def test_parse_text_matches_parse_on_the_query_corpus():
+    # the differential compares ASTs as well as errors
+    assert check_query_corpus_texts() >= 500
 
 
 @pytest.mark.parametrize("source", list(LONG_SKIPPED_TEXTS.values()),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import CONDOR_QUERY_QQQ, CONDOR_QUERY_TSLA
 from helpers import MANDATORY_KEYWORDS, random_ast
-from oql.errors import ParseError
+from oql.errors import LexError, ParseError
 from oql.syntax import (LegCondition, OrderItem, QueryAst, StratCondition,
                         parse, parse_text, pretty_print, tokenize)
 from oql.syntax.lexer import TokenKind
@@ -208,6 +208,31 @@ def test_token_list_without_end_is_a_parse_error(tokens, position):
         parse(tokens)
     assert exc.value.stage == "parse"
     assert (exc.value.line, exc.value.column) == position
+
+
+@pytest.mark.parametrize("tokens, position", [
+    (tokenize("SELECT LONG_CALL FROM SPY") + tokenize("LIMIT 5"), (1, 1)),
+    (tokenize("SELECT LONG_CALL FROM SPY") + tokenize("\n LIMIT 5")[:-1], (2, 2)),
+], ids=["two-ends", "end-in-the-middle"])
+def test_token_list_with_an_end_before_its_last_token_is_a_parse_error(
+        tokens, position):
+    # the first token after the first END is refused, not ignored
+    with pytest.raises(ParseError, match="token after the END token") as exc:
+        parse(tokens)
+    assert (exc.value.line, exc.value.column) == position
+
+
+@pytest.mark.parametrize("source, position", [
+    ("SELECT FROM X WHERE #", (1, 21)),
+    ("SELECT FROM X -- no strategy\r\nWHERE Dte ~ 30\r\n  AND Delta > 0.2 ;",
+     (3, 19)),
+], ids=["same-line", "line-3"])
+def test_a_lex_error_anywhere_wins_over_a_parse_error(source, position):
+    # the parse fails at FROM on line 1; the junk character still wins
+    for parser in (parse_text, lambda text: parse(tokenize(text))):
+        with pytest.raises(LexError) as exc:
+            parser(source)
+        assert (exc.value.line, exc.value.column) == position
 
 
 def test_between_rejected_in_where():
