@@ -144,22 +144,6 @@ def classify_side(entry_cash: float) -> str:
     return "buyer" if entry_cash >= 0.0 else "seller"
 
 
-def _leg_value(leg: PositionLeg, spot: float, date: _dt.date, rate: float,
-               iv: float) -> float:
-    tau = (leg.expiry - date).days / DAYS_PER_YEAR
-    params = pricing.MarketParams(spot, rate, iv, tau)
-    return pricing.bsm_price(params, leg.strike, leg.option_type)
-
-
-def _snapshot_iv(snapshot: ChainSnapshot, leg: PositionLeg) -> float:
-    iv = snapshot.iv_by_contract.get((leg.expiry, leg.option_type), {}).get(leg.strike)
-    if iv is not None:
-        return iv
-    raise BacktestError(
-        f"no iv for {leg.option_type} K={leg.strike:g} {leg.expiry} "
-        f"in the {snapshot.as_of} snapshot")
-
-
 def mark_path(position: Position, spots: dict[_dt.date, float],
               entry: _dt.date, exit: _dt.date, config: RunConfig | None = None,
               iv_policy: str = "sticky_entry",
@@ -184,6 +168,15 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
             f"{position.label}: entry {entry} is after effective exit "
             f"{effective_exit}")
     mult = config.multiplier
+    rate = config.rate
+    sticky = iv_policy == "sticky_entry"
+    # each leg's constants, computed once per path: tau is the same int
+    # day count over DAYS_PER_YEAR, and q * d the same int factor
+    legs = [(leg.expiry.toordinal(), leg.quantity * leg.direction, leg.strike,
+             leg.option_type, leg.entry_price, leg.entry_iv,
+             (leg.expiry, leg.option_type))
+            for leg in position.legs]
+    one_day = _dt.timedelta(days=1)
     dates: list[_dt.date] = []
     pnl: list[float] = []
     day = entry
@@ -191,19 +184,28 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
         if day not in spots:
             raise MissingSpot(f"no spot for {day}")
         spot = spots[day]
+        if not sticky:
+            if day not in snapshots:
+                raise MissingSpot(f"no snapshot for {day}")
+            snapshot = snapshots[day]
+            iv_map = snapshot.iv_by_contract
+        ordinal = day.toordinal()
         total = 0.0
-        for leg in position.legs:
-            if iv_policy == "sticky_entry":
-                iv = leg.entry_iv
-            else:
-                if day not in snapshots:
-                    raise MissingSpot(f"no snapshot for {day}")
-                iv = _snapshot_iv(snapshots[day], leg)
-            value = _leg_value(leg, spot, day, config.rate, iv)
-            total += leg.quantity * leg.direction * (value - leg.entry_price)
+        for expiry_ordinal, qd, strike, option_type, entry_price, iv, key in legs:
+            if not sticky:
+                strikes = iv_map.get(key)
+                iv = None if strikes is None else strikes.get(strike)
+                if iv is None:
+                    raise BacktestError(
+                        f"no iv for {option_type} K={strike:g} {key[0]} "
+                        f"in the {snapshot.as_of} snapshot")
+            params = pricing.MarketParams(
+                spot, rate, iv, (expiry_ordinal - ordinal) / DAYS_PER_YEAR)
+            value = pricing.bsm_price(params, strike, option_type)
+            total += qd * (value - entry_price)
         dates.append(day)
         pnl.append(total * mult)
-        day += _dt.timedelta(days=1)
+        day += one_day
     return PnLPath(label=position.label, dates=tuple(dates), pnl=tuple(pnl),
                    entry_cash=entry_cash_of(position, mult))
 

@@ -21,6 +21,7 @@ from .errors import DomainError, NoSolution, NonConvergence
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INF = math.inf
 
 IV_BRACKET = (1e-6, 10.0)
 IV_RESIDUAL_TOL = 1e-10
@@ -51,20 +52,37 @@ class MarketParams:
     tau: float
 
     def __post_init__(self):
-        if not (self.spot > 0.0):
-            raise DomainError(f"spot must be > 0, got {self.spot}")
+        # one chained test per construction; _refusal names the broken rule
+        if not (0.0 < self.spot < _INF and 0.0 <= self.vol < _INF
+                and 0.0 <= self.tau < _INF and -_INF < self.rate < _INF):
+            raise self._refusal()
+
+    def _refusal(self) -> DomainError:
+        """The first rule broken: spot > 0, vol >= 0, tau >= 0 and rate
+        finite in that order, then spot, vol and tau finite."""
+        if not self.spot > 0.0:
+            return DomainError(f"spot must be > 0, got {self.spot}")
         if self.vol < 0.0:
-            raise DomainError(f"vol must be >= 0, got {self.vol}")
+            return DomainError(f"vol must be >= 0, got {self.vol}")
         if self.tau < 0.0:
-            raise DomainError(f"tau must be >= 0, got {self.tau}")
-        if not math.isfinite(self.rate):
-            raise DomainError(f"rate must be finite, got {self.rate}")
+            return DomainError(f"tau must be >= 0, got {self.tau}")
+        if not -_INF < self.rate < _INF:
+            return DomainError(f"rate must be finite, got {self.rate}")
+        name, value = next((name, value) for name, value in (
+            ("spot", self.spot), ("vol", self.vol), ("tau", self.tau))
+            if not value < _INF)
+        return DomainError(f"{name} must be finite, got {value}")
+
+
+def _strike_refusal(strike: float) -> DomainError:
+    rule = "> 0" if strike <= 0.0 else "finite"
+    return DomainError(f"strike must be {rule}, got {strike}")
 
 
 def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
     """The standard d+ / d- pair; requires vol > 0 and tau > 0."""
-    if strike <= 0.0:
-        raise DomainError(f"strike must be > 0, got {strike}")
+    if not 0.0 < strike < _INF:
+        raise _strike_refusal(strike)
     if m.tau == 0.0 or m.vol == 0.0:
         raise DomainError("d+/d- undefined at tau=0 or vol=0")
     sig_sqrt_tau = m.vol * math.sqrt(m.tau)
@@ -74,25 +92,38 @@ def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
 
 
 def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
-    """European option value; total (degenerate branches included)."""
-    _check_option_type(option_type)
-    if strike <= 0.0:
-        raise DomainError(f"strike must be > 0, got {strike}")
-    if m.tau == 0.0:
-        if option_type == "call":
-            return max(m.spot - strike, 0.0)
-        return max(strike - m.spot, 0.0)
-    if m.vol == 0.0:
-        discounted_strike = strike * math.exp(-m.rate * m.tau)
-        if option_type == "call":
-            return max(m.spot - discounted_strike, 0.0)
-        return max(discounted_strike - m.spot, 0.0)
-    d_plus, d_minus = d_plus_minus(m, strike)
-    discounted_strike = strike * math.exp(-m.rate * m.tau)
-    if option_type == "call":
-        price = m.spot * norm_cdf(d_plus) - discounted_strike * norm_cdf(d_minus)
+    """European option value; total (degenerate branches included).
+
+    d+, d- and N(.) are written out here rather than called: every
+    product groups as d_plus_minus and norm_cdf would, so the value is
+    the very double their composition gives.
+    """
+    is_call = option_type == "call"
+    if not (is_call or option_type == "put"):
+        _check_option_type(option_type)  # raises
+    if not 0.0 < strike < _INF:
+        raise _strike_refusal(strike)
+    spot, rate, vol, tau = m.spot, m.rate, m.vol, m.tau
+    if tau == 0.0:
+        if is_call:
+            return max(spot - strike, 0.0)
+        return max(strike - spot, 0.0)
+    discounted_strike = strike * math.exp(-rate * tau)
+    if vol == 0.0:
+        if is_call:
+            return max(spot - discounted_strike, 0.0)
+        return max(discounted_strike - spot, 0.0)
+    sig_sqrt_tau = vol * math.sqrt(tau)
+    d_plus = (math.log(spot / strike)
+              + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    d_minus = d_plus - sig_sqrt_tau
+    # N(x) = 0.5 * erfc(-x / sqrt 2), so N(-x) = 0.5 * erfc(x / sqrt 2)
+    if is_call:
+        price = (spot * (0.5 * math.erfc(-d_plus / _SQRT2))
+                 - discounted_strike * (0.5 * math.erfc(-d_minus / _SQRT2)))
     else:
-        price = discounted_strike * norm_cdf(-d_minus) - m.spot * norm_cdf(-d_plus)
+        price = (discounted_strike * (0.5 * math.erfc(d_minus / _SQRT2))
+                 - spot * (0.5 * math.erfc(d_plus / _SQRT2)))
     # far from the money the difference can cancel to a tiny negative
     return 0.0 if price < 0.0 else price
 

@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Four independent oracles live here so the test modules can cross-check the
+Independent oracles live here so the test modules can cross-check the
 package against code that shares no logic with it:
 
 * finite-difference Greeks (``fd_greeks``) with calibrated steps and
@@ -12,7 +12,11 @@ package against code that shares no logic with it:
   filter, rule, aggregate, and ordering semantics,
 * the scalar terminal payoff of ``Leg`` baskets (``leg_payoff``,
   ``strategy_payoff``), which ``payoff_at_knots`` must reproduce at every
-  knot.
+  knot,
+* the option price as ``d_plus_minus`` and ``norm_cdf`` compose it
+  (``oracle_bsm_price``), which the inline ``bsm_price`` must match to
+  the bit, and the day-by-day, leg-by-leg marking loop built on it
+  (``oracle_mark_path``).
 
 The lexer's oracle, a probe-by-probe scanner, is in ``lexer_oracle.py``,
 which needs neither pytest nor numpy.
@@ -41,14 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from oql import engine, pricing
-from oql.backtest import PnLPath
+from oql.backtest import IV_POLICIES, PnLPath, Position, entry_cash_of
 from oql.catalog import StrategySchema, ValidatedQuery, build_catalog
-from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, record_columns
+from oql.chain import (DAYS_PER_YEAR, ChainSnapshot, ContractRecord,
+                       generate_synthetic, record_columns)
 from oql.cli import main as cli_main
 from oql.config import RunConfig
 from oql.engine import ResultSet
+from oql.errors import BacktestError, DomainError, MissingSpot
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
-from oql.pricing import MarketParams, bsm_price
+from oql.pricing import MarketParams, bsm_price, d_plus_minus, norm_cdf
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
 
 AS_OF = dt.date(2025, 6, 2)
@@ -125,6 +131,36 @@ def fd_greeks(m: MarketParams, strike: float, option_type: str) -> dict:
         "theta": (price(tau=t - ht) - price(tau=t + ht)) / (2 * ht),
         "rho": (price(rate=r + hr) - price(rate=r - hr)) / (2 * hr),
     }
+
+
+def oracle_bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
+    """bsm_price as d_plus_minus and norm_cdf compose it.
+
+    bsm_price writes d+, d- and N(.) out inline; this composition of the
+    public pieces must give the very same double, and the same error.
+    """
+    if option_type not in ("call", "put"):
+        raise DomainError(
+            f"option_type must be 'call' or 'put', got {option_type!r}")
+    if not 0.0 < strike < math.inf:
+        rule = "> 0" if strike <= 0.0 else "finite"
+        raise DomainError(f"strike must be {rule}, got {strike}")
+    if m.tau == 0.0:
+        if option_type == "call":
+            return max(m.spot - strike, 0.0)
+        return max(strike - m.spot, 0.0)
+    if m.vol == 0.0:
+        discounted_strike = strike * math.exp(-m.rate * m.tau)
+        if option_type == "call":
+            return max(m.spot - discounted_strike, 0.0)
+        return max(discounted_strike - m.spot, 0.0)
+    d_plus, d_minus = d_plus_minus(m, strike)
+    discounted_strike = strike * math.exp(-m.rate * m.tau)
+    if option_type == "call":
+        price = m.spot * norm_cdf(d_plus) - discounted_strike * norm_cdf(d_minus)
+    else:
+        price = discounted_strike * norm_cdf(-d_minus) - m.spot * norm_cdf(-d_plus)
+    return 0.0 if price < 0.0 else price
 
 
 # ============================================================
@@ -781,6 +817,57 @@ def backtest_hand_fixture() -> list[PnLPath]:
         pnl_path("s19", -100.0, 0.0, -10.0, 50.0),
         pnl_path("s20", -100.0, 0.0, 0.0, -20.0),
     ]
+
+
+def oracle_mark_path(position: Position, spots: dict, entry: dt.date,
+                     exit: dt.date, config: RunConfig | None = None,
+                     iv_policy: str = "sticky_entry",
+                     snapshots: dict | None = None) -> PnLPath:
+    """mark_path day by day and leg by leg, each leg's tau, q * d and iv
+    read afresh every day and priced with oracle_bsm_price; a snapshot's
+    iv is the first record of the contract that carries one."""
+    config = config or RunConfig()
+    if iv_policy not in IV_POLICIES:
+        raise BacktestError(f"iv_policy must be one of {IV_POLICIES}, got {iv_policy!r}")
+    if iv_policy == "snapshot" and snapshots is None:
+        raise BacktestError("snapshot iv policy needs a per-date snapshot map")
+    if not position.legs:
+        raise BacktestError(f"{position.label}: empty position")
+    effective_exit = min([exit] + [leg.expiry for leg in position.legs])
+    if entry > effective_exit:
+        raise BacktestError(
+            f"{position.label}: entry {entry} is after effective exit "
+            f"{effective_exit}")
+    dates, pnl = [], []
+    day = entry
+    while day <= effective_exit:
+        if day not in spots:
+            raise MissingSpot(f"no spot for {day}")
+        total = 0.0
+        for leg in position.legs:
+            if iv_policy == "sticky_entry":
+                iv = leg.entry_iv
+            else:
+                if day not in snapshots:
+                    raise MissingSpot(f"no snapshot for {day}")
+                snapshot = snapshots[day]
+                iv = next((rec.iv for rec in snapshot.records
+                           if rec.iv is not None and rec.expiry == leg.expiry
+                           and rec.option_type == leg.option_type
+                           and rec.strike == leg.strike), None)
+                if iv is None:
+                    raise BacktestError(
+                        f"no iv for {leg.option_type} K={leg.strike:g} "
+                        f"{leg.expiry} in the {snapshot.as_of} snapshot")
+            tau = (leg.expiry - day).days / DAYS_PER_YEAR
+            value = oracle_bsm_price(MarketParams(spots[day], config.rate, iv, tau),
+                                     leg.strike, leg.option_type)
+            total += leg.quantity * leg.direction * (value - leg.entry_price)
+        dates.append(day)
+        pnl.append(total * config.multiplier)
+        day += dt.timedelta(days=1)
+    return PnLPath(label=position.label, dates=tuple(dates), pnl=tuple(pnl),
+                   entry_cash=entry_cash_of(position, config.multiplier))
 
 
 # ============================================================

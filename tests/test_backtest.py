@@ -29,7 +29,7 @@ from oql.backtest import (
     run_cohorts,
 )
 from helpers import backtest_hand_fixture as hand_fixture
-from helpers import Leg, result_instances, strategy_payoff
+from helpers import Leg, oracle_mark_path, result_instances, strategy_payoff
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
@@ -249,6 +249,132 @@ class TestSnapshotIvPolicy:
         assert got == want
         assert snapshots[day1].iv_by_contract == {
             (blank.expiry, "call"): {100.0: 0.35}}
+
+# ============================================================
+# mark_path against the day-by-day oracle
+# ============================================================
+
+
+class TestMarkPathOracle:
+    """mark_path computes each leg's constants once per path; the oracle
+    reads them afresh every day and prices with the composed kernel."""
+
+    STRIKES = (80.0, 90.0, 97.5, 100.0, 102.5, 110.0, 120.0)
+
+    def random_case(self, rng: random.Random):
+        n_legs = rng.randint(1, 4)
+        legs = tuple(
+            leg(rng.choice((1, -1)), rng.choice(("call", "put")),
+                rng.choice(self.STRIKES), days=rng.randint(2, 20),
+                quantity=rng.randint(1, 3),
+                entry_price=round(rng.uniform(0.0, 12.0), 2),
+                entry_iv=rng.choice((0.0, round(rng.uniform(0.05, 1.2), 4))))
+            for _ in range(n_legs))
+        position = Position(label=f"p{rng.randrange(1000)}", legs=legs)
+        days = rng.randint(0, 25)
+        level, spots = 100.0, {}
+        for i in range(days + 1):
+            level *= rng.uniform(0.95, 1.05)
+            spots[ENTRY + dt.timedelta(days=i)] = level
+        snapshots = {day: self.snapshot(rng, day, spot, legs)
+                     for day, spot in spots.items()}
+        config = RunConfig(rate=rng.choice((0.0, 0.04, -0.01)),
+                           multiplier=rng.choice((1.0, 100.0)))
+        exit = ENTRY + dt.timedelta(days=days)
+        return position, spots, exit, config, snapshots
+
+    def snapshot(self, rng, day, spot, legs) -> ChainSnapshot:
+        # every leg's contract, some twice or first without an iv, so the
+        # first record carrying an iv is the mark
+        records = []
+        for pl in legs:
+            ivs = [None] * rng.randint(0, 1) + [
+                rng.uniform(0.05, 1.5) for _ in range(rng.randint(1, 2))]
+            records += [ContractRecord(
+                ticker=occ_ticker("SPY", pl.expiry, pl.option_type, pl.strike),
+                underlying="SPY", as_of=day, expiry=pl.expiry,
+                strike=pl.strike, option_type=pl.option_type, price=1.0,
+                volume=1, iv=iv) for iv in ivs]
+        rng.shuffle(records)
+        return ChainSnapshot(underlying="SPY", as_of=day, spot=spot,
+                             rate=0.04, records=tuple(records))
+
+    def assert_same(self, *args, **kwargs):
+        try:
+            want = oracle_mark_path(*args, **kwargs)
+        except BacktestError as exc:
+            with pytest.raises(type(exc)) as caught:
+                mark_path(*args, **kwargs)
+            assert str(caught.value) == str(exc)
+            return None
+        got = mark_path(*args, **kwargs)
+        assert got.label == want.label
+        assert got.dates == want.dates
+        assert got.pnl == want.pnl
+        assert got.entry_cash == want.entry_cash
+        return got
+
+    @pytest.mark.parametrize("iv_policy", IV_POLICIES)
+    def test_random_positions_mark_as_the_oracle_does(self, iv_policy):
+        rng = random.Random(2027)
+        marked = 0
+        for _ in range(300):
+            position, spots, exit, config, snapshots = self.random_case(rng)
+            path = self.assert_same(position, spots, ENTRY, exit, config,
+                                    iv_policy, snapshots)
+            marked += path is not None and len(path.dates) > 1
+        assert marked > 200
+
+    def test_missing_spot_fails_as_the_oracle_does(self):
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(100):
+            position, spots, exit, config, snapshots = self.random_case(rng)
+            if len(spots) < 3:
+                continue
+            # a gap past the earliest expiry is never read
+            del spots[rng.choice(sorted(spots)[1:])]
+            for iv_policy in IV_POLICIES:
+                raised += self.assert_same(position, spots, ENTRY, exit,
+                                           config, iv_policy, snapshots) is None
+        assert raised > 50
+
+    def test_missing_later_snapshot_fails_as_the_oracle_does(self):
+        position = Position("p", (leg(1, "call", 100.0, 10, entry_price=2.0),
+                                  leg(-1, "put", 90.0, 12, entry_price=1.0)))
+        spots = flat_spots(100.0, 5)
+        snapshots = {day: self.snapshot(random.Random(3), day, 100.0,
+                                        position.legs)
+                     for day in spots}
+        del snapshots[ENTRY + dt.timedelta(days=3)]
+        assert self.assert_same(position, spots, ENTRY,
+                                ENTRY + dt.timedelta(days=5), None,
+                                "snapshot", snapshots) is None
+        with pytest.raises(MissingSpot,
+                           match=f"no snapshot for {ENTRY + dt.timedelta(days=3)}"):
+            mark_path(position, spots, ENTRY, ENTRY + dt.timedelta(days=5),
+                      iv_policy="snapshot", snapshots=snapshots)
+
+    def test_contract_absent_on_the_second_leg_only(self):
+        position = Position("p", (leg(1, "call", 100.0, 10, entry_price=2.0),
+                                  leg(-1, "put", 90.0, 12, entry_price=1.0)))
+        spots = flat_spots(100.0, 5)
+        day2 = ENTRY + dt.timedelta(days=2)
+        snapshots = {}
+        for day in spots:
+            snap = self.snapshot(random.Random(5), day, 100.0, position.legs)
+            if day == day2:
+                snap = dataclasses.replace(snap, records=tuple(
+                    rec for rec in snap.records if rec.option_type == "call"))
+            snapshots[day] = snap
+        assert self.assert_same(position, spots, ENTRY,
+                                ENTRY + dt.timedelta(days=5), None,
+                                "snapshot", snapshots) is None
+        with pytest.raises(BacktestError,
+                           match=f"no iv for put K=90 .* in the {day2} snapshot"):
+            mark_path(position, spots, ENTRY, ENTRY + dt.timedelta(days=5),
+                      iv_policy="snapshot", snapshots=snapshots)
+
 
 # ============================================================
 # Risk exposure and sides

@@ -12,6 +12,7 @@ eval outcome (k, rows, strategy, error stages) fails here too.
 perfbench/ is put on sys.path and nothing in it is changed.
 """
 
+import json
 import os
 import sys
 
@@ -128,3 +129,37 @@ def test_seed_one_ops_give_their_golden_outcomes(perfbench, workload, tmp_path):
     assert len(ops) == len(expected) > 0
     for op, want in zip(ops, expected):
         assert run.outcome(run.run(op)) == want, op
+
+
+def test_traced_backtest_ops_record_each_policy_and_every_position_day(
+        spans, tmp_path):
+    # the mark_path wrapper spells out mark_path's parameters, so a
+    # signature it cannot forward would fail every traced op here
+    import golden
+    import inputs
+    import workloads
+    manifest = inputs.write_inputs("backtest", 1, str(tmp_path))
+    run = workloads.Backtest(str(tmp_path))
+    expected = golden.expected_outcomes("backtest", str(tmp_path), manifest)
+    firsts = {}  # the first op under each iv policy
+    for op, want in zip(run.ops(), expected):
+        firsts.setdefault(op["iv_policy"], (op, want))
+    assert sorted(firsts) == sorted(backtest.IV_POLICIES)
+    tracer = spans.Tracer()
+    with spans.Patched(spans.wrap_points(tracer)):
+        for op, want in firsts.values():
+            assert run.outcome(run.run(op)) == want, op
+    calls = spans.summarize(tracer.names, **tracer.arrays())["calls"]
+    untraced_days = 0
+    for policy, (op, _) in firsts.items():
+        assert calls[f"backtest.mark_path.{policy}"] >= 1, policy
+        result = engine.execute(op["query"], run.snapshot, run.config)
+        positions = backtest.positions_from_results(json.loads(serialize.dumps(
+            engine.result_to_json(result, run.config))))
+        snapshots = run.snapshots if policy == "snapshot" else None
+        untraced_days += sum(
+            len(backtest.mark_path(p, run.spots, run.entry, run.exit,
+                                   run.config, policy, snapshots).dates)
+            for p in positions)
+    assert untraced_days > 0
+    assert tracer.counts["backtest.position_days"] == untraced_days

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import GREEK_ATOL, GREEK_RTOL, draw_params, fd_greeks
+from helpers import (GREEK_ATOL, GREEK_RTOL, draw_params, fd_greeks,
+                     oracle_bsm_price)
 from oql import pricing
 from oql.errors import DomainError, NoSolution, NonConvergence
 from oql.pricing import (IV_BRACKET, GreeksVector, MarketParams, bsm_price,
@@ -170,6 +171,123 @@ def test_domain_errors():
         greeks(MarketParams(100.0, 0.0, 0.2, 0.0), 100.0, "call")
     with pytest.raises(DomainError):
         greeks(MarketParams(100.0, 0.0, 0.0, 1.0), 100.0, "call")
+    # today's rules keep their wording and order; a value that passes its
+    # sign rule must still be finite
+    for args, message in _MARKET_REFUSALS:
+        with pytest.raises(DomainError) as caught:
+            MarketParams(*args)
+        assert str(caught.value) == message, args
+    m = MarketParams(100.0, 0.0, 0.2, 1.0)
+    for strike, message in _STRIKE_REFUSALS:
+        for option_type in ("call", "put"):
+            for price in (lambda: bsm_price(m, strike, option_type),
+                          lambda: d_plus_minus(m, strike),
+                          lambda: greeks(m, strike, option_type),
+                          lambda: implied_vol(100.0, 0.04, 1.0, strike,
+                                              option_type, 5.0)):
+                with pytest.raises(DomainError) as caught:
+                    price()
+                assert str(caught.value) == message, strike
+    # NaN once passed IV_BRACKET's checks here and returned 8.88e-15
+    for tau in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"tau must be finite, got {tau}"):
+            implied_vol(100.0, 0.04, tau, 100.0, "call", 5.0)
+
+
+# (spot, rate, vol, tau) -> the DomainError text
+_MARKET_REFUSALS = [
+    ((0.0, 0.0, 0.2, 1.0), "spot must be > 0, got 0.0"),
+    ((math.nan, 0.0, 0.2, 1.0), "spot must be > 0, got nan"),
+    ((-math.inf, 0.0, 0.2, 1.0), "spot must be > 0, got -inf"),
+    ((100.0, 0.0, -math.inf, 1.0), "vol must be >= 0, got -inf"),
+    ((100.0, 0.0, -0.1, math.nan), "vol must be >= 0, got -0.1"),
+    ((100.0, math.nan, 0.2, -1.0), "tau must be >= 0, got -1.0"),
+    ((math.inf, math.inf, 0.2, 1.0), "rate must be finite, got inf"),
+    ((math.inf, 0.0, 0.2, 1.0), "spot must be finite, got inf"),
+    ((100.0, 0.0, math.nan, 1.0), "vol must be finite, got nan"),
+    ((100.0, 0.0, math.inf, 1.0), "vol must be finite, got inf"),
+    ((100.0, 0.0, 0.2, math.nan), "tau must be finite, got nan"),
+    ((100.0, 0.0, 0.2, math.inf), "tau must be finite, got inf"),
+]
+
+_STRIKE_REFUSALS = [
+    (-5.0, "strike must be > 0, got -5.0"),
+    (0.0, "strike must be > 0, got 0.0"),
+    (-math.inf, "strike must be > 0, got -inf"),
+    (math.inf, "strike must be finite, got inf"),
+    (math.nan, "strike must be finite, got nan"),
+]
+
+
+# (spot, rate, vol, tau, strike, type) whose unclamped difference rounds
+# below zero, deep out of the money at a low vol
+_CLAMP_CASES = [
+    (501.73675446229015, 0.0043775391860898585, 0.02122861490175644,
+     0.2460978587556445, 335.61656423541774, "put"),
+    (886.9902308209236, 0.09103980460974799, 0.013995681332228838,
+     0.05206062874257953, 788.5261954392158, "put"),
+    (681.0752111570091, 0.09823858773994866, 0.026911212282819372,
+     0.1786587123642381, 1072.3327530126355, "call"),
+]
+
+
+def _kernel_draws(rng, n):
+    """(spot, rate, vol, tau, strike): a wide sweep, then a low-vol,
+    short-dated one near the money where the clamp can fire, then tau = 0
+    and vol = 0 draws."""
+    for i in range(n):
+        spot = rng.uniform(1.0, 1000.0)
+        if i % 4 == 0:
+            yield (spot, rng.uniform(-0.02, 0.1), rng.uniform(0.01, 3.0),
+                   rng.uniform(1 / 365, 3.0), spot * math.exp(rng.uniform(-4, 4)))
+        elif i % 4 == 1:
+            yield (spot, rng.uniform(-0.02, 0.1), rng.uniform(0.005, 0.3),
+                   rng.uniform(1 / 365, 0.25), spot * math.exp(rng.uniform(-0.5, 0.5)))
+        elif i % 4 == 2:
+            yield (spot, rng.uniform(-0.02, 0.1), rng.uniform(0.0, 2.0), 0.0,
+                   spot * math.exp(rng.uniform(-1, 1)))
+        else:
+            yield (spot, rng.uniform(-0.02, 0.1), 0.0, rng.uniform(1 / 365, 3.0),
+                   spot * math.exp(rng.uniform(-1, 1)))
+
+
+def test_bsm_price_is_bit_identical_to_the_composed_oracle():
+    rng = np.random.default_rng(27)
+    draws = list(_kernel_draws(rng, 20_000))
+    draws += [(s, r, v, t, k) for s, r, v, t, k, _ in _CLAMP_CASES]
+    zeros = 0
+    for s, r, v, t, k in draws:
+        m = MarketParams(s, r, v, t)
+        for option_type in ("call", "put"):
+            got = bsm_price(m, k, option_type)
+            assert got == oracle_bsm_price(m, k, option_type), (s, r, v, t, k)
+            zeros += got == 0.0
+    assert zeros > 1000  # intrinsic and zero-vol branches out of the money
+    for s, r, v, t, k, option_type in _CLAMP_CASES:
+        m = MarketParams(s, r, v, t)
+        d_plus, d_minus = d_plus_minus(m, k)
+        discounted = k * math.exp(-r * t)
+        sign = 1.0 if option_type == "call" else -1.0
+        raw = sign * (s * norm_cdf(sign * d_plus)
+                      - discounted * norm_cdf(sign * d_minus))
+        assert raw < 0.0
+        assert bsm_price(m, k, option_type) == 0.0
+
+
+@pytest.mark.parametrize("strike, option_type", [
+    (100.0, "swap"), (100.0, "CALL"), (100.0, None), (-5.0, "swap"),
+    (-5.0, "call"), (0.0, "put"), (-math.inf, "call"), (math.inf, "put"),
+    (math.nan, "call"),
+])
+@pytest.mark.parametrize("tau, vol", [(1.0, 0.2), (0.0, 0.2), (1.0, 0.0)])
+def test_bsm_price_refuses_what_the_oracle_refuses(strike, option_type, tau, vol):
+    m = MarketParams(100.0, 0.04, vol, tau)
+    with pytest.raises(DomainError) as want:
+        oracle_bsm_price(m, strike, option_type)
+    with pytest.raises(DomainError) as got:
+        bsm_price(m, strike, option_type)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # ============================================================
