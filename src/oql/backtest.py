@@ -94,15 +94,19 @@ def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
     if quantity < 1 or quantity % 1 != 0:
         raise BacktestError(
             f"quantity must be a whole number >= 1, got {leg['quantity']!r}")
+    strike = finite_number(leg["strike"], "strike")
+    if strike <= 0.0:
+        raise BacktestError(f"strike must be > 0, got {leg['strike']!r}")
+    expiry = required_date(str(leg["expiry"]), "expiry")
+    entry_price = finite_number(leg["price"], "price")
+    iv = finite_number(leg["iv"], "iv")
+    if iv < 0.0:
+        raise BacktestError(f"iv must be >= 0, got {leg['iv']!r}")
     return PositionLeg(
         direction=int(direction),
         option_type=schema.role(leg["role"]).option_type,
-        strike=finite_number(leg["strike"], "strike"),
-        expiry=required_date(str(leg["expiry"]), "expiry"),
-        quantity=int(quantity),
-        entry_price=finite_number(leg["price"], "price"),
-        entry_iv=finite_number(leg["iv"], "iv"),
-    )
+        strike=strike, expiry=expiry, quantity=int(quantity),
+        entry_price=entry_price, entry_iv=iv)
 
 
 def load_spots(path: str) -> dict[_dt.date, float]:

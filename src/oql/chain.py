@@ -168,16 +168,21 @@ def record_columns(records) -> dict[str, np.ndarray]:
 
     Rows are in (expiry, strike, ticker) order, whatever the record order.
     Columns: `record` (the row's position in records), `ticker_rank` (the
-    ticker's rank in Python string order) and `ticker_len`, `expiry` (date
-    ordinal), `dte`, `strike`, `price`, `volume`, `is_call`, and iv and
-    each Greek with a `<name>_ok` mask. A missing value reads 0.0 with
-    `_ok` False, so no column holds NaN.
+    ticker's rank in Python string order), `ticker_prefix` (the ticker is a
+    proper prefix of another), `expiry` (date ordinal), `dte`, `strike`,
+    `price`, `volume`, `is_call`, and iv and each Greek with a `<name>_ok`
+    mask. A missing value reads 0.0 with `_ok` False, so no column holds NaN.
     """
     tickers = [rec.ticker for rec in records]
-    rank = {name: i for i, name in enumerate(sorted(set(tickers)))}
+    names = sorted(set(tickers))
+    rank = {name: i for i, name in enumerate(names)}
+    ranks = np.array([rank[name] for name in tickers], dtype=np.int64)
+    # a name that prefixes another sorts right before a name it prefixes
+    prefixes = np.array([b.startswith(a) for a, b in zip(names, names[1:])]
+                        + [False])
     raw = {
-        "ticker_rank": np.array([rank[name] for name in tickers], dtype=np.int64),
-        "ticker_len": np.array([len(name) for name in tickers], dtype=np.int64),
+        "ticker_rank": ranks,
+        "ticker_prefix": prefixes[ranks],
         "expiry": np.array([rec.expiry.toordinal() for rec in records],
                            dtype=np.int64),
         "dte": np.array([rec.dte() for rec in records], dtype=float),

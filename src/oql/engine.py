@@ -474,17 +474,21 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
                      passed=passed, config=config, computed=computed)
 
 
-def _ticker_ranks(result: ResultSet) -> list[np.ndarray] | None:
-    """Per-role ticker ranks of every row, or None when the snapshot's
-    tickers differ in length.
+def _ticker_ranks(result: ResultSet) -> list[np.ndarray]:
+    """Tie-break keys that order the rows as their concatenated leg tickers.
 
-    When all tickers share one length, comparing rows rank by rank orders
-    them exactly as comparing their concatenated ticker strings.
+    When no ticker of the snapshot is a proper prefix of another, two
+    rows' concatenations first differ inside the first role whose tickers
+    differ, so the per-role ticker ranks are the keys. Otherwise the one
+    key is each row's concatenated ticker string, which lexsort compares
+    in Python string order.
     """
-    lengths = result.columns["ticker_len"]
-    if len(lengths) and lengths.min() != lengths.max():
-        return None
-    return [result.columns["ticker_rank"][row] for row in result.passed.T]
+    columns, roles = result.columns, result.passed.T
+    if not columns["ticker_prefix"].any():
+        return [columns["ticker_rank"][row] for row in roles]
+    names = np.array([result.records[i].ticker
+                      for i in columns["record"].tolist()], dtype=object)
+    return [functools.reduce(operator.add, (names[row] for row in roles))]
 
 
 def order_and_limit(result: ResultSet, order_by,
@@ -496,12 +500,9 @@ def order_and_limit(result: ResultSet, order_by,
     computes any of their kernel groups `result.computed` misses, over
     every row of `result.passed`. Each ORDER BY item keys on a
     missing flag, then the signed value, so unavailable values go last
-    regardless of direction. Ties always break
-    on concatenated leg tickers, so the order is total and independent of
-    assembly order. With per-role ticker ranks as the last keys one
-    lexsort is that order. Otherwise only the rows tied with the
-    limit-th row on the numeric keys, or ahead of it, are sorted with
-    their ticker strings.
+    regardless of direction. Ties always break on concatenated leg
+    tickers (`_ticker_ranks`), so the order is total and independent of
+    assembly order, and one lexsort over all the keys is that order.
     """
     computed = result.complete(item.field for item in order_by)
     keys: list[np.ndarray] = []
@@ -510,26 +511,7 @@ def order_and_limit(result: ResultSet, order_by,
         keys.append(~available)
         signed = values if item.direction == "ASC" else -values
         keys.append(np.where(available, signed, 0.0))
-    ranks = _ticker_ranks(result)
-    if ranks is not None:
-        return np.lexsort((keys + ranks)[::-1])[:limit]
-    k = len(result.passed)
-    picks = np.arange(k)
-    if keys and limit is not None and limit < k:
-        pivot = np.lexsort(keys[::-1])[limit - 1]
-        before = np.zeros(k, dtype=bool)
-        tied = np.ones(k, dtype=bool)
-        for key in keys:
-            before |= tied & (key < key[pivot])
-            tied &= key == key[pivot]
-        picks = np.nonzero(before | tied)[0]
-    positions = result.columns["record"][result.passed[picks]]
-    tickers = ["".join(result.records[i].ticker for i in row)
-               for row in positions.tolist()]
-    columns = [key[picks].tolist() for key in keys]
-    ranked = sorted(range(len(picks)),
-                    key=lambda i: (*(col[i] for col in columns), tickers[i]))
-    return picks[ranked[:limit]]
+    return np.lexsort((keys + _ticker_ranks(result))[::-1])[:limit]
 
 
 def _or_none(values: np.ndarray, available: np.ndarray) -> list:

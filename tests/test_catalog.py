@@ -212,6 +212,19 @@ def test_numeric_field_rejects_symbolic_value():
         validate(parse_text("SELECT LONG_CALL FROM SPY HAVING net_debit = PUT"))
 
 
+def test_aggregate_field_rejects_symbolic_value():
+    for text, value in (("net_debit < OTM", "OTM"), ("net_debit = ATM", "ATM")):
+        with pytest.raises(TypeMismatch) as exc_info:
+            validate(parse_text(f"SELECT STRADDLE FROM TSLA HAVING {text}"))
+        assert exc_info.value.stage == "validate"
+        assert str(exc_info.value) == (
+            f"net_debit is numeric; got symbolic value {value!r}")
+    vq = validate(parse_text(
+        "SELECT STRADDLE FROM TSLA HAVING net_debit BETWEEN 1 AND 5"))
+    (cond,) = vq.strategy_conditions
+    assert (cond.op, cond.lo, cond.hi) == ("BETWEEN", 1.0, 5.0)
+
+
 def test_moneyness_accepts_both_equality_ops():
     for op in ("=", "!="):
         vq = validate(parse_text(f"SELECT LONG_CALL FROM SPY WHERE Moneyness {op} OTM"))

@@ -45,6 +45,19 @@ def record(**kwargs):
 # ============================================================
 
 
+def test_ticker_prefix_marks_each_ticker_that_prefixes_another():
+    names = ("BA", "C", "ABC", "A", "B", "AB")
+    records = [record(ticker=name, strike=100.0 + i)
+               for i, name in enumerate(names)]
+    columns = chain.record_columns(records)
+    flagged = {records[i].ticker: flag for i, flag in zip(
+        columns["record"].tolist(), columns["ticker_prefix"].tolist())}
+    assert flagged == {"A": True, "AB": True, "ABC": False, "B": True,
+                       "BA": False, "C": False}
+    assert columns["ticker_prefix"].dtype == bool
+    assert not chain.record_columns([])["ticker_prefix"].any()
+
+
 def test_occ_ticker_format():
     assert occ_ticker("TSLA", dt.date(2025, 12, 19), "put", 300.0) == \
         "O:TSLA251219P00300000"

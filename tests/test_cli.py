@@ -901,6 +901,15 @@ BAD_INPUT = [
      "strategy 1: strike must be finite, got an integer past the float range"),
     ("leg-iv-true", {"r.json": _first_leg(iv=True)},
      _backtest(results="{tmp}/r.json"), "backtest", "strategy 1: bad iv True"),
+    ("leg-iv-negative", {"r.json": _first_leg(iv=-0.2)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: iv must be >= 0, got -0.2"),
+    ("leg-strike-negative", {"r.json": _first_leg(strike=-5)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: strike must be > 0, got -5"),
+    ("leg-strike-zero", {"r.json": _first_leg(strike=0.0)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: strike must be > 0, got 0.0"),
     ("eval-line-not-object", {"cases.jsonl": "[1]\n"}, _EVAL,
      "eval", "cases.jsonl:1: a case must be a JSON object"),
     ("eval-attempts-string",

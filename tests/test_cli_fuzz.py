@@ -111,6 +111,8 @@ _ROLES = sorted({role for schema in _CATALOG.values()
 _OPS = ("=", "!=", "<", "<=", ">", ">=", "~")
 _NUMBERS = ("0", "1", "5", "30", "100", "0.3", "-0.5", "250")
 _VALUES = mostly(st.sampled_from(_NUMBERS), st.sampled_from(_ODD_NUMBERS))
+# HAVING fields are numeric, so the Moneyness values must be refused there
+_HAVING_VALUES = mostly(_VALUES, st.sampled_from(("ATM", "OTM", "ITM")))
 
 
 @st.composite
@@ -129,8 +131,9 @@ def _leg_condition(draw):
 def _having_condition(draw):
     field = draw(st.sampled_from(AGGREGATE_FIELDS))
     if draw(st.integers(0, 3)) == 0:
-        return f"{field} BETWEEN {draw(_VALUES)} AND {draw(_VALUES)}"
-    return f"{field} {draw(st.sampled_from(_OPS))} {draw(_VALUES)}"
+        return (f"{field} BETWEEN {draw(_HAVING_VALUES)} "
+                f"AND {draw(_HAVING_VALUES)}")
+    return f"{field} {draw(st.sampled_from(_OPS))} {draw(_HAVING_VALUES)}"
 
 
 @st.composite

@@ -550,8 +550,9 @@ class TestOrdering:
 
 
 class TestOrderingMixedTickerLengths(TestOrdering):
-    """The same cases with tickers of several lengths, which rank on the
-    ticker strings instead of per-role ranks; string order is unchanged."""
+    """The same cases with tickers of several lengths, none a prefix of
+    another, so they still rank on per-role ranks; string order is
+    unchanged."""
 
     SUFFIX = "XY"
 
@@ -911,8 +912,6 @@ class TestPipelineStats:
         assert result.ranking is None
 
     def test_returned_is_known_before_ranking_mixed_length_tickers(self):
-        # the string tie-break keeps every row tied with the LIMIT-th one
-        # before it cuts, so returned must not count those extra rows
         rng = random.Random(707)
         cut_inside_a_tie = 0
         for _ in range(20):
@@ -921,7 +920,9 @@ class TestPipelineStats:
                              f"net_delta DESC LIMIT {limit}",
                              snap(_heavy_tie_records(rng)))
             returned = result.stats.returned
-            assert engine._ticker_ranks(result) is None
+            # tickers prefix each other: one key, the concatenated tickers
+            (key,) = engine._ticker_ranks(result)
+            assert key.dtype == object
             assert len(result.rows) == returned == min(
                 limit, result.stats.having_passed)
             cut_inside_a_tie += limit < result.stats.having_passed
@@ -1291,6 +1292,37 @@ class TestLateMaterialization:
             assert aggregates_equal(inst.aggregates, agg)
         assert doc["strategies"] == [instance_to_json(inst, "standard")
                                      for inst in instances]
+
+
+@given(seed=st.integers(0, 2 ** 32),
+       terminator=st.sampled_from(("\x00", "!", "~", "\u00e9")))
+@settings(max_examples=150, deadline=None)
+def test_prefix_free_mixed_length_tickers_rank_as_the_oracle(seed, terminator):
+    # tickers cut to mixed lengths, each ended by a character no ticker
+    # holds, so none prefixes another: the per-role ranks must order the
+    # rows as their concatenated tickers
+    rng = random.Random(seed)
+    snapshot = _random_snapshot(rng)
+    taken: set[str] = set()
+    snapshot = dataclasses.replace(snapshot, records=tuple(
+        dataclasses.replace(r, ticker=distinct_prefix(
+            r.ticker, rng.randint(3, 20), taken) + terminator)
+        for r in snapshot.records))
+    assert len({len(r.ticker) for r in snapshot.records}) > 1
+    ast = random_valid_query(rng, snapshot)
+    ast = dataclasses.replace(ast, order_by=tuple(
+        OrderItem(rng.choice(("net_delta", "width", "max_loss")),
+                  rng.choice(("ASC", "DESC")))
+        for _ in range(rng.randint(0, 2))), limit=rng.choice((None, 1, 3, 7)))
+    config = RunConfig()
+    result = execute(ast, snapshot, config)
+    keys = engine._ticker_ranks(result)
+    assert len(keys) == len(result.query.schema.role_ids)
+    assert all(key.dtype == np.int64 for key in keys)
+    expected, _ = oracle_survivors(validate(ast), snapshot, config)
+    want = [row[0] for row in oracle_order(expected, ast.order_by, ast.limit)]
+    assert [tuple(leg.record.ticker for leg in inst.legs)
+            for inst in result_instances(result)] == want
 
 
 # the ways a caller can read a result before rendering it
