@@ -113,24 +113,28 @@ def load_spots(path: str) -> dict[_dt.date, float]:
     """Spot series CSV with header date,close; closes finite and > 0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "close"]:
-            raise BacktestError(f"spot series must start with 'date,close', got {header}")
-        spots: dict[_dt.date, float] = {}
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: row {reader.line_num}"
-            if len(row) != 2:
-                raise BacktestError(f"{where}: bad spot row {row}")
-            try:
-                day = required_date(row[0], "date")
-                close = finite_number(row[1], "close")
-            except FormatError as exc:
-                raise BacktestError(f"{where}: {exc}") from None
-            if not close > 0.0:
-                raise BacktestError(f"{where}: close must be > 0, got {row[1]!r}")
-            spots[day] = close
+        try:  # each row with the line it ends on, as csv counts lines
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:  # e.g. a cell past the csv field size limit
+            raise BacktestError(f"{path}: row {reader.line_num}: {exc}") from None
+    header = rows[0][1] if rows else None
+    if header != ["date", "close"]:
+        raise BacktestError(f"spot series must start with 'date,close', got {header}")
+    spots: dict[_dt.date, float] = {}
+    for line, row in rows[1:]:
+        if not row:
+            continue
+        where = f"{path}: row {line}"
+        if len(row) != 2:
+            raise BacktestError(f"{where}: bad spot row {row}")
+        try:
+            day = required_date(row[0], "date")
+            close = finite_number(row[1], "close")
+        except FormatError as exc:
+            raise BacktestError(f"{where}: {exc}") from None
+        if not close > 0.0:
+            raise BacktestError(f"{where}: close must be > 0, got {row[1]!r}")
+        spots[day] = close
     if not spots:
         raise BacktestError("spot series is empty")
     return spots

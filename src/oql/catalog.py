@@ -7,6 +7,7 @@ a QueryAst onto a schema, broadcasts bare leg conditions to every role, and
 type-checks every condition against the field vocabulary.
 """
 
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
@@ -19,13 +20,15 @@ from .fields import (
 )
 from .syntax.ast import LegCondition, QueryAst, StratCondition
 
-RULE_KINDS = (
-    "strike_order",    # strict ascending strikes across listed roles
-    "strike_equal",    # equal strikes across listed roles
-    "expiry_equal",    # equal expiries across listed roles
-    "expiry_order",    # strict ascending expiries across listed roles
-    "symmetric_wings", # wing strikes equidistant from the body strike
-)
+# kind -> (column, comparison): holds between adjacent listed roles, or for
+# symmetric wings once over the (low wing, body, high wing) strikes
+RULES = {
+    "strike_order": ("strike", operator.lt),  # strict ascending strikes
+    "strike_equal": ("strike", operator.eq),  # equal strikes
+    "expiry_equal": ("expiry", operator.eq),  # equal expiries
+    "expiry_order": ("expiry", operator.lt),  # strict ascending expiries
+    "symmetric_wings": ("strike", lambda lo, body, hi: body - lo == hi - body),
+}
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class StructuralRule:
     roles: tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in RULE_KINDS:
+        if self.kind not in RULES:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if len(self.roles) < 2:
             raise ValueError("a structural rule needs at least two roles")

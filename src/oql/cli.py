@@ -166,9 +166,6 @@ def cmd_run(args: argparse.Namespace, config: RunConfig) -> Outcome:
         _diag(snapshot.exclusion_summary())
     result = execute(_query_text(args), snapshot, config)
     doc = result_to_json(result, config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc))
     return (EXIT_OK if result.stats.returned else EXIT_EMPTY, doc,
             lambda: result_to_table(result))
 
@@ -412,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", nargs="?", help="query text")
     p.add_argument("--query-file", help="read the query from a file")
     p.add_argument("--chain", required=True, help="snapshot file (.csv/.jsonl)")
-    p.add_argument("--out", help="also write the JSON results to this file")
+    p.add_argument("--out", dest="copy_to",
+                   help="also write the JSON results to this file")
     _add_config_options(p)
     p.set_defaults(func=cmd_run)
 
@@ -492,10 +490,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         code, doc, table = args.func(args, config)
-        if config.output_format == "table" and table is not None:
+        as_table = config.output_format == "table" and table is not None
+        copy_to = getattr(args, "copy_to", None)  # run --out
+        # the document is rendered once, for the copy and for stdout
+        text = dumps(doc) if doc is not None and (copy_to or not as_table) else None
+        if copy_to:
+            with open(copy_to, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if as_table:
             print(table())
-        elif doc is not None:
-            sys.stdout.write(dumps(doc))
+        elif text is not None:
+            sys.stdout.write(text)
         return code
     except OqlError as exc:
         _diag(f"error [{exc.stage}]: {exc}")

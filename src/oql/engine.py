@@ -9,7 +9,7 @@ batch kernel computes the aggregate groups HAVING reads over every row,
 and HAVING is a boolean mask. execute stops there: ORDER BY + LIMIT
 rank the surviving rows once, on the first read of the result's rows or
 aggregates, so a caller that reads only `stats` never ranks. A result
-exists only as columns: a ResultSet holds its snapshot rows and the
+exists only as columns: a ResultSet holds the snapshot, its rows and the
 aggregate columns computed for them, and ResultSet.complete computes the
 groups ranking or the aggregates read still miss, block by block.
 result_to_json and result_to_table render rows from those columns.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import pricing
-from .catalog import RoleSpec, StrategySchema, ValidatedQuery, validate
+from .catalog import RULES, RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
 from .errors import CombinatorialBudgetExceeded, UnderlyingMismatch
@@ -67,19 +67,16 @@ class ResultSet:
     """
 
     query: ValidatedQuery
-    underlying: str
-    as_of: str
+    snapshot: ChainSnapshot  # the enriched snapshot the query ran on
     stats: ExecutionStats
-    records: tuple[ContractRecord, ...]  # the snapshot's records
-    columns: dict[str, np.ndarray]       # the snapshot's columns
-    passed: np.ndarray       # (k, n_roles) int32 rows of `columns`
+    passed: np.ndarray       # (k, n_roles) int32 rows of snapshot.columns
     config: RunConfig        # the config the query ran under
     computed: dict  # field -> (values, available), (k,) each
     ranking: tuple | None = None  # (order_by, limit) still to apply
 
     @property
     def column_rows(self) -> np.ndarray:
-        """(k, n_roles) int32 rows of `columns` in result order."""
+        """(k, n_roles) int32 rows of snapshot.columns in result order."""
         if self.ranking is not None:
             picks = order_and_limit(self, *self.ranking)
             self.passed = self.passed[picks]
@@ -96,8 +93,8 @@ class ResultSet:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """(k, n_roles) positions in `records`."""
-        return self.columns["record"][self.column_rows]
+        """(k, n_roles) positions in snapshot.records."""
+        return self.snapshot.columns["record"][self.column_rows]
 
     def complete(self, fields) -> dict:
         """`computed` once it holds `fields`: each missing kernel group
@@ -107,7 +104,7 @@ class ResultSet:
         if missing:
             rows = self.passed
             self.computed = {**self.computed, **_concat_columns([
-                compute_aggregates(self.query.schema, self.columns,
+                compute_aggregates(self.query.schema, self.snapshot.columns,
                                    rows[lo:lo + _BLOCK], self.config, missing)
                 for lo in range(0, max(len(rows), 1), _BLOCK)], missing)}
         return self.computed
@@ -208,19 +205,10 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
 # Assembly: an index join under structural rules
 # ============================================================
 
-_RULE_CHECKS = {
-    "strike_order": ("strike", operator.lt),
-    "strike_equal": ("strike", operator.eq),
-    "expiry_equal": ("expiry", operator.eq),
-    "expiry_order": ("expiry", operator.lt),
-    "symmetric_wings": ("strike", lambda lo, body, hi: body - lo == hi - body),
-}
-
-
 @functools.cache
 def _depth_checks(schema: StrategySchema) -> dict[int, list]:
-    """Per-depth checks, as (column, comparison, role positions), equivalent
-    to full rule evaluation; computed once per schema.
+    """Per-depth checks, as (column, comparison, role positions) from RULES,
+    equivalent to full rule evaluation; computed once per schema.
 
     Rules decompose into adjacent-pair comparisons (orderings and equalities
     are transitive over the rule's role list; symmetric wings is one check);
@@ -235,7 +223,7 @@ def _depth_checks(schema: StrategySchema) -> dict[int, list]:
     checks: dict[int, list] = {i: [] for i in range(len(roles))}
     for rule in schema.rules:
         positions = tuple(index[r] for r in rule.roles)
-        name, op = _RULE_CHECKS[rule.kind]
+        name, op = RULES[rule.kind]
         for group in ([positions] if rule.kind == "symmetric_wings"
                       else zip(positions, positions[1:])):
             checks[max(group)].append((name, op, group))
@@ -468,10 +456,8 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     stats = ExecutionStats(candidates=counts, filtered=sum(counts.values()),
                            raw_product=raw, assembled=len(rows),
                            having_passed=len(passed), returned=len(passed))
-    return ResultSet(query=vq, underlying=snapshot.underlying,
-                     as_of=format_date(snapshot.as_of), stats=stats,
-                     records=snapshot.records, columns=candidates.columns,
-                     passed=passed, config=config, computed=computed)
+    return ResultSet(query=vq, snapshot=snapshot, stats=stats, passed=passed,
+                     config=config, computed=computed)
 
 
 def _ticker_ranks(result: ResultSet) -> list[np.ndarray]:
@@ -483,10 +469,10 @@ def _ticker_ranks(result: ResultSet) -> list[np.ndarray]:
     key is each row's concatenated ticker string, which lexsort compares
     in Python string order.
     """
-    columns, roles = result.columns, result.passed.T
+    columns, roles = result.snapshot.columns, result.passed.T
     if not columns["ticker_prefix"].any():
         return [columns["ticker_rank"][row] for row in roles]
-    names = np.array([result.records[i].ticker
+    names = np.array([result.snapshot.records[i].ticker
                       for i in columns["record"].tolist()], dtype=object)
     return [functools.reduce(operator.add, (names[row] for row in roles))]
 
@@ -574,8 +560,7 @@ def _leg_to_json(role: RoleSpec, rec: ContractRecord) -> dict:
 
 def _strategies_to_json(result: ResultSet, mode: str) -> list[dict]:
     """The returned rows as JSON strategy objects, rendered from columns."""
-    schema = result.query.schema
-    records = result.records
+    schema, records = result.query.schema, result.snapshot.records
     rows = result.rows.tolist()
     if mode == "blueprint":
         names = [(f"contract_ticker_{role.id}", f"price_{role.id}")
@@ -610,8 +595,8 @@ def result_to_json(result: ResultSet, config: RunConfig) -> dict:
     return {
         "query": result.text,
         "strategy_type": result.query.schema.name,
-        "underlying": result.underlying,
-        "as_of": result.as_of,
+        "underlying": result.snapshot.underlying,
+        "as_of": format_date(result.snapshot.as_of),
         "config": config.to_json_dict(),
         "stats": {**vars(result.stats),
                   "candidates": dict(result.stats.candidates)},
@@ -635,11 +620,10 @@ def _cell(value: float | None) -> str:
 def result_to_table(result: ResultSet) -> str:
     """Fixed-width human-readable listing of a result set, rendered from
     its columns as result_to_json renders it."""
-    schema = result.query.schema
-    records = result.records
+    schema, records = result.query.schema, result.snapshot.records
     rows = result.rows.tolist()
-    lines = [f"{schema.name} on {result.underlying} as of {result.as_of}: "
-             f"{len(rows)} result(s)"]
+    lines = [f"{schema.name} on {result.snapshot.underlying} as of "
+             f"{format_date(result.snapshot.as_of)}: {len(rows)} result(s)"]
     cells = [[f"{field}={_cell(value)}"
               for value in _or_none(*result.aggregates[field])]
              for field in _TABLE_FIELDS]

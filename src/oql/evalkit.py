@@ -215,6 +215,8 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
         raise EmptyInput("no cases")
     if k < 1:
         raise EvalError(f"attempt budget k must be >= 1, got {k}")
+    for case in cases:  # every gold label, solved or not, before any runs
+        normalize_family(case.gold_strategy)
     cache: dict[str, ChainSnapshot] = {}
     outcomes: list[CaseOutcome] = []
     for case in cases:

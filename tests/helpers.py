@@ -498,10 +498,11 @@ def oracle_aggregates(schema: StrategySchema,
         strikes = sorted({k for _, _, _, k, _ in leg_specs})
         knots = [0.0] + strikes
         values = [_oracle_payoff(leg_specs, s) for s in knots]
-        # exact tail slope from two points beyond the last strike
+        # tail slope from two points beyond the last strike; it is an
+        # integer, so rounding drops float noise (-1.8e-15 for a flat tail)
         p1 = _oracle_payoff(leg_specs, strikes[-1] + 1.0)
         p2 = _oracle_payoff(leg_specs, strikes[-1] + 2.0)
-        slope = p2 - p1
+        slope = round(p2 - p1)
         agg["max_profit"] = (math.inf if slope > 0.0
                              else max(values) * mult)
         agg["max_loss"] = (math.inf if slope < 0.0
@@ -697,7 +698,7 @@ def result_instances(result: ResultSet) -> list[StrategyInstance]:
     out = []
     for row, agg in zip(result.rows.tolist(), zip(*columns)):
         legs = tuple(
-            StrategyLeg(role=role.id, record=result.records[i],
+            StrategyLeg(role=role.id, record=result.snapshot.records[i],
                         direction=role.direction, quantity=role.quantity)
             for role, i in zip(schema.roles, row))
         out.append(StrategyInstance(strategy_type=schema.name, legs=legs,
@@ -750,8 +751,8 @@ def instance_to_json(inst: StrategyInstance, mode: str) -> dict:
 def oracle_table(result: ResultSet) -> str:
     """engine.result_to_table, one StrategyInstance at a time."""
     strategies = result_instances(result)
-    header = (f"{result.query.schema.name} on {result.underlying} "
-              f"as of {result.as_of}: {len(strategies)} result(s)")
+    header = (f"{result.query.schema.name} on {result.snapshot.underlying} "
+              f"as of {result.snapshot.as_of}: {len(strategies)} result(s)")
     lines = [header]
     for rank, inst in enumerate(strategies, start=1):
         legs = " ".join(

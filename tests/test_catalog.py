@@ -3,7 +3,8 @@
 import pytest
 
 from conftest import CONDOR_QUERY_QQQ, CONDOR_QUERY_TSLA
-from oql.catalog import (StrategySchema, build_catalog, catalog,
+from oql.catalog import (RoleSpec, StrategySchema, StructuralRule,
+                         build_catalog, catalog,
                          catalog_table, catalog_to_json, lookup,
                          schema_to_json, validate)
 from oql.errors import (ParseError, TypeMismatch, UnknownField, UnknownRole,
@@ -116,7 +117,6 @@ def test_docs_views_cover_every_schema():
 
 
 def test_schema_invariants_enforced_at_construction():
-    from oql.catalog import RoleSpec, StructuralRule
     with pytest.raises(ValueError):
         RoleSpec("X", "swap", 1, 1)
     with pytest.raises(ValueError):
@@ -135,6 +135,22 @@ def test_schema_invariants_enforced_at_construction():
 # ============================================================
 # Validation
 # ============================================================
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: RoleSpec("X", "call", 1, 0), ValueError,
+     "quantity must be >= 1, got 0"),
+    (lambda: StructuralRule("strike_sum", ("A", "B")), ValueError,
+     "unknown rule kind 'strike_sum'"),
+    (lambda: StrategySchema("X", (RoleSpec("A", "call", 1),
+                                  RoleSpec("A", "put", 1)), ()),
+     ValueError, "duplicate role ids in X"),
+    (lambda: lookup("STRADDLE").role("L"), KeyError, "'L'"),
+], ids=["quantity-zero", "rule-kind", "duplicate-role", "role-lookup"])
+def test_schema_refusals_name_what_is_wrong(build, error, message):
+    with pytest.raises(error) as exc_info:
+        build()
+    assert str(exc_info.value) == message
 
 
 def test_reference_queries_validate():

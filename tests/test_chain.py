@@ -311,6 +311,20 @@ def test_non_finite_cells_rejected_with_row_and_field(tmp_path, column, text):
     assert exc_info.value.row == 4
 
 
+def test_jsonl_meta_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "chain.jsonl"
+    path.write_text('{"meta": [1]}\n', encoding="utf-8")
+    with pytest.raises(FormatError) as exc_info:
+        load_snapshot(str(path))
+    assert str(exc_info.value) == 'row 1: first line must be {"meta": {...}}'
+
+
+def test_unknown_snapshot_text_format_rejected():
+    with pytest.raises(FormatError) as exc_info:
+        snapshot_to_text(small_snapshot(), "xml")
+    assert str(exc_info.value) == "unknown snapshot format 'xml'"
+
+
 @pytest.mark.parametrize("meta,message", [
     ("spot=0", "spot must be > 0"),
     ("spot=-100", "spot must be > 0"),
@@ -620,6 +634,18 @@ def test_enrich_excludes_price_below_no_arbitrage_floor():
     out = enrich(ChainSnapshot("SPY", AS_OF, 100.0, 0.04, (rec,)))
     assert out.records == ()
     assert "floor" in out.excluded[0].reason
+
+
+def test_enrich_excludes_a_price_above_the_top_of_the_vol_bracket():
+    # a 30-day at-the-money call worth more than it is at vol 10
+    rec = record(price=99.0, iv=None, delta=None, gamma=None, vega=None,
+                 theta=None)
+    out = enrich(ChainSnapshot("SPY", AS_OF, 100.0, 0.04, (rec,)))
+    bound = bsm_price(MarketParams(100.0, 0.04, 10.0, 30 / 365), 100.0, "call")
+    assert out.records == ()
+    assert out.excluded[0].reason == (
+        f"iv inversion failed: price 99.0 above the bound {bound:.10g} "
+        "at vol=10.0")
 
 
 def test_enrich_excludes_zero_iv():

@@ -326,6 +326,23 @@ class TestRun:
         assert code == EXIT_OK
         assert open(out_file).read() == out
 
+    def test_out_file_and_stdout_are_rendered_once(self, cli_dir, tmp_path,
+                                                   monkeypatch):
+        import oql.cli
+        real, rendered = oql.cli.dumps, []
+
+        def dumps(doc):
+            rendered.append(doc)
+            return real(doc)
+        monkeypatch.setattr(oql.cli, "dumps", dumps)
+        out_file = tmp_path / "r.json"
+        code, out, _ = run_cli(["run", SPREAD_QUERY, "--chain",
+                                str(cli_dir / "chain.csv"), "--out",
+                                str(out_file)])
+        assert code == EXIT_OK
+        assert out_file.read_bytes() == out.encode("utf-8")
+        assert len(rendered) == 1
+
     def test_empty_result_exits_two(self, cli_dir):
         chain = str(cli_dir / "chain.csv")
         code, out, err = run_cli([
@@ -414,6 +431,17 @@ class TestRun:
 
 
 class TestConfigPrecedence:
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path):
+        from oql.config import load_config
+        from oql.errors import ConfigError
+        path = str(tmp_path / "missing.json")
+        with pytest.raises(OSError) as opened:
+            open(path, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == (
+            f"cannot read config file {path}: {opened.value}")
+
     def test_flag_overrides_default(self):
         code, out, _ = run_cli(["parse", "SELECT LONG_CALL FROM SPY",
                                 "--epsilon", "0.25"])
@@ -848,6 +876,14 @@ BAD_INPUT = [
      _backtest(spots="{tmp}/s.csv"), "backtest", "close must be finite"),
     ("spots-empty-close", {"s.csv": "date,close\n2025-06-02,\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: row 2: missing close"),
+    ("spots-cell-past-csv-field-limit",
+     {"s.csv": "date,close\n2025-06-02,100\n2025-06-03," + "1" * 131073 + "\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest",
+     "s.csv: row 3: field larger than field limit (131072)"),
+    ("spots-header-past-csv-field-limit",
+     {"s.csv": "date," + "c" * 131073 + "\n2025-06-02,100\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest",
+     "s.csv: row 1: field larger than field limit (131072)"),
     ("results-not-json", {"r.json": "{not json"},
      _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
     ("results-not-utf8", {"r.json": b"\xff\xfe{}"},
@@ -934,6 +970,15 @@ BAD_INPUT = [
     ("eval-gold-strategy-list",
      {"cases.jsonl": _case(gold_strategy=["LONG_CALL"])}, _EVAL,
      "eval", "cases.jsonl:1: bad gold_strategy ['LONG_CALL']"),
+    ("eval-gold-strategy-unknown-solved",
+     {"cases.jsonl": _case(gold_strategy="iron butterfly")}, _EVAL, "eval",
+     "label 'iron butterfly' maps to no catalog family"),
+    ("eval-gold-strategy-unknown-unsolved",
+     {"cases.jsonl": _case() + _case(
+         id="c2", gold_strategy="iron butterfly",
+         attempts=["SELECT LONG_CALL FROM SPY WHERE Dte > 900"])},
+     _EVAL, "eval",
+     "label 'iron butterfly' maps to no catalog family"),
     ("eval-chain-list", {"cases.jsonl": _case(chain=["c.csv"])}, _EVAL,
      "eval", "cases.jsonl:1: bad chain ['c.csv']"),
     ("eval-attempts-empty", {"cases.jsonl": _case(attempts=[])}, _EVAL,

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 from oql import chain as chain_mod
 from oql import engine, evalkit, pricing, serialize
 from oql.catalog import build_catalog, validate
-from oql.chain import (ChainSnapshot, ContractRecord, generate_synthetic,
-                       occ_ticker, record_columns)
+from oql.chain import ChainSnapshot, ContractRecord, generate_synthetic, occ_ticker
 from oql.config import OUTPUT_MODES, RunConfig
 from oql.engine import (
     Candidates,
@@ -494,12 +493,11 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
         values = [agg.get(field) for _, agg in rows]
         computed[field] = (np.array([v or 0.0 for v in values]),
                            np.array([v is not None for v in values]))
-    columns = record_columns(records)
-    # survivor i holds record i, so surv.records reads survivor positions
-    column_rows = np.argsort(columns["record"]).astype(np.int32)[:, None]
+    snapshot = snap(records)
+    # survivor i holds record i, so snapshot.records reads survivor positions
+    column_rows = np.argsort(snapshot.columns["record"]).astype(np.int32)[:, None]
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
-                     underlying="SPY", as_of="", stats=None,
-                     records=records, columns=columns,
+                     snapshot=snapshot, stats=None,
                      passed=column_rows, config=RunConfig(),
                      computed=computed)
 
@@ -517,7 +515,7 @@ class TestOrdering:
 
     def order(self, surv, items, limit=None):
         order_by = tuple(OrderItem(field=f, direction=d) for f, d in items)
-        return [surv.records[i].ticker[0]
+        return [surv.snapshot.records[i].ticker[0]
                 for i in order_and_limit(surv, order_by, limit)]
 
     def test_ascending_with_missing_last(self):

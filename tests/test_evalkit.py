@@ -347,6 +347,30 @@ class TestEvaluate:
                  base_dir="/elsewhere")
         assert seen == [os.path.normpath(absolute)]
 
+    @pytest.mark.parametrize("attempt", [
+        "SELECT LONG_CALL FROM SYN", "SELECT LONG_CALL FROM SYN WHERE Dte > 900"],
+        ids=["solved", "unsolved"])
+    def test_unknown_gold_label_refused_before_any_case_runs(self, monkeypatch,
+                                                             attempt):
+        loaded = []
+        monkeypatch.setattr(evalkit, "load_snapshot",
+                            lambda p: loaded.append(p) or tiny_snapshot())
+        cases = [self.case("a", "c.csv", [attempt]),
+                 EvalCase(id="b", intent="i", gold_strategy="iron butterfly",
+                          chain="c.csv", attempts=(attempt,))]
+        with pytest.raises(UnknownGoldLabel) as exc_info:
+            evaluate(cases)
+        assert str(exc_info.value) == (
+            "label 'iron butterfly' maps to no catalog family")
+        assert exc_info.value.stage == "eval" and loaded == []
+
+    def test_gold_labels_are_kept_as_written(self, monkeypatch):
+        monkeypatch.setattr(evalkit, "load_snapshot", lambda p: tiny_snapshot())
+        case = EvalCase(id="a", intent="i", gold_strategy="Bull Call Spread",
+                        chain="c.csv", attempts=("SELECT LONG_CALL FROM SYN",))
+        outcomes, _ = evaluate([case])
+        assert outcomes[0].gold_strategy == "Bull Call Spread"
+
     def test_report_when_nothing_solves(self, monkeypatch):
         cases = [
             self.case("a", "c.csv", ["SELECT LONG_CALL FROM SYN WHERE Dte > 900"]),

@@ -250,6 +250,26 @@ def test_between_bounds_must_be_numeric():
         parse_text("SELECT LONG_CALL FROM SPY HAVING width BETWEEN low AND 5")
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: LegCondition(None, "Strike", "=>", 100.0), "unknown operator '=>'"),
+    (lambda: StratCondition("width", "=>", 5.0), "unknown operator '=>'"),
+    (lambda: StratCondition("width", "BETWEEN", lo=1.0),
+     "BETWEEN requires lo and hi bounds"),
+    (lambda: StratCondition("width", "BETWEEN", lo=5.0, hi=1.0),
+     "BETWEEN bounds out of order: 5.0 > 1.0"),
+    (lambda: StratCondition("width", ">"), "comparison requires a value"),
+    (lambda: OrderItem("width", "UP"), "unknown sort direction 'UP'"),
+    (lambda: QueryAst("LONG_CALL", "SPY", limit=0),
+     "LIMIT must be positive, got 0"),
+], ids=["leg-operator", "strat-operator", "between-bound-missing",
+        "between-out-of-order", "comparison-without-value", "sort-direction",
+        "limit-zero"])
+def test_ast_nodes_refuse_what_the_parser_never_builds(build, message):
+    with pytest.raises(ValueError) as exc_info:
+        build()
+    assert str(exc_info.value) == message
+
+
 def test_parse_error_carries_position_and_expectation():
     with pytest.raises(ParseError) as exc_info:
         parse_text("SELECT LONG_CALL SPY")

@@ -194,6 +194,24 @@ def test_a_leg_in_many_rows_is_encoded_once(monkeypatch):
     assert sum(calls.values()) == 1 + 1000
 
 
+def test_format_number_refuses_a_non_finite_number():
+    with pytest.raises(ValueError) as exc_info:
+        serialize.format_number(math.inf)
+    assert str(exc_info.value) == (
+        "non-finite number has no canonical text form: inf")
+
+
+# a dict of scalars goes to the C encoder whole; one holding a container
+# is written key by key, and both refuse a bad key in the same words
+@pytest.mark.parametrize("tree", [{(1, 2): "pair"}, {(1, 2): ["pair"]}],
+                         ids=["scalar-values", "container-value"])
+def test_dumps_refuses_a_key_json_cannot_write(tree):
+    with pytest.raises(TypeError) as exc_info:
+        dumps(tree)
+    assert str(exc_info.value) == (
+        "keys must be str, int, float, bool or None, not tuple")
+
+
 @pytest.mark.parametrize("text,want", [
     ("2025-06-02", dt.date(2025, 6, 2)),
     (" 2025-06-02\n", dt.date(2025, 6, 2)),
