@@ -22,7 +22,7 @@ from .catalog import (
 )
 from .config import RunConfig, load_config
 from .errors import OqlError
-from .syntax import QueryAst, parse, parse_text, pretty_print, tokenize
+from .syntax import QueryAst, parse_text, pretty_print
 
 __version__ = "0.1.0"
 
@@ -85,11 +85,9 @@ __all__ = [
     "load_config",
     "load_snapshot",
     "lookup",
-    "parse",
     "parse_text",
     "pretty_print",
     "result_to_json",
     "save_snapshot",
-    "tokenize",
     "validate",
 ]

@@ -110,7 +110,8 @@ def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
 
 
 def load_spots(path: str) -> dict[_dt.date, float]:
-    """Spot series CSV with header date,close; closes finite and > 0."""
+    """Spot series CSV with header date,close, one row per date; closes
+    finite and > 0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:  # each row with the line it ends on, as csv counts lines
@@ -119,8 +120,10 @@ def load_spots(path: str) -> dict[_dt.date, float]:
             raise BacktestError(f"{path}: row {reader.line_num}: {exc}") from None
     header = rows[0][1] if rows else None
     if header != ["date", "close"]:
-        raise BacktestError(f"spot series must start with 'date,close', got {header}")
+        raise BacktestError(f"{path}: row 1: spot series must start with "
+                            f"'date,close', got {header}")
     spots: dict[_dt.date, float] = {}
+    first_rows: dict[_dt.date, int] = {}
     for line, row in rows[1:]:
         if not row:
             continue
@@ -134,9 +137,12 @@ def load_spots(path: str) -> dict[_dt.date, float]:
             raise BacktestError(f"{where}: {exc}") from None
         if not close > 0.0:
             raise BacktestError(f"{where}: close must be > 0, got {row[1]!r}")
-        spots[day] = close
+        if day in spots:
+            raise BacktestError(f"{where}: duplicate date {day}; first seen at "
+                                f"row {first_rows[day]}")
+        spots[day], first_rows[day] = close, line
     if not spots:
-        raise BacktestError("spot series is empty")
+        raise BacktestError(f"{path}: spot series is empty")
     return spots
 
 

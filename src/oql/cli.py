@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile and execute option strategy queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="tokenize + parse a query; print the AST")
+    p = sub.add_parser("parse", help="parse a query; print the AST")
     p.add_argument("query", nargs="?", help="query text")
     p.add_argument("--query-file", help="read the query from a file")
     _add_config_options(p)

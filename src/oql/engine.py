@@ -1,6 +1,6 @@
 """Query execution: filter legs, assemble strategies, aggregate, rank.
 
-The pipeline is tokenize -> parse -> validate -> filter -> assemble ->
+The pipeline is parse_text -> validate -> filter -> assemble ->
 aggregate -> having -> order/limit. Between filter and order it runs on
 one row space, the rows of snapshot.columns in (expiry, strike, ticker)
 order: WHERE is a mask over the columns, a role's candidates are the rows

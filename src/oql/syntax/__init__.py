@@ -1,13 +1,12 @@
 """OQL surface syntax: lexer, AST, parser, pretty-printer."""
 
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
-from .lexer import KEYWORDS, Token, TokenKind, tokenize
-from .parser import parse, parse_text
+from .lexer import KEYWORDS
+from .parser import parse_text
 from .printer import pretty_print
 
 __all__ = [
     "COMPARISON_OPS", "KEYWORDS",
     "LegCondition", "OrderItem", "QueryAst", "StratCondition",
-    "Token", "TokenKind",
-    "tokenize", "parse", "parse_text", "pretty_print",
+    "parse_text", "pretty_print",
 ]

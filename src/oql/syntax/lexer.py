@@ -1,4 +1,4 @@
-"""Tokenizer for OQL query text.
+"""Lexer for OQL query text.
 
 Token alphabet: keywords, identifiers, signed numeric literals, comparison
 operators (= != < > <= >= ~), dot, comma. `--` starts a line comment.
@@ -22,8 +22,6 @@ reads rows and asks `position` for a line and column only for an error.
 """
 
 import re
-from enum import Enum
-from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -31,26 +29,6 @@ KEYWORDS = frozenset({
     "SELECT", "FROM", "WHERE", "AND", "HAVING",
     "ORDER", "BY", "LIMIT", "ASC", "DESC", "BETWEEN",
 })
-
-
-class TokenKind(Enum):
-    KEYWORD = "keyword"
-    IDENT = "identifier"
-    NUMBER = "number"
-    OP = "operator"
-    DOT = "dot"
-    COMMA = "comma"
-    END = "end"
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    line: int    # 1-based
-    column: int  # 1-based
-
-    def upper(self) -> str:
-        return self.text.upper()
 
 
 # the skipped prefix, then one group per token kind but END (`\Z`), named
@@ -70,8 +48,7 @@ _TOKEN_RE = re.compile(r"""
 scan = _TOKEN_RE.findall
 # the kind of row[1], row[2], ...: the named groups in pattern order;
 # row[-1] is `bad`
-ROW_KINDS = tuple(TokenKind[name] for name in sorted(
-    _TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)[:-1])
+ROW_KINDS = tuple(sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))[:-1]
 
 
 def position(source: str, rows: list[tuple[str, ...]],
@@ -88,25 +65,3 @@ def lex_error(source: str, rows: list[tuple[str, ...]]) -> LexError | None:
             return LexError(f"unexpected character {row[-1]!r}",
                             *position(source, rows, index))
     return None
-
-
-def tokenize(source: str) -> list[Token]:
-    """Scan source text to a token list ending with an END token."""
-    tokens: list[Token] = []
-    line, line_start, start = 1, 0, 0
-    rows = scan(source)
-    for prefix, *slots in rows:
-        if slots[-1]:
-            raise lex_error(source, rows)
-        if "\n" in prefix:
-            line += prefix.count("\n")
-            line_start = start + prefix.rindex("\n") + 1
-        start += len(prefix)
-        text = "".join(slots)
-        kind = next((kind for kind, slot in zip(ROW_KINDS, slots) if slot),
-                    TokenKind.END)
-        tokens.append(Token(kind, text, line, start - line_start + 1))
-        if kind is TokenKind.END:  # a bare END row may follow it
-            break
-        start += len(text)
-    return tokens

@@ -11,7 +11,7 @@ Clause order is fixed by the grammar:
 BETWEEN is admitted only in HAVING, with numeric bounds in order. Errors are
 ParseError with the current token's position, computed only then, and the
 expected-token set; there is never a silent partial result. `parse_text`
-parses the rows of the text's one scan, `parse` rows made from a Token list.
+parses the rows of the text's one scan.
 """
 
 import math
@@ -21,15 +21,14 @@ import sys
 from ..errors import ParseError
 from ..fields import MONEYNESS_VALUES, canonical_aggregate_field, canonical_leg_field
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
-from .lexer import ROW_KINDS, Token, TokenKind, lex_error, position, scan
+from .lexer import ROW_KINDS, lex_error, position, scan
 
 _LIMIT_RE = re.compile(r"\+?0*[1-9][0-9]*")
 _IDENTIFIER = ("identifier",)  # the expected set where a name is due
 # a kind's slot in a lexer row
 _NUMBER, _KEYWORD, _IDENT, _OP, _DOT, _COMMA = (
-    ROW_KINDS.index(kind) + 1 for kind in (
-        TokenKind.NUMBER, TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP,
-        TokenKind.DOT, TokenKind.COMMA))
+    ROW_KINDS.index(kind) + 1
+    for kind in ("NUMBER", "KEYWORD", "IDENT", "OP", "DOT", "COMMA"))
 
 
 def _shown(text: str, width: int = 24) -> str:
@@ -38,14 +37,18 @@ def _shown(text: str, width: int = 24) -> str:
 
 
 class _Parser:
-    """Parses lexer rows up to rows[end], the END row. `row` is the current
-    row, `pos` its index and `word` its keyword in upper case, or ''.
-    `locate(index)` is the (line, column) of rows[index], for errors."""
+    """Parses the rows of source's scan up to rows[end], the END row. `row`
+    is the current row, `pos` its index and `word` its keyword in upper
+    case, or ''."""
 
-    def __init__(self, rows: list[tuple[str, ...]], end: int, locate):
-        self.rows, self.end, self.locate, self.pos = rows, end, locate, 0
+    def __init__(self, source: str, rows: list[tuple[str, ...]], end: int):
+        self.source, self.rows, self.end, self.pos = source, rows, end, 0
         row = self.row = rows[0]
         self.word = row[_KEYWORD].upper()
+
+    def locate(self, index: int) -> tuple[int, int]:
+        """The (line, column) of rows[index], for errors."""
+        return position(self.source, self.rows, index)
 
     # ---- token plumbing ----
 
@@ -193,24 +196,6 @@ class _Parser:
         return int(digits)
 
 
-def parse(tokens: list[Token]) -> QueryAst:
-    """Parse a token list whose one END token is its last, as tokenize
-    gives, into an AST."""
-    end = next((index for index, tok in enumerate(tokens)
-                if tok.kind is TokenKind.END), len(tokens))
-    if end < len(tokens) - 1:
-        tok = tokens[end + 1]
-        raise ParseError(f"token after the END token, got {tok.text!r}",
-                         tok.line, tok.column)
-    if end == len(tokens):
-        line, column = (tokens[-1].line, tokens[-1].column) if tokens else (1, 1)
-        raise ParseError("token list does not end in an END token", line, column)
-    rows = [("", *(tok.text if tok.kind is kind else "" for kind in ROW_KINDS), "")
-            for tok in tokens]
-    return _Parser(rows, end, lambda index: (
-        tokens[index].line, tokens[index].column)).parse_query()
-
-
 def parse_text(source: str) -> QueryAst:
     """Scan and parse query text in one step. A LexError anywhere in the
     text wins over a ParseError: the parser stops at a `bad` row, and
@@ -219,8 +204,7 @@ def parse_text(source: str) -> QueryAst:
     # the END row is the last, or the one before a bare END row that
     # follows trailing skipped text
     end = len(rows) - 1 - (len(rows) > 1 and not any(rows[-2][1:]))
-    parser = _Parser(rows, end, lambda index: position(source, rows, index))
     try:
-        return parser.parse_query()
+        return _Parser(source, rows, end).parse_query()
     except ParseError as exc:
         raise (lex_error(source, rows) or exc) from None

@@ -178,7 +178,7 @@ _CATALOG_NAMES = tuple(sorted(build_catalog()))
 
 def random_number(rng: random.Random, *, lo: float = -1000.0,
                   hi: float = 1000.0) -> float:
-    """A float that survives format_number -> tokenize -> float exactly."""
+    """A float that survives format_number -> parse_text -> float exactly."""
     if rng.random() < 0.4:
         return float(rng.randint(int(lo), int(hi)))
     # keep |x| >= 1e-4 (or exactly 0) so repr never uses exponent notation

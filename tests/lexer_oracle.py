@@ -1,15 +1,13 @@
-"""The lexer's oracle: a probe-by-probe scanner, the differential that
-holds the one-pattern tokenize to it, and the differential between the
-two consumers of that pattern's scan.
+"""The lexer's oracle: a probe-by-probe scanner, and the differential
+that holds the lexer's one-pattern scan to it.
 
 oracle_tokenize tries each token kind at each position in turn, so it
-shares no pattern with oql.syntax.lexer; tokenize must match it token for
-token and error for error. parse_text parses the scan's rows directly and
-parse the Token list tokenize builds from them; on the same text both
-must give the same AST, or the same error stage, line, column, message
-and expected set. Like query_text.py, the module imports neither pytest
-nor numpy, so the differentials also run on their own, on any supported
-interpreter:
+shares no pattern with oql.syntax.lexer. scan_tokens turns the rows of
+lexer.scan into the same (kind, text, line, column) tokens: the kind is
+the row's non-empty slot, and the line and column are the ones
+lexer.position gives the parser's errors. The two must match token for
+token and error for error. Like query_text.py, the module imports neither pytest nor numpy,
+so the differential also runs on its own, on any supported interpreter:
 
     PYTHONPATH=src python3 tests/lexer_oracle.py
 """
@@ -20,8 +18,8 @@ import sys
 import time
 
 import test_query_corpus
-from oql.errors import LexError, OqlError
-from oql.syntax import KEYWORDS, Token, TokenKind, parse, parse_text, tokenize
+from oql.errors import LexError
+from oql.syntax import KEYWORDS, lexer
 from query_text import random_query_text
 
 _WS_RE = re.compile(r"[ \t\r\n]+")
@@ -32,9 +30,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPERATORS = ("<=", ">=", "!=", "=", "<", ">", "~")
 
 
-def oracle_tokenize(source: str) -> list[Token]:
-    """Scan source text to a token list ending with an END token."""
-    tokens: list[Token] = []
+def oracle_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """Scan source text to (kind, text, line, column) tokens ending with an
+    END token."""
+    tokens = []
     pos = 0
     line = 1
     line_start = 0
@@ -56,65 +55,68 @@ def oracle_tokenize(source: str) -> list[Token]:
         col = pos - line_start + 1
         m = _NUMBER_RE.match(source, pos)
         if m:
-            tokens.append(Token(TokenKind.NUMBER, m.group(), line, col))
+            tokens.append(("NUMBER", m.group(), line, col))
             pos = m.end()
             continue
         m = _IDENT_RE.match(source, pos)
         if m:
             text = m.group()
-            kind = TokenKind.KEYWORD if text.upper() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, col))
+            kind = "KEYWORD" if text.upper() in KEYWORDS else "IDENT"
+            tokens.append((kind, text, line, col))
             pos = m.end()
             continue
         two = source[pos:pos + 2]
         if two in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, two, line, col))
+            tokens.append(("OP", two, line, col))
             pos += 2
             continue
         one = source[pos]
         if one in _OPERATORS:
-            tokens.append(Token(TokenKind.OP, one, line, col))
+            tokens.append(("OP", one, line, col))
             pos += 1
             continue
         if one == ".":
-            tokens.append(Token(TokenKind.DOT, one, line, col))
+            tokens.append(("DOT", one, line, col))
             pos += 1
             continue
         if one == ",":
-            tokens.append(Token(TokenKind.COMMA, one, line, col))
+            tokens.append(("COMMA", one, line, col))
             pos += 1
             continue
         raise LexError(f"unexpected character {one!r}", line, col)
-    tokens.append(Token(TokenKind.END, "", line, n - line_start + 1))
+    tokens.append(("END", "", line, n - line_start + 1))
     return tokens
 
 
-def scan(scanner, source):
-    """(kind, text, line, column) per token, or the LexError's details."""
+def scan_tokens(source: str) -> list[tuple[str, str, int, int]]:
+    """lexer.scan's rows as (kind, text, line, column) tokens ending with
+    an END token; the LexError of the first `bad` row if there is one."""
+    rows = lexer.scan(source)
+    error = lexer.lex_error(source, rows)
+    if error:
+        raise error
+    tokens = []
+    for index, (_, *slots, _) in enumerate(rows):
+        kind = next((kind for kind, slot in zip(lexer.ROW_KINDS, slots) if slot),
+                    "END")
+        tokens.append((kind, "".join(slots), *lexer.position(source, rows, index)))
+        if kind == "END":  # a bare END row may follow it
+            break
+    return tokens
+
+
+def lexed(scanner, source):
+    """The tokens scanner gives for source, or its LexError's details."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in scanner(source)]
+        return scanner(source)
     except LexError as exc:
         return ("LexError", str(exc), exc.line, exc.column)
 
 
-def outcome(parser, source):
-    """The AST parser gives for source, or its error's stage, line,
-    column, message and expected set."""
-    try:
-        return parser(source)
-    except OqlError as exc:
-        return (exc.stage, exc.line, exc.column, str(exc),
-                getattr(exc, "expected", None))
-
-
-def parse_tokens(source):
-    return parse(tokenize(source))
-
-
-def check_both_parsers_agree(source: str):
-    """parse_text's outcome on source, which parse's must equal."""
-    got = outcome(parse_text, source)
-    assert got == outcome(parse_tokens, source), source
+def check_text(source: str):
+    """scan_tokens' outcome on source, which the oracle's must equal."""
+    got = lexed(scan_tokens, source)
+    assert got == lexed(oracle_tokenize, source), source
     return got
 
 
@@ -132,30 +134,25 @@ LONG_SKIPPED_TEXTS = {
 
 
 def check_random_texts() -> None:
-    """tokenize matches the oracle, and parse_text parse, on RANDOM_TEXTS
-    seeded query texts."""
+    """The scan matches the oracle on RANDOM_TEXTS seeded query texts."""
     rng = random.Random(9)
     for _ in range(RANDOM_TEXTS):
-        source = random_query_text(rng)
-        assert scan(tokenize, source) == scan(oracle_tokenize, source), source
-        check_both_parsers_agree(source)
+        check_text(random_query_text(rng))
 
 
 def check_query_corpus_texts() -> int:
-    """parse_text matches parse on every query-corpus case; returns how
-    many of them parse."""
-    parsed = 0
-    for source, _ in test_query_corpus.cases(test_query_corpus._load()["bases"]):
-        parsed += not isinstance(check_both_parsers_agree(source), tuple)
-    return parsed
+    """The scan matches the oracle on every query-corpus case; returns how
+    many of them lex without error."""
+    return sum(isinstance(check_text(source), list) for source, _ in
+               test_query_corpus.cases(test_query_corpus._load()["bases"]))
 
 
 def check_long_skipped_text(source: str) -> None:
-    """tokenize matches the oracle on `source` within half a second."""
+    """The scan matches the oracle on `source` within half a second."""
     start = time.perf_counter()
-    got = scan(tokenize, source)
+    got = lexed(scan_tokens, source)
     elapsed = time.perf_counter() - start
-    assert got == scan(oracle_tokenize, source)
+    assert got == lexed(oracle_tokenize, source)
     assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
@@ -163,8 +160,8 @@ if __name__ == "__main__":
     check_random_texts()
     for text in LONG_SKIPPED_TEXTS.values():
         check_long_skipped_text(text)
-    parsed = check_query_corpus_texts()
-    print(f"{RANDOM_TEXTS} random and {len(LONG_SKIPPED_TEXTS)} long texts "
-          f"matched the oracle, and parse_text matched parse on them and on "
-          f"{test_query_corpus.CASES} query-corpus texts ({parsed} parse), "
+    lexed_cleanly = check_query_corpus_texts()
+    print(f"the scan matched the oracle on {RANDOM_TEXTS} random, "
+          f"{len(LONG_SKIPPED_TEXTS)} long and {test_query_corpus.CASES} "
+          f"query-corpus texts ({lexed_cleanly} lex without error), "
           f"on Python {sys.version.split()[0]}")

@@ -303,6 +303,17 @@ class TestGenPath:
 # run
 # ============================================================
 
+_EXPIRING = "O:SPY250602C00100000,SPY,2025-06-02,2025-06-02,100,C,1.5,10,0.3,,,,"
+_EXCLUSION_SUMMARY = ("1 record(s) excluded:\n  O:SPY250602C00100000: "
+                      "expires on as_of; model values undefined\n")
+
+
+def _expiring_chain(cli_dir, tmp_path) -> str:
+    """The fixture's chain plus one record that expires on as_of."""
+    path = tmp_path / "expiring.csv"
+    path.write_text((cli_dir / "chain.csv").read_text() + _EXPIRING + "\n")
+    return str(path)
+
 
 class TestRun:
     def test_success_document(self, cli_dir):
@@ -317,6 +328,16 @@ class TestRun:
         assert 1 <= len(doc["strategies"]) <= 5
         leg = doc["strategies"][0]["legs"][0]
         assert leg["iv"] is not None
+
+    def test_excluded_records_are_summarized_on_stderr(self, cli_dir, tmp_path):
+        # the record expiring on as_of is excluded at load and named on
+        # stderr; the document is the one of the chain without it
+        code, out, err = run_cli(["run", SPREAD_QUERY, "--chain",
+                                  _expiring_chain(cli_dir, tmp_path)])
+        assert code == EXIT_OK
+        assert err == _EXCLUSION_SUMMARY
+        assert out == run_cli(["run", SPREAD_QUERY, "--chain",
+                               str(cli_dir / "chain.csv")])[1]
 
     def test_out_file_matches_stdout(self, cli_dir, tmp_path):
         chain = str(cli_dir / "chain.csv")
@@ -747,6 +768,24 @@ class TestRepl:
         assert code == EXIT_OK
         assert "unknown command :frobnicate" in err
 
+    def test_excluded_records_are_summarized_on_stderr(self, cli_dir, tmp_path):
+        code, out, err = run_cli(
+            ["repl", "--chain", _expiring_chain(cli_dir, tmp_path)],
+            stdin_text=":quit\n")
+        assert code == EXIT_OK
+        assert err == _EXCLUSION_SUMMARY
+        assert "loaded 36 contracts for SPY" in out
+
+    def test_blank_line_reprompts_and_bare_schema_lists_the_catalog(
+            self, cli_dir):
+        code, out, err = run_cli(["repl", "--chain", self.chain(cli_dir)],
+                                 stdin_text="\n:schema\n:quit\n")
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.count("oql> ") == 3
+        catalog = run_cli(["check", "--schemas", "--format", "table"])[1]
+        assert "oql> oql> " + catalog + "oql> " in out
+
     def test_schema_with_unknown_name(self, cli_dir):
         code, _, err = run_cli(["repl", "--chain", self.chain(cli_dir)],
                                stdin_text=":schema NOPE\n:quit\n")
@@ -880,6 +919,16 @@ BAD_INPUT = [
      {"s.csv": "date,close\n2025-06-02,100\n2025-06-03," + "1" * 131073 + "\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest",
      "s.csv: row 3: field larger than field limit (131072)"),
+    ("spots-bad-header", {"s.csv": "day,close\n2025-06-02,100\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest",
+     "s.csv: row 1: spot series must start with 'date,close', got "
+     "['day', 'close']"),
+    ("spots-empty-series", {"s.csv": "date,close\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: spot series is empty"),
+    ("spots-duplicate-date",
+     {"s.csv": "date,close\n2025-06-02,100\n2025-06-02,200\n"},
+     _backtest(spots="{tmp}/s.csv"), "backtest",
+     "s.csv: row 3: duplicate date 2025-06-02; first seen at row 2"),
     ("spots-header-past-csv-field-limit",
      {"s.csv": "date," + "c" * 131073 + "\n2025-06-02,100\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest",
@@ -1072,6 +1121,8 @@ BAD_INPUT = [
      "argument --strikes: bad strike list 'nan'; want finite numbers > 0"),
     ("gen-chain-strikes-zero", {}, _gen_chain(strikes="0"), None,
      "argument --strikes: bad strike list '0'"),
+    ("gen-chain-no-expiries", {}, _gen_chain(expiries=()), "execute",
+     "pass --expiries or --dtes"),
     ("gen-chain-dtes-negative", {}, _gen_chain(expiries=("--dtes", "30,-5")),
      None, "argument --dtes: bad days-to-expiry list '30,-5'; want whole "
      "numbers >= 1"),

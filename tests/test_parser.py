@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import CONDOR_QUERY_QQQ, CONDOR_QUERY_TSLA
 from helpers import MANDATORY_KEYWORDS, random_ast
+from lexer_oracle import scan_tokens
 from oql.errors import LexError, ParseError
 from oql.syntax import (LegCondition, OrderItem, QueryAst, StratCondition,
-                        parse, parse_text, pretty_print, tokenize)
-from oql.syntax.lexer import TokenKind
+                        parse_text, pretty_print)
 
 # ============================================================
 # Reference queries
@@ -199,29 +199,6 @@ def test_largest_limit_and_leading_zeros_parse():
                       ).limit == 12
 
 
-@pytest.mark.parametrize("tokens, position", [
-    ([], (1, 1)),
-    (tokenize("SELECT LONG_CALL FROM SPY")[:-1], (1, 23)),
-], ids=["empty", "no-end"])
-def test_token_list_without_end_is_a_parse_error(tokens, position):
-    with pytest.raises(ParseError, match="does not end in an END token") as exc:
-        parse(tokens)
-    assert exc.value.stage == "parse"
-    assert (exc.value.line, exc.value.column) == position
-
-
-@pytest.mark.parametrize("tokens, position", [
-    (tokenize("SELECT LONG_CALL FROM SPY") + tokenize("LIMIT 5"), (1, 1)),
-    (tokenize("SELECT LONG_CALL FROM SPY") + tokenize("\n LIMIT 5")[:-1], (2, 2)),
-], ids=["two-ends", "end-in-the-middle"])
-def test_token_list_with_an_end_before_its_last_token_is_a_parse_error(
-        tokens, position):
-    # the first token after the first END is refused, not ignored
-    with pytest.raises(ParseError, match="token after the END token") as exc:
-        parse(tokens)
-    assert (exc.value.line, exc.value.column) == position
-
-
 @pytest.mark.parametrize("source, position", [
     ("SELECT FROM X WHERE #", (1, 21)),
     ("SELECT FROM X -- no strategy\r\nWHERE Dte ~ 30\r\n  AND Delta > 0.2 ;",
@@ -229,10 +206,9 @@ def test_token_list_with_an_end_before_its_last_token_is_a_parse_error(
 ], ids=["same-line", "line-3"])
 def test_a_lex_error_anywhere_wins_over_a_parse_error(source, position):
     # the parse fails at FROM on line 1; the junk character still wins
-    for parser in (parse_text, lambda text: parse(tokenize(text))):
-        with pytest.raises(LexError) as exc:
-            parser(source)
-        assert (exc.value.line, exc.value.column) == position
+    with pytest.raises(LexError) as exc:
+        parse_text(source)
+    assert (exc.value.line, exc.value.column) == position
 
 
 def test_between_rejected_in_where():
@@ -292,15 +268,14 @@ def test_error_position_on_second_line():
 
 
 def _drop_token(text: str, index: int) -> str:
-    tokens = [t for t in tokenize(text) if t.kind is not TokenKind.END]
-    del tokens[index]
-    return " ".join(t.text for t in tokens)
+    texts = [word for _, word, _, _ in scan_tokens(text)[:-1]]
+    del texts[index]
+    return " ".join(texts)
 
 
 def mandatory_keyword_deletions(text: str):
-    tokens = [t for t in tokenize(text) if t.kind is not TokenKind.END]
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.KEYWORD and tok.upper() in MANDATORY_KEYWORDS:
+    for i, (kind, word, _, _) in enumerate(scan_tokens(text)[:-1]):
+        if kind == "KEYWORD" and word.upper() in MANDATORY_KEYWORDS:
             yield _drop_token(text, i)
 
 
