@@ -37,7 +37,6 @@ _LAZY = {
     "GreeksVector": "pricing",
     "MarketParams": "pricing",
     "bsm_price": "pricing",
-    "d_plus_minus": "pricing",
     "greeks": "pricing",
     "implied_vol": "pricing",
     "ResultSet": "engine",
@@ -74,7 +73,6 @@ __all__ = [
     "ValidatedQuery",
     "bsm_price",
     "catalog",
-    "d_plus_minus",
     "evaluate",
     "execute",
     "generate_path",

@@ -8,8 +8,11 @@ Conventions used throughout the package:
     max(s*S - s*K*exp(-r*tau), 0), which preserves put-call parity
   - at tau=0, prices are raw intrinsic and Greeks are undefined (DomainError)
 
-The normal CDF is evaluated through the C library's erfc:
-N(x) = erfc(-x/sqrt(2))/2, accurate to ~1e-16 absolute over the real line.
+bsm_price and greeks write d+, d-, N(.) and the normal density out inline,
+each product grouped as the composed oracle in tests/helpers.py groups it,
+so every value is the very double that composition gives. N(x) is
+erfc(-x/sqrt(2))/2 through the C library's erfc, accurate to ~1e-16
+absolute over the real line, and N(-x) is erfc(x/sqrt(2))/2.
 """
 
 import math
@@ -25,16 +28,6 @@ _INF = math.inf
 
 IV_BRACKET = (1e-6, 10.0)
 IV_RESIDUAL_TOL = 1e-10
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def _check_option_type(option_type: str) -> None:
@@ -79,25 +72,8 @@ def _strike_refusal(strike: float) -> DomainError:
     return DomainError(f"strike must be {rule}, got {strike}")
 
 
-def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
-    """The standard d+ / d- pair; requires vol > 0 and tau > 0."""
-    if not 0.0 < strike < _INF:
-        raise _strike_refusal(strike)
-    if m.tau == 0.0 or m.vol == 0.0:
-        raise DomainError("d+/d- undefined at tau=0 or vol=0")
-    sig_sqrt_tau = m.vol * math.sqrt(m.tau)
-    d_plus = (math.log(m.spot / strike)
-              + (m.rate + 0.5 * m.vol * m.vol) * m.tau) / sig_sqrt_tau
-    return d_plus, d_plus - sig_sqrt_tau
-
-
 def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
-    """European option value; total (degenerate branches included).
-
-    d+, d- and N(.) are written out here rather than called: every
-    product groups as d_plus_minus and norm_cdf would, so the value is
-    the very double their composition gives.
-    """
+    """European option value; total (degenerate branches included)."""
     is_call = option_type == "call"
     if not (is_call or option_type == "put"):
         _check_option_type(option_type)  # raises
@@ -117,7 +93,6 @@ def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
     d_plus = (math.log(spot / strike)
               + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
     d_minus = d_plus - sig_sqrt_tau
-    # N(x) = 0.5 * erfc(-x / sqrt 2), so N(-x) = 0.5 * erfc(x / sqrt 2)
     if is_call:
         price = (spot * (0.5 * math.erfc(-d_plus / _SQRT2))
                  - discounted_strike * (0.5 * math.erfc(-d_minus / _SQRT2)))
@@ -140,21 +115,32 @@ class GreeksVector:
 def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
     """Closed-form sensitivities; requires vol > 0 and tau > 0."""
     _check_option_type(option_type)
-    d_plus, d_minus = d_plus_minus(m, strike)
-    sqrt_tau = math.sqrt(m.tau)
-    pdf_d_plus = norm_pdf(d_plus)
-    discounted_strike = strike * math.exp(-m.rate * m.tau)
-    gamma = pdf_d_plus / (m.spot * m.vol * sqrt_tau)
-    vega = m.spot * pdf_d_plus * sqrt_tau
-    decay = -m.spot * pdf_d_plus * m.vol / (2.0 * sqrt_tau)
+    if not 0.0 < strike < _INF:
+        raise _strike_refusal(strike)
+    spot, rate, vol, tau = m.spot, m.rate, m.vol, m.tau
+    if tau == 0.0 or vol == 0.0:
+        raise DomainError("d+/d- undefined at tau=0 or vol=0")
+    sqrt_tau = math.sqrt(tau)
+    sig_sqrt_tau = vol * sqrt_tau
+    d_plus = (math.log(spot / strike)
+              + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    d_minus = d_plus - sig_sqrt_tau
+    pdf_d_plus = _INV_SQRT_2PI * math.exp(-0.5 * d_plus * d_plus)
+    discount = math.exp(-rate * tau)
+    discounted_strike = strike * discount
+    gamma = pdf_d_plus / (spot * vol * sqrt_tau)
+    vega = spot * pdf_d_plus * sqrt_tau
+    decay = -spot * pdf_d_plus * vol / (2.0 * sqrt_tau)
+    delta = 0.5 * math.erfc(-d_plus / _SQRT2)
     if option_type == "call":
-        delta = norm_cdf(d_plus)
-        theta = decay - m.rate * discounted_strike * norm_cdf(d_minus)
-        rho = strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(d_minus)
+        n_minus = 0.5 * math.erfc(-d_minus / _SQRT2)
+        theta = decay - rate * discounted_strike * n_minus
+        rho = strike * tau * discount * n_minus
     else:
-        delta = norm_cdf(d_plus) - 1.0
-        theta = decay + m.rate * discounted_strike * norm_cdf(-d_minus)
-        rho = -strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(-d_minus)
+        n_minus = 0.5 * math.erfc(d_minus / _SQRT2)
+        delta -= 1.0
+        theta = decay + rate * discounted_strike * n_minus
+        rho = -strike * tau * discount * n_minus
     return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta, rho=rho)
 
 

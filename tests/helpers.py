@@ -13,10 +13,13 @@ package against code that shares no logic with it:
 * the scalar terminal payoff of ``Leg`` baskets (``leg_payoff``,
   ``strategy_payoff``), which ``payoff_at_knots`` must reproduce at every
   knot,
-* the option price as ``d_plus_minus`` and ``norm_cdf`` compose it
-  (``oracle_bsm_price``), which the inline ``bsm_price`` must match to
-  the bit, and the day-by-day, leg-by-leg marking loop built on it
-  (``oracle_mark_path``).
+* the pricing pieces that ``src/`` no longer keeps: the normal CDF and
+  density (``norm_cdf``, ``norm_pdf``) and the d+/d- pair
+  (``d_plus_minus``), each checked against frozen 50-digit references,
+  and the option price and Greeks as they compose them
+  (``oracle_bsm_price``, ``oracle_greeks``), which the inline
+  ``bsm_price`` and ``greeks`` must match to the bit, and the day-by-day,
+  leg-by-leg marking loop built on the price (``oracle_mark_path``).
 
 The lexer's oracle, a probe-by-probe scanner, is in ``lexer_oracle.py``,
 which needs neither pytest nor numpy.
@@ -54,7 +57,7 @@ from oql.config import RunConfig
 from oql.engine import ResultSet
 from oql.errors import BacktestError, DomainError, MissingSpot
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
-from oql.pricing import MarketParams, bsm_price, d_plus_minus, norm_cdf
+from oql.pricing import GreeksVector, MarketParams, bsm_price
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
 
 AS_OF = dt.date(2025, 6, 2)
@@ -133,18 +136,55 @@ def fd_greeks(m: MarketParams, strike: float, option_type: str) -> dict:
     }
 
 
+# ============================================================
+# The option price and Greeks, composed from their pieces
+# ============================================================
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def norm_pdf(x: float) -> float:
+    """Standard normal density."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+
+
+def _refuse_strike(strike: float) -> None:
+    if not 0.0 < strike < math.inf:
+        rule = "> 0" if strike <= 0.0 else "finite"
+        raise DomainError(f"strike must be {rule}, got {strike}")
+
+
+def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
+    """The standard d+ / d- pair; requires vol > 0 and tau > 0."""
+    _refuse_strike(strike)
+    if m.tau == 0.0 or m.vol == 0.0:
+        raise DomainError("d+/d- undefined at tau=0 or vol=0")
+    sig_sqrt_tau = m.vol * math.sqrt(m.tau)
+    d_plus = (math.log(m.spot / strike)
+              + (m.rate + 0.5 * m.vol * m.vol) * m.tau) / sig_sqrt_tau
+    return d_plus, d_plus - sig_sqrt_tau
+
+
+def _refuse_option_type(option_type: str) -> None:
+    if option_type not in ("call", "put"):
+        raise DomainError(
+            f"option_type must be 'call' or 'put', got {option_type!r}")
+
+
 def oracle_bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
     """bsm_price as d_plus_minus and norm_cdf compose it.
 
     bsm_price writes d+, d- and N(.) out inline; this composition of the
-    public pieces must give the very same double, and the same error.
+    pieces must give the very same double, and the same error.
     """
-    if option_type not in ("call", "put"):
-        raise DomainError(
-            f"option_type must be 'call' or 'put', got {option_type!r}")
-    if not 0.0 < strike < math.inf:
-        rule = "> 0" if strike <= 0.0 else "finite"
-        raise DomainError(f"strike must be {rule}, got {strike}")
+    _refuse_option_type(option_type)
+    _refuse_strike(strike)
     if m.tau == 0.0:
         if option_type == "call":
             return max(m.spot - strike, 0.0)
@@ -161,6 +201,33 @@ def oracle_bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
     else:
         price = discounted_strike * norm_cdf(-d_minus) - m.spot * norm_cdf(-d_plus)
     return 0.0 if price < 0.0 else price
+
+
+def oracle_greeks(m: MarketParams, strike: float,
+                  option_type: str) -> GreeksVector:
+    """greeks as d_plus_minus, norm_cdf and norm_pdf compose them.
+
+    greeks writes the pieces out inline; this composition must give the
+    very same five doubles, and the same error.
+    """
+    _refuse_option_type(option_type)
+    d_plus, d_minus = d_plus_minus(m, strike)
+    sqrt_tau = math.sqrt(m.tau)
+    pdf_d_plus = norm_pdf(d_plus)
+    discounted_strike = strike * math.exp(-m.rate * m.tau)
+    gamma = pdf_d_plus / (m.spot * m.vol * sqrt_tau)
+    vega = m.spot * pdf_d_plus * sqrt_tau
+    decay = -m.spot * pdf_d_plus * m.vol / (2.0 * sqrt_tau)
+    if option_type == "call":
+        delta = norm_cdf(d_plus)
+        theta = decay - m.rate * discounted_strike * norm_cdf(d_minus)
+        rho = strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(d_minus)
+    else:
+        delta = norm_cdf(d_plus) - 1.0
+        theta = decay + m.rate * discounted_strike * norm_cdf(-d_minus)
+        rho = -strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(-d_minus)
+    return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta,
+                        rho=rho)
 
 
 # ============================================================

@@ -1,18 +1,24 @@
 """Pricing kernel against frozen high-precision references and
-finite-difference / round-trip oracles."""
+finite-difference / round-trip oracles.
+
+The normal CDF and density and the d+/d- pair are the oracle's pieces in
+tests/helpers.py; their frozen references keep the composed oracle, and
+through it bsm_price and greeks, pointed at 50-digit values."""
 
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from helpers import (GREEK_ATOL, GREEK_RTOL, draw_params, fd_greeks,
-                     oracle_bsm_price)
+from helpers import (GREEK_ATOL, GREEK_RTOL, d_plus_minus, draw_params,
+                     fd_greeks, norm_cdf, norm_pdf, oracle_bsm_price,
+                     oracle_greeks)
 from oql import pricing
 from oql.errors import DomainError, NoSolution, NonConvergence
 from oql.pricing import (IV_BRACKET, GreeksVector, MarketParams, bsm_price,
-                         d_plus_minus, greeks, implied_vol, norm_cdf,
-                         norm_pdf)
+                         greeks, implied_vol)
 
 # Reference values computed once at 50-digit precision and frozen.
 _CDF_CASES = [
@@ -66,9 +72,44 @@ _PRICE_CASES = [
     (5.0, 0.01, 0.08, 0.25, 9.5, "put", 4.4762796627758711779),
 ]
 
+# (spot, rate, vol, tau, strike, type, delta, gamma, vega, theta, rho) from
+# the closed forms at 50 digits, over the exact doubles of _PRICE_CASES
+_GREEK_CASES = [
+    (100.0, 0.05, 0.2, 1.0, 100.0, "call",
+     0.63683065117561907331, 0.018762017345846892841, 37.524034691693787765,
+     -6.4140275464381961317, 53.232481545376339985),
+    (100.0, 0.05, 0.2, 1.0, 100.0, "put",
+     -0.36316934882438092669, 0.018762017345846892841, 37.524034691693787765,
+     -1.6578804239346258355, -41.89046090469506066),
+    (300.0, 0.04, 0.5, 0.0821917808219178, 285.0, "call",
+     0.67452317778154267376, 0.0083744170642311004592, 30.97387133345749313,
+     -101.27260860582224853, 14.5077054107308928),
+    (300.0, 0.04, 0.5, 0.0821917808219178, 285.0, "put",
+     -0.32547682221845732624, 0.0083744170642311004592, 30.97387133345749313,
+     -89.91002651528128485, -8.840066008188893811),
+    (52.37, 0.0, 0.35, 0.75, 61.11, "call",
+     0.36030606534255727997, 0.02357513423128996508, 16.97260991015739361,
+     -3.9602756457033915911, 11.659165636104188732),
+    (52.37, 0.0, 0.35, 0.75, 61.11, "put",
+     -0.63969393465744272003, 0.02357513423128996508, 16.97260991015739361,
+     -3.9602756457033915911, -34.173334363895810842),
+    (1000.0, 0.1, 1.5, 2.5, 3.0, "call",
+     0.99990821405024733562, 1.5398701418330970763e-7, 0.57745130318741140361,
+     -0.38689599681823890954, 5.3415151465503869148),
+    (1000.0, 0.1, 1.5, 2.5, 3.0, "put",
+     -0.000091785949752664375763, 1.5398701418330970763e-7,
+     0.57745130318741140361, -0.15325576189681743934, -0.49949072648514951594),
+    (5.0, 0.01, 0.08, 0.25, 9.5, "call",
+     1.141098023773780824e-57, 9.14362215321934645e-56, 4.5718110766096733202e-56,
+     -7.3718111145443936021e-57, 1.4228347992229034108e-57),
+    (5.0, 0.01, 0.08, 0.25, 9.5, "put",
+     -1.0, 9.14362215321934645e-56, 4.5718110766096733202e-56,
+     0.094762796627758713751, -2.3690699156939677945),
+]
+
 
 # ============================================================
-# Normal distribution
+# Normal distribution (the oracle's pieces)
 # ============================================================
 
 
@@ -163,14 +204,10 @@ def test_domain_errors():
         bsm_price(MarketParams(100.0, 0.0, 0.2, 1.0), -5.0, "call")
     with pytest.raises(DomainError):
         bsm_price(MarketParams(100.0, 0.0, 0.2, 1.0), 100.0, "swap")
-    with pytest.raises(DomainError):
-        d_plus_minus(MarketParams(100.0, 0.0, 0.2, 0.0), 100.0)
-    with pytest.raises(DomainError):
-        d_plus_minus(MarketParams(100.0, 0.0, 0.0, 1.0), 100.0)
-    with pytest.raises(DomainError):
-        greeks(MarketParams(100.0, 0.0, 0.2, 0.0), 100.0, "call")
-    with pytest.raises(DomainError):
-        greeks(MarketParams(100.0, 0.0, 0.0, 1.0), 100.0, "call")
+    for vol, tau in ((0.2, 0.0), (0.0, 1.0)):
+        with pytest.raises(DomainError) as caught:
+            greeks(MarketParams(100.0, 0.0, vol, tau), 100.0, "call")
+        assert str(caught.value) == "d+/d- undefined at tau=0 or vol=0"
     # today's rules keep their wording and order; a value that passes its
     # sign rule must still be finite
     for args, message in _MARKET_REFUSALS:
@@ -181,7 +218,6 @@ def test_domain_errors():
     for strike, message in _STRIKE_REFUSALS:
         for option_type in ("call", "put"):
             for price in (lambda: bsm_price(m, strike, option_type),
-                          lambda: d_plus_minus(m, strike),
                           lambda: greeks(m, strike, option_type),
                           lambda: implied_vol(100.0, 0.04, 1.0, strike,
                                               option_type, 5.0)):
@@ -293,6 +329,38 @@ def test_bsm_price_refuses_what_the_oracle_refuses(strike, option_type, tau, vol
 # ============================================================
 # Greeks
 # ============================================================
+
+
+@pytest.mark.parametrize("s,r,v,t,k,typ,delta,gamma,vega,theta,rho",
+                         _GREEK_CASES)
+def test_greeks_match_frozen_reference(s, r, v, t, k, typ, delta, gamma,
+                                       vega, theta, rho):
+    got = greeks(MarketParams(s, r, v, t), k, typ)
+    want = dict(delta=delta, gamma=gamma, vega=vega, theta=theta, rho=rho)
+    for name, expected in want.items():
+        assert getattr(got, name) == pytest.approx(expected, abs=1e-12,
+                                                   rel=1e-12), name
+
+
+def test_greeks_are_bit_identical_to_the_composed_oracle():
+    rng = np.random.default_rng(27)
+    draws = list(_kernel_draws(rng, 20_000))
+    draws += [(s, r, v, t, k) for s, r, v, t, k, _ in _CLAMP_CASES]
+    refused = 0
+    for s, r, v, t, k in draws:
+        m = MarketParams(s, r, v, t)
+        for option_type in ("call", "put"):
+            try:
+                want = oracle_greeks(m, k, option_type)
+            except DomainError as exc:  # tau = 0 or vol = 0
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    greeks(m, k, option_type)
+                refused += 1
+                continue
+            got = greeks(m, k, option_type)
+            assert ([x.hex() for x in astuple(got)]
+                    == [x.hex() for x in astuple(want)]), (s, r, v, t, k)
+    assert refused == 20_000  # the tau = 0 and vol = 0 halves, both types
 
 
 def test_greeks_match_finite_differences_over_random_draws():
