@@ -216,7 +216,9 @@ def _depth_checks(schema: StrategySchema) -> dict[int, list]:
     product without changing the surviving set or its order. No contract
     fills two roles: column None compares row numbers with `!=` where no
     other check rejects equal rows (roles of one option type and no strict
-    order between them), and at least once per depth but depth 0.
+    order between them). _join folds a depth's checks into one mask, so
+    every catalog schema has at least one at every depth but depth 0
+    (tests/test_catalog.py pins it).
     """
     roles = schema.roles
     index = {rid: i for i, rid in enumerate(schema.role_ids)}
@@ -233,8 +235,7 @@ def _depth_checks(schema: StrategySchema) -> dict[int, list]:
         distinct = [(None, operator.ne, (j, depth)) for j in range(depth)
                     if roles[j].option_type == roles[depth].option_type
                     and j not in ordered]
-        checks[depth] = distinct + checks[depth] or [
-            (None, operator.ne, (0, depth))]
+        checks[depth] = distinct + checks[depth]
     return checks
 
 

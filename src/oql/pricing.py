@@ -72,6 +72,12 @@ def _strike_refusal(strike: float) -> DomainError:
     return DomainError(f"strike must be {rule}, got {strike}")
 
 
+def _range_refusal(what: str, m: MarketParams, strike: float) -> DomainError:
+    return DomainError(f"{what} leaves the float range at spot={m.spot}, "
+                       f"strike={strike}, rate={m.rate}, vol={m.vol}, "
+                       f"tau={m.tau}")
+
+
 def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
     """European option value; total (degenerate branches included)."""
     is_call = option_type == "call"
@@ -84,14 +90,25 @@ def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
         if is_call:
             return max(spot - strike, 0.0)
         return max(strike - spot, 0.0)
-    discounted_strike = strike * math.exp(-rate * tau)
+    try:
+        discounted_strike = strike * math.exp(-rate * tau)
+    except OverflowError:
+        discounted_strike = _INF
+    if discounted_strike == _INF:
+        raise _range_refusal("strike * exp(-rate * tau)", m, strike)
     if vol == 0.0:
         if is_call:
             return max(spot - discounted_strike, 0.0)
         return max(discounted_strike - spot, 0.0)
     sig_sqrt_tau = vol * math.sqrt(tau)
-    d_plus = (math.log(spot / strike)
-              + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    if sig_sqrt_tau == _INF:
+        raise _range_refusal("vol * sqrt(tau)", m, strike)
+    try:
+        d_plus = (math.log(spot / strike)
+                  + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    except (ValueError, ZeroDivisionError):  # an operand underflowed to 0
+        raise _range_refusal("vol * sqrt(tau)" if sig_sqrt_tau == 0.0
+                             else "spot / strike", m, strike) from None
     d_minus = d_plus - sig_sqrt_tau
     if is_call:
         price = (spot * (0.5 * math.erfc(-d_plus / _SQRT2))
@@ -120,15 +137,29 @@ def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
     spot, rate, vol, tau = m.spot, m.rate, m.vol, m.tau
     if tau == 0.0 or vol == 0.0:
         raise DomainError("d+/d- undefined at tau=0 or vol=0")
+    try:
+        discount = math.exp(-rate * tau)
+    except OverflowError:
+        discount = _INF
+    discounted_strike = strike * discount
+    if discounted_strike == _INF:
+        raise _range_refusal("strike * exp(-rate * tau)", m, strike)
     sqrt_tau = math.sqrt(tau)
     sig_sqrt_tau = vol * sqrt_tau
-    d_plus = (math.log(spot / strike)
-              + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    if sig_sqrt_tau == _INF:
+        raise _range_refusal("vol * sqrt(tau)", m, strike)
+    try:
+        d_plus = (math.log(spot / strike)
+                  + (rate + 0.5 * vol * vol) * tau) / sig_sqrt_tau
+    except (ValueError, ZeroDivisionError):  # an operand underflowed to 0
+        raise _range_refusal("vol * sqrt(tau)" if sig_sqrt_tau == 0.0
+                             else "spot / strike", m, strike) from None
     d_minus = d_plus - sig_sqrt_tau
     pdf_d_plus = _INV_SQRT_2PI * math.exp(-0.5 * d_plus * d_plus)
-    discount = math.exp(-rate * tau)
-    discounted_strike = strike * discount
-    gamma = pdf_d_plus / (spot * vol * sqrt_tau)
+    try:
+        gamma = pdf_d_plus / (spot * vol * sqrt_tau)
+    except ZeroDivisionError:  # spot * vol * sqrt(tau) underflows to 0
+        gamma = _INF
     vega = spot * pdf_d_plus * sqrt_tau
     decay = -spot * pdf_d_plus * vol / (2.0 * sqrt_tau)
     delta = 0.5 * math.erfc(-d_plus / _SQRT2)
@@ -141,6 +172,10 @@ def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
         delta -= 1.0
         theta = decay + rate * discounted_strike * n_minus
         rho = -strike * tau * discount * n_minus
+    for name, value in (("gamma", gamma), ("vega", vega), ("theta", theta),
+                        ("rho", rho)):
+        if not -_INF < value < _INF:
+            raise _range_refusal(name, m, strike)
     return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta, rho=rho)
 
 

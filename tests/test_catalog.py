@@ -7,6 +7,7 @@ from oql.catalog import (RoleSpec, StrategySchema, StructuralRule,
                          build_catalog, catalog,
                          catalog_table, catalog_to_json, lookup,
                          schema_to_json, validate)
+from oql.engine import _depth_checks
 from oql.errors import (ParseError, TypeMismatch, UnknownField, UnknownRole,
                         UnknownStrategy)
 from oql.syntax import parse_text
@@ -97,6 +98,17 @@ def test_butterfly_schema_and_symmetric_wing_toggle():
     strict = lookup("BUTTERFLY_CALL", symmetric_wings=True)
     kinds = {rule.kind: rule.roles for rule in strict.rules}
     assert kinds["symmetric_wings"] == ("L1", "S", "L2")
+
+
+@pytest.mark.parametrize("symmetric_wings", [False, True])
+def test_every_depth_past_the_first_gets_a_join_check(symmetric_wings):
+    # assembly joins depth by depth and folds each depth's checks into one
+    # mask, so a depth with no check would have nothing to fold
+    for schema in catalog(symmetric_wings):
+        checks = _depth_checks(schema)
+        assert sorted(checks) == list(range(len(schema.roles))), schema.name
+        for depth in range(1, len(schema.roles)):
+            assert checks[depth], (schema.name, depth)
 
 
 def test_lookup_is_case_insensitive_and_strict():

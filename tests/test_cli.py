@@ -8,6 +8,7 @@ setuptools into a temporary prefix and runs the `oql` console script it
 writes, the other runs `python -m oql`.
 """
 
+import datetime as dt
 import json
 import os
 import pathlib
@@ -20,7 +21,7 @@ import pytest
 
 from helpers import run_cli
 from oql.backtest import load_spots
-from oql.chain import load_snapshot, snapshot_to_text
+from oql.chain import generate_synthetic, load_snapshot, snapshot_to_text
 from oql.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK
 
 AS_OF = "2025-06-02"
@@ -879,6 +880,30 @@ def _gen_path(out="{tmp}/p.csv", start=AS_OF):
 
 _MISSING = "No such file or directory"
 
+
+def _long_dated_chain(cli_dir):
+    """What `gen-chain --underlying SPY --as-of 2025-06-02 --spot 100 --dtes
+    30,400 --strikes 90,100,110 --seed 1` writes, its header's rate made
+    -1000: the 400-day strikes discount by exp(1096), past the float
+    range."""
+    as_of = dt.date.fromisoformat(AS_OF)
+    snapshot = generate_synthetic(
+        "SPY", as_of, 100.0, 0.04, [as_of + dt.timedelta(days=d)
+                                    for d in (30, 400)], [90.0, 100.0, 110.0],
+        seed=1)
+    text = snapshot_to_text(snapshot, "csv")
+    assert " rate=0.04\n" in text
+    return text.replace(" rate=0.04\n", " rate=-1000\n", 1)
+
+
+def _one_call_chain(spot, expiry, iv):
+    """A one-record chain whose Greeks are blank, so a load backfills them."""
+    return (f"# oql-chain underlying=SPY as_of={AS_OF} spot={spot} rate=0.04\n"
+            "ticker,underlying,as_of,expiry,strike,type,price,volume,iv,"
+            "delta,gamma,vega,theta\n"
+            f"O:SPY{expiry[2:].replace('-', '')}C00100000,SPY,{AS_OF},{expiry},"
+            f"100,C,50,10,{iv},,,,\n")
+
 # (id, files written to tmp_path, argv, stage, text in the diagnostic).
 # "{d}" is the fixture directory and "{tmp}" the test's own; files map a
 # name to text or to a function of the fixture directory. A stage of None
@@ -1174,6 +1199,33 @@ BAD_INPUT = [
     ("gen-chain-strike-range-zero", {},
      _gen_chain(strikes=",") + ["--strike-range", "0:10:5"], "execute",
      "strike must be > 0, got 0.0"),
+    ("price-discount-overflow", {"c.csv": _long_dated_chain},
+     ["run", "SELECT LONG_CALL FROM SPY LIMIT 1", "--chain", "{tmp}/c.csv"],
+     "price", "strike * exp(-rate * tau) leaves the float range "
+     "at spot=100.0, strike=90.0, rate=-1000.0, vol=0.0, "
+     "tau=1.095890410958904"),
+    ("price-backtest-discount-overflow", {},
+     _backtest() + ["--rate", "-10000"], "price",
+     "strike * exp(-rate * tau) leaves the float range "
+     "at spot=100.0, strike=105.0, rate=-10000.0, vol=0.3, "
+     "tau=0.0821917808219178"),
+    ("price-vol-sqrt-tau-overflow",
+     {"c.csv": _one_call_chain("100", "2029-07-11", "1e308")},
+     ["run", "SELECT LONG_CALL FROM SPY LIMIT 1", "--chain", "{tmp}/c.csv"],
+     "price", "vol * sqrt(tau) leaves the float range "
+     "at spot=100.0, strike=100.0, rate=0.04, vol=1e+308, "
+     "tau=4.109589041095891"),
+    ("price-spot-over-strike-underflow",
+     {"c.csv": _one_call_chain("5e-324", "2025-07-02", "0.2")},
+     ["run", "SELECT LONG_CALL FROM SPY LIMIT 1", "--chain", "{tmp}/c.csv"],
+     "price", "spot / strike leaves the float range "
+     "at spot=5e-324, strike=100.0, rate=0.04, vol=0.2, "
+     "tau=0.0821917808219178"),
+    ("gen-chain-discount-overflow", {},
+     _gen_chain(expiries=("--dtes", "400")) + ["--rate", "-1000"], "price",
+     "strike * exp(-rate * tau) leaves the float range "
+     "at spot=100.0, strike=100.0, rate=-1000.0, vol=0.2, "
+     "tau=1.095890410958904"),
     ("gen-path-spot-nan", {}, _gen_path() + ["--spot", "nan"], None,
      "argument --spot: bad value 'nan'; want a finite number > 0"),
     ("gen-path-mu-inf", {}, _gen_path() + ["--mu", "inf"], None,
@@ -1215,6 +1267,7 @@ def test_bad_input_is_one_diagnostic(cli_dir, tmp_path, files, argv, stage,
         assert "error: " in err
     else:
         assert err.startswith(f"error [{stage}]: ")
+        assert err.count("\n") == 1
     assert needle in err
 
 

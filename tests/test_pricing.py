@@ -11,12 +11,14 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (GREEK_ATOL, GREEK_RTOL, d_plus_minus, draw_params,
                      fd_greeks, norm_cdf, norm_pdf, oracle_bsm_price,
                      oracle_greeks)
 from oql import pricing
-from oql.errors import DomainError, NoSolution, NonConvergence
+from oql.errors import DomainError, NoSolution, NonConvergence, PricingError
 from oql.pricing import (IV_BRACKET, GreeksVector, MarketParams, bsm_price,
                          greeks, implied_vol)
 
@@ -324,6 +326,95 @@ def test_bsm_price_refuses_what_the_oracle_refuses(strike, option_type, tau, vol
         bsm_price(m, strike, option_type)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+# (spot, rate, vol, tau, strike, the step named); every one also passes
+# MarketParams and the strike rule
+_RANGE_REFUSALS = [
+    ((100.0, -1000.0, 0.2, 1.0, 100.0), "strike * exp(-rate * tau)"),  # exp
+    ((100.0, -1.0, 0.0, 1.0, 1e308), "strike * exp(-rate * tau)"),  # product
+    ((100.0, 0.04, 1e308, 4.0, 100.0), "vol * sqrt(tau)"),  # overflows
+    ((100.0, 0.04, 5e-324, 0.25, 100.0), "vol * sqrt(tau)"),  # underflows
+    ((5e-324, 0.04, 0.2, 1.0, 100.0), "spot / strike"),
+]
+
+# (spot, rate, vol, tau, strike, the Greek named) where only greeks leaves
+# the range: the divisor of gamma underflows to 0, vega and theta's decay
+# overflow, and so does rho's strike * tau
+_GREEK_RANGE_REFUSALS = [
+    ((5e-324, 0.0, 0.5, 1.0, 5e-324), "gamma"),
+    ((1e307, 0.0, 1e-3, 1e4, 1e307), "vega"),
+    ((1e300, 0.0, 1.0, 1e-300, 1e300), "theta"),
+    ((1e10, 0.0, 1e-150, 1e300, 1e10), "rho"),
+]
+
+
+def _range_message(what, spot, rate, vol, tau, strike):
+    return (f"{what} leaves the float range at spot={spot}, strike={strike}, "
+            f"rate={rate}, vol={vol}, tau={tau}")
+
+
+@pytest.mark.parametrize("option_type", ["call", "put"])
+@pytest.mark.parametrize("args, what", _RANGE_REFUSALS)
+def test_a_step_past_the_float_range_is_refused(args, what, option_type):
+    spot, rate, vol, tau, strike = args
+    m = MarketParams(spot, rate, vol, tau)
+    message = _range_message(what, *args)
+    prices = [bsm_price]
+    if vol > 0.0:
+        prices.append(greeks)
+    for price in prices:
+        with pytest.raises(DomainError) as caught:
+            price(m, strike, option_type)
+        assert str(caught.value) == message, price
+
+
+@pytest.mark.parametrize("option_type", ["call", "put"])
+@pytest.mark.parametrize("args, name", _GREEK_RANGE_REFUSALS)
+def test_a_greek_past_the_float_range_is_refused(args, name, option_type):
+    spot, rate, vol, tau, strike = args
+    m = MarketParams(spot, rate, vol, tau)
+    assert math.isfinite(bsm_price(m, strike, option_type))
+    with pytest.raises(DomainError) as caught:
+        greeks(m, strike, option_type)
+    assert str(caught.value) == _range_message(name, *args)
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(spot=st.floats(min_value=0.0, exclude_min=True, **_FINITE),
+       strike=st.floats(min_value=0.0, exclude_min=True, **_FINITE),
+       rate=st.floats(**_FINITE), vol=st.floats(min_value=0.0, **_FINITE),
+       tau=st.floats(min_value=0.0, **_FINITE), price=st.floats(**_FINITE),
+       option_type=st.sampled_from(["call", "put"]))
+def test_every_finite_input_prices_finite_or_is_refused(
+        spot, strike, rate, vol, tau, price, option_type):
+    """Across the whole float range no pricing call raises OverflowError,
+    ValueError or ZeroDivisionError, or returns a NaN or an infinity."""
+    m = MarketParams(spot, rate, vol, tau)
+    try:
+        value = bsm_price(m, strike, option_type)
+    except DomainError:
+        value = None
+    else:
+        assert math.isfinite(value)
+    try:
+        vector = greeks(m, strike, option_type)
+    except DomainError:
+        pass
+    else:
+        assert all(math.isfinite(x) for x in astuple(vector)), vector
+    # a drawn quote, and the model's own price, which the inversion reaches
+    for quote in (price, value):
+        if quote is None:
+            continue
+        try:
+            iv = implied_vol(spot, rate, tau, strike, option_type, quote)
+        except PricingError:
+            continue
+        assert math.isfinite(iv)
 
 
 # ============================================================
