@@ -9,6 +9,7 @@ final PnL of a single-expiry strategy equals its terminal payoff.
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -153,6 +154,13 @@ def entry_cash_of(position: Position, multiplier: float) -> float:
     return total * multiplier
 
 
+def _finite(value: float, figure: str) -> float:
+    """value, refused when it is NaN or +-inf."""
+    if not math.isfinite(value):
+        raise BacktestError(f"{figure} leaves the float range")
+    return value
+
+
 def classify_side(entry_cash: float) -> str:
     """buyer iff entry cash is paid out; zero-cost counts as buyer."""
     return "buyer" if entry_cash >= 0.0 else "seller"
@@ -220,8 +228,12 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
         dates.append(day)
         pnl.append(total * mult)
         day += one_day
+    entry_cash = _finite(entry_cash_of(position, mult),
+                         f"{position.label}: entry cash")
+    if not all(map(math.isfinite, pnl)):
+        raise BacktestError(f"{position.label}: PnL leaves the float range")
     return PnLPath(label=position.label, dates=tuple(dates), pnl=tuple(pnl),
-                   entry_cash=entry_cash_of(position, mult))
+                   entry_cash=entry_cash)
 
 
 def risk_exposure(path: PnLPath, tau_frac: float) -> bool:
@@ -323,7 +335,8 @@ def report(paths: list[PnLPath]) -> BacktestReport:
             entry_cash=cash,
             final_pnl=final,
             win=final > 0.0,
-            roc=None if zero_cost else final / abs(cash),
+            roc=(None if zero_cost
+                 else _finite(final / abs(cash), f"{path.label}: roc")),
             re50=risk_exposure(path, RE_TAUS[0]),
             re90=risk_exposure(path, RE_TAUS[1]),
         ))
@@ -340,9 +353,10 @@ def report(paths: list[PnLPath]) -> BacktestReport:
         n_buyer=len(buyers),
         n_seller=len(sellers),
         **rates,
-        mean_profit=sum(r.final_pnl for r in rows) / len(rows),
-        mean_roc=(sum(r.roc for r in with_roc) / len(with_roc)
-                  if with_roc else None),
+        mean_profit=_finite(sum(r.final_pnl for r in rows) / len(rows),
+                            "mean_profit"),
+        mean_roc=(_finite(sum(r.roc for r in with_roc) / len(with_roc),
+                          "mean_roc") if with_roc else None),
         zero_cost_count=sum(1 for r in rows if r.zero_cost),
     )
 

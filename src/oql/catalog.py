@@ -200,7 +200,6 @@ class ValidatedQuery:
     ast: QueryAst
     schema: StrategySchema
     per_role_conditions: dict[str, tuple[LegCondition, ...]]
-    strategy_conditions: tuple[StratCondition, ...]
 
 
 def _check_leg_condition(cond: LegCondition, schema: StrategySchema) -> None:
@@ -254,5 +253,4 @@ def validate(ast: QueryAst, symmetric_wings: bool = False) -> ValidatedQuery:
         ast=ast,
         schema=schema,
         per_role_conditions={rid: tuple(conds) for rid, conds in per_role.items()},
-        strategy_conditions=ast.having,
     )

@@ -511,7 +511,3 @@ def main(argv: list[str] | None = None) -> int:
         # opened, read or written, or whose text is not UTF-8
         _diag(f"error [io]: {exc}")
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,7 +32,7 @@ from . import pricing
 from .catalog import RULES, RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
-from .errors import CombinatorialBudgetExceeded, UnderlyingMismatch
+from .errors import CombinatorialBudgetExceeded, EngineError, UnderlyingMismatch
 from .fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
@@ -348,49 +348,61 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
 
     every = np.ones(m, dtype=bool)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    # a kernel step that overflows or makes a NaN refuses the query, naming
+    # the figure it was making: no NaN or +-inf but the unbounded marker
+    # reaches HAVING, ranking or output
+    figure = "entry cash"
 
-    if groups & {"entry", "extremes"}:
-        entry = np.zeros(m)
-        for j, price in enumerate(gather("price")):
-            entry = entry + qd[j] * price
-        entry_cash = entry * mult
-        # zero-cost structures count as debit
-        out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
-                            entry_cash >= 0.0)
-        out["net_credit"] = (-entry_cash, entry_cash < 0.0)
+    def refuse(kind: str, flag: int) -> None:
+        raise EngineError(f"{figure} of {schema.name} leaves the float range")
 
-    for greek in GREEK_FIELDS:
-        if greek in groups:
-            total, ok = np.zeros(m), every
-            for j, (value, known) in enumerate(zip(gather(greek),
-                                                   gather(f"{greek}_ok"))):
-                total = total + qd[j] * value
-                ok = ok & known
-            out[f"net_{greek}"] = (total * mult, ok)
+    with np.errstate(over="call", invalid="call", call=refuse):
+        if groups & {"entry", "extremes"}:
+            entry = np.zeros(m)
+            for j, price in enumerate(gather("price")):
+                entry = entry + qd[j] * price
+            entry_cash = entry * mult
+            # zero-cost structures count as debit
+            out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
+                                entry_cash >= 0.0)
+            out["net_credit"] = (-entry_cash, entry_cash < 0.0)
 
-    if groups & {"extremes", "breakevens"}:
-        # different expiries: no terminal payoff; worst case for a debit
-        # structure is losing the debit, nothing is claimed for credits
-        expiry = gather("expiry")
-        single = np.logical_and.reduce([e == expiry[0] for e in expiry])
-        knots, values, slope = pricing.payoff_at_knots(
-            qd, [role.option_type == "call" for role in schema.roles],
-            np.stack(gather("strike")), np.stack(gather("price")))
-        if "extremes" in groups:
-            max_profit, max_loss = pricing.payoff_extremes(values, slope)
-            profit, profit_ok = max_profit * mult, single
-            loss = np.where(single, max_loss * mult, entry_cash)
-            loss_ok = single | (entry_cash > 0.0)
-            rr_ok = (profit_ok & loss_ok & np.isfinite(profit)
-                     & np.isfinite(loss) & (loss > 0.0))
-            out["max_profit"] = (profit, profit_ok)
-            out["max_loss"] = (loss, loss_ok)
-            out["rr_ratio"] = (np.divide(profit, loss, out=np.zeros(m),
-                                         where=rr_ok), rr_ok)
-        if "breakevens" in groups:
-            low, high, crosses = pricing.breakevens(knots, values, slope)
-            out["breakeven_low"] = (low, single & crosses)
-            out["breakeven_high"] = (high, single & crosses)
+        for greek in GREEK_FIELDS:
+            if greek in groups:
+                figure = f"net_{greek}"
+                total, ok = np.zeros(m), every
+                for j, (value, known) in enumerate(zip(gather(greek),
+                                                       gather(f"{greek}_ok"))):
+                    total = total + qd[j] * value
+                    ok = ok & known
+                out[f"net_{greek}"] = (total * mult, ok)
+
+        if groups & {"extremes", "breakevens"}:
+            # different expiries: no terminal payoff; worst case for a debit
+            # structure is losing the debit, nothing is claimed for credits
+            figure = "terminal payoff"
+            expiry = gather("expiry")
+            single = np.logical_and.reduce([e == expiry[0] for e in expiry])
+            knots, values, slope = pricing.payoff_at_knots(
+                qd, [role.option_type == "call" for role in schema.roles],
+                np.stack(gather("strike")), np.stack(gather("price")))
+            if "extremes" in groups:
+                max_profit, max_loss = pricing.payoff_extremes(values, slope)
+                profit, profit_ok = max_profit * mult, single
+                loss = np.where(single, max_loss * mult, entry_cash)
+                loss_ok = single | (entry_cash > 0.0)
+                rr_ok = (profit_ok & loss_ok & np.isfinite(profit)
+                         & np.isfinite(loss) & (loss > 0.0))
+                out["max_profit"] = (profit, profit_ok)
+                out["max_loss"] = (loss, loss_ok)
+                figure = "rr_ratio"
+                out["rr_ratio"] = (np.divide(profit, loss, out=np.zeros(m),
+                                             where=rr_ok), rr_ok)
+            if "breakevens" in groups:
+                figure = "breakevens"
+                low, high, crosses = pricing.breakevens(knots, values, slope)
+                out["breakeven_low"] = (low, single & crosses)
+                out["breakeven_high"] = (high, single & crosses)
 
     if "width" in groups:
         strike = gather("strike")
@@ -439,7 +451,7 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
     candidates = filter_legs(vq, snapshot, config)
     rows, raw = assemble(vq, candidates, config)
     counts = {rid: len(candidates.rows[rid]) for rid in vq.schema.role_ids}
-    fields = _group_fields(cond.field for cond in vq.strategy_conditions)
+    fields = _group_fields(cond.field for cond in vq.ast.having)
     passed, computed = rows, {}
     if fields:
         kept_rows, kept = [], []
@@ -449,7 +461,7 @@ def survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
                                             block, config, fields)
             keep = functools.reduce(operator.and_, (
                 eval_strat_condition(cond, aggregates, config)
-                for cond in vq.strategy_conditions))
+                for cond in vq.ast.having))
             kept_rows.append(block[keep])
             kept.append({field: (values[keep], available[keep])
                          for field, (values, available) in aggregates.items()})

@@ -168,10 +168,6 @@ class UnknownGoldLabel(EvalError):
     """Gold strategy label cannot be mapped to a catalog family."""
 
 
-class NoSolvedCases(EvalError):
-    """A solved-only metric was asked when no case was solved."""
-
-
 # ============================================================
 # Config
 # ============================================================

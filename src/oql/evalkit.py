@@ -6,9 +6,9 @@ parses, validates, and executes with at least one assembled strategy; the
 case's k is the 1-based index of the first success (unsolved cases have
 k = None, read as infinity).
 
-Metrics: VR (fraction solved within K), SM (gold-family agreement, reported
-over solved cases and over all cases), Eff ((1/N) sum of 1[k<=K](1 - k/K)),
-AvgRows (mean result rows over solved cases).
+metrics scores the outcomes in one pass: VR (fraction solved within K),
+SM (gold-family agreement over solved cases and over all cases), Eff
+((1/N) sum of 1[k<=K](1 - k/K)), AvgRows (mean rows over solved cases).
 """
 
 import json
@@ -16,15 +16,13 @@ import os
 from dataclasses import dataclass
 
 from .catalog import build_catalog
-from .chain import ChainSnapshot, finite_number, load_snapshot
+from .chain import ChainSnapshot, load_snapshot
 from .config import RunConfig
 from .engine import execute
 from .errors import (
     ChainError,
     EmptyInput,
     EvalError,
-    FormatError,
-    NoSolvedCases,
     OqlError,
     UnknownGoldLabel,
 )
@@ -39,7 +37,6 @@ class EvalCase:
     gold_strategy: str
     chain: str                  # snapshot path, relative to the cases file
     attempts: tuple[str, ...]
-    sa_grade: float | None = None  # reserved for grader scores
 
     def __post_init__(self):
         if not self.attempts:
@@ -87,14 +84,10 @@ def load_cases(path: str) -> list[EvalCase]:
                 for key, value in text.items():
                     if not isinstance(value, str):
                         raise EvalError(f"bad {key} {value!r}")
-                cases.append(EvalCase(
-                    **text, attempts=tuple(attempts),
-                    sa_grade=(None if obj.get("sa_grade") is None
-                              else finite_number(obj["sa_grade"], "sa_grade")),
-                ))
+                cases.append(EvalCase(**text, attempts=tuple(attempts)))
             except KeyError as exc:
                 raise EvalError(f"{where}: missing key {exc}") from None
-            except (EvalError, FormatError) as exc:
+            except EvalError as exc:
                 raise EvalError(f"{where}: {exc}") from None
     if not cases:
         raise EmptyInput(f"{path} holds no cases")
@@ -151,65 +144,48 @@ def run_case(case: EvalCase, snapshot: ChainSnapshot,
 # ============================================================
 
 
-def validity_rate(outcomes: list[CaseOutcome]) -> float:
-    """Fraction of cases solved within K."""
-    if not outcomes:
-        raise EmptyInput("no outcomes")
-    return sum(1 for o in outcomes if o.solved) / len(outcomes)
+def metrics(outcomes: list[CaseOutcome], k: int = DEFAULT_K) -> dict:
+    """The report over outcomes scored with attempt budget k, in one pass.
 
-
-def strategy_match(outcomes: list[CaseOutcome],
-                   denominator: str = "solved") -> float:
-    """Fraction whose selected strategy family equals the gold family.
-
-    denominator="solved" divides by the solved count (NoSolvedCases when
-    zero); "all" divides by every case, counting unsolved as mismatches.
+    vr is the fraction solved; sm_conditional and sm_unconditional the
+    fraction whose selected family equals the gold family, over solved
+    cases and over all cases; eff is (1/N) sum of 1[k_j <= k](1 - k_j/k);
+    avg_rows the mean row count over solved cases. The solved-only
+    metrics are None when no case was solved.
     """
     if not outcomes:
         raise EmptyInput("no outcomes")
-    if denominator not in ("solved", "all"):
-        raise ValueError(f"denominator must be 'solved' or 'all', got {denominator!r}")
-    solved = [o for o in outcomes if o.solved]
-    matches = sum(
-        1 for o in solved
-        if normalize_family(o.selected_strategy) == normalize_family(o.gold_strategy))
-    if denominator == "all":
-        return matches / len(outcomes)
-    if not solved:
-        raise NoSolvedCases("no case was solved within K")
-    return matches / len(solved)
-
-
-def efficiency(outcomes: list[CaseOutcome], k: int = DEFAULT_K) -> float:
-    """(1/N) sum over cases of 1[k_j <= K] * (1 - k_j / K)."""
-    if not outcomes:
-        raise EmptyInput("no outcomes")
-    total = 0.0
+    solved = matches = rows = 0
+    eff = 0.0
     for o in outcomes:
-        if o.solved and o.k_first_success <= k:
-            total += 1.0 - o.k_first_success / k
-    return total / len(outcomes)
-
-
-def avg_rows(outcomes: list[CaseOutcome]) -> float:
-    """Mean returned-row count over solved cases."""
-    if not outcomes:
-        raise EmptyInput("no outcomes")
-    solved = [o for o in outcomes if o.solved]
-    if not solved:
-        raise NoSolvedCases("no case was solved within K")
-    return sum(o.rows_at_success for o in solved) / len(solved)
+        if not o.solved:
+            continue
+        solved += 1
+        matches += (normalize_family(o.selected_strategy)
+                    == normalize_family(o.gold_strategy))
+        rows += o.rows_at_success
+        if o.k_first_success <= k:
+            eff += 1.0 - o.k_first_success / k
+    n = len(outcomes)
+    return {
+        "vr": solved / n,
+        "sm_conditional": matches / solved if solved else None,
+        "sm_unconditional": matches / n,
+        "eff": eff / n,
+        "avg_rows": rows / solved if solved else None,
+        "n": n,
+        "k": k,
+    }
 
 
 def evaluate(cases: list[EvalCase], base_dir: str = ".",
              config: RunConfig | None = None,
              k: int = DEFAULT_K) -> tuple[list[CaseOutcome], dict]:
-    """Run every case and build the metrics report.
+    """Run every case: (outcomes, metrics(outcomes, k)).
 
     Chain paths resolve relative to base_dir; snapshots are cached per
     path, and a chain that fails to load, or is not UTF-8 text (an
-    OSError), is named in its error. The report always carries the same
-    keys; solved-only metrics are None when nothing was solved.
+    OSError), is named in its error.
     """
     if not cases:
         raise EmptyInput("no cases")
@@ -233,21 +209,4 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
             except UnicodeDecodeError as exc:  # its text cannot be rewritten
                 raise OSError(f"{path}: {exc}") from exc
         outcomes.append(run_case(case, cache[path], config, k))
-    try:
-        sm_cond = strategy_match(outcomes, "solved")
-    except NoSolvedCases:
-        sm_cond = None
-    try:
-        rows = avg_rows(outcomes)
-    except NoSolvedCases:
-        rows = None
-    report = {
-        "vr": validity_rate(outcomes),
-        "sm_conditional": sm_cond,
-        "sm_unconditional": strategy_match(outcomes, "all"),
-        "eff": efficiency(outcomes, k),
-        "avg_rows": rows,
-        "n": len(outcomes),
-        "k": k,
-    }
-    return outcomes, report
+    return outcomes, metrics(outcomes, k)

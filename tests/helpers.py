@@ -635,7 +635,7 @@ def oracle_survivors(vq: ValidatedQuery, snapshot: ChainSnapshot,
             continue
         assembled += 1
         agg = oracle_aggregates(vq.schema, combo, config)
-        if all(_oracle_having(c, agg, config) for c in vq.strategy_conditions):
+        if all(_oracle_having(c, agg, config) for c in vq.ast.having):
             survivors.append((tickers, agg))
     stats = {
         "candidates": {rid: len(candidates[rid]) for rid in vq.schema.role_ids},

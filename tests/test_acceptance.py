@@ -59,7 +59,7 @@ from oql.engine import (
     soft_match,
     survivors,
 )
-from oql.evalkit import CaseOutcome, efficiency, evaluate, load_cases
+from oql.evalkit import CaseOutcome, evaluate, load_cases, metrics
 from oql.pricing import MarketParams, bsm_price, greeks, implied_vol
 from oql.syntax import LegCondition, StratCondition, parse_text, pretty_print
 
@@ -480,13 +480,13 @@ def _outcome(k):
 
 def test_quality_and_cohort_metrics(capfd):
     with Criterion("quality and cohort metrics", capfd) as c:
-        c.check(efficiency([_outcome(1)], 3) == pytest.approx(2 / 3,
-                                                              abs=1e-15),
+        c.check(metrics([_outcome(1)], 3)["eff"] == pytest.approx(2 / 3,
+                                                                  abs=1e-15),
                 "first-try efficiency != 2/3")
-        c.check(efficiency([_outcome(1), _outcome(3)], 3)
+        c.check(metrics([_outcome(1), _outcome(3)], 3)["eff"]
                 == pytest.approx(1 / 3, abs=1e-15),
                 "mixed efficiency != 1/3")
-        c.check(efficiency([_outcome(None)], 3) == 0.0,
+        c.check(metrics([_outcome(None)], 3)["eff"] == 0.0,
                 "unsolved case scored above zero")
 
         breach = pnl_path("b", 200.0, 0.0, -100.0, 10.0)

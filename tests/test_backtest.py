@@ -174,6 +174,14 @@ class TestMarkPath:
             mark_path(Position("p", ()), flat_spots(100.0, 5), ENTRY,
                       ENTRY + dt.timedelta(days=5))
 
+    def test_a_pnl_past_the_float_range_is_refused(self):
+        # the put is worth about 1e307 a share, 1e309 a contract
+        position = Position("p", (leg(1, "put", 1e307, 5, entry_price=1.0),))
+        with pytest.raises(BacktestError) as exc_info:
+            mark_path(position, flat_spots(100.0, 5), ENTRY,
+                      ENTRY + dt.timedelta(days=5))
+        assert str(exc_info.value) == "p: PnL leaves the float range"
+
     def test_unknown_iv_policy_rejected(self):
         position = Position("p", (leg(1, "call", 100.0, 5, entry_price=2.0),))
         with pytest.raises(BacktestError, match="iv_policy"):
@@ -415,6 +423,16 @@ class TestRiskExposure:
 
 
 class TestReport:
+    @pytest.mark.parametrize("paths,figure", [
+        ([path_of("a", 1e-10, 1e300)], "a: roc"),
+        ([path_of("a", 1.0, 1e308), path_of("b", 1.0, 1e308)], "mean_profit"),
+        ([path_of("a", 0.01, 1e306), path_of("b", 0.01, 1e306)], "mean_roc"),
+    ], ids=["roc", "mean_profit", "mean_roc"])
+    def test_a_figure_past_the_float_range_is_refused(self, paths, figure):
+        with pytest.raises(BacktestError) as exc_info:
+            report(paths)
+        assert str(exc_info.value) == f"{figure} leaves the float range"
+
     def test_counts_and_sides(self):
         rep = report(hand_fixture())
         assert rep.n == 20

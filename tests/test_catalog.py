@@ -249,7 +249,7 @@ def test_aggregate_field_rejects_symbolic_value():
             f"net_debit is numeric; got symbolic value {value!r}")
     vq = validate(parse_text(
         "SELECT STRADDLE FROM TSLA HAVING net_debit BETWEEN 1 AND 5"))
-    (cond,) = vq.strategy_conditions
+    (cond,) = vq.ast.having
     assert (cond.op, cond.lo, cond.hi) == ("BETWEEN", 1.0, 5.0)
 
 

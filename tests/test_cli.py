@@ -9,10 +9,12 @@ writes, the other runs `python -m oql`.
 """
 
 import datetime as dt
+import io
 import json
 import os
 import pathlib
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -22,7 +24,7 @@ import pytest
 from helpers import run_cli
 from oql.backtest import load_spots
 from oql.chain import generate_synthetic, load_snapshot, snapshot_to_text
-from oql.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK
+from oql.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 
 AS_OF = "2025-06-02"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -904,6 +906,26 @@ def _one_call_chain(spot, expiry, iv):
             f"O:SPY{expiry[2:].replace('-', '')}C00100000,SPY,{AS_OF},{expiry},"
             f"100,C,50,10,{iv},,,,\n")
 
+_TSLA_RUN = ["run", "SELECT LONG_CALL FROM TSLA LIMIT 1", "--chain",
+             str(REPO_ROOT / "tests" / "data" / "chain_tsla.csv")]
+
+
+def _tsla_results(cli_dir):
+    """What `run --out` writes for _TSLA_RUN: the document on its stdout."""
+    code, out, err = run_cli(_TSLA_RUN)
+    assert code == EXIT_OK, err
+    return out
+
+
+def _huge_call_chain(cli_dir):
+    """What `gen-chain --underlying SPY --as-of 2025-06-02 --spot 1e308
+    --dtes 30 --strikes 0.001` writes: a call priced 1e+308, whose entry
+    cash at the default multiplier of 100 is past the float range."""
+    as_of = dt.date.fromisoformat(AS_OF)
+    return snapshot_to_text(generate_synthetic(
+        "SPY", as_of, 1e308, 0.04, [as_of + dt.timedelta(days=30)], [0.001]),
+        "csv")
+
 # (id, files written to tmp_path, argv, stage, text in the diagnostic).
 # "{d}" is the fixture directory and "{tmp}" the test's own; files map a
 # name to text or to a function of the fixture directory. A stage of None
@@ -1027,16 +1049,9 @@ BAD_INPUT = [
      "eval", "cases.jsonl:1: attempts must be a list of strings"),
     ("eval-attempts-numbers", {"cases.jsonl": _case(attempts=[1, 2])}, _EVAL,
      "eval", "cases.jsonl:1: attempts must be a list of strings"),
-    ("eval-sa-grade-text", {"cases.jsonl": _case(sa_grade="high")}, _EVAL,
-     "eval", "cases.jsonl:1: bad sa_grade 'high'"),
-    ("eval-sa-grade-true", {"cases.jsonl": _case(sa_grade=True)}, _EVAL,
-     "eval", "cases.jsonl:1: bad sa_grade True"),
     ("eval-sa-grade-past-int-digits",
      {"cases.jsonl": _huge("sa_grade", _case(sa_grade=0))}, _EVAL,
      "eval", "cases.jsonl:1: bad JSON: Exceeds the limit (4300 digits)"),
-    ("eval-sa-grade-past-float-range",
-     {"cases.jsonl": _case(sa_grade=10 ** 400)}, _EVAL,
-     "eval", "cases.jsonl:1: sa_grade must be finite, got an integer past"),
     ("eval-id-null", {"cases.jsonl": _case(id=None)}, _EVAL,
      "eval", "cases.jsonl:1: bad id None"),
     ("eval-intent-number", {"cases.jsonl": _case(intent=5)}, _EVAL,
@@ -1226,6 +1241,15 @@ BAD_INPUT = [
      "strike * exp(-rate * tau) leaves the float range "
      "at spot=100.0, strike=100.0, rate=-1000.0, vol=0.2, "
      "tau=1.095890410958904"),
+    ("run-entry-cash-past-float-range", {}, _TSLA_RUN + ["--multiplier", "1e307"],
+     "execute", "entry cash of LONG_CALL leaves the float range"),
+    ("run-entry-cash-past-float-range-at-huge-price",
+     {"c.csv": _huge_call_chain},
+     ["run", "SELECT LONG_CALL FROM SPY", "--chain", "{tmp}/c.csv"],
+     "execute", "entry cash of LONG_CALL leaves the float range"),
+    ("backtest-entry-cash-past-float-range", {"r.json": _tsla_results},
+     _backtest(results="{tmp}/r.json") + ["--multiplier", "1e307"],
+     "backtest", "LONG_CALL#1: entry cash leaves the float range"),
     ("gen-path-spot-nan", {}, _gen_path() + ["--spot", "nan"], None,
      "argument --spot: bad value 'nan'; want a finite number > 0"),
     ("gen-path-mu-inf", {}, _gen_path() + ["--mu", "inf"], None,
@@ -1326,3 +1350,21 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "LONG_CALL" in proc.stdout
+
+    def test_module_entry_point_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["oql", "check", "--schemas"])
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_module("oql", run_name="__main__")
+        assert exc_info.value.code == EXIT_OK
+        assert "LONG_CALL" in capsys.readouterr().out
+
+    def test_a_closed_stdout_exits_1_with_no_diagnostic(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["check", "--schemas"]) == EXIT_ERROR
+        assert err.getvalue() == ""

@@ -36,7 +36,11 @@ from oql.engine import (
     soft_match,
     survivors,
 )
-from oql.errors import CombinatorialBudgetExceeded, UnderlyingMismatch
+from oql.errors import (
+    CombinatorialBudgetExceeded,
+    EngineError,
+    UnderlyingMismatch,
+)
 from oql.fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition, parse_text
 
@@ -355,6 +359,28 @@ class TestAggregates:
             (-0.14 + 0.06 - 0.15 + 0.05) * 100.0)
         assert agg["net_theta"] == pytest.approx(
             (0.028 - 0.012 + 0.030 - 0.010) * 100.0)
+
+    @pytest.mark.parametrize("strategy,legs,figure", [
+        ("LONG_CALL", [("call", 100.0, 1e308, {})], "entry cash"),
+        ("LONG_CALL", [("call", 100.0, 1.0, {"delta": 1e307})], "net_delta"),
+        ("LONG_PUT", [("put", 1e307, 1.0, {})], "terminal payoff"),
+        ("BULL_CALL_SPREAD", [("call", 95.0, 1e-320, {}),
+                              ("call", 100.0, 0.0, {})], "rr_ratio"),
+        ("BULL_CALL_SPREAD", [("call", 1.0, 1e10, {}),
+                              ("call", 1e300, 0.0, {})], "breakevens"),
+    ])
+    def test_a_figure_past_the_float_range_is_refused(self, strategy, legs,
+                                                      figure):
+        # strikes past the ticker's digits: each record gets its own ticker
+        assignment = tuple(
+            dataclasses.replace(rec("SPY", 100.0, kind, price, 30, **greeks),
+                                strike=strike, ticker=f"T{j}")
+            for j, (kind, strike, price, greeks) in enumerate(legs))
+        with pytest.raises(EngineError) as exc_info:
+            row_aggregates(CATALOG[strategy], assignment, RunConfig())
+        assert exc_info.value.stage == "execute"
+        assert str(exc_info.value) == (
+            f"{figure} of {strategy} leaves the float range")
 
     def test_custom_multiplier_rescales_cash_not_levels(self):
         schema = CATALOG["IRON_CONDOR"]

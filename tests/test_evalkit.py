@@ -16,24 +16,16 @@ import pytest
 from conftest import make_qqq_snapshot, make_tsla_snapshot
 from oql import evalkit
 from oql.chain import generate_synthetic, snapshot_to_text
-from oql.errors import (
-    EmptyInput,
-    EvalError,
-    NoSolvedCases,
-    UnknownGoldLabel,
-)
+from oql.errors import EmptyInput, EvalError, UnknownGoldLabel
 from oql.evalkit import (
     DEFAULT_K,
     CaseOutcome,
     EvalCase,
-    avg_rows,
-    efficiency,
     evaluate,
     load_cases,
+    metrics,
     normalize_family,
     run_case,
-    strategy_match,
-    validity_rate,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -59,31 +51,33 @@ def tiny_snapshot():
 # ============================================================
 
 
+class TestMetrics:
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="no outcomes"):
+            metrics([])
+
+
 class TestEfficiency:
     def test_first_try_with_budget_three(self):
-        got = efficiency([outcome(k=1, rows=1, selected="LONG_CALL")], k=3)
+        got = metrics([outcome(k=1, rows=1, selected="LONG_CALL")], k=3)["eff"]
         assert got == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_mix_of_first_and_last_try(self):
         outs = [outcome(k=1, rows=1, selected="LONG_CALL"),
                 outcome(k=3, rows=1, selected="LONG_CALL")]
-        assert efficiency(outs, k=3) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert metrics(outs, k=3)["eff"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_success_on_the_last_try_scores_zero(self):
-        assert efficiency([outcome(k=3, rows=1, selected="LONG_CALL")],
-                          k=3) == 0.0
+        assert metrics([outcome(k=3, rows=1, selected="LONG_CALL")],
+                       k=3)["eff"] == 0.0
 
     def test_unsolved_contributes_zero_but_counts_in_n(self):
         outs = [outcome(k=1, rows=1, selected="LONG_CALL"), outcome()]
-        assert efficiency(outs, k=3) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert metrics(outs, k=3)["eff"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_custom_budget(self):
-        assert efficiency([outcome(k=2, rows=1, selected="LONG_CALL")],
-                          k=4) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            efficiency([])
+        assert metrics([outcome(k=2, rows=1, selected="LONG_CALL")],
+                       k=4)["eff"] == pytest.approx(0.5)
 
 
 class TestValidityRate:
@@ -91,11 +85,7 @@ class TestValidityRate:
         outs = [outcome(k=1, rows=1, selected="LONG_CALL"),
                 outcome(k=2, rows=4, selected="STRADDLE"),
                 outcome()]
-        assert validity_rate(outs) == pytest.approx(2.0 / 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            validity_rate([])
+        assert metrics(outs)["vr"] == pytest.approx(2.0 / 3.0)
 
 
 class TestStrategyMatch:
@@ -109,28 +99,20 @@ class TestStrategyMatch:
         ]
 
     def test_solved_denominator(self):
-        assert strategy_match(self.make(), "solved") == pytest.approx(0.5)
+        assert metrics(self.make())["sm_conditional"] == pytest.approx(0.5)
 
     def test_all_denominator_counts_unsolved_as_misses(self):
-        assert strategy_match(self.make(), "all") == pytest.approx(1.0 / 3.0)
+        assert metrics(self.make())["sm_unconditional"] == pytest.approx(
+            1.0 / 3.0)
 
     def test_gold_labels_are_normalized_before_comparing(self):
         outs = [outcome(gold="bull call spread", k=1, rows=1,
                         selected="BULL_CALL_SPREAD")]
-        assert strategy_match(outs, "solved") == 1.0
+        assert metrics(outs)["sm_conditional"] == 1.0
 
     def test_no_solved_cases(self):
-        with pytest.raises(NoSolvedCases):
-            strategy_match([outcome(), outcome()], "solved")
-        assert strategy_match([outcome(), outcome()], "all") == 0.0
-
-    def test_bad_denominator(self):
-        with pytest.raises(ValueError, match="denominator"):
-            strategy_match(self.make(), "best")
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            strategy_match([])
+        assert metrics([outcome(), outcome()])["sm_conditional"] is None
+        assert metrics([outcome(), outcome()])["sm_unconditional"] == 0.0
 
 
 class TestAvgRows:
@@ -138,15 +120,10 @@ class TestAvgRows:
         outs = [outcome(k=1, rows=3, selected="LONG_CALL"),
                 outcome(k=2, rows=7, selected="LONG_CALL"),
                 outcome()]
-        assert avg_rows(outs) == pytest.approx(5.0)
+        assert metrics(outs)["avg_rows"] == pytest.approx(5.0)
 
     def test_no_solved_cases(self):
-        with pytest.raises(NoSolvedCases):
-            avg_rows([outcome()])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            avg_rows([])
+        assert metrics([outcome()])["avg_rows"] is None
 
 
 class TestNormalizeFamily:
@@ -282,8 +259,6 @@ class TestLoadCases:
         cases = load_cases(self.write(tmp_path, lines))
         assert [c.id for c in cases] == ["a", "b"]
         assert cases[0].attempts == ("q1", "q2")
-        assert cases[0].sa_grade is None
-        assert cases[1].sa_grade == 0.5
 
     def test_bad_json_reports_the_line(self, tmp_path):
         lines = [
@@ -303,6 +278,19 @@ class TestLoadCases:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(EmptyInput, match="no cases"):
             load_cases(self.write(tmp_path, [""]))
+
+    @pytest.mark.parametrize("grade", ["0.9", '"high"', "true", "1" + "0" * 400],
+                             ids=["number", "text", "boolean", "past-float-range"])
+    def test_sa_grade_is_ignored_like_any_unknown_key(self, tmp_path,
+                                                      monkeypatch, grade):
+        case = {"id": "a", "intent": "i", "gold_strategy": "LONG_CALL",
+                "chain": "c.csv", "attempts": ["SELECT LONG_CALL FROM SYN"]}
+        plain = load_cases(self.write(tmp_path, [json.dumps(case)]))
+        graded = load_cases(self.write(
+            tmp_path, [json.dumps(case)[:-1] + f', "sa_grade": {grade}}}']))
+        assert graded == plain
+        monkeypatch.setattr(evalkit, "load_snapshot", lambda p: tiny_snapshot())
+        assert evaluate(graded) == evaluate(plain)
 
 
 # ============================================================

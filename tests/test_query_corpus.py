@@ -145,7 +145,7 @@ def outcome_text(text: str) -> str:
     except OqlError as exc:
         return f"{printed}\n{exc.stage}:{exc}"
     return (f"{printed}\nvalid:{vq.schema.name}:{vq.per_role_conditions}:"
-            f"{vq.strategy_conditions}")
+            f"{vq.ast.having}")
 
 
 def _digest(text: str) -> str:
