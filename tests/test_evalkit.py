@@ -51,12 +51,6 @@ def tiny_snapshot():
 # ============================================================
 
 
-class TestMetrics:
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput, match="no outcomes"):
-            metrics([])
-
-
 class TestEfficiency:
     def test_first_try_with_budget_three(self):
         got = metrics([outcome(k=1, rows=1, selected="LONG_CALL")], k=3)["eff"]
@@ -79,6 +73,10 @@ class TestEfficiency:
         assert metrics([outcome(k=2, rows=1, selected="LONG_CALL")],
                        k=4)["eff"] == pytest.approx(0.5)
 
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="no outcomes"):
+            metrics([])
+
 
 class TestValidityRate:
     def test_fraction_solved(self):
@@ -86,6 +84,10 @@ class TestValidityRate:
                 outcome(k=2, rows=4, selected="STRADDLE"),
                 outcome()]
         assert metrics(outs)["vr"] == pytest.approx(2.0 / 3.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="no outcomes"):
+            metrics([])
 
 
 class TestStrategyMatch:
@@ -114,6 +116,10 @@ class TestStrategyMatch:
         assert metrics([outcome(), outcome()])["sm_conditional"] is None
         assert metrics([outcome(), outcome()])["sm_unconditional"] == 0.0
 
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="no outcomes"):
+            metrics([])
+
 
 class TestAvgRows:
     def test_mean_over_solved_only(self):
@@ -124,6 +130,10 @@ class TestAvgRows:
 
     def test_no_solved_cases(self):
         assert metrics([outcome()])["avg_rows"] is None
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput, match="no outcomes"):
+            metrics([])
 
 
 class TestNormalizeFamily:
