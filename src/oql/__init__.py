@@ -10,6 +10,7 @@ as oql.syntax, loads no numpy, and oql.backtest does not load the engine.
 """
 
 import importlib
+import types
 
 from .catalog import (
     RoleSpec,
@@ -48,6 +49,11 @@ _LAZY = {
     "load_cases": "evalkit",
 }
 
+# the names imported above (not the submodules they bind) and the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)] + list(_LAZY))
+
 
 def __getattr__(name: str):
     if name not in _LAZY:
@@ -55,37 +61,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
-
-__all__ = [
-    "CaseOutcome",
-    "ChainSnapshot",
-    "ContractRecord",
-    "EvalCase",
-    "GreeksVector",
-    "MarketParams",
-    "OqlError",
-    "QueryAst",
-    "ResultSet",
-    "RoleSpec",
-    "RunConfig",
-    "StrategySchema",
-    "StructuralRule",
-    "ValidatedQuery",
-    "bsm_price",
-    "catalog",
-    "evaluate",
-    "execute",
-    "generate_path",
-    "generate_synthetic",
-    "greeks",
-    "implied_vol",
-    "load_cases",
-    "load_config",
-    "load_snapshot",
-    "lookup",
-    "parse_text",
-    "pretty_print",
-    "result_to_json",
-    "save_snapshot",
-    "validate",
-]

@@ -202,7 +202,7 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
     dates: list[_dt.date] = []
     pnl: list[float] = []
     day = entry
-    while day <= effective_exit:
+    while True:
         if day not in spots:
             raise MissingSpot(f"no spot for {day}")
         spot = spots[day]
@@ -227,6 +227,10 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
             total += qd * (value - entry_price)
         dates.append(day)
         pnl.append(total * mult)
+        # stop on the last day rather than step past it: the window may end
+        # on date.max
+        if day == effective_exit:
+            break
         day += one_day
     entry_cash = _finite(entry_cash_of(position, mult),
                          f"{position.label}: entry cash")

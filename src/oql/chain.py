@@ -435,7 +435,8 @@ def _check_json_kinds(keys, values, row: int) -> None:
 def _json_object(line: str, row: int) -> dict:
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an int too long
+    # JSONDecodeError, an int too long, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad JSON: {exc}", row) from None
     if not isinstance(obj, dict):
         raise FormatError("each line must hold a JSON object", row)
@@ -536,26 +537,25 @@ def _csv_record_line(rec: ContractRecord) -> str:
 
 
 def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
-    """Canonical file text for a snapshot (excluded records are dropped)."""
+    """Canonical file text for a snapshot (excluded records are dropped).
+
+    The metadata line holds _META_KEYS, the date as text: CSV writes the
+    numbers with format_number, JSONL keeps them as JSON numbers.
+    """
+    meta = {key: getattr(snapshot, key) for key in _META_KEYS}
+    meta = {key: format_date(value) if isinstance(value, _dt.date) else value
+            for key, value in meta.items()}
     if fmt == "csv":
-        meta = (f"{_META_PREFIX}underlying={snapshot.underlying} "
-                f"as_of={format_date(snapshot.as_of)} "
-                f"spot={format_number(snapshot.spot)} "
-                f"rate={format_number(snapshot.rate)}")
-        lines = [meta, CSV_HEADER]
+        lines = [_META_PREFIX + " ".join(
+            f"{key}={value if isinstance(value, str) else format_number(value)}"
+            for key, value in meta.items()), CSV_HEADER]
         lines.extend(_csv_record_line(r) for r in snapshot.records)
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        head = json.dumps({"meta": {
-            "underlying": snapshot.underlying,
-            "as_of": format_date(snapshot.as_of),
-            "spot": snapshot.spot,
-            "rate": snapshot.rate,
-        }})
-        lines = [head]
+    elif fmt == "jsonl":
+        lines = [json.dumps({"meta": meta})]
         lines.extend(json.dumps(_stored(r)) for r in snapshot.records)
-        return "\n".join(lines) + "\n"
-    raise FormatError(f"unknown snapshot format {fmt!r}")
+    else:
+        raise FormatError(f"unknown snapshot format {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 def save_snapshot(snapshot: ChainSnapshot, path: str) -> None:

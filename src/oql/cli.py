@@ -175,7 +175,8 @@ def cmd_backtest(args: argparse.Namespace, config: RunConfig) -> Outcome:
     with open(args.results, "r", encoding="utf-8") as fh:
         try:
             results_doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        # not JSON, not UTF-8, or nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise BacktestError(f"{args.results} is not a JSON document: {exc}") from None
     positions = bt.positions_from_results(results_doc)
     spots = bt.load_spots(args.spots)

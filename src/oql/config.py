@@ -116,7 +116,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an int too long
+        # JSONDecodeError, an int too long, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -33,7 +33,7 @@ from .catalog import RULES, RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
 from .errors import CombinatorialBudgetExceeded, EngineError, UnderlyingMismatch
-from .fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
+from .fields import AGGREGATE_FIELDS, AGGREGATE_GROUPS, MONEYNESS_VALUES
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
 
@@ -305,17 +305,6 @@ def assemble(vq: ValidatedQuery, candidates: Candidates,
 # ============================================================
 
 
-# the kernel group each aggregate comes from: entry cash, one net Greek,
-# the payoff extremes, the breakevens or the strike width
-_GROUP = {
-    "net_debit": "entry", "net_credit": "entry",
-    **{f"net_{greek}": greek for greek in GREEK_FIELDS},
-    "max_loss": "extremes", "max_profit": "extremes", "rr_ratio": "extremes",
-    "breakeven_low": "breakevens", "breakeven_high": "breakevens",
-    "width": "width",
-}
-
-
 def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
                        rows: np.ndarray, config: RunConfig,
                        fields=AGGREGATE_FIELDS) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -336,7 +325,7 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
     mult = config.multiplier
     qd = [role.quantity * role.direction for role in schema.roles]
     index = rows.T.astype(np.intp)
-    groups = {_GROUP[field] for field in fields}
+    groups = {AGGREGATE_GROUPS[field] for field in fields}
 
     gathered: dict[str, list[np.ndarray]] = {}
 
@@ -427,8 +416,9 @@ def eval_strat_condition(cond: StratCondition, aggregates: dict,
 def _group_fields(read) -> list[str]:
     """Every field of the kernel groups the fields in `read` come from,
     in AGGREGATE_FIELDS order: a group's kernel yields them all at once."""
-    groups = {_GROUP[field] for field in read}
-    return [field for field in AGGREGATE_FIELDS if _GROUP[field] in groups]
+    groups = {AGGREGATE_GROUPS[field] for field in read}
+    return [field for field, group in AGGREGATE_GROUPS.items()
+            if group in groups]
 
 
 def _concat_columns(parts: list[dict], fields: list[str]) -> dict:

@@ -71,7 +71,9 @@ def load_cases(path: str) -> list[EvalCase]:
             where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int too long
+            # JSONDecodeError, an int too long, or nesting past the
+            # recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise EvalError(f"{where}: bad JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise EvalError(f"{where}: a case must be a JSON object")
@@ -82,7 +84,9 @@ def load_cases(path: str) -> list[EvalCase]:
                     raise EvalError("attempts must be a list of strings")
                 text = {key: obj[key] for key in _CASE_TEXT_KEYS}
                 for key, value in text.items():
-                    if not isinstance(value, str):
+                    # a NUL cannot be in a file path
+                    if not isinstance(value, str) or (
+                            key == "chain" and "\0" in value):
                         raise EvalError(f"bad {key} {value!r}")
                 cases.append(EvalCase(**text, attempts=tuple(attempts)))
             except KeyError as exc:

@@ -24,20 +24,19 @@ CATEGORICAL_LEG_FIELDS = frozenset({"Moneyness"})
 
 MONEYNESS_VALUES = ("ITM", "ATM", "OTM")
 
-AGGREGATE_FIELDS = (
-    "net_debit",
-    "net_credit",
-    "net_delta",
-    "net_gamma",
-    "net_vega",
-    "net_theta",
-    "max_loss",
-    "max_profit",
-    "rr_ratio",
-    "width",
-    "breakeven_low",
-    "breakeven_high",
-)
+# each aggregate field, in output order, -> the kernel group that computes
+# it: entry cash, one net Greek, the payoff extremes, the breakevens or the
+# strike width
+AGGREGATE_GROUPS = {
+    "net_debit": "entry", "net_credit": "entry",
+    "net_delta": "delta", "net_gamma": "gamma",
+    "net_vega": "vega", "net_theta": "theta",
+    "max_loss": "extremes", "max_profit": "extremes", "rr_ratio": "extremes",
+    "width": "width",
+    "breakeven_low": "breakevens", "breakeven_high": "breakevens",
+}
+
+AGGREGATE_FIELDS = tuple(AGGREGATE_GROUPS)
 
 _AGGREGATE_SET = frozenset(AGGREGATE_FIELDS)
 

@@ -907,8 +907,9 @@ def oracle_mark_path(position: Position, spots: dict, entry: dt.date,
             f"{position.label}: entry {entry} is after effective exit "
             f"{effective_exit}")
     dates, pnl = [], []
-    day = entry
-    while day <= effective_exit:
+    # by ordinal, so a window that ends on date.max never steps past it
+    for ordinal in range(entry.toordinal(), effective_exit.toordinal() + 1):
+        day = dt.date.fromordinal(ordinal)
         if day not in spots:
             raise MissingSpot(f"no spot for {day}")
         total = 0.0
@@ -933,7 +934,6 @@ def oracle_mark_path(position: Position, spots: dict, entry: dt.date,
             total += leg.quantity * leg.direction * (value - leg.entry_price)
         dates.append(day)
         pnl.append(total * config.multiplier)
-        day += dt.timedelta(days=1)
     return PnLPath(label=position.label, dates=tuple(dates), pnl=tuple(pnl),
                    entry_cash=entry_cash_of(position, config.multiplier))
 

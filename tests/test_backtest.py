@@ -322,6 +322,18 @@ class TestMarkPathOracle:
         assert got.entry_cash == want.entry_cash
         return got
 
+    def test_a_window_may_end_on_the_last_date(self):
+        # the last day is marked, and neither walk steps past date.max
+        last = dt.date.max
+        position = Position("p", (PositionLeg(
+            direction=1, option_type="call", strike=100.0, expiry=last,
+            quantity=1, entry_price=5.0, entry_iv=0.25),))
+        spots = {last - dt.timedelta(days=i): 100.0 for i in range(3)}
+        path = self.assert_same(position, spots, last - dt.timedelta(days=2),
+                                last)
+        assert path.dates == tuple(sorted(spots))
+        assert path.final_pnl() == -500.0
+
     @pytest.mark.parametrize("iv_policy", IV_POLICIES)
     def test_random_positions_mark_as_the_oracle_does(self, iv_policy):
         rng = random.Random(2027)

@@ -854,6 +854,9 @@ def _case(**changes):
 # refuses to write one, so it is spliced into the text in place of 0
 _HUGE_INT = "1" + "0" * 5000
 
+# a JSON array nested past the interpreter's recursion limit
+_DEEP = "[" * 200000 + "]" * 200000 + "\n"
+
 
 def _huge(key: str, text):
     """`text` (a string or a function of the fixture directory) with the
@@ -948,6 +951,8 @@ BAD_INPUT = [
     ("config-all-three", {"cfg.json": '{"multiplier": true, "rate": false, '
                                       '"combinatorial_cap": 2.5}'},
      _PARSE, "config", "multiplier must be a number"),
+    ("config-nested-past-recursion-limit", {"cfg.json": _DEEP}, _PARSE,
+     "config", "cfg.json is not valid JSON"),
     ("spots-close-text", {"s.csv": "date,close\n2025-06-02,abc\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: row 2: bad close 'abc'"),
     ("spots-bad-date", {"s.csv": "date,close\n2025-13-02,100\n"},
@@ -984,6 +989,9 @@ BAD_INPUT = [
      _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
     ("results-not-utf8", {"r.json": b"\xff\xfe{}"},
      _backtest(results="{tmp}/r.json"), "backtest", "is not a JSON document"),
+    ("results-nested-past-recursion-limit", {"r.json": _DEEP},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "r.json is not a JSON document"),
     ("results-not-object", {"r.json": "[1, 2]"},
      _backtest(results="{tmp}/r.json"), "backtest", "a 'strategies' list"),
     ("results-strategies-string", {"r.json": '{"strategies": "x"}'},
@@ -1070,6 +1078,10 @@ BAD_INPUT = [
      "label 'iron butterfly' maps to no catalog family"),
     ("eval-chain-list", {"cases.jsonl": _case(chain=["c.csv"])}, _EVAL,
      "eval", "cases.jsonl:1: bad chain ['c.csv']"),
+    ("eval-chain-nul", {"cases.jsonl": _case(chain="a\0b.csv")}, _EVAL,
+     "eval", "cases.jsonl:1: bad chain 'a\\x00b.csv'"),
+    ("eval-nested-past-recursion-limit", {"cases.jsonl": _DEEP}, _EVAL,
+     "eval", "cases.jsonl:1: bad JSON"),
     ("eval-attempts-empty", {"cases.jsonl": _case(attempts=[])}, _EVAL,
      "eval", "cases.jsonl:1: case 'c1' has no attempts"),
     ("eval-chain-load-names-the-file",
@@ -1129,6 +1141,8 @@ BAD_INPUT = [
      {"c.jsonl": _huge("volume", _jsonl_chain(volume=0))},
      _run_chain("c.jsonl"), "load",
      "row 2: bad JSON: Exceeds the limit (4300 digits)"),
+    ("chain-jsonl-nested-past-recursion-limit", {"c.jsonl": _DEEP},
+     _run_chain("c.jsonl"), "load", "row 1: bad JSON"),
     ("chain-jsonl-strike-past-float-range",
      {"c.jsonl": _jsonl_chain(strike=10 ** 400)},
      _run_chain("c.jsonl"), "load",

@@ -1,9 +1,9 @@
 """Generated input through cli.main: every run ends in a defined outcome.
 
-Hypothesis draws query text, config files, spot CSVs and case files, most
-well formed or one defect away from it and some arbitrary, and runs `oql`
-in process over a small generated chain. Chain files have their own byte
-gate in test_load_corpus.py. Every run must exit 0, 1 or 2 with no
+Hypothesis draws query text, config files, spot CSVs, results documents
+and case files, most well formed or one defect away from it and some
+arbitrary, and runs `oql` in process over a small generated chain. Chain
+files have their own byte gate in test_load_corpus.py. Every run must exit 0, 1 or 2 with no
 traceback. On exit 1 stdout is empty and stderr is one `error [stage]:
 ...` diagnostic or an argparse usage error. On exit 0 or 2 stderr is
 empty and stdout is strict JSON, without NaN or Infinity.
@@ -279,6 +279,46 @@ def test_spot_csv(fuzz_dir, spots, exit_date):
     check_outcome(*run_cli([
         "backtest", "--results", str(fuzz_dir / "results.json"),
         "--spots", path, "--entry", AS_OF, "--exit", exit_date]))
+
+
+# ============================================================
+# Results documents
+# ============================================================
+
+_ODD_RESULT_VALUES = st.sampled_from((
+    None, True, False, 1e308, -1e308, 10 ** 400, "", (), {}, "9999-12-31"))
+
+
+def key_paths(doc, path=()) -> list[tuple]:
+    """The path of every object key and list position in a JSON document,
+    each container before what it holds."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(path + (key,))
+        paths += key_paths(value, path + (key,))
+    return paths
+
+
+@_FUZZ
+@given(data=st.data(), exit_date=st.sampled_from(("2025-06-09", "2025-06-22")))
+def test_results_file(fuzz_dir, data, exit_date):
+    """The fixture's results document with one key set to an odd value."""
+    doc = json.loads((fuzz_dir / "results.json").read_text(encoding="utf-8"))
+    *parents, key = data.draw(st.sampled_from(key_paths(doc)))
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = data.draw(_ODD_RESULT_VALUES)
+    path = write(fuzz_dir, "results.json", json.dumps(doc))
+    check_outcome(*run_cli([
+        "backtest", "--results", path, "--spots", str(fuzz_dir / "spots.csv"),
+        "--entry", AS_OF, "--exit", exit_date]))
 
 
 # ============================================================
