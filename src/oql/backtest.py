@@ -95,6 +95,12 @@ def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
     if quantity < 1 or quantity % 1 != 0:
         raise BacktestError(
             f"quantity must be a whole number >= 1, got {leg['quantity']!r}")
+    role = schema.role(leg["role"])
+    if (direction, quantity) != (role.direction, role.quantity):
+        raise BacktestError(
+            f"{schema.name} role {role.id!r} has direction {role.direction} "
+            f"and quantity {role.quantity}, got {leg['direction']!r} and "
+            f"{leg['quantity']!r}")
     strike = finite_number(leg["strike"], "strike")
     if strike <= 0.0:
         raise BacktestError(f"strike must be > 0, got {leg['strike']!r}")
@@ -104,9 +110,8 @@ def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
     if iv < 0.0:
         raise BacktestError(f"iv must be >= 0, got {leg['iv']!r}")
     return PositionLeg(
-        direction=int(direction),
-        option_type=schema.role(leg["role"]).option_type,
-        strike=strike, expiry=expiry, quantity=int(quantity),
+        direction=role.direction, option_type=role.option_type,
+        strike=strike, expiry=expiry, quantity=role.quantity,
         entry_price=entry_price, entry_iv=iv)
 
 
@@ -148,10 +153,9 @@ def load_spots(path: str) -> dict[_dt.date, float]:
 
 
 def entry_cash_of(position: Position, multiplier: float) -> float:
-    total = 0.0
-    for leg in position.legs:
-        total += leg.quantity * leg.direction * leg.entry_price
-    return total * multiplier
+    legs = position.legs
+    return pricing.leg_sum([leg.quantity * leg.direction for leg in legs],
+                           [leg.entry_price for leg in legs]) * multiplier
 
 
 def _finite(value: float, figure: str) -> float:

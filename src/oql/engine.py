@@ -315,27 +315,19 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
     Only the kernel groups the fields need run; the payoff kernels run
     only for max_profit, max_loss, rr_ratio and the breakevens. Cash
     aggregates and net Greeks are scaled by the contract multiplier.
-    Sums run role by role in role order, so each value is bit-identical
-    whatever the batch size and whichever other fields are asked for. An
+    Every sum over roles is a pricing.leg_sum over (n_roles, m) gathers. An
     unavailable aggregate (it fails HAVING and sorts last) reads 0.0 with
     available False; +inf marks an unbounded payoff side and stays
     comparable.
     """
-    m, n = rows.shape
+    m = len(rows)
     mult = config.multiplier
     qd = [role.quantity * role.direction for role in schema.roles]
-    index = rows.T.astype(np.intp)
+    index = rows.T.astype(np.intp, order="C")  # each role's row contiguous
     groups = {AGGREGATE_GROUPS[field] for field in fields}
+    # column `name` of every role as one (n_roles, m) array, gathered once
+    gather = functools.cache(lambda name: columns[name][index])
 
-    gathered: dict[str, list[np.ndarray]] = {}
-
-    def gather(name: str) -> list[np.ndarray]:
-        """Column `name` of every role, one (m,) array per role."""
-        if name not in gathered:
-            gathered[name] = [columns[name][index[j]] for j in range(n)]
-        return gathered[name]
-
-    every = np.ones(m, dtype=bool)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     # a kernel step that overflows or makes a NaN refuses the query, naming
     # the figure it was making: no NaN or +-inf but the unbounded marker
@@ -347,10 +339,7 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
 
     with np.errstate(over="call", invalid="call", call=refuse):
         if groups & {"entry", "extremes"}:
-            entry = np.zeros(m)
-            for j, price in enumerate(gather("price")):
-                entry = entry + qd[j] * price
-            entry_cash = entry * mult
+            entry_cash = pricing.leg_sum(qd, gather("price")) * mult
             # zero-cost structures count as debit
             out["net_debit"] = (np.where(entry_cash > 0.0, entry_cash, 0.0),
                                 entry_cash >= 0.0)
@@ -359,22 +348,18 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
         for greek in GREEK_FIELDS:
             if greek in groups:
                 figure = f"net_{greek}"
-                total, ok = np.zeros(m), every
-                for j, (value, known) in enumerate(zip(gather(greek),
-                                                       gather(f"{greek}_ok"))):
-                    total = total + qd[j] * value
-                    ok = ok & known
-                out[f"net_{greek}"] = (total * mult, ok)
+                out[f"net_{greek}"] = (pricing.leg_sum(qd, gather(greek)) * mult,
+                                       gather(f"{greek}_ok").all(axis=0))
 
         if groups & {"extremes", "breakevens"}:
             # different expiries: no terminal payoff; worst case for a debit
             # structure is losing the debit, nothing is claimed for credits
             figure = "terminal payoff"
             expiry = gather("expiry")
-            single = np.logical_and.reduce([e == expiry[0] for e in expiry])
+            single = (expiry == expiry[0]).all(axis=0)
             knots, values, slope = pricing.payoff_at_knots(
                 qd, [role.option_type == "call" for role in schema.roles],
-                np.stack(gather("strike")), np.stack(gather("price")))
+                gather("strike"), gather("price"))
             if "extremes" in groups:
                 max_profit, max_loss = pricing.payoff_extremes(values, slope)
                 profit, profit_ok = max_profit * mult, single
@@ -395,8 +380,8 @@ def compute_aggregates(schema: StrategySchema, columns: dict[str, np.ndarray],
 
     if "width" in groups:
         strike = gather("strike")
-        out["width"] = (np.maximum.reduce(strike) - np.minimum.reduce(strike),
-                        every)
+        out["width"] = (strike.max(axis=0) - strike.min(axis=0),
+                        np.ones(m, dtype=bool))
     return {field: out[field] for field in AGGREGATE_FIELDS if field in fields}
 
 

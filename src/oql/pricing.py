@@ -279,15 +279,19 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
 # only repeats a value.
 
 
-def _sorted_rows(rows: list) -> list:
-    """Each column of the stacked rows in ascending order (odd-even
-    transposition network; min and max move values without rounding)."""
-    rows = list(rows)
-    for sweep in range(len(rows)):
-        for i in range(sweep % 2, len(rows) - 1, 2):
-            rows[i], rows[i + 1] = (np.minimum(rows[i], rows[i + 1]),
-                                    np.maximum(rows[i], rows[i + 1]))
-    return rows
+def leg_sum(qd, values):
+    """The sum of qd[j] * values[j], each term added in leg order from 0.0.
+
+    The one summation rule of every figure summed over legs (entry cash,
+    net Greeks, terminal payoff, a backtest's entry cash): a basket summed
+    alone as floats and in a block of baskets as arrays gives the same
+    double, whatever the block size. values is a sequence of floats or of
+    arrays, or an array read along its first axis.
+    """
+    total = 0.0
+    for q, value in zip(qd, values):
+        total = total + q * value
+    return total
 
 
 def payoff_at_knots(qd, is_call, strike, premium):
@@ -296,18 +300,21 @@ def payoff_at_knots(qd, is_call, strike, premium):
     Leg j has quantity * direction qd[j] and is a call where is_call[j];
     strike and premium are (n_legs, m). knots is (n_legs + 1, m): 0 then
     the basket's strikes ascending. values holds the net terminal PnL per
-    share at each knot: the sum of qd * (intrinsic - premium), added leg
-    by leg in leg order. slope is the payoff slope as spot -> +inf: the
-    sum of qd over call legs.
+    share at each knot: the leg_sum of intrinsic - premium. slope is the
+    payoff slope as spot -> +inf: the sum of qd over call legs.
     """
-    m = strike.shape[1]
-    knots = np.stack([np.zeros(m)] + _sorted_rows(strike))
-    values = np.zeros_like(knots)
-    for q, call, k, p in zip(qd, is_call, strike, premium):
-        intrinsic = np.maximum(knots - k if call else k - knots, 0.0)
-        values = values + q * (intrinsic - p)
-    slope = np.full(m, float(sum(q for q, call in zip(qd, is_call) if call)))
-    return knots, values, slope
+    n, m = strike.shape
+    knots = np.zeros((n + 1, m))
+    knots[1:] = strike
+    # odd-even transposition network over rows 1..n, each sweep's disjoint
+    # pairs at once; min and max move values without rounding
+    for sweep in range(n):
+        a, b = slice(1 + sweep % 2, n, 2), slice(2 + sweep % 2, None, 2)
+        knots[a], knots[b] = (np.minimum(knots[a], knots[b]),
+                              np.maximum(knots[a], knots[b]))
+    values = leg_sum(qd, (np.maximum(knots - k if call else k - knots, 0.0) - p
+                          for call, k, p in zip(is_call, strike, premium)))
+    return knots, values, np.full(m, leg_sum(qd, is_call))
 
 
 def payoff_extremes(values, slope):

@@ -607,6 +607,22 @@ class TestPositionAdapters:
         with pytest.raises(BacktestError, match="carries no iv"):
             positions_from_results(doc)
 
+    @pytest.mark.parametrize("index,key,value,message", [
+        (0, "direction", -1, "role 'L' has direction 1 and quantity 1, "
+                             "got -1 and 1"),
+        (1, "quantity", 3, "role 'S' has direction -1 and quantity 1, "
+                           "got -1 and 3"),
+        (1, "direction", 1.0, "role 'S' has direction -1 and quantity 1, "
+                              "got 1.0 and 1"),
+    ])
+    def test_a_leg_that_is_not_its_catalog_role_is_rejected(
+            self, index, key, value, message):
+        _, doc = small_result_doc()
+        doc["strategies"][0]["legs"][index][key] = value
+        with pytest.raises(BacktestError) as err:
+            positions_from_results(doc)
+        assert str(err.value) == f"strategy 1: BULL_CALL_SPREAD {message}"
+
 
 # ============================================================
 # Spot series loading and cohorts

@@ -1019,6 +1019,10 @@ BAD_INPUT = [
     ("leg-direction-two", {"r.json": _first_leg(direction=2)},
      _backtest(results="{tmp}/r.json"), "backtest",
      "direction must be 1 or -1, got 2"),
+    ("leg-direction-not-the-roles", {"r.json": _first_leg(direction=-1)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD role 'L' has direction 1 and quantity 1, "
+     "got -1 and 1"),
     ("leg-unknown-role", {"r.json": _first_leg(role="ZZ")},
      _backtest(results="{tmp}/r.json"), "backtest",
      "BULL_CALL_SPREAD has no role 'ZZ'"),

@@ -5,6 +5,7 @@ The normal CDF and density and the d+/d- pair are the oracle's pieces in
 tests/helpers.py; their frozen references keep the composed oracle, and
 through it bsm_price and greeks, pointed at 50-digit values."""
 
+import functools
 import math
 import re
 from dataclasses import astuple
@@ -673,3 +674,49 @@ def test_brent_out_of_steps_is_nonconvergence():
 
     with pytest.raises(NonConvergence, match="200 Brent steps"):
         pricing._brent(step, -1e300, 1e300, -1.0, 1.0)
+
+
+# ============================================================
+# leg_sum: the one summation rule over legs
+# ============================================================
+
+
+def _left_fold(qd, terms):
+    """sum(q * term) as a left fold from 0.0, one Python float at a time."""
+    return functools.reduce(lambda total, qt: total + qt[0] * qt[1],
+                            zip(qd, terms), 0.0)
+
+
+_TERM = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.1)),
+                  st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(0, 6))
+def test_leg_sum_is_a_left_fold_from_zero_on_floats_and_arrays(data, n, m):
+    """Each basket of a block (one column of an (n_legs, m) array or of a
+    list of rows) sums to the double its floats fold to alone."""
+    qd = data.draw(st.lists(st.sampled_from((1, -1, 2, -2)), min_size=n,
+                            max_size=n))
+    columns = [data.draw(st.lists(_TERM, min_size=n, max_size=n))
+               for _ in range(m)]
+    expected = [_left_fold(qd, column).hex() for column in columns]
+    assert [pricing.leg_sum(qd, column).hex() for column in columns] == expected
+    block = np.array(columns, dtype=float).reshape(m, n).T
+    for values in (block, list(block)):
+        assert [x.hex() for x in pricing.leg_sum(qd, values).tolist()] == expected
+
+
+@pytest.mark.parametrize("qd,terms,expected", [
+    ([1], [-0.0], "0x0.0p+0"),              # 0.0 + -0.0 is +0.0
+    ([1, -1], [-0.0, 0.0], "0x0.0p+0"),
+    ([2, -1], [0.1, 0.2], "0x0.0p+0"),      # 2 * 0.1 - 0.2 cancels exactly
+    ([1, 1, -1], [0.1, 0.2, 0.3], (0.1 + 0.2 - 0.3).hex()),
+    ([-1, 1, 1], [0.3, 0.1, 0.2], (-0.3 + 0.1 + 0.2).hex()),
+])
+def test_leg_sum_keeps_leg_order_and_the_zero_start(qd, terms, expected):
+    """Leg order is part of the value: the same terms in another order give
+    another double, and an all -0.0 basket sums to +0.0."""
+    assert pricing.leg_sum(qd, terms).hex() == expected
+    column = np.array(terms, dtype=float)[:, None]
+    assert pricing.leg_sum(qd, column)[0].hex() == expected
