@@ -17,7 +17,7 @@ from . import pricing
 from .catalog import StrategySchema, lookup
 from .chain import DAYS_PER_YEAR, ChainSnapshot, finite_number, required_date
 from .config import RunConfig
-from .errors import BacktestError, FormatError, MissingSpot, UnknownStrategy
+from .errors import BacktestError, ChainError, SchemaError
 
 RE_TAUS = (0.5, 0.9)
 
@@ -73,7 +73,7 @@ def positions_from_results(doc) -> list[Position]:
             legs = tuple(_position_leg(leg, schema) for leg in entry["legs"])
         except KeyError as exc:
             raise BacktestError(f"strategy {rank}: missing key {exc}") from None
-        except (BacktestError, FormatError, UnknownStrategy) as exc:
+        except (BacktestError, ChainError, SchemaError) as exc:
             raise BacktestError(f"strategy {rank}: {exc}") from None
         positions.append(Position(
             label=f"{entry['strategy_type']}#{rank}", legs=legs))
@@ -139,7 +139,7 @@ def load_spots(path: str) -> dict[_dt.date, float]:
         try:
             day = required_date(row[0], "date")
             close = finite_number(row[1], "close")
-        except FormatError as exc:
+        except ChainError as exc:
             raise BacktestError(f"{where}: {exc}") from None
         if not close > 0.0:
             raise BacktestError(f"{where}: close must be > 0, got {row[1]!r}")
@@ -176,7 +176,7 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
               snapshots: dict[_dt.date, ChainSnapshot] | None = None) -> PnLPath:
     """Daily PnL from entry to min(exit, earliest leg expiry), inclusive.
 
-    Every calendar day in the window needs a spot (MissingSpot otherwise).
+    Every calendar day in the window needs a spot (BacktestError otherwise).
     Legs at expiry settle to intrinsic; before expiry they are repriced at
     the policy's iv (sticky_entry: the entry iv; snapshot: looked up in the
     per-date snapshot map).
@@ -208,11 +208,11 @@ def mark_path(position: Position, spots: dict[_dt.date, float],
     day = entry
     while True:
         if day not in spots:
-            raise MissingSpot(f"no spot for {day}")
+            raise BacktestError(f"no spot for {day}")
         spot = spots[day]
         if not sticky:
             if day not in snapshots:
-                raise MissingSpot(f"no snapshot for {day}")
+                raise BacktestError(f"no snapshot for {day}")
             snapshot = snapshots[day]
             iv_map = snapshot.iv_by_contract
         ordinal = day.toordinal()

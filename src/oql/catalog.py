@@ -11,7 +11,7 @@ import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
-from .errors import TypeMismatch, UnknownField, UnknownRole, UnknownStrategy
+from .errors import SchemaError
 from .fields import (
     CATEGORICAL_LEG_FIELDS,
     MONEYNESS_VALUES,
@@ -151,12 +151,12 @@ def catalog(symmetric_wings: bool = False) -> list[StrategySchema]:
 
 
 def lookup(name: str, symmetric_wings: bool = False) -> StrategySchema:
-    """Schema by (case-insensitive) name; UnknownStrategy if absent."""
+    """Schema by (case-insensitive) name; SchemaError if absent."""
     schemas = build_catalog(symmetric_wings)
     key = name.upper()
     if key not in schemas:
         known = ", ".join(schemas)
-        raise UnknownStrategy(f"unknown strategy {name!r}; known: {known}")
+        raise SchemaError(f"unknown strategy {name!r}; known: {known}")
     return schemas[key]
 
 
@@ -204,31 +204,31 @@ class ValidatedQuery:
 
 def _check_leg_condition(cond: LegCondition, schema: StrategySchema) -> None:
     if cond.role is not None and cond.role not in schema.role_ids:
-        raise UnknownRole(
+        raise SchemaError(
             f"role {cond.role!r} is not part of {schema.name} "
             f"(roles: {', '.join(schema.role_ids)})")
     if not is_leg_field(cond.field):
-        raise UnknownField(f"unknown leg field {cond.field!r}")
+        raise SchemaError(f"unknown leg field {cond.field!r}")
     if cond.field in CATEGORICAL_LEG_FIELDS:
         if cond.op not in ("=", "!="):
-            raise TypeMismatch(
+            raise SchemaError(
                 f"{cond.field} is categorical; operator {cond.op!r} "
                 "needs a numeric field")
         if not isinstance(cond.value, str) or cond.value not in MONEYNESS_VALUES:
-            raise TypeMismatch(
+            raise SchemaError(
                 f"{cond.field} takes one of {'/'.join(MONEYNESS_VALUES)}, "
                 f"got {cond.value!r}")
     else:
         if isinstance(cond.value, str):
-            raise TypeMismatch(
+            raise SchemaError(
                 f"{cond.field} is numeric; got symbolic value {cond.value!r}")
 
 
 def _check_strat_condition(cond: StratCondition) -> None:
     if not is_aggregate_field(cond.field):
-        raise UnknownField(f"unknown aggregate field {cond.field!r}")
+        raise SchemaError(f"unknown aggregate field {cond.field!r}")
     if cond.op != "BETWEEN" and isinstance(cond.value, str):
-        raise TypeMismatch(
+        raise SchemaError(
             f"{cond.field} is numeric; got symbolic value {cond.value!r}")
 
 
@@ -248,7 +248,7 @@ def validate(ast: QueryAst, symmetric_wings: bool = False) -> ValidatedQuery:
         _check_strat_condition(cond)
     for item in ast.order_by:
         if not is_aggregate_field(item.field):
-            raise UnknownField(f"unknown sort field {item.field!r}")
+            raise SchemaError(f"unknown sort field {item.field!r}")
     return ValidatedQuery(
         ast=ast,
         schema=schema,

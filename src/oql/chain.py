@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import pricing
-from .errors import FormatError, InvariantViolation, NoSolution, NonConvergence
-from .fields import MONEYNESS_VALUES
+from .errors import ChainError, NoSolution
+from .fields import MONEYNESS_VALUES, is_underlying
 from .serialize import format_date, format_number, parse_date
 
 CSV_HEADER = ("ticker,underlying,as_of,expiry,strike,type,"
@@ -211,31 +211,31 @@ def record_columns(records) -> dict[str, np.ndarray]:
 def _validate_record(rec: ContractRecord, snapshot_underlying: str,
                      as_of: _dt.date, row: int) -> None:
     if rec.option_type not in _TYPE_CODES:
-        raise InvariantViolation(f"bad option type {rec.option_type!r}", row)
+        raise ChainError(f"bad option type {rec.option_type!r}", row)
     if rec.underlying != snapshot_underlying:
-        raise InvariantViolation(
+        raise ChainError(
             f"underlying {rec.underlying!r} does not match snapshot "
             f"{snapshot_underlying!r}", row)
     if rec.as_of != as_of:
-        raise InvariantViolation(
+        raise ChainError(
             f"as_of {rec.as_of} does not match snapshot {as_of}", row)
     if not (rec.strike > 0.0):
-        raise InvariantViolation(f"strike must be > 0, got {rec.strike}", row)
+        raise ChainError(f"strike must be > 0, got {rec.strike}", row)
     if rec.price < 0.0:
-        raise InvariantViolation(f"price must be >= 0, got {rec.price}", row)
+        raise ChainError(f"price must be >= 0, got {rec.price}", row)
     if rec.volume < 0:
-        raise InvariantViolation(f"volume must be >= 0, got {rec.volume}", row)
+        raise ChainError(f"volume must be >= 0, got {rec.volume}", row)
     if rec.expiry < rec.as_of:
-        raise InvariantViolation(
+        raise ChainError(
             f"expiry {rec.expiry} is before as_of {rec.as_of}", row)
     if rec.iv is not None and rec.iv < 0.0:
-        raise InvariantViolation(f"iv must be >= 0, got {rec.iv}", row)
+        raise ChainError(f"iv must be >= 0, got {rec.iv}", row)
     if rec.delta is not None:
         if rec.option_type == "call" and not (0.0 <= rec.delta <= 1.0):
-            raise InvariantViolation(
+            raise ChainError(
                 f"call delta must lie in [0, 1], got {rec.delta}", row)
         if rec.option_type == "put" and not (-1.0 <= rec.delta <= 0.0):
-            raise InvariantViolation(
+            raise ChainError(
                 f"put delta must lie in [-1, 0], got {rec.delta}", row)
 
 
@@ -246,11 +246,11 @@ def _check_duplicates(records, rows) -> None:
     for rec, row in zip(records, rows):
         key = (rec.expiry, rec.strike, rec.option_type)
         if key in contracts:
-            raise InvariantViolation(
+            raise ChainError(
                 f"duplicate contract ({rec.expiry}, {format_number(rec.strike)}, "
                 f"{rec.option_type}); first seen at row {contracts[key]}", row)
         if rec.ticker in tickers:
-            raise InvariantViolation(
+            raise ChainError(
                 f"duplicate ticker {rec.ticker!r}; first seen at row "
                 f"{tickers[rec.ticker]}", row)
         contracts[key] = tickers[rec.ticker] = row
@@ -303,7 +303,7 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
             try:
                 iv = pricing.implied_vol(spot, rate, tau, rec.strike,
                                          rec.option_type, rec.price)
-            except (NoSolution, NonConvergence) as exc:
+            except NoSolution as exc:
                 excluded.append(ExcludedRecord(rec, f"iv inversion failed: {exc}"))
                 continue
         if iv == 0.0:
@@ -331,17 +331,17 @@ def finite_number(value, what: str, row: int | None = None) -> float:
     """A number from CSV text or a JSON value; nan, inf and booleans are
     refused, and an empty text is reported missing."""
     if type(value) is bool:  # isinstance costs more per loaded cell
-        raise FormatError(f"bad {what} {value!r}", row)
+        raise ChainError(f"bad {what} {value!r}", row)
     try:
         number = float(value)
     except OverflowError:  # a JSON integer past the float range
-        raise FormatError(f"{what} must be finite, got an integer past the "
-                          "float range", row) from None
+        raise ChainError(f"{what} must be finite, got an integer past the "
+                         "float range", row) from None
     except (TypeError, ValueError):
-        raise FormatError(f"missing {what}" if value == ""
-                          else f"bad {what} {value!r}", row) from None
+        raise ChainError(f"missing {what}" if value == ""
+                         else f"bad {what} {value!r}", row) from None
     if not math.isfinite(number):
-        raise FormatError(f"{what} must be finite, got {value!r}", row)
+        raise ChainError(f"{what} must be finite, got {value!r}", row)
     return number
 
 
@@ -349,7 +349,7 @@ def required_date(text: str, what: str, row: int | None = None) -> _dt.date:
     try:
         return parse_date(text)
     except ValueError:
-        raise FormatError(f"bad {what} {text!r}; want YYYY-MM-DD", row) from None
+        raise ChainError(f"bad {what} {text!r}; want YYYY-MM-DD", row) from None
 
 
 def _record(values, row: int, empty, dates: dict) -> ContractRecord:
@@ -363,11 +363,11 @@ def _record(values, row: int, empty, dates: dict) -> ContractRecord:
      iv, delta, gamma, vega, theta) = values
     # a tuple compares by ==, so a JSON list or object is refused, not hashed
     if code not in _CODES:
-        raise FormatError(f"bad type code {code!r}; want C or P", row)
+        raise ChainError(f"bad type code {code!r}; want C or P", row)
     try:
         volume = int(volume)
     except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"bad volume {volume!r}", row) from None
+        raise ChainError(f"bad volume {volume!r}", row) from None
     # a date is never false, so `or` parses only a text not seen before
     return ContractRecord(
         ticker, underlying,
@@ -387,29 +387,29 @@ def _record(values, row: int, empty, dates: dict) -> ContractRecord:
 def _check_meta_keys(meta: dict) -> None:
     missing = set(_META_KEYS) - set(meta)
     if missing:
-        raise FormatError(f"metadata missing {', '.join(sorted(missing))}", 1)
+        raise ChainError(f"metadata missing {', '.join(sorted(missing))}", 1)
 
 
 def _csv_head(lines: list[str]) -> dict:
     """The metadata of a CSV chain whose first two lines check out."""
     if not lines[0].startswith(_META_PREFIX):
-        raise FormatError(f"first line must start with {_META_PREFIX!r}", 1)
+        raise ChainError(f"first line must start with {_META_PREFIX!r}", 1)
     meta: dict = {}
     for pair in lines[0][len(_META_PREFIX):].split():
         if "=" not in pair:
-            raise FormatError(f"bad metadata entry {pair!r}", 1)
+            raise ChainError(f"bad metadata entry {pair!r}", 1)
         key, _, value = pair.partition("=")
         meta[key] = value
     _check_meta_keys(meta)
     if len(lines) < 2 or lines[1] != CSV_HEADER:
-        raise FormatError(f"second line must be the header {CSV_HEADER!r}", 2)
+        raise ChainError(f"second line must be the header {CSV_HEADER!r}", 2)
     return meta
 
 
 def _csv_values(line: str, row: int) -> list[str]:
     values = line.split(",")
     if len(values) != len(_KEYS):
-        raise FormatError(f"expected 13 fields, got {len(values)}", row)
+        raise ChainError(f"expected 13 fields, got {len(values)}", row)
     return values
 
 
@@ -429,7 +429,7 @@ def _check_json_kinds(keys, values, row: int) -> None:
                 key == "volume" and isinstance(value, float)
                 and not value.is_integer()))
         if wrong:
-            raise FormatError(f"bad {key} {value!r}", row)
+            raise ChainError(f"bad {key} {value!r}", row)
 
 
 def _json_object(line: str, row: int) -> dict:
@@ -437,9 +437,9 @@ def _json_object(line: str, row: int) -> dict:
         obj = json.loads(line)
     # JSONDecodeError, an int too long, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
-        raise FormatError(f"bad JSON: {exc}", row) from None
+        raise ChainError(f"bad JSON: {exc}", row) from None
     if not isinstance(obj, dict):
-        raise FormatError("each line must hold a JSON object", row)
+        raise ChainError("each line must hold a JSON object", row)
     return obj
 
 
@@ -447,7 +447,7 @@ def _jsonl_head(lines: list[str]) -> dict:
     """The metadata object on the first line of a JSONL chain."""
     meta = _json_object(lines[0], 1).get("meta")
     if not isinstance(meta, dict):
-        raise FormatError('first line must be {"meta": {...}}', 1)
+        raise ChainError('first line must be {"meta": {...}}', 1)
     _check_meta_keys(meta)
     _check_json_kinds(_META_KEYS, [meta[key] for key in _META_KEYS], 1)
     return meta
@@ -457,10 +457,10 @@ def _jsonl_values(line: str, row: int) -> list:
     obj = _json_object(line, row)
     extra = obj.keys() - _KEY_SET
     if extra:
-        raise FormatError(f"unknown keys: {', '.join(sorted(extra))}", row)
+        raise ChainError(f"unknown keys: {', '.join(sorted(extra))}", row)
     missing = _KEY_SET - obj.keys()
     if missing:
-        raise FormatError(f"missing keys: {', '.join(sorted(missing))}", row)
+        raise ChainError(f"missing keys: {', '.join(sorted(missing))}", row)
     values = [obj[key] for key in _KEYS]
     _check_json_kinds(_KEYS, values, row)
     return values
@@ -472,8 +472,8 @@ def _detect_format(path: str) -> str:
         return "csv"
     if lower.endswith(".jsonl") or lower.endswith(".ndjson"):
         return "jsonl"
-    raise FormatError(f"cannot infer the snapshot format from {path!r}; "
-                      "name a .csv, .jsonl or .ndjson file")
+    raise ChainError(f"cannot infer the snapshot format from {path!r}; "
+                     "name a .csv, .jsonl or .ndjson file")
 
 
 def load_snapshot(path: str) -> ChainSnapshot:
@@ -491,7 +491,7 @@ def load_snapshot(path: str) -> ChainSnapshot:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise FormatError("empty file; missing header", 1)
+        raise ChainError("empty file; missing header", 1)
     if fmt == "csv":
         meta, first, values_of, empty = _csv_head(lines), 3, _csv_values, ""
     else:
@@ -500,7 +500,7 @@ def load_snapshot(path: str) -> ChainSnapshot:
     as_of = required_date(meta["as_of"], "as_of", 1)
     spot = finite_number(meta["spot"], "spot", 1)
     if not spot > 0.0:
-        raise FormatError(f"spot must be > 0, got {meta['spot']!r}", 1)
+        raise ChainError(f"spot must be > 0, got {meta['spot']!r}", 1)
     rate = finite_number(meta["rate"], "rate", 1)
     records: list[ContractRecord] = []
     rows: list[int] = []
@@ -554,7 +554,7 @@ def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
         lines = [json.dumps({"meta": meta})]
         lines.extend(json.dumps(_stored(r)) for r in snapshot.records)
     else:
-        raise FormatError(f"unknown snapshot format {fmt!r}")
+        raise ChainError(f"unknown snapshot format {fmt!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -588,8 +588,12 @@ def generate_synthetic(underlying: str, as_of: _dt.date, spot: float,
     ivs come from smile_vol, prices from bsm_price, Greeks from enrich, and
     volumes from a seeded generator that decays in |ln(K/S)|. The same seed
     always yields the same snapshot, byte for byte. Raises ValueError when
-    two contracts of the grid give one ticker.
+    a FROM clause cannot name the underlying or two contracts of the grid
+    give one ticker.
     """
+    if not is_underlying(underlying):
+        raise ValueError(
+            f"underlying must be upper-case ASCII letters, got {underlying!r}")
     if not expiries or not strikes:
         raise ValueError("need at least one expiry and one strike")
     rng = np.random.default_rng(seed)

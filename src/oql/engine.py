@@ -32,7 +32,7 @@ from . import pricing
 from .catalog import RULES, RoleSpec, StrategySchema, ValidatedQuery, validate
 from .chain import GREEK_FIELDS, ChainSnapshot, ContractRecord
 from .config import RunConfig
-from .errors import CombinatorialBudgetExceeded, EngineError, UnderlyingMismatch
+from .errors import CombinatorialBudgetExceeded, EngineError, SchemaError
 from .fields import AGGREGATE_FIELDS, AGGREGATE_GROUPS, MONEYNESS_VALUES
 from .serialize import format_date
 from .syntax import LegCondition, QueryAst, StratCondition, parse_text, pretty_print
@@ -506,7 +506,7 @@ def execute(query: str | QueryAst, snapshot: ChainSnapshot,
     ast = parse_text(query) if isinstance(query, str) else query
     vq = validate(ast, symmetric_wings=config.symmetric_wings)
     if ast.underlying != snapshot.underlying:
-        raise UnderlyingMismatch(
+        raise SchemaError(
             f"query is FROM {ast.underlying} but the snapshot holds "
             f"{snapshot.underlying}")
     snapshot = chain_mod.enrich(snapshot)

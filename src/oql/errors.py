@@ -5,6 +5,11 @@ it (lex, parse, validate, assemble, execute, price, load, backtest, eval,
 config), so callers and the CLI can report where a query died without
 matching on concrete types. The CLI reports a file it cannot open, read or
 write under the stage io.
+
+One class per stage: an error is an instance of its stage's class, and the
+message says what went wrong. A narrower class exists only where code in
+this package catches it to take another path: ``NoSolution``, the one
+pricing refusal that ``chain.enrich`` answers by excluding the record.
 """
 
 
@@ -12,11 +17,6 @@ class OqlError(Exception):
     """Base class for every error raised by this package."""
 
     stage = "execute"
-
-
-# ============================================================
-# Syntax
-# ============================================================
 
 
 class LexError(OqlError):
@@ -46,60 +46,40 @@ class ParseError(OqlError):
         self.expected = expected
 
 
-# ============================================================
-# Catalog / semantic validation
-# ============================================================
-
-
 class SchemaError(OqlError):
-    """A query does not fit any strategy schema."""
+    """A query does not fit its strategy schema, the field vocabulary or
+    the snapshot's underlying."""
 
     stage = "validate"
 
 
-class UnknownStrategy(SchemaError):
-    """SELECT names a strategy absent from the catalog."""
+class CombinatorialBudgetExceeded(OqlError):
+    """Raw candidate product exceeds the configured cap."""
+
+    stage = "assemble"
 
 
-class UnknownRole(SchemaError):
-    """A leg condition references a role the schema does not define."""
+class EngineError(OqlError):
+    """A query's figures cannot be computed."""
 
-
-class UnknownField(SchemaError):
-    """A condition or sort key references a field outside the vocabulary."""
-
-
-class TypeMismatch(SchemaError):
-    """Operator or value is incompatible with the field's type."""
-
-
-# ============================================================
-# Pricing
-# ============================================================
+    stage = "execute"
 
 
 class PricingError(OqlError):
+    """Inputs outside the domain of a pricing formula."""
+
     stage = "price"
 
 
-class DomainError(PricingError):
-    """Inputs outside the domain of a pricing formula (e.g. tau=0 Greeks)."""
-
-
 class NoSolution(PricingError):
-    """Observed price violates no-arbitrage bounds; no implied vol exists."""
-
-
-class NonConvergence(PricingError):
-    """Root finder failed to meet the residual tolerance inside the bracket."""
-
-
-# ============================================================
-# Chain data
-# ============================================================
+    """No implied vol reprices the observed price: it breaks the
+    no-arbitrage bounds, or the root finder cannot meet the tolerance."""
 
 
 class ChainError(OqlError):
+    """A chain file is not in the canonical format, or a record breaks a
+    chain invariant."""
+
     stage = "load"
 
     def __init__(self, message: str, row: int | None = None):
@@ -109,68 +89,12 @@ class ChainError(OqlError):
         self.row = row
 
 
-class FormatError(ChainError):
-    """File not in the canonical chain format."""
-
-
-class InvariantViolation(ChainError):
-    """A record breaks a chain invariant (bad strike, dup contract, ...)."""
-
-
-# ============================================================
-# Engine
-# ============================================================
-
-
-class EngineError(OqlError):
-    stage = "execute"
-
-
-class UnderlyingMismatch(EngineError):
-    """FROM clause names a different underlying than the snapshot."""
-
-    stage = "validate"
-
-
-class CombinatorialBudgetExceeded(EngineError):
-    """Raw candidate product exceeds the configured cap."""
-
-    stage = "assemble"
-
-
-# ============================================================
-# Backtest
-# ============================================================
-
-
 class BacktestError(OqlError):
     stage = "backtest"
 
 
-class MissingSpot(BacktestError):
-    """Spot series lacks a date inside the marking window."""
-
-
-# ============================================================
-# Evaluation kit
-# ============================================================
-
-
 class EvalError(OqlError):
     stage = "eval"
-
-
-class EmptyInput(EvalError):
-    """A metric was asked for zero cases."""
-
-
-class UnknownGoldLabel(EvalError):
-    """Gold strategy label cannot be mapped to a catalog family."""
-
-
-# ============================================================
-# Config
-# ============================================================
 
 
 class ConfigError(OqlError):

@@ -19,13 +19,7 @@ from .catalog import build_catalog
 from .chain import ChainSnapshot, load_snapshot
 from .config import RunConfig
 from .engine import execute
-from .errors import (
-    ChainError,
-    EmptyInput,
-    EvalError,
-    OqlError,
-    UnknownGoldLabel,
-)
+from .errors import ChainError, EvalError, OqlError
 
 DEFAULT_K = 3
 
@@ -94,7 +88,7 @@ def load_cases(path: str) -> list[EvalCase]:
             except EvalError as exc:
                 raise EvalError(f"{where}: {exc}") from None
     if not cases:
-        raise EmptyInput(f"{path} holds no cases")
+        raise EvalError(f"{path} holds no cases")
     return cases
 
 
@@ -106,7 +100,7 @@ def normalize_family(label: str) -> str:
     """
     name = label.strip().upper().replace("-", "_").replace(" ", "_")
     if name not in build_catalog():
-        raise UnknownGoldLabel(f"label {label!r} maps to no catalog family")
+        raise EvalError(f"label {label!r} maps to no catalog family")
     return name
 
 
@@ -158,7 +152,7 @@ def metrics(outcomes: list[CaseOutcome], k: int = DEFAULT_K) -> dict:
     metrics are None when no case was solved.
     """
     if not outcomes:
-        raise EmptyInput("no outcomes")
+        raise EvalError("no outcomes")
     solved = matches = rows = 0
     eff = 0.0
     for o in outcomes:
@@ -192,7 +186,7 @@ def evaluate(cases: list[EvalCase], base_dir: str = ".",
     OSError), is named in its error.
     """
     if not cases:
-        raise EmptyInput("no cases")
+        raise EvalError("no cases")
     if k < 1:
         raise EvalError(f"attempt budget k must be >= 1, got {k}")
     for case in cases:  # every gold label, solved or not, before any runs

@@ -1,4 +1,5 @@
-"""Field vocabulary shared by the parser, validator, and engine.
+"""Field vocabulary shared by the parser, validator, and engine, and the
+names an underlying may take.
 
 Leg fields are per-contract attributes usable in WHERE; aggregate fields are
 per-strategy attributes usable in HAVING and ORDER BY. Identifiers are
@@ -43,6 +44,11 @@ _AGGREGATE_SET = frozenset(AGGREGATE_FIELDS)
 # the fields a ~ condition can test, so an epsilon override can name
 SOFT_MATCH_FIELDS = tuple(f for f in LEG_FIELDS.values()
                           if f not in CATEGORICAL_LEG_FIELDS) + AGGREGATE_FIELDS
+
+
+def is_underlying(name: str) -> bool:
+    """True for a name a FROM clause can hold: upper-case ASCII letters."""
+    return name.isascii() and name.isalpha() and name.isupper()
 
 
 def canonical_leg_field(name: str) -> str:

@@ -6,7 +6,7 @@ Conventions used throughout the package:
   - vega is per unit of vol (a 1.00 move, not 1%)
   - at vol=0 with tau>0, prices collapse to discounted-forward intrinsic
     max(s*S - s*K*exp(-r*tau), 0), which preserves put-call parity
-  - at tau=0, prices are raw intrinsic and Greeks are undefined (DomainError)
+  - at tau=0, prices are raw intrinsic and Greeks are undefined (PricingError)
 
 bsm_price and greeks write d+, d-, N(.) and the normal density out inline,
 each product grouped as the composed oracle in tests/helpers.py groups it,
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoSolution, NonConvergence
+from .errors import NoSolution, PricingError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -32,7 +32,7 @@ IV_RESIDUAL_TOL = 1e-10
 
 def _check_option_type(option_type: str) -> None:
     if option_type not in ("call", "put"):
-        raise DomainError(f"option_type must be 'call' or 'put', got {option_type!r}")
+        raise PricingError(f"option_type must be 'call' or 'put', got {option_type!r}")
 
 
 @dataclass(frozen=True)
@@ -50,32 +50,32 @@ class MarketParams:
                 and 0.0 <= self.tau < _INF and -_INF < self.rate < _INF):
             raise self._refusal()
 
-    def _refusal(self) -> DomainError:
+    def _refusal(self) -> PricingError:
         """The first rule broken: spot > 0, vol >= 0, tau >= 0 and rate
         finite in that order, then spot, vol and tau finite."""
         if not self.spot > 0.0:
-            return DomainError(f"spot must be > 0, got {self.spot}")
+            return PricingError(f"spot must be > 0, got {self.spot}")
         if self.vol < 0.0:
-            return DomainError(f"vol must be >= 0, got {self.vol}")
+            return PricingError(f"vol must be >= 0, got {self.vol}")
         if self.tau < 0.0:
-            return DomainError(f"tau must be >= 0, got {self.tau}")
+            return PricingError(f"tau must be >= 0, got {self.tau}")
         if not -_INF < self.rate < _INF:
-            return DomainError(f"rate must be finite, got {self.rate}")
+            return PricingError(f"rate must be finite, got {self.rate}")
         name, value = next((name, value) for name, value in (
             ("spot", self.spot), ("vol", self.vol), ("tau", self.tau))
             if not value < _INF)
-        return DomainError(f"{name} must be finite, got {value}")
+        return PricingError(f"{name} must be finite, got {value}")
 
 
-def _strike_refusal(strike: float) -> DomainError:
+def _strike_refusal(strike: float) -> PricingError:
     rule = "> 0" if strike <= 0.0 else "finite"
-    return DomainError(f"strike must be {rule}, got {strike}")
+    return PricingError(f"strike must be {rule}, got {strike}")
 
 
-def _range_refusal(what: str, m: MarketParams, strike: float) -> DomainError:
-    return DomainError(f"{what} leaves the float range at spot={m.spot}, "
-                       f"strike={strike}, rate={m.rate}, vol={m.vol}, "
-                       f"tau={m.tau}")
+def _range_refusal(what: str, m: MarketParams, strike: float) -> PricingError:
+    return PricingError(f"{what} leaves the float range at spot={m.spot}, "
+                        f"strike={strike}, rate={m.rate}, vol={m.vol}, "
+                        f"tau={m.tau}")
 
 
 def bsm_price(m: MarketParams, strike: float, option_type: str) -> float:
@@ -126,7 +126,6 @@ class GreeksVector:
     gamma: float
     vega: float
     theta: float
-    rho: float
 
 
 def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
@@ -136,12 +135,11 @@ def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
         raise _strike_refusal(strike)
     spot, rate, vol, tau = m.spot, m.rate, m.vol, m.tau
     if tau == 0.0 or vol == 0.0:
-        raise DomainError("d+/d- undefined at tau=0 or vol=0")
+        raise PricingError("d+/d- undefined at tau=0 or vol=0")
     try:
-        discount = math.exp(-rate * tau)
+        discounted_strike = strike * math.exp(-rate * tau)
     except OverflowError:
-        discount = _INF
-    discounted_strike = strike * discount
+        discounted_strike = _INF
     if discounted_strike == _INF:
         raise _range_refusal("strike * exp(-rate * tau)", m, strike)
     sqrt_tau = math.sqrt(tau)
@@ -166,17 +164,14 @@ def greeks(m: MarketParams, strike: float, option_type: str) -> GreeksVector:
     if option_type == "call":
         n_minus = 0.5 * math.erfc(-d_minus / _SQRT2)
         theta = decay - rate * discounted_strike * n_minus
-        rho = strike * tau * discount * n_minus
     else:
         n_minus = 0.5 * math.erfc(d_minus / _SQRT2)
         delta -= 1.0
         theta = decay + rate * discounted_strike * n_minus
-        rho = -strike * tau * discount * n_minus
-    for name, value in (("gamma", gamma), ("vega", vega), ("theta", theta),
-                        ("rho", rho)):
+    for name, value in (("gamma", gamma), ("vega", vega), ("theta", theta)):
         if not -_INF < value < _INF:
             raise _range_refusal(name, m, strike)
-    return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta, rho=rho)
+    return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta)
 
 
 def implied_vol(spot: float, rate: float, tau: float, strike: float,
@@ -186,12 +181,12 @@ def implied_vol(spot: float, rate: float, tau: float, strike: float,
     The observed price is first checked against the no-arbitrage envelope
     attainable inside the bracket: prices below the vol->0 limit or above
     the vol->bracket-top value raise NoSolution. The root is then found
-    with Brent's method and verified to reprice within IV_RESIDUAL_TOL,
-    else NonConvergence.
+    with Brent's method and verified to reprice within IV_RESIDUAL_TOL; a
+    root that does not raises NoSolution too.
     """
     _check_option_type(option_type)
     if tau <= 0.0:
-        raise DomainError("implied vol undefined at tau <= 0")
+        raise PricingError("implied vol undefined at tau <= 0")
     if not observed_price >= 0.0:
         raise NoSolution(f"option price must be >= 0, got {observed_price}")
     lo, hi = IV_BRACKET
@@ -212,7 +207,7 @@ def implied_vol(spot: float, rate: float, tau: float, strike: float,
                   price_lo - observed_price, price_hi - observed_price)
     residual = abs(price_at(root) - observed_price)
     if residual > IV_RESIDUAL_TOL:
-        raise NonConvergence(
+        raise NoSolution(
             f"residual {residual:.3e} exceeds {IV_RESIDUAL_TOL:.1e} at vol={root:.10g}")
     return float(root)
 
@@ -263,7 +258,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise NonConvergence(f"no root after 200 Brent steps; last estimate {xcur:.10g}")
+    raise NoSolution(f"no root after 200 Brent steps; last estimate {xcur:.10g}")
 
 
 # ============================================================

@@ -19,7 +19,8 @@ import re
 import sys
 
 from ..errors import ParseError
-from ..fields import MONEYNESS_VALUES, canonical_aggregate_field, canonical_leg_field
+from ..fields import (MONEYNESS_VALUES, canonical_aggregate_field,
+                      canonical_leg_field, is_underlying)
 from .ast import COMPARISON_OPS, LegCondition, OrderItem, QueryAst, StratCondition
 from .lexer import ROW_KINDS, lex_error, position, scan
 
@@ -115,7 +116,7 @@ class _Parser:
         self.expect_keyword("FROM")
         at = self.pos
         underlying = self.expect(_IDENT, "an underlying ticker", _IDENTIFIER).upper()
-        if not underlying.isalpha():
+        if not is_underlying(underlying):
             raise ParseError(f"underlying must be alphabetic, got {underlying!r}",
                              *self.locate(at), ("ticker",))
 

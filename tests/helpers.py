@@ -55,7 +55,7 @@ from oql.chain import (DAYS_PER_YEAR, ChainSnapshot, ContractRecord,
 from oql.cli import main as cli_main
 from oql.config import RunConfig
 from oql.engine import ResultSet
-from oql.errors import BacktestError, DomainError, MissingSpot
+from oql.errors import BacktestError, PricingError
 from oql.fields import AGGREGATE_FIELDS, LEG_FIELDS, MONEYNESS_VALUES
 from oql.pricing import GreeksVector, MarketParams, bsm_price
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition
@@ -96,7 +96,6 @@ GREEK_ATOL = {
     "gamma": 2e-6,
     "vega": 2e-6,
     "theta": 1e-7,
-    "rho": 1e-7,
 }
 GREEK_RTOL = 1e-5
 
@@ -124,7 +123,6 @@ def fd_greeks(m: MarketParams, strike: float, option_type: str) -> dict:
     hs = 1e-5 * s
     hv = 1e-5 * v
     ht = 1e-5 * max(t, 1.0)
-    hr = 1e-5 * max(abs(r), 1.0)
     hg = gamma_step(s, strike, v, t)
     return {
         "delta": (price(spot=s + hs) - price(spot=s - hs)) / (2 * hs),
@@ -132,7 +130,6 @@ def fd_greeks(m: MarketParams, strike: float, option_type: str) -> dict:
         "vega": (price(vol=v + hv) - price(vol=v - hv)) / (2 * hv),
         # theta is d/dt with t calendar time, i.e. -d/dtau
         "theta": (price(tau=t - ht) - price(tau=t + ht)) / (2 * ht),
-        "rho": (price(rate=r + hr) - price(rate=r - hr)) / (2 * hr),
     }
 
 
@@ -157,14 +154,14 @@ def norm_pdf(x: float) -> float:
 def _refuse_strike(strike: float) -> None:
     if not 0.0 < strike < math.inf:
         rule = "> 0" if strike <= 0.0 else "finite"
-        raise DomainError(f"strike must be {rule}, got {strike}")
+        raise PricingError(f"strike must be {rule}, got {strike}")
 
 
 def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
     """The standard d+ / d- pair; requires vol > 0 and tau > 0."""
     _refuse_strike(strike)
     if m.tau == 0.0 or m.vol == 0.0:
-        raise DomainError("d+/d- undefined at tau=0 or vol=0")
+        raise PricingError("d+/d- undefined at tau=0 or vol=0")
     sig_sqrt_tau = m.vol * math.sqrt(m.tau)
     d_plus = (math.log(m.spot / strike)
               + (m.rate + 0.5 * m.vol * m.vol) * m.tau) / sig_sqrt_tau
@@ -173,7 +170,7 @@ def d_plus_minus(m: MarketParams, strike: float) -> tuple[float, float]:
 
 def _refuse_option_type(option_type: str) -> None:
     if option_type not in ("call", "put"):
-        raise DomainError(
+        raise PricingError(
             f"option_type must be 'call' or 'put', got {option_type!r}")
 
 
@@ -208,7 +205,7 @@ def oracle_greeks(m: MarketParams, strike: float,
     """greeks as d_plus_minus, norm_cdf and norm_pdf compose them.
 
     greeks writes the pieces out inline; this composition must give the
-    very same five doubles, and the same error.
+    very same four doubles, and the same error.
     """
     _refuse_option_type(option_type)
     d_plus, d_minus = d_plus_minus(m, strike)
@@ -221,13 +218,10 @@ def oracle_greeks(m: MarketParams, strike: float,
     if option_type == "call":
         delta = norm_cdf(d_plus)
         theta = decay - m.rate * discounted_strike * norm_cdf(d_minus)
-        rho = strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(d_minus)
     else:
         delta = norm_cdf(d_plus) - 1.0
         theta = decay + m.rate * discounted_strike * norm_cdf(-d_minus)
-        rho = -strike * m.tau * math.exp(-m.rate * m.tau) * norm_cdf(-d_minus)
-    return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta,
-                        rho=rho)
+    return GreeksVector(delta=delta, gamma=gamma, vega=vega, theta=theta)
 
 
 # ============================================================
@@ -911,14 +905,14 @@ def oracle_mark_path(position: Position, spots: dict, entry: dt.date,
     for ordinal in range(entry.toordinal(), effective_exit.toordinal() + 1):
         day = dt.date.fromordinal(ordinal)
         if day not in spots:
-            raise MissingSpot(f"no spot for {day}")
+            raise BacktestError(f"no spot for {day}")
         total = 0.0
         for leg in position.legs:
             if iv_policy == "sticky_entry":
                 iv = leg.entry_iv
             else:
                 if day not in snapshots:
-                    raise MissingSpot(f"no snapshot for {day}")
+                    raise BacktestError(f"no snapshot for {day}")
                 snapshot = snapshots[day]
                 iv = next((rec.iv for rec in snapshot.records
                            if rec.iv is not None and rec.expiry == leg.expiry

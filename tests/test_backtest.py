@@ -33,7 +33,7 @@ from helpers import Leg, oracle_mark_path, result_instances, strategy_payoff
 from oql.chain import ChainSnapshot, ContractRecord, occ_ticker
 from oql.config import RunConfig
 from oql.engine import execute, result_to_json
-from oql.errors import BacktestError, MissingSpot
+from oql.errors import BacktestError
 
 ENTRY = dt.date(2025, 6, 2)
 
@@ -159,7 +159,7 @@ class TestMarkPath:
         gap = ENTRY + dt.timedelta(days=4)
         del spots[gap]
         position = Position("p", (leg(1, "call", 100.0, 10, entry_price=2.0),))
-        with pytest.raises(MissingSpot, match=str(gap)):
+        with pytest.raises(BacktestError, match=f"^no spot for {gap}$"):
             mark_path(position, spots, ENTRY, ENTRY + dt.timedelta(days=10))
 
     def test_entry_after_effective_exit_rejected(self):
@@ -224,7 +224,7 @@ class TestSnapshotIvPolicy:
 
     def test_missing_snapshot_date(self):
         position = Position("p", (leg(1, "call", 100.0, 30, entry_price=2.0),))
-        with pytest.raises(MissingSpot, match="no snapshot"):
+        with pytest.raises(BacktestError, match="^no snapshot for "):
             mark_path(position, flat_spots(100.0, 1), ENTRY,
                       ENTRY + dt.timedelta(days=1), iv_policy="snapshot",
                       snapshots={ENTRY: self.snapshot_for(ENTRY, 0.2)})
@@ -370,8 +370,8 @@ class TestMarkPathOracle:
         assert self.assert_same(position, spots, ENTRY,
                                 ENTRY + dt.timedelta(days=5), None,
                                 "snapshot", snapshots) is None
-        with pytest.raises(MissingSpot,
-                           match=f"no snapshot for {ENTRY + dt.timedelta(days=3)}"):
+        with pytest.raises(BacktestError,
+                           match=f"^no snapshot for {ENTRY + dt.timedelta(days=3)}$"):
             mark_path(position, spots, ENTRY, ENTRY + dt.timedelta(days=5),
                       iv_policy="snapshot", snapshots=snapshots)
 

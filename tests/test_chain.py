@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oql.chain import (CSV_HEADER, GREEK_FIELDS, ChainSnapshot,
                        occ_ticker, save_snapshot, smile_vol, snapshot_to_text)
 from oql.config import RunConfig
 from oql.engine import execute
-from oql.errors import FormatError, InvariantViolation
+from oql.errors import ChainError
 from oql.fields import MONEYNESS_VALUES
 from oql.pricing import MarketParams, bsm_price, greeks, implied_vol
 
@@ -150,11 +151,11 @@ def test_csv_and_jsonl_agree(tmp_path):
 def test_format_detection(tmp_path):
     snapshot = small_snapshot()
     path = tmp_path / "chain.dat"
-    with pytest.raises(FormatError, match="infer"):
+    with pytest.raises(ChainError, match="^cannot infer the snapshot format"):
         save_snapshot(snapshot, str(path))
     assert not path.exists()
     path.write_text(snapshot_to_text(snapshot, "csv"), encoding="utf-8")
-    with pytest.raises(FormatError, match="infer"):
+    with pytest.raises(ChainError, match="^cannot infer the snapshot format"):
         load_snapshot(str(path))
 
 
@@ -164,6 +165,11 @@ def write_csv(tmp_path, lines):
     return str(path)
 
 
+# how a ChainError words a record that parses but breaks a chain invariant
+_INVARIANT = (r"^row \d+: (bad option type|(underlying|as_of) \S+ does not "
+              r"match|strike must be > 0|(price|volume|iv) must be >= 0|"
+              r"expiry \S+ is before|(call|put) delta must lie|duplicate )")
+
 GOOD_META = "# oql-chain underlying=SPY as_of=2025-06-02 spot=100 rate=0.04"
 GOOD_ROW = ("O:SPY250702C00100000,SPY,2025-06-02,2025-07-02,100,C,"
             "3.5,120,0.3,0.5,0.02,11,-18")
@@ -171,14 +177,16 @@ GOOD_ROW = ("O:SPY250702C00100000,SPY,2025-06-02,2025-07-02,100,C,"
 
 def test_missing_meta_line_rejected(tmp_path):
     path = write_csv(tmp_path, [CSV_HEADER, GOOD_ROW])
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError,
+                       match="^row 1: first line must start with") as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 1
 
 
 def test_wrong_header_rejected(tmp_path):
     path = write_csv(tmp_path, [GOOD_META, "ticker,underlying", GOOD_ROW])
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError,
+                       match="^row 2: second line must be the header") as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 2
 
@@ -186,7 +194,7 @@ def test_wrong_header_rejected(tmp_path):
 def test_wrong_field_count_reports_row(tmp_path):
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW,
                                 "only,three,fields"])
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError, match="^row 4: expected 13 fields") as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 4
     assert "13" in str(exc_info.value)
@@ -202,7 +210,7 @@ def test_malformed_cells_rejected(tmp_path, mutate, message):
     parts = GOOD_ROW.split(",")
     mutate(parts)
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, ",".join(parts)])
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(ChainError, match=f"^row 3: bad {message} "):
         load_snapshot(path)
 
 
@@ -220,8 +228,9 @@ def test_invariant_violations_rejected(tmp_path, mutate, message):
     parts = GOOD_ROW.split(",")
     mutate(parts)
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, ",".join(parts)])
-    with pytest.raises(InvariantViolation, match=message):
+    with pytest.raises(ChainError, match=message) as exc_info:
         load_snapshot(path)
+    assert re.match(_INVARIANT, str(exc_info.value))
 
 
 def test_put_delta_sign_convention(tmp_path):
@@ -230,14 +239,14 @@ def test_put_delta_sign_convention(tmp_path):
     parts[5] = "P"
     parts[9] = "0.5"  # puts carry non-positive delta
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, ",".join(parts)])
-    with pytest.raises(InvariantViolation, match="put delta"):
+    with pytest.raises(ChainError, match="^row 3: put delta must lie in"):
         load_snapshot(path)
 
 
 def test_duplicate_contract_rejected(tmp_path):
     other = GOOD_ROW.replace("O:SPY250702C00100000", "O:SPY250702C00100000X")
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW, other])
-    with pytest.raises(InvariantViolation, match="duplicate") as exc_info:
+    with pytest.raises(ChainError, match="^row 4: duplicate contract") as exc_info:
         load_snapshot(path)
     assert "row 3" in str(exc_info.value)
 
@@ -245,8 +254,8 @@ def test_duplicate_contract_rejected(tmp_path):
 def test_two_contracts_sharing_a_ticker_rejected(tmp_path):
     other = GOOD_ROW.replace(",100,C,", ",100.0001,C,")
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW, other])
-    with pytest.raises(InvariantViolation,
-                       match="duplicate ticker 'O:SPY250702C00100000'") as exc_info:
+    with pytest.raises(ChainError,
+                       match="^row 4: duplicate ticker 'O:SPY250702C00100000'") as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 4
     assert "first seen at row 3" in str(exc_info.value)
@@ -284,7 +293,7 @@ def test_snapshot_built_in_memory_with_a_shared_ticker_rejected(second,
     snapshot = ChainSnapshot(
         underlying="SPY", as_of=AS_OF, spot=100.0, rate=0.04,
         records=(record(), record(**second)))
-    with pytest.raises(InvariantViolation, match=message) as exc_info:
+    with pytest.raises(ChainError, match=f"^row 1: {message}") as exc_info:
         execute("SELECT BULL_CALL_SPREAD FROM SPY", snapshot, RunConfig())
     assert exc_info.value.row == 1
     assert exc_info.value.stage == "load"
@@ -293,7 +302,7 @@ def test_snapshot_built_in_memory_with_a_shared_ticker_rejected(second,
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(ChainError, match="^row 1: empty file; missing header$"):
         load_snapshot(str(path))
 
 
@@ -306,7 +315,7 @@ def test_non_finite_cells_rejected_with_row_and_field(tmp_path, column, text):
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, GOOD_ROW.replace(
         "C00100000", "C00105000").replace(",100,C,", ",105,C,"), ",".join(parts)])
     field = CSV_HEADER.split(",")[column]
-    with pytest.raises(FormatError, match=f"{field} must be finite") as exc_info:
+    with pytest.raises(ChainError, match=f"{field} must be finite") as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 4
 
@@ -314,13 +323,13 @@ def test_non_finite_cells_rejected_with_row_and_field(tmp_path, column, text):
 def test_jsonl_meta_that_is_not_an_object_rejected(tmp_path):
     path = tmp_path / "chain.jsonl"
     path.write_text('{"meta": [1]}\n', encoding="utf-8")
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         load_snapshot(str(path))
     assert str(exc_info.value) == 'row 1: first line must be {"meta": {...}}'
 
 
 def test_unknown_snapshot_text_format_rejected():
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         snapshot_to_text(small_snapshot(), "xml")
     assert str(exc_info.value) == "unknown snapshot format 'xml'"
 
@@ -336,7 +345,7 @@ def test_bad_metadata_numbers_rejected(tmp_path, meta, message):
     line = " ".join(meta if pair.startswith(key + "=") else pair
                     for pair in GOOD_META.split(" "))
     path = write_csv(tmp_path, [line, CSV_HEADER, GOOD_ROW])
-    with pytest.raises(FormatError, match=message) as exc_info:
+    with pytest.raises(ChainError, match=message) as exc_info:
         load_snapshot(path)
     assert exc_info.value.row == 1
 
@@ -358,7 +367,7 @@ def test_jsonl_non_finite_literals_rejected(tmp_path, key, value, message):
     assert "NaN" in lines[2] or "Infinity" in lines[2]
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError, match=message) as exc_info:
+    with pytest.raises(ChainError, match=message) as exc_info:
         load_snapshot(str(path))
     assert exc_info.value.row == 3
 
@@ -371,7 +380,7 @@ def test_jsonl_type_that_is_not_a_code_rejected(tmp_path, value):
     lines[2] = json.dumps(obj)
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="bad type code") as exc_info:
+    with pytest.raises(ChainError, match="bad type code") as exc_info:
         load_snapshot(str(path))
     assert exc_info.value.row == 3
 
@@ -397,7 +406,7 @@ def test_jsonl_value_of_the_wrong_kind_rejected(tmp_path, key, value, message):
     lines[3] = json.dumps(obj)
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         load_snapshot(str(path))
     assert str(exc_info.value) == f"row 4: {message}"
     assert exc_info.value.row == 4
@@ -430,7 +439,7 @@ def test_jsonl_metadata_value_of_the_wrong_kind_rejected(tmp_path, key, value,
     lines[0] = json.dumps(head)
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         load_snapshot(str(path))
     assert str(exc_info.value) == f"row 1: {message}"
 
@@ -444,7 +453,7 @@ def test_dates_other_than_yyyy_mm_dd_rejected(tmp_path, column, text):
     parts[column] = text
     path = write_csv(tmp_path, [GOOD_META, CSV_HEADER, ",".join(parts)])
     field = CSV_HEADER.split(",")[column]
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         load_snapshot(path)
     assert str(exc_info.value) == (
         f"row 3: bad {field} {text!r}; want YYYY-MM-DD")
@@ -453,7 +462,7 @@ def test_dates_other_than_yyyy_mm_dd_rejected(tmp_path, column, text):
 def test_metadata_date_other_than_yyyy_mm_dd_rejected(tmp_path):
     path = write_csv(tmp_path, [GOOD_META.replace("2025-06-02", "20250602"),
                                 CSV_HEADER, GOOD_ROW])
-    with pytest.raises(FormatError) as exc_info:
+    with pytest.raises(ChainError) as exc_info:
         load_snapshot(path)
     assert str(exc_info.value) == (
         "row 1: bad as_of '20250602'; want YYYY-MM-DD")
@@ -464,7 +473,7 @@ def test_jsonl_metadata_spot_zero_rejected(tmp_path):
     lines[0] = lines[0].replace('"spot": 100.0', '"spot": 0')
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="spot must be > 0"):
+    with pytest.raises(ChainError, match="spot must be > 0"):
         load_snapshot(str(path))
 
 
@@ -579,7 +588,7 @@ def test_a_copy_of_a_loaded_snapshot_is_checked_again(tmp_path):
     first = loaded.records[0]
     copy = replace(loaded, records=(first, replace(first, ticker=first.ticker + "X")))
     assert not copy.enriched and not copy._load_checked
-    with pytest.raises(InvariantViolation, match="duplicate contract") as exc_info:
+    with pytest.raises(ChainError, match="^row 1: duplicate contract") as exc_info:
         enrich(copy)
     assert exc_info.value.row == 1
     assert exc_info.value.stage == "load"
@@ -670,6 +679,23 @@ def test_load_snapshot_backfills_missing_columns(tmp_path):
     assert rec.delta == 0.5
 
 
+def test_load_snapshot_backfills_greeks_whose_inputs_near_the_float_range(
+        tmp_path):
+    # strike * tau is about 8e308 here: a rate sensitivity would leave the
+    # float range, but the four Greeks a record stores are finite
+    path = write_csv(tmp_path, [
+        "# oql-chain underlying=X as_of=2025-06-02 spot=1e+305 rate=0",
+        CSV_HEADER,
+        "O:X,X,2025-06-02,9999-12-31,1e+305,C,3.562573024633503e+303,1,"
+        "0.001,,,,"])
+    (rec,) = load_snapshot(path).records
+    want = greeks(MarketParams(1e305, 0.0, 0.001, rec.tau()), 1e305, "call")
+    assert (rec.delta, rec.gamma, rec.vega, rec.theta) == (
+        want.delta, want.gamma, want.vega, want.theta)
+    assert all(math.isfinite(x) for x in (rec.delta, rec.gamma, rec.vega,
+                                          rec.theta))
+
+
 # ============================================================
 # Synthetic generator
 # ============================================================
@@ -739,6 +765,12 @@ def test_volumes_decay_away_from_spot():
     far_high = sum(by_strike[170.0]) / 2
     assert atm > far_low and atm > far_high
     assert all(v >= 0 for vols in by_strike.values() for v in vols)
+
+
+def test_generate_synthetic_refuses_an_underlying_no_query_can_name():
+    for underlying in ("SP Y", "S,P", "", "SPY1", "spy", "SPÝ"):
+        with pytest.raises(ValueError, match="upper-case ASCII letters"):
+            small_snapshot(underlying=underlying)
 
 
 def test_generate_synthetic_argument_errors():

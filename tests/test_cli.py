@@ -167,6 +167,11 @@ class TestCheck:
 # gen-chain / gen-path
 # ============================================================
 
+# underlyings no FROM clause can name: the chain written would fail to
+# load, or load under a name no query reaches
+_BAD_UNDERLYINGS = {"space": "SP Y", "comma": "S,P", "empty": "",
+                    "digit": "SPY1"}
+
 
 class TestGenChain:
     def test_document_and_file(self, cli_dir):
@@ -247,6 +252,14 @@ class TestGenChain:
         assert code == EXIT_OK
         strikes = sorted({r.strike for r in load_snapshot(out_file).records})
         assert strikes == [90.0, 95.0, 100.0, 105.0, 110.0]
+
+    @pytest.mark.parametrize("underlying", _BAD_UNDERLYINGS.values(),
+                             ids=_BAD_UNDERLYINGS.keys())
+    def test_bad_underlying_writes_no_file(self, tmp_path, underlying):
+        out_file = tmp_path / "c.csv"
+        code, _, _ = run_cli(_gen_chain(str(out_file), underlying=underlying))
+        assert code == EXIT_ERROR
+        assert not out_file.exists()
 
     def test_deep_out_of_the_money_call_prices_at_zero(self, tmp_path):
         # S N(d+) - K e^(-r tau) N(d-) cancels to -1.5e-323 at strike 903
@@ -873,9 +886,10 @@ _EVAL = ["eval", "--cases", "{tmp}/cases.jsonl"]
 
 
 def _gen_chain(out="{tmp}/c.csv", as_of=AS_OF, expiries=("--dtes", "30"),
-               strikes="100"):
-    return ["gen-chain", "--underlying", "spy", "--as-of", as_of, "--spot",
-            "100", *expiries, "--strikes", strikes, "--out", out]
+               strikes="100", underlying="spy"):
+    return ["gen-chain", "--underlying", underlying, "--as-of", as_of,
+            "--spot", "100", *expiries, "--strikes", strikes, "--out", out]
+
 
 
 def _gen_path(out="{tmp}/p.csv", start=AS_OF):
@@ -1204,6 +1218,10 @@ BAD_INPUT = [
      "cannot generate the chain: date value out of range"),
     ("gen-chain-strike-overflow", {}, _gen_chain(strikes="1e308"), "execute",
      "cannot generate the chain: "),
+    *((f"gen-chain-underlying-{name}", {}, _gen_chain(underlying=underlying),
+       "execute", "cannot generate the chain: underlying must be upper-case "
+       f"ASCII letters, got {underlying!r}")
+      for name, underlying in _BAD_UNDERLYINGS.items()),
     ("gen-chain-strikes-share-a-ticker", {},
      _gen_chain(strikes="100,100.0001"), "execute",
      "cannot generate the chain: two grid contracts give one ticker "

@@ -36,11 +36,7 @@ from oql.engine import (
     soft_match,
     survivors,
 )
-from oql.errors import (
-    CombinatorialBudgetExceeded,
-    EngineError,
-    UnderlyingMismatch,
-)
+from oql.errors import CombinatorialBudgetExceeded, EngineError, SchemaError
 from oql.fields import AGGREGATE_FIELDS, MONEYNESS_VALUES
 from oql.syntax import LegCondition, OrderItem, QueryAst, StratCondition, parse_text
 
@@ -589,7 +585,8 @@ class TestOrderingMixedTickerLengths(TestOrdering):
 class TestGuards:
     def test_underlying_mismatch(self):
         snapshot = snap([rec("SPY", 100.0, "call", 2.0, 30)])
-        with pytest.raises(UnderlyingMismatch, match="QQQ") as exc_info:
+        with pytest.raises(SchemaError,
+                           match="^query is FROM QQQ but") as exc_info:
             execute("SELECT LONG_CALL FROM QQQ", snapshot)
         assert "SPY" in str(exc_info.value)
         assert exc_info.value.stage == "validate"

@@ -1,7 +1,8 @@
 """Every exported name resolves, so removing an API cannot leave a
-dangling entry in a package's __all__; importing the package, and the
-parse and check commands, load no numpy (scipy is never loaded); and the
-README's Python API example runs as written."""
+dangling entry in a package's __all__; each pipeline stage has one error
+class; importing the package, and the parse and check commands, load no
+numpy (scipy is never loaded); and the README's Python API example runs as
+written."""
 
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 
 import oql
 import oql.syntax
+from oql import errors
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -23,6 +25,28 @@ def test_every_exported_name_resolves(package):
     assert len(set(package.__all__)) == len(package.__all__)
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert missing == []
+
+
+def test_one_error_class_per_stage():
+    """No two error classes share a stage, so the stage a caller reads
+    names the class. NoSolution is the one exception: chain.enrich
+    catches it to exclude a record, so it stays a PricingError of its
+    own."""
+    classes, todo = [], [errors.OqlError]
+    while todo:  # every subclass, at any depth
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    defined = {cls for cls in vars(errors).values() if isinstance(cls, type)}
+    assert set(classes) == defined
+    stages = {}
+    for cls in classes[1:]:
+        if cls is not errors.NoSolution:
+            stages.setdefault(cls.stage, []).append(cls.__name__)
+    assert {stage: names for stage, names in stages.items()
+            if len(names) > 1} == {}
+    assert errors.NoSolution.__bases__ == (errors.PricingError,)
+    assert errors.NoSolution.stage == errors.PricingError.stage == "price"
 
 
 def test_import_loads_no_scipy():
