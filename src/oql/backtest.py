@@ -378,6 +378,7 @@ def run_cohorts(positions: list[Position], spots: dict[_dt.date, float],
     """Reports for the full cohort and the rank-1 ("top") cohort."""
     if not positions:
         raise BacktestError("no positions to backtest")
+    config = config or RunConfig()  # once, not once per position
     paths = [mark_path(p, spots, entry, exit, config, iv_policy, snapshots)
              for p in positions]
     return {"all": report(paths), "top": report(paths[:1])}

@@ -268,7 +268,8 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
     First every record passes the load checks, with its position as the
     row, unless load_snapshot checked this very snapshot with file rows: a
     snapshot built in memory, or a copy made with dataclasses.replace,
-    never passed them.
+    never passed them. Then the underlying must be a name a FROM clause
+    can hold.
     """
     if snapshot.enriched:
         return snapshot
@@ -276,6 +277,10 @@ def enrich(snapshot: ChainSnapshot) -> ChainSnapshot:
         for row, rec in enumerate(snapshot.records):
             _validate_record(rec, snapshot.underlying, snapshot.as_of, row)
         _check_duplicates(snapshot.records, range(len(snapshot.records)))
+    if not is_underlying(snapshot.underlying):  # row 1: a file's metadata
+        raise ChainError("underlying must be upper-case ASCII letters, got "
+                         f"{snapshot.underlying!r}",
+                         1 if snapshot._load_checked else None)
     spot, rate = snapshot.spot, snapshot.rate
     kept: list[ContractRecord] = []
     excluded = list(snapshot.excluded)
@@ -480,9 +485,9 @@ def load_snapshot(path: str) -> ChainSnapshot:
     """Read, validate, and backfill a snapshot file.
 
     The metadata is checked first, then each record as it is read, with
-    its file row, then duplicates across records. Stored Greeks are kept
-    as-is; only missing model fields are filled in (see enrich).
-    Unresolvable records land in snapshot.excluded.
+    its file row, then duplicates, then (in enrich) the underlying name.
+    Stored Greeks are kept as-is; only missing model fields are filled in
+    (see enrich). Unresolvable records land in snapshot.excluded.
     """
     fmt = _detect_format(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:

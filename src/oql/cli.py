@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import asdict, fields
 
 from .catalog import catalog_table, catalog_to_json, lookup, schema_table, validate
-from .config import OUTPUT_FORMATS, OUTPUT_MODES, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import BacktestError, OqlError
 from .serialize import dumps, format_date, format_number, parse_date
 from .syntax import QueryAst, parse_text, pretty_print
@@ -38,32 +38,16 @@ def _diag(message: str) -> None:
 # Config plumbing
 # ============================================================
 
-_CONFIG_FLAGS = (
-    ("--epsilon", "epsilon", float, "relative half-width of the ~ band"),
-    ("--epsilon-abs", "epsilon_abs", float, "absolute ~ band at target 0"),
-    ("--atm-band", "atm_band", float, "|K-S|/S threshold for ATM"),
-    ("--multiplier", "multiplier", float, "contract multiplier"),
-    ("--rate", "rate", float, "annualized risk-free rate"),
-    ("--cap", "combinatorial_cap", int, "max raw candidate product"),
-)
-
-
 def _add_config_options(p: argparse.ArgumentParser) -> None:
+    """--config, then a flag for each RunConfig field that declares one."""
     group = p.add_argument_group("configuration")
     group.add_argument("--config", metavar="FILE",
                        help="JSON config file (default: $OQL_CONFIG)")
-    for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        group.add_argument(flag, dest=dest, type=typ, default=None,
-                           help=help_text)
-    group.add_argument("--output-mode", dest="output_mode",
-                       choices=OUTPUT_MODES, default=None,
-                       help="results serialization shape")
-    group.add_argument("--format", dest="output_format",
-                       choices=OUTPUT_FORMATS, default=None,
-                       help="stdout rendering")
-    group.add_argument("--symmetric-wings", dest="symmetric_wings",
-                       action="store_true", default=None,
-                       help="require equidistant butterfly wings")
+    for f in (f for f in fields(RunConfig) if f.metadata["flag"]):
+        kind = ({"action": "store_true"} if f.type is bool else
+                {"type": f.type, "choices": f.metadata["choices"]})
+        group.add_argument(f.metadata["flag"], dest=f.name, default=None,
+                           help=f.metadata["help"], **kind)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -1,9 +1,11 @@
 """Run configuration: defaults, JSON config files, and CLI overrides.
 
-Precedence is flags > config file > defaults. The config file is JSON with
-the same key names as RunConfig fields; the OQL_CONFIG environment variable
-names a default config file used when --config is not given. The effective
-config is echoed into every JSON report.
+Each setting is declared once, on its RunConfig field (see _setting): its
+default, CLI flag, help text, allowed values and rules. The CLI flags and
+the checks are built from those fields. Flags win over the config file,
+which wins over defaults; the file is JSON keyed by field name, and the
+OQL_CONFIG environment variable names it when --config is not given.
+The effective config is echoed into every JSON report.
 """
 
 import json
@@ -19,67 +21,61 @@ ENV_CONFIG_VAR = "OQL_CONFIG"
 OUTPUT_MODES = ("standard", "blueprint")
 OUTPUT_FORMATS = ("json", "table")
 
-# read as floats, so an integer past the float range cannot apply
-_FLOAT_FIELDS = ("epsilon", "epsilon_abs", "atm_band", "multiplier", "rate")
-# JSON numbers only; true or false would pass their range checks as 1 or 0
-_NUMERIC_FIELDS = _FLOAT_FIELDS + ("combinatorial_cap",)
+
+def _setting(default, flag: str | None, help: str, *rules, choices=None):
+    """A RunConfig field that declares its CLI flag (None: file only), its
+    help text, its allowed values and its rules, each a (wording, test)
+    pair refused as `<field> must be <wording>, got <value>`."""
+    if choices:
+        rules = ((f"one of {choices}", choices.__contains__),)
+    metadata = {"flag": flag, "help": help, "choices": choices, "rules": rules}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    epsilon: float = 0.15            # relative half-width of the ~ band
-    epsilon_abs: float = 0.01        # absolute band when the ~ target is 0
-    atm_band: float = 0.01           # |K-S|/S threshold for ATM
-    multiplier: float = 100.0        # contract multiplier (shares per contract)
-    rate: float = 0.04               # annualized risk-free rate
-    combinatorial_cap: int = 10_000_000  # max raw candidate product
-    output_mode: str = "standard"
-    output_format: str = "json"
-    symmetric_wings: bool = False    # butterfly wings must be equidistant
-    epsilon_overrides: dict = field(default_factory=dict)  # field name -> epsilon
+    epsilon: float = _setting(0.15, "--epsilon", "relative half-width of the ~ band",
+                              ("in (0, 1)", lambda v: 0.0 < v < 1.0))
+    epsilon_abs: float = _setting(0.01, "--epsilon-abs", "absolute ~ band at target 0",
+                                  ("finite and > 0", lambda v: 0.0 < v < math.inf))
+    atm_band: float = _setting(0.01, "--atm-band", "|K-S|/S threshold for ATM",
+                               ("finite and >= 0", lambda v: 0.0 <= v < math.inf))
+    multiplier: float = _setting(100.0, "--multiplier", "contract multiplier",
+                                 ("finite and >= 1", lambda v: 1.0 <= v < math.inf))
+    rate: float = _setting(0.04, "--rate", "annualized risk-free rate",
+                           ("finite", math.isfinite))
+    combinatorial_cap: int = _setting(10_000_000, "--cap", "max raw candidate product",
+                                      ("finite and >= 1", lambda v: 1 <= v < math.inf),
+                                      ("a whole number", lambda v: v % 1 == 0))
+    output_mode: str = _setting("standard", "--output-mode",
+                                "results serialization shape", choices=OUTPUT_MODES)
+    output_format: str = _setting("json", "--format", "stdout rendering",
+                                  choices=OUTPUT_FORMATS)
+    symmetric_wings: bool = _setting(False, "--symmetric-wings",
+                                     "require equidistant butterfly wings",
+                                     ("true or false", lambda v: isinstance(v, bool)))
+    epsilon_overrides: dict = _setting({}, None, "field name -> epsilon",
+                                       ("a JSON object", lambda v: isinstance(v, dict)))
 
     def __post_init__(self):
-        for name in _NUMERIC_FIELDS:
+        # JSON numbers only; true or false would pass their rules as 1 or 0
+        for name, kind in _NUMBERS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            if name in _FLOAT_FIELDS:
+            # read as floats, so an integer past the float range cannot apply
+            if kind is float:
                 try:
                     float(value)
                 except OverflowError:
                     raise ConfigError(f"{name} must be finite, got an "
                                       "integer past the float range") from None
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not (0.0 < self.epsilon_abs < math.inf):
-            raise ConfigError(
-                f"epsilon_abs must be finite and > 0, got {self.epsilon_abs}")
-        if not (0.0 <= self.atm_band < math.inf):
-            raise ConfigError(
-                f"atm_band must be finite and >= 0, got {self.atm_band}")
-        if not (1.0 <= self.multiplier < math.inf):
-            raise ConfigError(
-                f"multiplier must be finite and >= 1, got {self.multiplier}")
-        if not math.isfinite(self.rate):
-            raise ConfigError(f"rate must be finite, got {self.rate}")
-        if not (1 <= self.combinatorial_cap < math.inf):
-            raise ConfigError(f"combinatorial_cap must be finite and >= 1, "
-                              f"got {self.combinatorial_cap}")
-        if self.combinatorial_cap % 1 != 0:
-            raise ConfigError("combinatorial_cap must be a whole number, got "
-                              f"{self.combinatorial_cap}")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ConfigError(f"output_mode must be one of {OUTPUT_MODES}, "
-                              f"got {self.output_mode!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}, "
-                              f"got {self.output_format!r}")
-        if not isinstance(self.symmetric_wings, bool):
-            raise ConfigError("symmetric_wings must be true or false, got "
-                              f"{self.symmetric_wings!r}")
-        if not isinstance(self.epsilon_overrides, dict):
-            raise ConfigError("epsilon_overrides must be a JSON object, got "
-                              f"{self.epsilon_overrides!r}")
+        for name, wording, test in _RULES:
+            value = getattr(self, name)
+            if not test(value):
+                raise ConfigError(f"{name} must be {wording}, got {value!r}")
         for key, value in self.epsilon_overrides.items():
             if key not in SOFT_MATCH_FIELDS:
                 raise ConfigError(f"epsilon override for unknown field {key!r}; "
@@ -98,6 +94,11 @@ class RunConfig:
                 "epsilon_overrides": dict(sorted(self.epsilon_overrides.items()))}
 
 
+# computed once: each RunConfig checks its numbers, then every rule
+_NUMBERS = tuple((f.name, f.type) for f in fields(RunConfig)
+                 if f.type in (int, float))
+_RULES = tuple((f.name, wording, test) for f in fields(RunConfig)
+               for wording, test in f.metadata["rules"])
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 

@@ -190,6 +190,23 @@ class TestMarkPath:
         assert IV_POLICIES == ("sticky_entry", "snapshot")
 
 
+def test_run_cohorts_without_a_config_builds_one_default(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return RunConfig(*args, **kwargs)
+
+    monkeypatch.setattr("oql.backtest.RunConfig", counted)
+    positions = [Position(f"p{i}", (leg(+1, "call", 100.0 + i, 10,
+                                        entry_price=2.0),))
+                 for i in range(5)]
+    reports = run_cohorts(positions, flat_spots(100.0, 10), ENTRY,
+                          ENTRY + dt.timedelta(days=10))
+    assert reports["all"].n == 5
+    assert len(built) == 1
+
+
 class TestSnapshotIvPolicy:
     def snapshot_for(self, day: dt.date, iv: float) -> ChainSnapshot:
         expiry = ENTRY + dt.timedelta(days=30)

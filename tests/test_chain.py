@@ -773,6 +773,27 @@ def test_generate_synthetic_refuses_an_underlying_no_query_can_name():
             small_snapshot(underlying=underlying)
 
 
+def test_an_underlying_no_query_can_name_is_refused(tmp_path):
+    # a file names its metadata row; a snapshot built by hand has no row
+    text = CSV_HEADER.join((
+        f"# oql-chain underlying=spy as_of={AS_OF} spot=100 rate=0.04\n",
+        "\nO:SPY250702C00100000,spy,2025-06-02,2025-07-02,100,C,5,10,0.3,,,,\n"))
+    path = tmp_path / "lower.csv"
+    path.write_text(text)
+    with pytest.raises(ChainError) as refused:
+        chain.load_snapshot(str(path))
+    assert str(refused.value) == ("row 1: underlying must be upper-case ASCII "
+                                  "letters, got 'spy'")
+    for underlying in ("spy", "SP Y", "SPY1", ""):
+        bare = ChainSnapshot(underlying, AS_OF, 100.0, 0.04,
+                             (record(underlying=underlying),))
+        with pytest.raises(ChainError) as refused:
+            enrich(bare)
+        assert refused.value.row is None
+        assert str(refused.value) == ("underlying must be upper-case ASCII "
+                                      f"letters, got {underlying!r}")
+
+
 def test_generate_synthetic_argument_errors():
     with pytest.raises(ValueError):
         small_snapshot(strikes=[])

@@ -967,6 +967,14 @@ BAD_INPUT = [
      _PARSE, "config", "multiplier must be a number"),
     ("config-nested-past-recursion-limit", {"cfg.json": _DEEP}, _PARSE,
      "config", "cfg.json is not valid JSON"),
+    ("chain-lower-case-underlying",
+     {"c.csv": f"# oql-chain underlying=spy as_of={AS_OF} spot=100 rate=0.04\n"
+               "ticker,underlying,as_of,expiry,strike,type,price,volume,iv,"
+               "delta,gamma,vega,theta\n"
+               f"O:SPY250702C00100000,spy,{AS_OF},2025-07-02,100,C,5,10,0.3,"
+               ",,,\n"},
+     ["run", "SELECT LONG_CALL FROM SPY", "--chain", "{tmp}/c.csv"], "load",
+     "row 1: underlying must be upper-case ASCII letters, got 'spy'"),
     ("spots-close-text", {"s.csv": "date,close\n2025-06-02,abc\n"},
      _backtest(spots="{tmp}/s.csv"), "backtest", "s.csv: row 2: bad close 'abc'"),
     ("spots-bad-date", {"s.csv": "date,close\n2025-13-02,100\n"},

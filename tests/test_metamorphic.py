@@ -9,7 +9,12 @@ is known exactly, and need no recorded answer:
   strategies of the same query without LIMIT, with the same stats apart
   from `returned`;
 * record permutation: the snapshot's records shuffled with a fixed seed
-  leave every outcome hash unchanged.
+  leave every outcome hash unchanged;
+* WHERE partition: for a role-bound comparison c, the rows assembled
+  with c and with its negation add up to those assembled without c, less
+  the rows whose leg lacks the tested field (its `_ok` column is false);
+* HAVING partition: the same for a HAVING comparison and `having_passed`,
+  less the rows whose aggregate is unavailable.
 
 Each relation runs over every test_corpus.cases() case, as is and with
 engine._BLOCK at 7, as the corpus does, and checks how many cases it
@@ -29,10 +34,13 @@ from oql.syntax import parse_text, pretty_print
 from test_corpus import CORPUS_FILE, GROUPS, PER_GROUP, cases, outcome
 
 # the cases each relation covers: those with a LIMIT whose query
-# executes, and every case
+# executes, and every case; then the conditions each partition covers
 LIMIT_CASES = 929
 PERMUTED_CASES = GROUPS * PER_GROUP
+WHERE_CONDITIONS = 717
+HAVING_CONDITIONS = 1862
 SHUFFLE_SEED = 19
+NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 
 @pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
@@ -99,3 +107,69 @@ def test_shuffled_records_leave_every_outcome_unchanged(block_size):
     assert moved == [], f"{len(moved)} cases moved, first {moved[:20]}"
     print(f"record permutation held on {len(got)} cases")
     assert len(got) == len(want) == PERMUTED_CASES
+
+
+def _partitions(clause: str):
+    """(case, the query without the clause's condition i, with it, with
+    its negation, the condition) for every comparison of the clause that
+    the relation covers, ORDER BY and LIMIT dropped; for WHERE, HAVING too,
+    which leaves the assembled rows alone."""
+    for snapshot, query, config in cases():
+        ast = parse_text(query) if isinstance(query, str) else query
+        ast = dataclasses.replace(ast, order_by=(), limit=None)
+        if clause == "where":
+            ast = dataclasses.replace(ast, having=())
+        conditions = getattr(ast, clause)
+        for i, cond in enumerate(conditions):
+            # a broadcast WHERE condition tests every role at once
+            if cond.op not in NEGATION or (clause == "where" and cond.role is None):
+                continue
+            rest = conditions[:i] + conditions[i + 1:]
+            negated = dataclasses.replace(cond, op=NEGATION[cond.op])
+            yield ((snapshot, config), dataclasses.replace(ast, **{clause: rest}),
+                   ast, dataclasses.replace(ast, **{clause: rest + (negated,)}),
+                   cond)
+
+
+def _split(clause: str, count, missing) -> tuple[int, int]:
+    """Check one partition relation: the number of conditions it covered,
+    and of those with rows the condition cannot test."""
+    covered = untested = 0
+    for (snapshot, config), without, with_c, with_not, cond in _partitions(clause):
+        try:
+            whole = execute(without, snapshot, config)
+        except OqlError:
+            continue
+        parts = [count(execute(q, snapshot, config)) for q in (with_c, with_not)]
+        lost = missing(whole, cond)
+        assert sum(parts) == count(whole) - lost, pretty_print(with_c)
+        covered += 1
+        untested += lost > 0
+    return covered, untested
+
+
+def _missing_leg_field(result, cond) -> int:
+    """Rows of the result whose cond.role leg lacks cond.field."""
+    known = result.snapshot.columns.get(f"{cond.field.lower()}_ok")
+    if known is None:
+        return 0
+    role = result.query.schema.role_ids.index(cond.role)
+    return int((~known[result.passed[:, role]]).sum())
+
+
+def test_where_partitions_the_assembled_rows(block_size):
+    covered, untested = _split("where", lambda result: result.stats.assembled,
+                               _missing_leg_field)
+    print(f"WHERE partition held on {covered} conditions, {untested} of them "
+          "with a leg missing the field")
+    assert covered == WHERE_CONDITIONS
+
+
+def test_having_partitions_the_rows_that_pass(block_size):
+    covered, untested = _split(
+        "having", lambda result: result.stats.having_passed,
+        lambda result, cond: int(
+            (~result.complete([cond.field])[cond.field][1]).sum()))
+    print(f"HAVING partition held on {covered} conditions, {untested} of them "
+          "with the aggregate unavailable")
+    assert covered == HAVING_CONDITIONS
