@@ -1,17 +1,19 @@
-"""Every exported name resolves, so removing an API cannot leave a
-dangling entry in a package's __all__; each pipeline stage has one error
-class; importing the package, and the parse and check commands, load no
-numpy (scipy is never loaded); and the README's Python API example runs as
+"""The package re-exports nothing, so `import oql.<module>` binds that
+module and `import oql` loads none of them; every name a package still
+exports resolves; each pipeline stage has one error class; the parse and
+check commands load no numpy (scipy is never loaded); the README's Layout
+block names every module; and the README's Python API example runs as
 written."""
 
 import os
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
 
 import pytest
 
-import oql
 import oql.syntax
 from oql import errors
 
@@ -19,8 +21,46 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-@pytest.mark.parametrize("package", [oql, oql.syntax],
-                         ids=lambda p: p.__name__)
+def _probe(code: str) -> str:
+    """The stdout of code run in a fresh interpreter on src/."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_a_module_binds_that_module():
+    # a fresh interpreter, so each import is the first of its module
+    modules = [f"{prefix}{info.name}"
+               for prefix, path in (("oql.", SRC / "oql"),
+                                    ("oql.syntax.", SRC / "oql" / "syntax"))
+               for info in pkgutil.iter_modules([str(path)])]
+    assert "oql.catalog" in modules and "oql.syntax.parser" in modules
+    probe = "import sys\n" + "".join(
+        f"import {name} as m\n"
+        f"if m is not sys.modules[{name!r}]: print({name!r}, m)\n"
+        for name in modules)
+    assert _probe(probe) == ""
+
+
+def test_importing_the_package_loads_no_module_and_no_numpy():
+    # a fresh interpreter, since this one has imported every module
+    probe = ("import sys, oql; print(sorted(m for m in sys.modules "
+             "if m.startswith('oql.') or m.split('.')[0] == 'numpy'))")
+    assert _probe(probe) == "[]\n"
+
+
+def test_readme_layout_names_every_module():
+    # the modules are the whole Python API, so the list must not drift
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Layout\n", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\S+)", block.split("src/oql/\n", 1)[1],
+                        flags=re.MULTILINE)
+    modules = [path.name for path in (SRC / "oql").glob("*.py")
+               if not path.name.startswith("__")] + ["syntax/"]
+    assert sorted(listed) == sorted(modules)
+
+
+@pytest.mark.parametrize("package", [oql.syntax], ids=lambda p: p.__name__)
 def test_every_exported_name_resolves(package):
     assert len(set(package.__all__)) == len(package.__all__)
     missing = [name for name in package.__all__ if not hasattr(package, name)]
@@ -54,20 +94,14 @@ def test_import_loads_no_scipy():
     probe = ("import sys, oql, oql.cli, oql.chain, oql.pricing, oql.engine, "
              "oql.evalkit, oql.backtest; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert _probe(probe) == "[]\n"
 
 
 def test_backtester_module_loads_no_engine():
     # a fresh interpreter, since this one has imported the engine
     probe = ("import sys, oql.backtest; "
              "print('oql.engine' in sys.modules, 'oql.evalkit' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "False False\n"
+    assert _probe(probe) == "False False\n"
 
 
 def test_package_and_front_end_commands_load_no_numpy():
@@ -81,20 +115,7 @@ def test_package_and_front_end_commands_load_no_numpy():
              "        code = main(argv)\n"
              "    loaded.append((code, 'numpy' in sys.modules))\n"
              "print(loaded)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[False, (0, False), (0, False), (0, False)]\n"
-
-
-def test_engine_names_load_on_first_use():
-    probe = ("import sys, oql; before = 'oql.engine' in sys.modules; "
-             "from oql import execute; "
-             "print(before, execute is sys.modules['oql.engine'].execute)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "False True\n"
+    assert _probe(probe) == "[False, (0, False), (0, False), (0, False)]\n"
 
 
 def test_readme_python_api_example_runs(tmp_path):

@@ -14,7 +14,13 @@ is known exactly, and need no recorded answer:
   with c and with its negation add up to those assembled without c, less
   the rows whose leg lacks the tested field (its `_ok` column is false);
 * HAVING partition: the same for a HAVING comparison and `having_passed`,
-  less the rows whose aggregate is unavailable.
+  less the rows whose aggregate is unavailable;
+* multiplier doubling: doubling the contract multiplier, and every HAVING
+  value or BETWEEN bound on a field the multiplier scales, keeps the same
+  rows in the same order with the same stats; the scaled fields double bit
+  for bit and every other aggregate stays as it was. A case whose HAVING
+  holds `~` at target 0 on a scaled field is skipped and counted, since
+  that band is the absolute epsilon_abs, which does not scale.
 
 Each relation runs over every test_corpus.cases() case, as is and with
 engine._BLOCK at 7, as the corpus does, and checks how many cases it
@@ -25,20 +31,24 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
-from oql import engine, serialize
+from oql import chain, engine, serialize
 from oql.engine import execute, result_to_json
 from oql.errors import OqlError
 from oql.syntax import parse_text, pretty_print
 from test_corpus import CORPUS_FILE, GROUPS, PER_GROUP, cases, outcome
 
 # the cases each relation covers: those with a LIMIT whose query
-# executes, and every case; then the conditions each partition covers
+# executes, and every case; then the conditions each partition covers;
+# then the cases multiplier doubling covers, and those it skips
 LIMIT_CASES = 929
 PERMUTED_CASES = GROUPS * PER_GROUP
 WHERE_CONDITIONS = 717
 HAVING_CONDITIONS = 1862
+DOUBLED_CASES = 1766
+DOUBLED_ABSOLUTE = 0
 SHUFFLE_SEED = 19
 NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
@@ -173,3 +183,67 @@ def test_having_partitions_the_rows_that_pass(block_size):
     print(f"HAVING partition held on {covered} conditions, {untested} of them "
           "with the aggregate unavailable")
     assert covered == HAVING_CONDITIONS
+
+
+# the aggregates the contract multiplier scales: cash, payoff and net Greeks
+SCALED = ("net_debit", "net_credit", "max_loss", "max_profit",
+          "net_delta", "net_gamma", "net_vega", "net_theta")
+
+
+def _doubled(cond):
+    """cond with its value or bounds doubled when its field scales."""
+    if cond.field not in SCALED:
+        return cond
+    if cond.op == "BETWEEN":
+        return dataclasses.replace(cond, lo=2 * cond.lo, hi=2 * cond.hi)
+    return dataclasses.replace(cond, value=2 * cond.value)
+
+
+def _execute(query, snapshot, config):
+    """(the result, its aggregates read), or (None, `stage:message`)."""
+    try:
+        result = execute(query, snapshot, config)
+        return result, result.aggregates
+    except OqlError as exc:
+        return None, f"{exc.stage}:{exc}"
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The float64 values as their bit patterns, so -0.0 != 0.0."""
+    return values.view(np.int64)
+
+
+def test_doubling_the_multiplier_doubles_the_scaled_fields(block_size):
+    covered = absolute = 0
+    source = enriched = None
+    for snapshot, query, config in cases():
+        # the multiplier does not enter enrichment: enrich a group's
+        # snapshot once for both runs of all its cases
+        if snapshot is not source:
+            source, enriched = snapshot, chain.enrich(snapshot)
+        ast = parse_text(query) if isinstance(query, str) else query
+        # the ~ band at target 0 is absolute, so it does not scale
+        if any(cond.op == "~" and cond.field in SCALED and cond.value == 0
+               for cond in ast.having):
+            absolute += 1
+            continue
+        result, read = _execute(ast, enriched, config)
+        twice, twice_read = _execute(
+            dataclasses.replace(ast, having=tuple(map(_doubled, ast.having))),
+            enriched, dataclasses.replace(config, multiplier=2 * config.multiplier))
+        if result is None or twice is None:  # the same `stage:message`
+            assert twice_read == read, pretty_print(ast)
+            continue
+        assert twice.stats == result.stats, pretty_print(ast)
+        assert np.array_equal(twice.rows, result.rows), pretty_print(ast)
+        for field, (values, available) in read.items():
+            twice_values, twice_available = twice_read[field]
+            scale = 2 if field in SCALED else 1
+            assert np.array_equal(_bits(twice_values), _bits(scale * values)), \
+                (field, pretty_print(ast))
+            assert np.array_equal(twice_available, available), \
+                (field, pretty_print(ast))
+        covered += 1
+    print(f"multiplier doubling held on {covered} cases, {absolute} skipped "
+          "for a ~ at target 0 on a scaled field")
+    assert (covered, absolute) == (DOUBLED_CASES, DOUBLED_ABSOLUTE)
