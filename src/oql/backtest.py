@@ -71,6 +71,11 @@ def positions_from_results(doc) -> list[Position]:
             if not isinstance(entry["legs"], list):
                 raise BacktestError("legs must be a list")
             legs = tuple(_position_leg(leg, schema) for leg in entry["legs"])
+            roles = [leg["role"] for leg in entry["legs"]]
+            if roles != list(schema.role_ids):
+                raise BacktestError(
+                    f"{schema.name} legs must be {', '.join(schema.role_ids)} "
+                    f"in that order, got {', '.join(roles) or 'none'}")
         except KeyError as exc:
             raise BacktestError(f"strategy {rank}: missing key {exc}") from None
         except (BacktestError, ChainError, SchemaError) as exc:
@@ -106,6 +111,8 @@ def _position_leg(leg, schema: StrategySchema) -> PositionLeg:
         raise BacktestError(f"strike must be > 0, got {leg['strike']!r}")
     expiry = required_date(str(leg["expiry"]), "expiry")
     entry_price = finite_number(leg["price"], "price")
+    if entry_price < 0.0:
+        raise BacktestError(f"price must be >= 0, got {leg['price']!r}")
     iv = finite_number(leg["iv"], "iv")
     if iv < 0.0:
         raise BacktestError(f"iv must be >= 0, got {leg['iv']!r}")

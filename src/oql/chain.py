@@ -164,14 +164,15 @@ def moneyness_codes(is_call, strike, spot: float, atm_band: float) -> np.ndarray
 
 
 def record_columns(records) -> dict[str, np.ndarray]:
-    """The records as contiguous 1-D columns, one row per record.
+    """The records as contiguous 1-D columns: row i is records[i].
 
-    Rows are in (expiry, strike, ticker) order, whatever the record order.
-    Columns: `record` (the row's position in records), `ticker_rank` (the
-    ticker's rank in Python string order), `ticker_prefix` (the ticker is a
-    proper prefix of another), `expiry` (date ordinal), `dte`, `strike`,
-    `price`, `volume`, `is_call`, and iv and each Greek with a `<name>_ok`
-    mask. A missing value reads 0.0 with `_ok` False, so no column holds NaN.
+    Rows keep the record order; the ranking alone fixes output order, since
+    its ties break on the snapshot's unique tickers. Columns: `ticker_rank`
+    (the ticker's rank in Python string order), `ticker_prefix` (the ticker
+    is a proper prefix of another), `expiry` (date ordinal), `dte`,
+    `strike`, `price`, `volume`, `is_call`, and iv and each Greek with a
+    `<name>_ok` mask. A missing value reads 0.0 with `_ok` False, so no
+    column holds NaN.
     """
     tickers = [rec.ticker for rec in records]
     names = sorted(set(tickers))
@@ -180,7 +181,7 @@ def record_columns(records) -> dict[str, np.ndarray]:
     # a name that prefixes another sorts right before a name it prefixes
     prefixes = np.array([b.startswith(a) for a, b in zip(names, names[1:])]
                         + [False])
-    raw = {
+    columns = {
         "ticker_rank": ranks,
         "ticker_prefix": prefixes[ranks],
         "expiry": np.array([rec.expiry.toordinal() for rec in records],
@@ -196,11 +197,10 @@ def record_columns(records) -> dict[str, np.ndarray]:
     }
     for name in _OPTIONAL_FIELDS:
         values = [getattr(rec, name) for rec in records]
-        raw[name] = np.array([0.0 if v is None else v for v in values],
-                             dtype=float)
-        raw[name + "_ok"] = np.array([v is not None for v in values], dtype=bool)
-    order = np.lexsort((raw["ticker_rank"], raw["strike"], raw["expiry"]))
-    return {"record": order, **{name: col[order] for name, col in raw.items()}}
+        columns[name] = np.array([0.0 if v is None else v for v in values],
+                                 dtype=float)
+        columns[name + "_ok"] = np.array([v is not None for v in values], dtype=bool)
+    return columns
 
 
 # ============================================================
@@ -230,6 +230,11 @@ def _validate_record(rec: ContractRecord, snapshot_underlying: str,
             f"expiry {rec.expiry} is before as_of {rec.as_of}", row)
     if rec.iv is not None and rec.iv < 0.0:
         raise ChainError(f"iv must be >= 0, got {rec.iv}", row)
+    # what finite_number refuses in a file; delta's range check refuses nan
+    for name in ("price", "iv", "gamma", "vega", "theta"):
+        value = getattr(rec, name)
+        if value is not None and not math.isfinite(value):
+            raise ChainError(f"{name} must be finite, got {value}", row)
     if rec.delta is not None:
         if rec.option_type == "call" and not (0.0 <= rec.delta <= 1.0):
             raise ChainError(
@@ -545,12 +550,18 @@ def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
     """Canonical file text for a snapshot (excluded records are dropped).
 
     The metadata line holds _META_KEYS, the date as text: CSV writes the
-    numbers with format_number, JSONL keeps them as JSON numbers.
+    numbers with format_number, JSONL keeps them as JSON numbers. Raises
+    ChainError for CSV when a ticker holds a comma or a line break, which
+    the CSV loader would split on.
     """
     meta = {key: getattr(snapshot, key) for key in _META_KEYS}
     meta = {key: format_date(value) if isinstance(value, _dt.date) else value
             for key, value in meta.items()}
     if fmt == "csv":
+        for rec in snapshot.records:
+            if "," in rec.ticker or "\n" in rec.ticker:
+                raise ChainError(f"ticker {rec.ticker!r} holds a comma or a "
+                                 "line break; save the chain as JSONL")
         lines = [_META_PREFIX + " ".join(
             f"{key}={value if isinstance(value, str) else format_number(value)}"
             for key, value in meta.items()), CSV_HEADER]
@@ -564,10 +575,11 @@ def snapshot_to_text(snapshot: ChainSnapshot, fmt: str = "csv") -> str:
 
 
 def save_snapshot(snapshot: ChainSnapshot, path: str) -> None:
-    """Write the canonical file form; load(save(load(x))) is byte-identical."""
-    fmt = _detect_format(path)
+    """Write the canonical file form; load(save(load(x))) is byte-identical.
+    The text is rendered first, so a refusal leaves `path` untouched."""
+    text = snapshot_to_text(snapshot, _detect_format(path))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(snapshot_to_text(snapshot, fmt))
+        fh.write(text)
 
 
 # ============================================================

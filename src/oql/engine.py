@@ -2,9 +2,9 @@
 
 The pipeline is parse_text -> validate -> filter -> assemble ->
 aggregate -> having -> order/limit. Between filter and order it runs on
-one row space, the rows of snapshot.columns in (expiry, strike, ticker)
-order: WHERE is a mask over the columns, a role's candidates are the rows
-it keeps, assembly joins them into an (m, n_roles) array of rows, one
+one row space, the rows of snapshot.columns (row i is records[i]):
+WHERE is a mask over the columns, a role's candidates are the rows it
+keeps, assembly joins them into an (m, n_roles) array of rows, one
 batch kernel computes the aggregate groups HAVING reads over every row,
 and HAVING is a boolean mask. execute stops there: ORDER BY + LIMIT
 rank the surviving rows once, on the first read of the result's rows or
@@ -13,9 +13,9 @@ exists only as columns: a ResultSet holds the snapshot, its rows and the
 aggregate columns computed for them, and ResultSet.complete computes the
 groups ranking or the aggregates read still miss, block by block.
 result_to_json and result_to_table render rows from those columns.
-Execution is fully deterministic: results are canonically ordered with a
-final tie-break on concatenated leg tickers, and serialized output is
-byte-stable under permutation of input records.
+Execution is fully deterministic: the ranking alone fixes output order,
+its final tie-break on concatenated leg tickers making it total, so
+serialized output is byte-stable under permutation of input records.
 """
 
 import functools
@@ -59,11 +59,11 @@ class ResultSet:
 
     `ranking` is the (ORDER BY, LIMIT) still to apply to them, or None
     when they are the result's rows as they stand (`survivors`). `execute`
-    leaves it set: the first read of `column_rows`, `rows` or `aggregates`
-    ranks once (order_and_limit) and narrows `passed` and `computed` to
-    the returned rows in result order. `computed` holds the aggregate
-    columns HAVING and `complete` computed for `passed`; the rest is
-    computed on first read, so reading only `stats` computes none of it.
+    leaves it set: the first read of `rows` or `aggregates` ranks once
+    (order_and_limit) and narrows `passed` and `computed` to the returned
+    rows in result order, which the ranking alone fixes. `computed` holds
+    the aggregate columns HAVING and `complete` computed for `passed`; the
+    rest is computed on first read, so reading only `stats` computes none.
     """
 
     query: ValidatedQuery
@@ -75,7 +75,7 @@ class ResultSet:
     ranking: tuple | None = None  # (order_by, limit) still to apply
 
     @property
-    def column_rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         """(k, n_roles) int32 rows of snapshot.columns in result order."""
         if self.ranking is not None:
             picks = order_and_limit(self, *self.ranking)
@@ -90,11 +90,6 @@ class ResultSet:
     def text(self) -> str:
         """The query's canonical text (pretty_print of its AST)."""
         return pretty_print(self.query.ast)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """(k, n_roles) positions in snapshot.records."""
-        return self.snapshot.columns["record"][self.column_rows]
 
     def complete(self, fields) -> dict:
         """`computed` once it holds `fields`: each missing kernel group
@@ -114,7 +109,7 @@ class ResultSet:
         """field -> (values, available), (k,) each, for all twelve fields
         in AGGREGATE_FIELDS order: the rows are ranked first, so only the
         returned rows get the groups still missing."""
-        self.column_rows  # ranks, narrowing `passed` and `computed`
+        self.rows  # ranks, narrowing `passed` and `computed`
         computed = self.complete(AGGREGATE_FIELDS)
         return {field: computed[field] for field in AGGREGATE_FIELDS}
 
@@ -174,9 +169,9 @@ def filter_legs(vq: ValidatedQuery, snapshot: ChainSnapshot,
 
     A role keeps the rows of its option type that pass every one of its
     conditions, each evaluated once per query as a mask over the columns;
-    a contract missing a tested field never matches. The rows are stored
-    in (expiry, strike, ticker) order, so each role's row numbers come
-    sorted and everything downstream is independent of input record order.
+    a contract missing a tested field never matches. Each role's rows
+    ascend, so candidates come in record order; the ranking alone fixes
+    output order.
     """
     columns = snapshot.columns
 
@@ -460,8 +455,8 @@ def _ticker_ranks(result: ResultSet) -> list[np.ndarray]:
     columns, roles = result.snapshot.columns, result.passed.T
     if not columns["ticker_prefix"].any():
         return [columns["ticker_rank"][row] for row in roles]
-    names = np.array([result.snapshot.records[i].ticker
-                      for i in columns["record"].tolist()], dtype=object)
+    names = np.array([rec.ticker for rec in result.snapshot.records],
+                     dtype=object)
     return [functools.reduce(operator.add, (names[row] for row in roles))]
 
 

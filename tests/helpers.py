@@ -719,8 +719,8 @@ def row_aggregates(schema: StrategySchema,
                    config: RunConfig) -> dict[str, float | None]:
     """engine.compute_aggregates on one assignment; None where unavailable."""
     columns = record_columns(assignment)
-    # role j's contract is assignment[j], which sits in row argsort(record)[j]
-    rows = np.argsort(columns["record"]).astype(np.int32)[None, :]
+    # role j's contract is assignment[j], which sits in row j
+    rows = np.arange(len(assignment), dtype=np.int32)[None, :]
     return {field: float(values[0]) if available[0] else None
             for field, (values, available)
             in engine.compute_aggregates(schema, columns, rows, config).items()}

@@ -51,8 +51,8 @@ def test_ticker_prefix_marks_each_ticker_that_prefixes_another():
     records = [record(ticker=name, strike=100.0 + i)
                for i, name in enumerate(names)]
     columns = chain.record_columns(records)
-    flagged = {records[i].ticker: flag for i, flag in zip(
-        columns["record"].tolist(), columns["ticker_prefix"].tolist())}
+    flagged = {rec.ticker: flag for rec, flag in zip(
+        records, columns["ticker_prefix"].tolist())}
     assert flagged == {"A": True, "AB": True, "ABC": False, "B": True,
                        "BA": False, "C": False}
     assert columns["ticker_prefix"].dtype == bool
@@ -157,6 +157,32 @@ def test_format_detection(tmp_path):
     path.write_text(snapshot_to_text(snapshot, "csv"), encoding="utf-8")
     with pytest.raises(ChainError, match="^cannot infer the snapshot format"):
         load_snapshot(str(path))
+
+
+@pytest.mark.parametrize("mark", [",", "\n"], ids=["comma", "line-break"])
+def test_csv_save_refuses_a_ticker_its_loader_would_split(tmp_path, mark):
+    from dataclasses import replace
+    snapshot = small_snapshot()
+    ticker = "O:SPY" + mark + "X"
+    snapshot = replace(snapshot, records=(
+        replace(snapshot.records[0], ticker=ticker),) + snapshot.records[1:])
+    jsonl = tmp_path / "chain.jsonl"
+    save_snapshot(snapshot, str(jsonl))
+    loaded = load_snapshot(str(jsonl))
+    assert loaded.records[0].ticker == ticker
+    # the refusal names the ticker and leaves no file behind, nor
+    # truncates one that is there
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("old", encoding="utf-8")
+    for path in (fresh, kept):
+        with pytest.raises(ChainError) as exc_info:
+            save_snapshot(loaded, str(path))
+        assert repr(ticker) in str(exc_info.value)
+    assert not fresh.exists() and kept.read_text(encoding="utf-8") == "old"
+    # JSONL keeps such a ticker, byte for byte
+    again = tmp_path / "again.jsonl"
+    save_snapshot(loaded, str(again))
+    assert again.read_bytes() == jsonl.read_bytes()
 
 
 def write_csv(tmp_path, lines):
@@ -664,6 +690,19 @@ def test_enrich_excludes_zero_iv():
     assert "zero iv" in out.excluded[0].reason
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["price", "iv", "gamma", "vega", "theta"])
+def test_enrich_refuses_a_non_finite_model_value(field, value):
+    # finite_number refuses these in a file; a record built in memory
+    # meets the same check, with its position as the row
+    snapshot = ChainSnapshot("SPY", AS_OF, 100.0, 0.04, (
+        record(ticker="O:SPY250702C00090000", strike=90.0, price=11.0),
+        record(**{field: value})))
+    with pytest.raises(ChainError,
+                       match=f"^row 1: {field} must be finite, got {value}$"):
+        enrich(snapshot)
+
+
 def test_load_snapshot_backfills_missing_columns(tmp_path):
     parts = GOOD_ROW.split(",")
     parts[8] = ""   # iv
@@ -714,6 +753,22 @@ def test_generate_synthetic_grid_order_and_tickers():
     keys = [(r.expiry, r.strike, r.option_type) for r in snap.records]
     assert keys == sorted(keys, key=lambda k: (k[0], k[1], 0 if k[2] == "call" else 1))
     assert snap.records[0].ticker == "O:SPY250702C00090000"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_saved_synthetic_chain_loads_in_expiry_strike_ticker_order(
+        tmp_path, fmt):
+    # the engine numbers rows by record: a chain generate_synthetic wrote
+    # loads with its rows already in (expiry, strike, ticker) order
+    snapshot = small_snapshot(
+        expiries=[dt.date(2025, 9, 19), EXPIRY, dt.date(2025, 6, 20)],
+        strikes=[250.0, 7.5, 100.0, 95.5, 0.5], spot=90.0)
+    path = tmp_path / f"chain.{fmt}"
+    save_snapshot(snapshot, str(path))
+    loaded = load_snapshot(str(path))
+    assert len(loaded.records) > 20
+    keys = [(r.expiry, r.strike, r.ticker) for r in loaded.records]
+    assert keys == sorted(keys)
 
 
 def test_generate_synthetic_prices_and_greeks_are_model_values():

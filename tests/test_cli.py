@@ -827,6 +827,14 @@ def _first_leg(**changes):
     return _results(lambda doc: doc["strategies"][0]["legs"][0].update(changes))
 
 
+def _legs(*picks):
+    """The first strategy's legs replaced by its legs at `picks`."""
+    def pick(doc):
+        legs = doc["strategies"][0]["legs"]
+        legs[:] = [legs[i] for i in picks]
+    return _results(pick)
+
+
 def _backtest(results="{d}/results.json", spots="{d}/spots.csv",
               entry=AS_OF, exit="2025-06-22"):
     return ["backtest", "--results", results, "--spots", spots,
@@ -1076,6 +1084,25 @@ BAD_INPUT = [
     ("leg-strike-zero", {"r.json": _first_leg(strike=0.0)},
      _backtest(results="{tmp}/r.json"), "backtest",
      "strategy 1: strike must be > 0, got 0.0"),
+    ("leg-price-negative", {"r.json": _first_leg(price=-5)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: price must be >= 0, got -5"),
+    ("legs-a-role-twice", {"r.json": _legs(0, 0)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD legs must be L, S in that order, got L, L"),
+    ("legs-a-role-missing", {"r.json": _legs(0)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD legs must be L, S in that order, got L"),
+    ("legs-a-role-extra", {"r.json": _legs(0, 0, 1)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD legs must be L, S in that order, "
+     "got L, L, S"),
+    ("legs-out-of-role-order", {"r.json": _legs(1, 0)},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD legs must be L, S in that order, got S, L"),
+    ("legs-none", {"r.json": _legs()},
+     _backtest(results="{tmp}/r.json"), "backtest",
+     "strategy 1: BULL_CALL_SPREAD legs must be L, S in that order, got none"),
     ("eval-line-not-object", {"cases.jsonl": "[1]\n"}, _EVAL,
      "eval", "cases.jsonl:1: a case must be a JSON object"),
     ("eval-attempts-string",

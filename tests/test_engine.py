@@ -74,7 +74,7 @@ def rec(underlying: str, strike: float, option_type: str, price: float,
 
 def _records_of(snapshot: ChainSnapshot, rows) -> list[ContractRecord]:
     """One role's candidate rows as the snapshot records they stand for."""
-    return [snapshot.records[i] for i in snapshot.columns["record"][rows]]
+    return [snapshot.records[i] for i in rows]
 
 
 def snap(records, *, underlying: str = "SPY", spot: float = 100.0,
@@ -239,28 +239,47 @@ class TestFiltering:
         for role in ("L", "S"):
             assert {r.dte() for r in _records_of(snapshot, cands.rows[role])} == {30}
 
-    def test_candidates_sorted_by_expiry_strike_ticker(self):
-        # puts first, so record order is not row order; a put and a call
-        # of one strike and expiry order by ticker
-        records = [rec("SPY", k, t, 2.0, d, delta=0.5 if t == "call" else -0.5)
-                   for t in ("put", "call") for k in (110.0, 90.0)
+    def test_row_i_of_every_column_is_record_i(self):
+        # records shuffled out of (expiry, strike, ticker) order, some
+        # Greeks missing: row i of every column still reads records[i]
+        records = [rec("SPY", k, t, k / 50, d, volume=int(k) + d,
+                       delta=0.5 if t == "call" else -0.5,
+                       gamma=None if k == 90.0 else 0.01)
+                   for t in ("put", "call") for k in (110.0, 90.0, 100.0)
                    for d in (60, 30)]
-        vq = validate(parse_text("SELECT LONG_CALL FROM SPY"))
+        random.Random(5).shuffle(records)
+        assert records != sorted(records, key=lambda r: (r.expiry, r.strike,
+                                                         r.ticker))
         snapshot = snap(records)
-        cands = filter_legs(vq, snapshot, RunConfig())
-        keys = [(r.expiry, r.strike) for r in _records_of(snapshot, cands.rows["L"])]
-        assert keys == sorted(keys)
-        # the snapshot's rows: contiguous 1-D columns in (expiry, strike,
-        # ticker) order, each row pointing at one record
+        tickers = sorted(r.ticker for r in records)
+        want = {
+            "ticker_rank": [tickers.index(r.ticker) for r in records],
+            "ticker_prefix": [any(t != r.ticker and t.startswith(r.ticker)
+                                  for t in tickers) for r in records],
+            "expiry": [r.expiry.toordinal() for r in records],
+            "dte": [r.dte() for r in records],
+            "strike": [r.strike for r in records],
+            "price": [r.price for r in records],
+            "volume": [r.volume for r in records],
+            "is_call": [r.option_type == "call" for r in records],
+        }
+        for name in ("iv", "delta", "gamma", "vega", "theta"):
+            values = [getattr(r, name) for r in records]
+            want[name] = [0.0 if v is None else v for v in values]
+            want[name + "_ok"] = [v is not None for v in values]
         columns = snapshot.columns
-        for col in columns.values():
+        assert sorted(columns) == sorted(want)
+        for name, col in columns.items():
             assert col.ndim == 1 and col.flags.c_contiguous
-        rows = [(r.expiry, r.strike, r.ticker)
-                for r in _records_of(snapshot, range(len(records)))]
-        assert rows == sorted(rows)
-        assert sorted(columns["record"].tolist()) == list(range(len(records)))
-        for role_rows in cands.rows.values():
-            assert (np.diff(role_rows) > 0).all()
+            assert col.tolist() == want[name], name
+        # each role's candidates are its option type's rows, ascending
+        vq = validate(parse_text("SELECT IRON_CONDOR FROM SPY"))
+        cands = filter_legs(vq, snapshot, RunConfig())
+        for role in vq.schema.roles:
+            role_rows = cands.rows[role.id]
+            assert len(role_rows) == 6 and (np.diff(role_rows) > 0).all()
+            assert _records_of(snapshot, role_rows) == [
+                r for r in records if r.option_type == role.option_type]
 
     def test_volume_past_the_float_range_still_compares(self):
         # int() reads any digit string a chain file holds; float() cannot
@@ -517,10 +536,10 @@ def _survivors(*rows: tuple[str, dict]) -> ResultSet:
                            np.array([v is not None for v in values]))
     snapshot = snap(records)
     # survivor i holds record i, so snapshot.records reads survivor positions
-    column_rows = np.argsort(snapshot.columns["record"]).astype(np.int32)[:, None]
+    passed = np.arange(len(records), dtype=np.int32)[:, None]
     return ResultSet(query=validate(parse_text("SELECT LONG_CALL FROM SPY")),
                      snapshot=snapshot, stats=None,
-                     passed=column_rows, config=RunConfig(),
+                     passed=passed, config=RunConfig(),
                      computed=computed)
 
 
@@ -1258,14 +1277,19 @@ class TestLateMaterialization:
         return calls
 
     def test_run_case_builds_none(self, built, tsla_snapshot, monkeypatch):
-        results = []
+        results, ranked = [], []
 
         def kept(*args):
             results.append(evalkit_execute(*args))
             return results[-1]
 
-        evalkit_execute = evalkit.execute
+        def counted(*args):
+            ranked.append(args[0])
+            return order_and_limit(*args)
+
+        evalkit_execute, order_and_limit = evalkit.execute, engine.order_and_limit
         monkeypatch.setattr(evalkit, "execute", kept)
+        monkeypatch.setattr(engine, "order_and_limit", counted)
         case = evalkit.EvalCase(
             id="c1", intent="", gold_strategy="BULL_CALL_SPREAD", chain="",
             attempts=("SELECT BULL_CALL_SPREAD FROM TSLA WHERE Dte ~ 30",))
@@ -1273,16 +1297,20 @@ class TestLateMaterialization:
         assert outcome.k_first_success == 1 and outcome.rows_at_success > 0
         assert built == []
         [result] = results
-        # neither lazy per-row view was read
-        assert "rows" not in vars(result) and "aggregates" not in vars(result)
+        # the rows were never read, so nothing ranked, and no aggregate
+        # was computed
+        assert ranked == [] and result.ranking is not None
+        assert "aggregates" not in vars(result)
         assert result.computed == {}
         # nor was the query text printed
         assert "text" not in vars(result)
-        # rendering the same result builds one leg object per distinct
-        # (role, record) of the returned rows
+        # rendering the same result ranks it once and builds one leg
+        # object per distinct (role, record) of the returned rows
         result_to_json(result, RunConfig())
         assert 0 < len(built) <= 2 * outcome.rows_at_success
-        assert "rows" in vars(result) and "aggregates" in vars(result)
+        assert len(ranked) == 1 and ranked[0] is result
+        assert result.ranking is None
+        assert "aggregates" in vars(result)
         assert vars(result)["text"] == case.attempts[0]
 
     def test_no_having_or_order_by_computes_no_aggregate(self, monkeypatch,
@@ -1462,7 +1490,7 @@ class TestFieldSelection:
         full = engine.compute_aggregates(vq.schema, tsla_snapshot.columns,
                                          rows, config)
         where = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
-        picks = [where[row] for row in map(tuple, result.column_rows.tolist())]
+        picks = [where[row] for row in map(tuple, result.rows.tolist())]
         assert list(aggregates) == list(full) == list(AGGREGATE_FIELDS)
         for field, (values, available) in full.items():
             assert aggregates[field][0].tobytes() == values[picks].tobytes()

@@ -9,7 +9,8 @@ is known exactly, and need no recorded answer:
   strategies of the same query without LIMIT, with the same stats apart
   from `returned`;
 * record permutation: the snapshot's records shuffled with a fixed seed
-  leave every outcome hash unchanged;
+  leave every outcome hash unchanged; it also runs over derandomized
+  hypothesis draws of helpers.random_snapshot and random_valid_query;
 * WHERE partition: for a role-bound comparison c, the rows assembled
   with c and with its negation add up to those assembled without c, less
   the rows whose leg lacks the tested field (its `_ok` column is false);
@@ -33,11 +34,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oql import chain, engine, serialize
+from oql.config import RunConfig
 from oql.engine import execute, result_to_json
 from oql.errors import OqlError
 from oql.syntax import parse_text, pretty_print
+from helpers import distinct_prefix, random_snapshot, random_valid_query
 from test_corpus import CORPUS_FILE, GROUPS, PER_GROUP, cases, outcome
 
 # the cases each relation covers: those with a LIMIT whose query
@@ -45,6 +50,7 @@ from test_corpus import CORPUS_FILE, GROUPS, PER_GROUP, cases, outcome
 # then the cases multiplier doubling covers, and those it skips
 LIMIT_CASES = 929
 PERMUTED_CASES = GROUPS * PER_GROUP
+PERMUTED_DRAWS = 200
 WHERE_CONDITIONS = 717
 HAVING_CONDITIONS = 1862
 DOUBLED_CASES = 1766
@@ -117,6 +123,32 @@ def test_shuffled_records_leave_every_outcome_unchanged(block_size):
     assert moved == [], f"{len(moved)} cases moved, first {moved[:20]}"
     print(f"record permutation held on {len(got)} cases")
     assert len(got) == len(want) == PERMUTED_CASES
+
+
+def test_shuffled_records_leave_a_drawn_outcome_unchanged(block_size):
+    ran = []
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), cut=st.booleans())
+    @settings(max_examples=PERMUTED_DRAWS, deadline=None, derandomize=True,
+              database=None)
+    def relation(seed, cut):
+        rng = random.Random(seed)
+        snapshot = random_snapshot(rng)
+        if cut:  # tickers of mixed lengths, some a prefix of another
+            taken: set[str] = set()
+            snapshot = dataclasses.replace(snapshot, records=tuple(
+                dataclasses.replace(r, ticker=distinct_prefix(
+                    r.ticker, rng.randint(4, 20), taken))
+                for r in snapshot.records))
+        query = random_valid_query(rng, snapshot)
+        config = RunConfig(atm_band=rng.choice((0.0, 0.01, 0.05)))
+        assert (outcome(_shuffled(snapshot, rng), query, config)
+                == outcome(snapshot, query, config)), pretty_print(query)
+        ran.append(seed)
+
+    relation()
+    print(f"record permutation held on {len(ran)} drawn cases")
+    assert len(ran) == PERMUTED_DRAWS
 
 
 def _partitions(clause: str):
